@@ -7,9 +7,8 @@ folded to zero) so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
 violation, 3 complete-positivity gate, 4 kernel export requested for a model
-without phase symmetry. CVMAPS_THREADS controls worker count in the kernel
-samplers; CVMAPS_FAULT injects a named defect into the verify battery (test
-hook).
+without phase symmetry. CVMAPS_FAULT injects a named defect into the verify
+battery (test hook).
 """
 
 import argparse
@@ -23,7 +22,7 @@ from jsonschema import Draft7Validator
 
 from .fock import DensityOperator, FockDim, coherent_state, fock_state, thermal_state
 from .wigner import QuadratureGrid, wigner_of
-from .tensors import (DEFAULT_CP_TOL, ProcessTensor, apply_tensor, cp_defect,
+from .tensors import (ProcessTensor, apply_tensor, cp_defect, is_cp,
                       success_probability)
 from .kernels import apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
@@ -249,12 +248,11 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
-def _gate_cp(t: ProcessTensor) -> float:
-    defect = cp_defect(t)
-    if defect > DEFAULT_CP_TOL:
+def _gate_cp(t: ProcessTensor):
+    # cp_defect is the most negative Choi eigenvalue, so it is never positive
+    if not is_cp(t):
         raise ArithmeticError(f"map is not completely positive "
-                              f"(Choi defect {defect:.3e})")
-    return defect
+                              f"(Choi defect {cp_defect(t):.3e})")
 
 
 def cmd_tensor(args) -> int:
@@ -403,7 +401,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvmaps",
         description="Heralded-process tensors and Wigner transfer kernels.",
-        epilog="Environment: CVMAPS_THREADS sets the sampler worker count.")
+        epilog="Environment: CVMAPS_FAULT injects a named defect into the "
+               "verify battery (test hook).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_config=True):

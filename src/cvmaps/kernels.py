@@ -14,7 +14,11 @@ combinations it is invisible, which makes it easy to drop by accident.
 
 Kernel variants: AffineDelta (coordinate substitutions, Jacobian 1),
 GaussianKernel (per-quadrature affine Gaussians), GridKernel (dense 4D
-samples, indexed [out_x, out_p, in_x, in_p]), SumKernel (weighted sums).
+samples, indexed [out_x, out_p, in_x, in_p]), FactoredKernel (grid samples
+of a tensor kept as the unevaluated product 2 pi B_out^T E conj(B_in)),
+SumKernel (weighted sums), RadialKernel (f(r', r, theta) samples). Each
+type carries its own apply, marginal, norm, scaling, negativity and
+sampling rules; the module functions below delegate to them.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -23,21 +27,20 @@ kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import FockDim
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
-from .wigner import QuadratureGrid, WignerField, _band_values, wigner_basis_table
+from .wigner import (QuadratureGrid, WignerField, _basis_values, _trapz,
+                     wigner_basis_table)
 
 __all__ = [
     "AffineDelta",
     "GaussianKernel",
     "GridKernel",
+    "FactoredKernel",
     "SumKernel",
     "RadialKernel",
     "kernel_from_tensor",
@@ -54,21 +57,52 @@ __all__ = [
 
 _MAX_GRID_VALUES = 70_000_000
 _COARSE_SPACING = 0.25
+# bytes of output basis values radial_form evaluates at once
+_RADIAL_BLOCK_BYTES = 64 * 2 ** 20
 
 _DEFAULT_KERNEL_GRID = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CVMAPS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def _axis_weights(n: int, step: float) -> np.ndarray:
+    w = np.full(n, step)
+    w[0] = w[-1] = step / 2
+    return w
+
+
+def _weighted(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Trapezoid-weighted samples on a grid, ready to be summed."""
+    wx = _axis_weights(grid.n_x, grid.dx)
+    wp = _axis_weights(grid.n_p, grid.dp)
+    return values * wx[:, None] * wp[None, :]
+
+
+class _Kernel:
+    """Rules shared by every kernel type; each type overrides what it supports."""
+
+    def apply(self, w_in: WignerField) -> WignerField:
+        raise TypeError(f"cannot apply kernel of type {type(self).__name__}")
+
+    def marginal(self, grid: QuadratureGrid, over_output: bool) -> WignerField:
+        raise TypeError(f"no marginal rule for {type(self).__name__}")
+
+    def norm(self) -> float:
+        raise TypeError(
+            "kernel_norm requires sampled kernels; closed-form kernels have "
+            "truncation-dependent norms"
+        )
+
+    def scaled(self, c: float):
+        raise TypeError(f"cannot scale kernel of type {type(self).__name__}")
+
+    def negativity(self) -> dict:
+        raise TypeError(f"no negativity rule for {type(self).__name__}")
+
+    def sample(self, out_grid: QuadratureGrid, in_grid: QuadratureGrid):
+        raise TypeError(f"cannot sample {type(self).__name__}")
 
 
 @dataclass(frozen=True)
-class AffineDelta:
+class AffineDelta(_Kernel):
     """Delta kernel recording input coordinates as a function of output.
 
     r_in = matrix @ r_out + offset, coordinates ordered
@@ -106,9 +140,35 @@ class AffineDelta:
         out_coords = np.asarray(out_coords, dtype=float)
         return out_coords @ self.matrix.T + self.offset
 
+    def apply(self, w_in):
+        if self.modes != 1:
+            raise ValueError("only single-mode delta kernels can be applied")
+        from scipy.interpolate import RegularGridInterpolator
+
+        grid = w_in.grid
+        interp = RegularGridInterpolator(
+            (grid.xs, grid.ps), w_in.values, bounds_error=False, fill_value=0.0
+        )
+        outx = grid.xs[:, None, None]
+        outp = grid.ps[None, :, None]
+        pts = np.concatenate(
+            [np.broadcast_to(outx, (grid.n_x, grid.n_p, 1)),
+             np.broadcast_to(outp, (grid.n_x, grid.n_p, 1))], axis=2
+        ).reshape(-1, 2)
+        vals = interp(self.input_coords(pts)).reshape(grid.n_x, grid.n_p)
+        return WignerField(grid, vals)
+
+    def marginal(self, grid, over_output):
+        if self.modes != 1:
+            raise ValueError("marginals are defined for single-mode kernels")
+        return WignerField(grid, np.ones((grid.n_x, grid.n_p)))
+
+    def sample(self, out_grid, in_grid):
+        raise TypeError("delta kernels are symbolic; sampling one is ill-defined")
+
 
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_Kernel):
     """f = prefactor exp(-((x'-mu_x x-off_x)/nu_x)^2 -((p'-mu_p p-off_p)/nu_p)^2).
 
     The trace-normalized prefactor for a channel built this way is
@@ -138,6 +198,43 @@ class GaussianKernel:
         ep = (np.asarray(po) - self.mu_p * np.asarray(pi) - self.off_p) / self.nu_p
         return self.prefactor * np.exp(-ex * ex - ep * ep)
 
+    def apply(self, w_in):
+        grid = w_in.grid
+        gx = np.exp(-((grid.xs[:, None] - self.mu_x * grid.xs[None, :]
+                       - self.off_x) / self.nu_x) ** 2)
+        gp = np.exp(-((grid.ps[:, None] - self.mu_p * grid.ps[None, :]
+                       - self.off_p) / self.nu_p) ** 2)
+        wx = _axis_weights(grid.n_x, grid.dx)
+        wp = _axis_weights(grid.n_p, grid.dp)
+        vals = self.prefactor * ((gx * wx[None, :]) @ w_in.values
+                                 @ (gp * wp[None, :]).T)
+        return WignerField(grid, vals)
+
+    def marginal(self, grid, over_output):
+        if over_output:
+            # integral over the full output plane, closed form
+            const = self.prefactor * math.pi * abs(self.nu_x) * abs(self.nu_p)
+            return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
+        # integral over inputs: substitute u = (x' - mu x - off)/nu per axis
+        if self.mu_x == 0.0 or self.mu_p == 0.0:
+            raise ValueError("output marginal diverges for mu = 0 kernels")
+        const = (self.prefactor * math.pi * abs(self.nu_x) * abs(self.nu_p)
+                 / abs(self.mu_x * self.mu_p))
+        return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
+
+    def scaled(self, c):
+        return replace(self, prefactor=c * self.prefactor)
+
+    def negativity(self):
+        return {"min_value": 0.0, "negative_volume": 0.0}
+
+    def sample(self, out_grid, in_grid):
+        vals = self.evaluate(out_grid.xs[:, None, None, None],
+                             out_grid.ps[None, :, None, None],
+                             in_grid.xs[None, None, :, None],
+                             in_grid.ps[None, None, None, :])
+        return GridKernel(out_grid, in_grid, vals)
+
 
 def normalized_gaussian(mu_x: float, nu_x: float, mu_p: float, nu_p: float,
                         off_x: float = 0.0, off_p: float = 0.0) -> GaussianKernel:
@@ -147,16 +244,40 @@ def normalized_gaussian(mu_x: float, nu_x: float, mu_p: float, nu_p: float,
     return GaussianKernel(mu_x, nu_x, mu_p, nu_p, pref, off_x, off_p)
 
 
+class _SampledKernel(_Kernel):
+    """A kernel known through its samples on an output and an input grid."""
+
+    input_modes = 1
+    output_modes = 1
+
+    def norm(self):
+        return self.marginal(None, True).integral() / (2.0 * math.pi)
+
+    def negativity(self):
+        vals = self.values
+        neg = np.where(vals < 0.0, -vals, 0.0)
+        part = _trapz(neg, dx=self.in_grid.dp, axis=-1)
+        part = _trapz(part, dx=self.in_grid.dx, axis=-1)
+        part = _trapz(part, dx=self.out_grid.dp, axis=-1)
+        part = _trapz(part, dx=self.out_grid.dx, axis=-1)
+        return {"min_value": float(vals.min()), "negative_volume": float(part)}
+
+    def _check_field(self, w_in: WignerField):
+        if self.in_grid != w_in.grid:
+            raise ValueError("field grid does not match kernel input grid")
+
+    def _check_grids(self, out_grid, in_grid):
+        if self.out_grid != out_grid or self.in_grid != in_grid:
+            raise ValueError("grid kernel resampling is not supported")
+
+
 @dataclass(frozen=True, eq=False)
-class GridKernel:
+class GridKernel(_SampledKernel):
     """Dense 4D samples f[out_x, out_p, in_x, in_p] on two grids."""
 
     out_grid: QuadratureGrid
     in_grid: QuadratureGrid
     values: np.ndarray
-
-    input_modes = 1
-    output_modes = 1
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -177,9 +298,99 @@ class GridKernel:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    def apply(self, w_in):
+        self._check_field(w_in)
+        vals = np.einsum("abxy,xy->ab", self.values, _weighted(w_in.values, self.in_grid))
+        return WignerField(self.out_grid, vals)
+
+    def marginal(self, grid, over_output):
+        if over_output:
+            g = self.out_grid
+            wx = _axis_weights(g.n_x, g.dx)
+            wp = _axis_weights(g.n_p, g.dp)
+            vals = np.einsum("abxy,a,b->xy", self.values, wx, wp)
+            return WignerField(self.in_grid, vals)
+        g = self.in_grid
+        wx = _axis_weights(g.n_x, g.dx)
+        wp = _axis_weights(g.n_p, g.dp)
+        vals = np.einsum("abxy,x,y->ab", self.values, wx, wp)
+        return WignerField(self.out_grid, vals)
+
+    def scaled(self, c):
+        return GridKernel(self.out_grid, self.in_grid, c * self.values)
+
+    def sample(self, out_grid, in_grid):
+        self._check_grids(out_grid, in_grid)
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredKernel(_SampledKernel):
+    """Grid samples of a tensor's kernel, kept as 2 pi B_out^T E conj(B_in).
+
+    b_out (D^2, N_out) and b_in (D^2, N_in) are the Wigner basis tables
+    flattened over grid points and e is the tensor as a D^2 x D^2 matrix.
+    The product has rank at most D^2, so apply, marginals and norms cost
+    O(D^2 N + D^4): the quadrature weights are contracted into a basis
+    table first. ``values`` evaluates the dense samples on each access.
+    """
+
+    out_grid: QuadratureGrid
+    in_grid: QuadratureGrid
+    b_out: np.ndarray
+    e: np.ndarray
+    b_in: np.ndarray
+
+    def __post_init__(self):
+        side = self.e.shape[0]
+        if (self.e.shape != (side, side)
+                or self.b_out.shape != (side, self.out_grid.n_x * self.out_grid.n_p)
+                or self.b_in.shape != (side, self.in_grid.n_x * self.in_grid.n_p)):
+            raise ValueError("factors do not match each other or the grids")
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.dense().values
+
+    def dense(self) -> GridKernel:
+        """The evaluated samples as a GridKernel."""
+        flat = 2.0 * math.pi * (self.b_out.T @ self.e @ np.conj(self.b_in))
+        vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
+                            self.in_grid.n_x, self.in_grid.n_p)
+        return GridKernel(self.out_grid, self.in_grid, vals)
+
+    def _out_field(self, weighted_in: np.ndarray) -> WignerField:
+        # Int f w_in over inputs; conj(B_in) v = conj(B_in v) for real v
+        half = self.e @ np.conj(self.b_in @ weighted_in.ravel())
+        vals = 2.0 * math.pi * np.real(self.b_out.T @ half)
+        return WignerField(self.out_grid,
+                           vals.reshape(self.out_grid.n_x, self.out_grid.n_p))
+
+    def apply(self, w_in):
+        self._check_field(w_in)
+        return self._out_field(_weighted(w_in.values, self.in_grid))
+
+    def marginal(self, grid, over_output):
+        if not over_output:
+            ones = np.ones((self.in_grid.n_x, self.in_grid.n_p))
+            return self._out_field(_weighted(ones, self.in_grid))
+        g = self.out_grid
+        row = (self.b_out @ _weighted(np.ones((g.n_x, g.n_p)), g).ravel()) @ self.e
+        # Re(row conj(B_in)) = Re(conj(row) B_in)
+        vals = 2.0 * math.pi * np.real(np.conj(row) @ self.b_in)
+        return WignerField(self.in_grid,
+                           vals.reshape(self.in_grid.n_x, self.in_grid.n_p))
+
+    def scaled(self, c):
+        return replace(self, e=c * self.e)
+
+    def sample(self, out_grid, in_grid):
+        self._check_grids(out_grid, in_grid)
+        return self.dense()
+
 
 @dataclass(frozen=True)
-class SumKernel:
+class SumKernel(_Kernel):
     """Weighted sum of kernels, e.g. exclusive heralded branches."""
 
     terms: tuple  # of (weight, kernel)
@@ -197,9 +408,36 @@ class SumKernel:
     def output_modes(self) -> int:
         return self.terms[0][1].output_modes
 
+    def _field_sum(self, field_of) -> WignerField:
+        acc = None
+        for weight, term in self.terms:
+            part = field_of(term)
+            vals = weight * part.values
+            acc = vals if acc is None else acc + vals
+        return WignerField(part.grid, acc)
+
+    def apply(self, w_in):
+        return self._field_sum(lambda k: k.apply(w_in))
+
+    def marginal(self, grid, over_output):
+        return self._field_sum(lambda k: k.marginal(grid, over_output))
+
+    def norm(self):
+        return float(sum(w * k.norm() for w, k in self.terms))
+
+    def scaled(self, c):
+        return SumKernel(tuple((c * w, k) for w, k in self.terms))
+
+    def sample(self, out_grid, in_grid):
+        total = None
+        for w, term in self.terms:
+            part = w * term.sample(out_grid, in_grid).values
+            total = part if total is None else total + part
+        return GridKernel(out_grid, in_grid, total)
+
 
 @dataclass(frozen=True, eq=False)
-class RadialKernel:
+class RadialKernel(_Kernel):
     """f(r', r, theta) samples for phase-invariant maps, [ir', ir, itheta]."""
 
     rp_axis: np.ndarray
@@ -221,19 +459,18 @@ class RadialKernel:
         object.__setattr__(self, "theta_axis", th)
         object.__setattr__(self, "values", vals)
 
+    def scaled(self, c):
+        return RadialKernel(self.rp_axis, self.r_axis, self.theta_axis,
+                            c * self.values)
 
-def _basis_at_points(dim: FockDim, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W_{|n><m|} at a flat list of points; shape (D, D, N)."""
-    size = dim.size
-    n_pts = xs.size
-    table = np.empty((size, size, n_pts), dtype=complex)
-    for d in range(size):
-        band = _band_values(d, size - d, xs, ps)
-        for n in range(size - d):
-            table[n, n + d] = band[n]
-            if d:
-                table[n + d, n] = np.conj(band[n])
-    return table
+    def negativity(self):
+        vals = self.values
+        neg = np.where(vals < 0.0, -vals, 0.0)
+        neg = neg * self.rp_axis[:, None, None] * self.r_axis[None, :, None]
+        part = _trapz(neg, x=self.theta_axis, axis=-1)
+        part = _trapz(part, x=self.r_axis, axis=-1)
+        part = _trapz(part, x=self.rp_axis, axis=-1)
+        return {"min_value": float(vals.min()), "negative_volume": float(part)}
 
 
 def _check_single_mode(t: ProcessTensor):
@@ -252,8 +489,12 @@ def _warn_if_coarse(grid: QuadratureGrid, name: str):
 
 
 def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
-                       out_grid: QuadratureGrid = None) -> GridKernel:
-    """Sample the transfer function of a process tensor on grids."""
+                       out_grid: QuadratureGrid = None) -> FactoredKernel:
+    """Sample the transfer function of a process tensor on grids.
+
+    The samples stay factored; the dense cap applies to the array that
+    ``values`` would build.
+    """
     _check_single_mode(t)
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
@@ -268,97 +509,27 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     d = t.dim.size
     b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
     b_out = wigner_basis_table(t.dim, out_grid).reshape(d * d, -1)
-    e_mat = t.elements.reshape(d * d, d * d)
-    flat = 2.0 * math.pi * (b_out.T @ e_mat @ np.conj(b_in))
-    vals = flat.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
-    return GridKernel(out_grid, in_grid, vals)
+    return FactoredKernel(out_grid, in_grid, b_out,
+                          t.elements.reshape(d * d, d * d), b_in)
 
 
 def kernel_from_kraus(k: KrausSet, in_grid: QuadratureGrid = None,
-                      out_grid: QuadratureGrid = None) -> GridKernel:
+                      out_grid: QuadratureGrid = None) -> FactoredKernel:
     return kernel_from_tensor(tensor_from_kraus(k), in_grid, out_grid)
 
 
 def sample_kernel(f, out_grid: QuadratureGrid, in_grid: QuadratureGrid = None) -> GridKernel:
-    """Sample a closed-form kernel on grids.
+    """Sample a kernel on grids as dense values.
 
     Delta kernels are symbolic records and cannot be sampled; grid kernels
     pass through unchanged when the grids already match.
     """
-    in_grid = in_grid or out_grid
-    if isinstance(f, AffineDelta):
-        raise TypeError("delta kernels are symbolic; sampling one is ill-defined")
-    if isinstance(f, GridKernel):
-        if f.out_grid == out_grid and f.in_grid == in_grid:
-            return f
-        raise ValueError("grid kernel resampling is not supported")
-    if isinstance(f, SumKernel):
-        total = None
-        for w, term in f.terms:
-            part = w * sample_kernel(term, out_grid, in_grid).values
-            total = part if total is None else total + part
-        return GridKernel(out_grid, in_grid, total)
-    if not isinstance(f, GaussianKernel):
-        raise TypeError(f"cannot sample {type(f).__name__}")
-    vals = f.evaluate(out_grid.xs[:, None, None, None],
-                      out_grid.ps[None, :, None, None],
-                      in_grid.xs[None, None, :, None],
-                      in_grid.ps[None, None, None, :])
-    return GridKernel(out_grid, in_grid, vals)
-
-
-def _axis_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] = w[-1] = step / 2
-    return w
+    return f.sample(out_grid, in_grid or out_grid)
 
 
 def apply_kernel(f, w_in: WignerField) -> WignerField:
     """Integral transform of a Wigner field; output on the kernel's out grid."""
-    if isinstance(f, SumKernel):
-        acc = None
-        for weight, term in f.terms:
-            part = apply_kernel(term, w_in)
-            vals = weight * part.values
-            acc = vals if acc is None else acc + vals
-            out_grid = part.grid
-        return WignerField(out_grid, acc)
-    if isinstance(f, AffineDelta):
-        if f.modes != 1:
-            raise ValueError("only single-mode delta kernels can be applied")
-        from scipy.interpolate import RegularGridInterpolator
-
-        grid = w_in.grid
-        interp = RegularGridInterpolator(
-            (grid.xs, grid.ps), w_in.values, bounds_error=False, fill_value=0.0
-        )
-        outx = grid.xs[:, None, None]
-        outp = grid.ps[None, :, None]
-        pts = np.concatenate(
-            [np.broadcast_to(outx, (grid.n_x, grid.n_p, 1)),
-             np.broadcast_to(outp, (grid.n_x, grid.n_p, 1))], axis=2
-        ).reshape(-1, 2)
-        vals = interp(f.input_coords(pts)).reshape(grid.n_x, grid.n_p)
-        return WignerField(grid, vals)
-    if isinstance(f, GaussianKernel):
-        grid = w_in.grid
-        gx = np.exp(-((grid.xs[:, None] - f.mu_x * grid.xs[None, :]
-                       - f.off_x) / f.nu_x) ** 2)
-        gp = np.exp(-((grid.ps[:, None] - f.mu_p * grid.ps[None, :]
-                       - f.off_p) / f.nu_p) ** 2)
-        wx = _axis_weights(grid.n_x, grid.dx)
-        wp = _axis_weights(grid.n_p, grid.dp)
-        vals = f.prefactor * ((gx * wx[None, :]) @ w_in.values @ (gp * wp[None, :]).T)
-        return WignerField(grid, vals)
-    if isinstance(f, GridKernel):
-        if f.in_grid != w_in.grid:
-            raise ValueError("field grid does not match kernel input grid")
-        wx = _axis_weights(f.in_grid.n_x, f.in_grid.dx)
-        wp = _axis_weights(f.in_grid.n_p, f.in_grid.dp)
-        weighted = w_in.values * wx[:, None] * wp[None, :]
-        vals = np.einsum("abxy,xy->ab", f.values, weighted)
-        return WignerField(f.out_grid, vals)
-    raise TypeError(f"cannot apply kernel of type {type(f).__name__}")
+    return f.apply(w_in)
 
 
 def _compose_gaussians(f2: GaussianKernel, f1: GaussianKernel) -> GaussianKernel:
@@ -429,59 +600,23 @@ def compose_kernels(f2, f1):
             f1.prefactor,
             (f1.off_x - bx) / ax, (f1.off_p - bp) / ap,
         )
-    if isinstance(f2, GridKernel) and isinstance(f1, GridKernel):
+    if isinstance(f2, _SampledKernel) and isinstance(f1, _SampledKernel):
         if f1.out_grid != f2.in_grid:
             raise ValueError("intermediate grids do not match")
-        mid = f2.in_grid
-        wx = _axis_weights(mid.n_x, mid.dx)
-        wp = _axis_weights(mid.n_p, mid.dp)
-        vals = np.einsum(
-            "abxy,x,y,xyij->abij", f2.values, wx, wp, f1.values, optimize=True
-        )
-        return GridKernel(f2.out_grid, f1.in_grid, vals)
+        out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
+        # one matmul over the flattened intermediate plane, weights on f2
+        left = _weighted(f2.values.reshape(-1, mid.n_x, mid.n_p), mid)
+        flat = (left.reshape(out.n_x * out.n_p, -1)
+                @ f1.values.reshape(mid.n_x * mid.n_p, -1))
+        vals = flat.reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
+        return GridKernel(out, inp, vals)
     raise TypeError(
         f"no composition rule for {type(f2).__name__} after {type(f1).__name__}"
     )
 
 
 def _marginal(f, grid: QuadratureGrid, over_output: bool) -> WignerField:
-    if isinstance(f, SumKernel):
-        acc = None
-        for w, term in f.terms:
-            part = _marginal(term, grid, over_output)
-            acc = w * part.values if acc is None else acc + w * part.values
-            g = part.grid
-        return WignerField(g, acc)
-    if isinstance(f, GridKernel):
-        if over_output:
-            g = f.out_grid
-            wx = _axis_weights(g.n_x, g.dx)
-            wp = _axis_weights(g.n_p, g.dp)
-            vals = np.einsum("abxy,a,b->xy", f.values, wx, wp)
-            return WignerField(f.in_grid, vals)
-        g = f.in_grid
-        wx = _axis_weights(g.n_x, g.dx)
-        wp = _axis_weights(g.n_p, g.dp)
-        vals = np.einsum("abxy,x,y->ab", f.values, wx, wp)
-        return WignerField(f.out_grid, vals)
-    grid = grid or _DEFAULT_KERNEL_GRID
-    if isinstance(f, AffineDelta):
-        if f.modes != 1:
-            raise ValueError("marginals are defined for single-mode kernels")
-        ones = np.ones((grid.n_x, grid.n_p))
-        return WignerField(grid, ones)
-    if isinstance(f, GaussianKernel):
-        if over_output:
-            # integral over the full output plane, closed form
-            const = f.prefactor * math.pi * abs(f.nu_x) * abs(f.nu_p)
-            return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
-        # integral over inputs: substitute u = (x' - mu x - off)/nu per axis
-        if f.mu_x == 0.0 or f.mu_p == 0.0:
-            raise ValueError("output marginal diverges for mu = 0 kernels")
-        const = (f.prefactor * math.pi * abs(f.nu_x) * abs(f.nu_p)
-                 / abs(f.mu_x * f.mu_p))
-        return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
-    raise TypeError(f"no marginal rule for {type(f).__name__}")
+    return f.marginal(grid or _DEFAULT_KERNEL_GRID, over_output)
 
 
 def input_marginal(f, grid: QuadratureGrid = None) -> WignerField:
@@ -496,15 +631,7 @@ def output_marginal(f, grid: QuadratureGrid = None) -> WignerField:
 
 def kernel_norm(f) -> float:
     """(1/2 pi) Int f d^4 = Tr(E^dag E), quadrature on the stored grids."""
-    if isinstance(f, SumKernel):
-        return float(sum(w * kernel_norm(k) for w, k in f.terms))
-    if isinstance(f, GridKernel):
-        marg = input_marginal(f)
-        return marg.integral() / (2.0 * math.pi)
-    raise TypeError(
-        "kernel_norm requires sampled kernels; closed-form kernels have "
-        "truncation-dependent norms"
-    )
+    return f.norm()
 
 
 def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
@@ -512,8 +639,9 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
     """Sample f(r', r, theta) of a phase-invariant map directly from the tensor.
 
     Points are (x, p) = (r, 0) and (x', p') = (r' cos theta, r' sin theta);
-    no 4D grid is materialized. Slices over theta run in parallel when
-    CVMAPS_THREADS is set above 1.
+    no 4D grid is materialized. All (r', theta) output points go through one
+    basis evaluation and one matmul, split over theta only as far as needed
+    to keep the output basis values under _RADIAL_BLOCK_BYTES.
     """
     from .tensors import phase_invariance_defect
 
@@ -533,30 +661,26 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
         float)
     d = t.dim.size
     e_mat = t.elements.reshape(d * d, d * d)
-    b_in = _basis_at_points(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
+    b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
     half = e_mat @ np.conj(b_in)  # (D^2, n_r)
-
-    def slice_for(theta: float) -> np.ndarray:
-        xo = rp_axis * math.cos(theta)
-        po = rp_axis * math.sin(theta)
-        b_out = _basis_at_points(t.dim, xo, po).reshape(d * d, -1)
-        return 2.0 * math.pi * np.real(b_out.T @ half)
-
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            slices = list(pool.map(slice_for, theta_axis))
-    else:
-        slices = [slice_for(th) for th in theta_axis]
-    vals = np.stack(slices, axis=-1)  # (n_rp, n_r, n_theta)
-    return RadialKernel(rp_axis, r_axis, theta_axis, vals)
+    cos = np.array([math.cos(th) for th in theta_axis])
+    sin = np.array([math.sin(th) for th in theta_axis])
+    per_theta = d * d * rp_axis.size * np.dtype(complex).itemsize
+    step = max(1, _RADIAL_BLOCK_BYTES // max(per_theta, 1))
+    vals = np.empty((theta_axis.size, rp_axis.size, r_axis.size))
+    for lo in range(0, theta_axis.size, step):
+        block = slice(lo, lo + step)
+        xo = cos[block, None] * rp_axis[None, :]
+        po = sin[block, None] * rp_axis[None, :]
+        b_out = _basis_values(t.dim, xo, po).reshape(d * d, -1)
+        vals[block] = (2.0 * math.pi * np.real(b_out.T @ half)).reshape(
+            -1, rp_axis.size, r_axis.size)
+    return RadialKernel(rp_axis, r_axis, theta_axis, vals.transpose(1, 2, 0))
 
 
 def radial_norm(rk: RadialKernel) -> float:
     """kernel_norm computed from radial samples: Int f r r' dr dr' dtheta."""
     w = rk.values * rk.rp_axis[:, None, None] * rk.r_axis[None, :, None]
-    from .wigner import _trapz
-
     inner = _trapz(w, x=rk.theta_axis, axis=-1)
     inner = _trapz(inner, x=rk.r_axis, axis=-1)
     return float(_trapz(inner, x=rk.rp_axis, axis=-1))
@@ -564,27 +688,7 @@ def radial_norm(rk: RadialKernel) -> float:
 
 def negativity(f) -> dict:
     """Most negative value and integrated negative part of a kernel."""
-    from .wigner import _trapz
-
-    if isinstance(f, GridKernel):
-        vals = f.values
-        neg = np.where(vals < 0.0, -vals, 0.0)
-        part = _trapz(neg, dx=f.in_grid.dp, axis=-1)
-        part = _trapz(part, dx=f.in_grid.dx, axis=-1)
-        part = _trapz(part, dx=f.out_grid.dp, axis=-1)
-        part = _trapz(part, dx=f.out_grid.dx, axis=-1)
-        return {"min_value": float(vals.min()), "negative_volume": float(part)}
-    if isinstance(f, RadialKernel):
-        vals = f.values
-        neg = np.where(vals < 0.0, -vals, 0.0)
-        neg = neg * f.rp_axis[:, None, None] * f.r_axis[None, :, None]
-        part = _trapz(neg, x=f.theta_axis, axis=-1)
-        part = _trapz(part, x=f.r_axis, axis=-1)
-        part = _trapz(part, x=f.rp_axis, axis=-1)
-        return {"min_value": float(vals.min()), "negative_volume": float(part)}
-    if isinstance(f, GaussianKernel):
-        return {"min_value": 0.0, "negative_volume": 0.0}
-    raise TypeError(f"no negativity rule for {type(f).__name__}")
+    return f.negativity()
 
 
 def band_concentration(rk: RadialKernel, half_width: float = 0.5,
@@ -599,7 +703,6 @@ def band_concentration(rk: RadialKernel, half_width: float = 0.5,
     """
     sl = rk.values[:, :, theta_index] ** 2
     band = np.abs(rk.rp_axis[:, None] - rk.r_axis[None, :]) <= half_width
-    from .wigner import _trapz
 
     total = _trapz(_trapz(sl, x=rk.rp_axis, axis=0), x=rk.r_axis, axis=0)
     inside = _trapz(_trapz(np.where(band, sl, 0.0), x=rk.rp_axis, axis=0),
@@ -611,13 +714,4 @@ def band_concentration(rk: RadialKernel, half_width: float = 0.5,
 
 def scale_kernel(f, c: float):
     """Kernel scaled by a constant; negativity metrics scale by exactly c."""
-    if isinstance(f, GridKernel):
-        return GridKernel(f.out_grid, f.in_grid, c * f.values)
-    if isinstance(f, RadialKernel):
-        return RadialKernel(f.rp_axis, f.r_axis, f.theta_axis, c * f.values)
-    if isinstance(f, GaussianKernel):
-        return GaussianKernel(f.mu_x, f.nu_x, f.mu_p, f.nu_p,
-                              c * f.prefactor, f.off_x, f.off_p)
-    if isinstance(f, SumKernel):
-        return SumKernel(tuple((c * w, k) for w, k in f.terms))
-    raise TypeError(f"cannot scale kernel of type {type(f).__name__}")
+    return f.scaled(c)

@@ -152,7 +152,7 @@ def _check_hermiticity(t: ProcessTensor, tol: float = 1e-10):
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     d = k.dim.size
     ops = np.stack(k.operators)
-    flat = np.einsum("iln,ikm->lknm", ops, ops.conj())
+    flat = np.einsum("iln,ikm->lknm", ops, ops.conj(), optimize=True)
     # unflatten the D^M composite indices into per-mode axes, then interleave
     arr = flat.reshape(
         (d,) * k.output_modes + (d,) * k.output_modes

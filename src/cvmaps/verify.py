@@ -465,7 +465,12 @@ def check_cli_determinism(fault):
 def run_checks(fault: str = None) -> dict:
     """Run the battery; returns the summary dict used by the CLI."""
     t0 = time.time()
-    checks = [fn(fault) for fn in _CHECKS]
+    checks = []
+    for fn in _CHECKS:
+        start = time.perf_counter()
+        result = fn(fault)
+        result["seconds"] = round(time.perf_counter() - start, 3)
+        checks.append(result)
     return {
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),

@@ -144,19 +144,24 @@ def wigner_basis(n: int, m: int, x, p):
     return vals
 
 
-@lru_cache(maxsize=6)
-def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-    """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only."""
-    x = grid.xs[:, None]
-    p = grid.ps[None, :]
+def _basis_values(dim: FockDim, x, p) -> np.ndarray:
+    """All W_{|n><m|} at the points (x, p); shape (D, D) + broadcast shape."""
     size = dim.size
-    table = np.empty((size, size, grid.n_x, grid.n_p), dtype=complex)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(p))
+    table = np.empty((size, size) + shape, dtype=complex)
     for d in range(size):
         band = _band_values(d, size - d, x, p)
         for n in range(size - d):
             table[n, n + d] = band[n]
             if d:
                 table[n + d, n] = np.conj(band[n])
+    return table
+
+
+@lru_cache(maxsize=6)
+def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
+    """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only."""
+    table = _basis_values(dim, grid.xs[:, None], grid.ps[None, :])
     table.flags.writeable = False
     return table
 

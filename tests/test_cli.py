@@ -7,6 +7,7 @@ import pytest
 
 from cvmaps import cli
 from cvmaps.fock import FockDim, coherent_state
+from cvmaps.tensors import ProcessTensor
 
 
 def write_config(tmp_path, name, payload):
@@ -214,3 +215,34 @@ def test_verify_fault_injection(tmp_path, monkeypatch):
     others = [c["passed"] for n, c in by_name.items()
               if n != "cross_representation_attenuation"]
     assert all(others)
+
+
+def test_cp_gate_rejects_transpose_map(tmp_path, monkeypatch):
+    # the transpose map has Choi defect -1, so no CP gate may pass it
+    dim = FockDim(3)
+    d = dim.size
+    arr = np.zeros((d, d, d, d), dtype=complex)
+    for l in range(d):
+        for k in range(d):
+            arr[l, k, k, l] = 1.0
+    transpose = ProcessTensor(dim, arr)
+    with pytest.raises(ArithmeticError, match="not completely positive"):
+        cli._gate_cp(transpose)
+    monkeypatch.setattr(cli, "build_model", lambda cfg: transpose)
+    cfg = write_config(tmp_path, "c.json", {"model": "identity", "n_max": 3})
+    code = cli.main(["tensor", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CP
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_summary_times_each_check(monkeypatch):
+    from cvmaps import verify
+
+    monkeypatch.setattr(verify, "_CHECKS", [verify.check_vacuum_peak,
+                                            verify.check_cli_determinism])
+    summary = verify.run_checks()
+    assert [c["name"] for c in summary["checks"]] == ["wigner_vacuum_peak",
+                                                      "cli_determinism"]
+    for check in summary["checks"]:
+        assert check["passed"]
+        assert 0.0 <= check["seconds"] <= summary["runtime_seconds"] + 1e-3

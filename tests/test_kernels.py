@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cvmaps.elements import (
@@ -14,6 +16,7 @@ from cvmaps.elements import (
 from cvmaps.fock import FockDim, coherent_state, thermal_state
 from cvmaps.kernels import (
     AffineDelta,
+    FactoredKernel,
     GaussianKernel,
     GridKernel,
     RadialKernel,
@@ -34,7 +37,7 @@ from cvmaps.kernels import (
     scale_kernel,
 )
 from cvmaps.models import ideal_photon_addition
-from cvmaps.tensors import KrausSet, apply_kraus, tensor_from_kraus
+from cvmaps.tensors import KrausSet, ProcessTensor, apply_kraus, tensor_from_kraus
 from cvmaps.wigner import QuadratureGrid, WignerField, wigner_of
 
 
@@ -351,3 +354,124 @@ def test_scale_kernel_types():
     assert scale_kernel(s, 2.0).terms[0][0] == 1.0
     with pytest.raises(TypeError):
         scale_kernel(AffineDelta(np.eye(2), np.zeros(2)), 2.0)
+
+
+# factored kernels against their own dense samples
+
+FACTORED_IN = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 33, 33)
+FACTORED_OUT = QuadratureGrid(-3.0, 3.0, -3.5, 3.5, 25, 29)
+
+
+def random_tensor(rng, dim, count=3):
+    d = dim.size
+    ops = [0.4 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+           for _ in range(count)]
+    return tensor_from_kraus(KrausSet(dim, ops))
+
+
+def dense(f):
+    return GridKernel(f.out_grid, f.in_grid, f.values)
+
+
+def rel_diff(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def test_factored_kernel_matches_dense(rng):
+    dim = FockDim(5)
+    f = kernel_from_tensor(random_tensor(rng, dim), FACTORED_IN, FACTORED_OUT)
+    assert isinstance(f, FactoredKernel)
+    ref = dense(f)
+    w = wigner_of(coherent_state(0.4 - 0.2j, dim), FACTORED_IN)
+    out = apply_kernel(f, w)
+    assert out.grid == FACTORED_OUT
+    assert rel_diff(out.values, apply_kernel(ref, w).values) <= 1e-12
+    for marginal in (input_marginal, output_marginal):
+        got, want = marginal(f), marginal(ref)
+        assert got.grid == want.grid
+        assert rel_diff(got.values, want.values) <= 1e-12
+    assert abs(kernel_norm(f) - kernel_norm(ref)) <= 1e-12 * abs(kernel_norm(ref))
+    assert negativity(f) == negativity(ref)
+    assert np.array_equal(sample_kernel(f, FACTORED_OUT, FACTORED_IN).values,
+                          ref.values)
+    with pytest.raises(ValueError):
+        apply_kernel(f, wigner_of(coherent_state(0.1, dim), FACTORED_OUT))
+    with pytest.raises(ValueError):
+        sample_kernel(f, FACTORED_IN)
+
+
+def test_sum_of_factored_kernels_matches_dense(rng):
+    dim = FockDim(4)
+    f1 = kernel_from_tensor(random_tensor(rng, dim), FACTORED_IN, FACTORED_OUT)
+    f2 = kernel_from_tensor(random_tensor(rng, dim), FACTORED_IN, FACTORED_OUT)
+    s = SumKernel(((0.3, f1), (-0.7, f2)))
+    ref = SumKernel(((0.3, dense(f1)), (-0.7, dense(f2))))
+    w = wigner_of(thermal_state(0.5, dim), FACTORED_IN)
+    assert rel_diff(apply_kernel(s, w).values, apply_kernel(ref, w).values) <= 1e-12
+    for marginal in (input_marginal, output_marginal):
+        assert rel_diff(marginal(s).values, marginal(ref).values) <= 1e-12
+    assert abs(kernel_norm(s) - kernel_norm(ref)) <= 1e-12 * abs(kernel_norm(ref))
+    assert rel_diff(sample_kernel(s, FACTORED_OUT, FACTORED_IN).values,
+                    sample_kernel(ref, FACTORED_OUT, FACTORED_IN).values) <= 1e-12
+
+
+def test_scale_factored_kernel(rng):
+    dim = FockDim(4)
+    f = kernel_from_tensor(random_tensor(rng, dim), FACTORED_IN, FACTORED_OUT)
+    scaled = scale_kernel(f, -2.5)
+    assert isinstance(scaled, FactoredKernel)
+    assert rel_diff(scaled.values, -2.5 * f.values) <= 1e-12
+    ref = scale_kernel(dense(f), -2.5)
+    w = wigner_of(coherent_state(0.3, dim), FACTORED_IN)
+    assert rel_diff(apply_kernel(scaled, w).values, apply_kernel(ref, w).values) <= 1e-12
+    assert abs(kernel_norm(scaled) - kernel_norm(ref)) <= 1e-12 * abs(kernel_norm(ref))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_from_tensor_is_linear(a, b, seed):
+    rng = np.random.default_rng(seed)
+    dim = FockDim(3)
+    grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
+    t1, t2 = random_tensor(rng, dim), random_tensor(rng, dim)
+    both = ProcessTensor(dim, a * t1.elements + b * t2.elements)
+    w = wigner_of(coherent_state(complex(*rng.uniform(-0.8, 0.8, 2)), dim), grid)
+    one = apply_kernel(kernel_from_tensor(t1, grid), w).values
+    two = apply_kernel(kernel_from_tensor(t2, grid), w).values
+    got = apply_kernel(kernel_from_tensor(both, grid), w).values
+    scale = abs(a) * np.max(np.abs(one)) + abs(b) * np.max(np.abs(two))
+    assert np.max(np.abs(got - (a * one + b * two))) <= 1e-12 * scale
+
+
+def test_grid_composition_matches_weighted_einsum(rng):
+    small = QuadratureGrid(-1.5, 1.5, -1.5, 1.5, 13, 13)
+    mid = QuadratureGrid(-2.0, 2.0, -2.5, 2.5, 17, 21)
+    dim = FockDim(4)
+    f1 = kernel_from_tensor(random_tensor(rng, dim), small, mid)
+    f2 = kernel_from_tensor(random_tensor(rng, dim), mid, small)
+    comp = compose_kernels(f2, f1)
+    assert isinstance(comp, GridKernel)
+    assert comp.out_grid == small and comp.in_grid == small
+    wx = np.full(mid.n_x, mid.dx)
+    wx[0] = wx[-1] = mid.dx / 2
+    wp = np.full(mid.n_p, mid.dp)
+    wp[0] = wp[-1] = mid.dp / 2
+    ref = np.einsum("abxy,x,y,xyij->abij", f2.values, wx, wp, f1.values)
+    assert rel_diff(comp.values, ref) <= 1e-13
+    assert np.array_equal(compose_kernels(dense(f2), dense(f1)).values, comp.values)
+
+
+def test_radial_form_theta_blocks_agree(monkeypatch):
+    import cvmaps.kernels as kernels
+
+    t = ideal_photon_addition(FockDim(5))
+    axes = (np.linspace(0, 3, 13), np.linspace(0, 3, 11), np.linspace(0, 3, 7))
+    whole = radial_form(t, *axes)
+    # room for the basis values of two theta slices per block
+    monkeypatch.setattr(kernels, "_RADIAL_BLOCK_BYTES", 2 * 36 * 13 * 16)
+    blocked = radial_form(t, *axes)
+    assert rel_diff(blocked.values, whole.values) <= 1e-14
+    for k in range(axes[2].size):
+        single = radial_form(t, axes[0], axes[1], axes[2][k:k + 1])
+        assert rel_diff(single.values[:, :, 0], whole.values[:, :, k]) <= 1e-14

@@ -225,3 +225,16 @@ def test_hermiticity_gate():
     blob = tensor_to_dict(t)
     with pytest.raises(ValueError):
         tensor_from_dict(blob)
+
+
+def test_tensor_from_kraus_two_mode_matches_plain_einsum(rng):
+    dim = FockDim(2)
+    d = dim.size
+    ops = [rng.standard_normal((d * d, d * d))
+           + 1j * rng.standard_normal((d * d, d * d)) for _ in range(4)]
+    t = tensor_from_kraus(KrausSet(dim, ops, 2, 2))
+    stacked = np.stack(ops)
+    flat = np.einsum("iln,ikm->lknm", stacked, stacked.conj())
+    # (l1, l2, k1, k2, n1, n2, m1, m2) -> per-mode pairs (l1, k1, l2, k2, ...)
+    ref = flat.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    assert np.max(np.abs(t.elements - ref)) <= 1e-14 * np.max(np.abs(ref))
