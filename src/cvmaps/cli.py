@@ -6,9 +6,9 @@ through one float formatter (shortest round-trip decimal, negative zero
 folded to zero) so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
-violation, 3 complete-positivity gate, 4 kernel export requested for a model
-without phase symmetry. CVMAPS_FAULT injects a named defect into the verify
-battery (test hook).
+violation, 3 physicality gate (PhysicalityError), 4 kernel export requested
+for a model without phase symmetry. CVMAPS_FAULT injects a named defect into
+the verify battery (test hook).
 """
 
 import argparse
@@ -22,8 +22,8 @@ from jsonschema import Draft7Validator
 
 from .fock import DensityOperator, FockDim, coherent_state, fock_state, thermal_state
 from .wigner import QuadratureGrid, wigner_of
-from .tensors import (ProcessTensor, apply_tensor, cp_defect, is_cp,
-                      success_probability)
+from .tensors import (DEFAULT_CP_TOL, PhysicalityError, ProcessTensor,
+                      apply_tensor, cp_defect, success_probability)
 from .kernels import apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
 from . import models as md
@@ -250,9 +250,10 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def _gate_cp(t: ProcessTensor):
     # cp_defect is the most negative Choi eigenvalue, so it is never positive
-    if not is_cp(t):
-        raise ArithmeticError(f"map is not completely positive "
-                              f"(Choi defect {cp_defect(t):.3e})")
+    defect = cp_defect(t)
+    if defect < -DEFAULT_CP_TOL:
+        raise PhysicalityError(f"map is not completely positive "
+                               f"(Choi defect {defect:.3e})")
 
 
 def cmd_tensor(args) -> int:
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
     except PhaseSymmetryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHASE
-    except ArithmeticError as exc:
+    except PhysicalityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CP
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import (
     FockDim,
@@ -49,6 +48,7 @@ __all__ = [
     "displacement",
     "squeezing",
     "beam_splitter",
+    "beam_splitter_amplitudes",
     "beam_splitter_matrix",
     "parametric_down_conversion",
     "two_mode_squeeze_matrix",
@@ -113,30 +113,38 @@ def squeezing(r: float, dim: FockDim) -> Element:
                    KrausSet(dim, [squeeze_matrix(r, dim)]), delta)
 
 
-def beam_splitter_matrix(t: float, dim: FockDim) -> np.ndarray:
-    """Two-mode beam-splitter matrix, index n1 * D + n2.
+def beam_splitter_amplitudes(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
+    """<p, q| U |s, b> of beam_splitter(t) for s <= n1, b <= n2, p, q < n_out.
 
-    Each total-photon-number block is exponentiated at its full size and
-    then restricted to the stored entries, so amplitudes are exact; columns
-    with total number above n_max lose the part that leaves the truncation.
+    Each total-photon block exp(phi (G - G^T)) is taken exactly, as
+    V exp(-i phi w) V^dag from eigh of the Hermitian i (G - G^T).
     """
     if not -1.0 <= t <= 1.0:
         raise ValueError("beam-splitter amplitude must satisfy |t| <= 1")
-    size = dim.size
     phi = math.acos(t)
-    u = np.zeros((size * size, size * size))
-    for tot in range(2 * dim.n_max + 1):
+    amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
+    for tot in range(n1 + n2 + 1):
+        j = np.arange(tot)
         gen = np.zeros((tot + 1, tot + 1))
-        for j in range(tot):
-            # a1+ a2 |j, tot-j> = sqrt((j+1)(tot-j)) |j+1, tot-j-1>
-            gen[j + 1, j] = math.sqrt((j + 1) * (tot - j))
-        block = expm(phi * (gen - gen.T))
-        kept = [j for j in range(tot + 1) if j < size and tot - j < size]
-        for j_out in kept:
-            row = j_out * size + (tot - j_out)
-            for j_in in kept:
-                u[row, j_in * size + (tot - j_in)] = block[j_out, j_in]
-    return u
+        # a1+ a2 |j, tot-j> = sqrt((j+1)(tot-j)) |j+1, tot-j-1>
+        gen[j + 1, j] = np.sqrt((j + 1.0) * (tot - j))
+        w, v = np.linalg.eigh(1j * (gen - gen.T))
+        block = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
+        s = np.arange(max(0, tot - n2), min(n1, tot) + 1)
+        p = np.arange(max(0, tot - n_out + 1), min(n_out - 1, tot) + 1)[:, None]
+        amps[p, tot - p, s, tot - s] = block[p, s]
+    return amps
+
+
+def beam_splitter_matrix(t: float, dim: FockDim) -> np.ndarray:
+    """Two-mode beam-splitter matrix, index n1 * D + n2.
+
+    Each total-photon block is diagonalized at its full size, so stored
+    amplitudes are exact; columns with total number above n_max lose the
+    part that leaves the truncation.
+    """
+    side = dim.size ** 2
+    return beam_splitter_amplitudes(t, dim.n_max, dim.n_max, dim.size).reshape(side, side)
 
 
 def beam_splitter(t: float, dim: FockDim) -> Element:
@@ -311,15 +319,16 @@ class DetectorElement:
             if self.n is None or self.n < 0:
                 raise ValueError("photon counter needs a count n >= 0")
 
-    def matrix(self, dim: FockDim) -> np.ndarray:
-        occ = np.arange(dim.size, dtype=float)
+    def diagonal(self, count: int) -> np.ndarray:
+        """POVM weights <n|Pi|n> for n < count."""
+        occ = np.arange(count, dtype=float)
         if self.kind == "apd_click":
-            return np.diag(1.0 - (1.0 - self.mu) ** occ)
+            return 1.0 - (1.0 - self.mu) ** occ
         target = 0 if self.kind == "vacuum_projector" else self.n
-        diag = np.zeros(dim.size)
-        if target < dim.size:
-            diag[target] = 1.0
-        return np.diag(diag)
+        return (occ == target).astype(float)
+
+    def matrix(self, dim: FockDim) -> np.ndarray:
+        return np.diag(self.diagonal(dim.size))
 
     def no_click_matrix(self, dim: FockDim) -> np.ndarray:
         # completeness Pi + (I - Pi) = I is exact by construction

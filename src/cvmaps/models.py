@@ -18,10 +18,10 @@ mismatched mode before interfering with the herald arm on a symmetric beam
 splitter; the mismatched light reaches the same pair of detectors through
 its own symmetric split. The herald detector sits on the second S-BS
 output, which fixes the sign so a coherent input alpha yields an output
-proportional to |0> + g alpha |1>. All amplitude tables are built on the
-interior space n_max + 2 (the resource adds at most two photons), where the
-per-block beam-splitter construction is exact, so no interior truncation
-error enters the stored tensor.
+proportional to |0> + g alpha |1>. Each splitter is an exact amplitude
+table over the photon numbers its ports carry (the herald arm at most the
+resource's two, the signal-splitter outputs up to n_max + 2), so no interior
+truncation error enters the stored tensor.
 
 Addition circuit: a two-mode squeezer at gain g = cosh^2(chi) with vacuum
 idler, heralded by a click on the idler detector. The faulty branch models
@@ -48,8 +48,10 @@ from .tensors import (
     scale_tensor,
     is_cp,
     is_trace_nonincreasing,
+    PhysicalityError,
 )
-from .elements import beam_splitter_matrix, experimental_single_photon
+from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
+                       photon_counter, vacuum_projector)
 
 __all__ = [
     "AmplifierConfig",
@@ -163,87 +165,58 @@ def _click_weights(detector: str, mu: float, count: int):
     branch 2 to the spurious mode (intended unconditioned); the two sum to
     the exact click POVM of the combined pair.
     """
-    occ = np.arange(count, dtype=float)
     if detector == "apd":
-        pc = 1.0 - (1.0 - mu) ** occ
-        nc = (1.0 - mu) ** occ
-        return (pc, nc), (np.ones(count), pc)
-    one = (occ == 1.0).astype(float)
-    vac = (occ == 0.0).astype(float)
-    return (one, vac), (vac, one)
-
-
-def _second_output_weights(kind: str, mu: float, count: int):
-    occ = np.arange(count, dtype=float)
-    if kind == "vacuum":
-        w = (occ == 0.0).astype(float)
-        return w, w.copy()
-    if kind == "no_click":
-        w = (1.0 - mu) ** occ
-        return w, w.copy()
-    return np.ones(count), np.ones(count)
+        click = apd_click(mu).diagonal(count)
+        return (click, 1.0 - click), (np.ones(count), click)
+    click = photon_counter(1).diagonal(count)
+    vac = vacuum_projector().diagonal(count)
+    return (click, vac), (vac, click)
 
 
 def amplifier_branches(cfg: AmplifierConfig):
     """Correct and faulty amplifier tensors before combination."""
-    dim = cfg.dim
-    d = dim.size
-    f = dim.n_max + 3  # interior size; the resource adds at most 2 photons
+    n_max, d = cfg.dim.n_max, cfg.dim.size
+    f = n_max + 3  # interior size; the resource adds at most 2 photons
 
-    # S-BS amplitude table <d1, d2| U |s, b>, exact for totals <= n_max + 2
-    us = beam_splitter_matrix(math.sqrt(0.5), FockDim(f - 1))
-    us4 = us.reshape(f, f, f, f)
-
-    # resource after the asymmetric splitter: chi_phi[o, b], o = output arm
-    t_a = math.sqrt(1.0 - cfg.reflectivity)
-    ua = beam_splitter_matrix(t_a, FockDim(2))
-    res = np.zeros((3, 3, f))
-    for phi in range(3):
-        res[phi] = ua[:, phi * 3].reshape(3, 3) @ np.eye(3, f)
+    # resource after the asymmetric splitter: res[o, b, phi], o = output arm
+    res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
     weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
-
-    # mode-matching split of the input, s + u = n
-    t_m, r_m = math.sqrt(cfg.eta_m), math.sqrt(1.0 - cfg.eta_m)
-    um = np.zeros((f, f, d))
-    for n in range(d):
-        for s in range(n + 1):
-            um[s, n - s, n] = math.sqrt(math.comb(n, s)) * t_m ** s * (-r_m) ** (n - s)
-
+    # S-BS <d1, d2| U |s, b>: matched input s <= n_max, herald arm b <= 2;
+    # g_tab[phi, o, d1, d2, s] is the herald-arm light of resource |phi>
+    us = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 2, f)
+    g_tab = np.einsum("obp,desb->podes", res, us)
+    # mode-matching split of the input <s, u| U |n, 0>, s + u = n
+    um = beam_splitter_amplitudes(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
     # symmetric split of the mismatched light toward the two detectors
-    vh = us4[:, :, :, 0]  # <v1, v2| U |u, 0>
+    vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
 
     (w1_d, w1_u), (w2_d, w2_u) = _click_weights(cfg.detector, cfg.mu, f)
-    wso_d, wso_u = _second_output_weights(cfg.second_output, cfg.mu, f)
+    wso = {"vacuum": vacuum_projector().diagonal(f),
+           "no_click": 1.0 - apd_click(cfg.mu).diagonal(f),
+           "trace": np.ones(f)}[cfg.second_output]
 
     # the click detector sits on the second S-BS port (port 1 carries the
     # vacuum / no-click condition); this is the wiring that makes a coherent
     # input come out as |0> + g alpha |1> with a plus sign
     tensors = []
     for wd1, wu1 in ((w1_d, w1_u), (w2_d, w2_u)):
-        e3 = np.zeros((3, 3, d, d))
-        vw = vh * (wso_u[:, None, None] * wu1[None, :, None])
-        q = np.einsum("vwu,vwt->ut", vw, vh)
+        q = np.einsum("vwu,v,w,vwt->ut", vh, wso, wu1, vh, optimize=True)
         t_in = np.einsum("sun,ut,rtm->srnm", um, q, um, optimize=True)
-        for phi in range(3):
-            if weights[phi] == 0.0:
-                continue
-            g_tab = np.einsum("ob,desb->odes", res[phi], us4)
-            gw = g_tab * (wso_d[None, :, None, None] * wd1[None, None, :, None])
-            h_tab = np.einsum("ades,bdet->abst", gw, g_tab, optimize=True)
-            e3 += weights[phi] * np.einsum("abst,stnm->abnm", h_tab, t_in,
-                                           optimize=True)
-        full = np.zeros((d, d, d, d))
-        full[:3, :3] = e3
-        full = (full + full.transpose(1, 0, 3, 2)) / 2.0
-        tensors.append(ProcessTensor(dim, full.astype(complex)))
+        h_tab = np.einsum("pades,p,d,e,pbdet->abst", g_tab, weights, wso, wd1,
+                          g_tab, optimize=True)
+        e3 = np.einsum("abst,stnm->abnm", h_tab, t_in, optimize=True)
+        full = np.zeros((d, d, d, d), dtype=complex)
+        full[:3, :3] = (e3 + e3.transpose(1, 0, 3, 2)) / 2.0
+        full.flags.writeable = False
+        tensors.append(ProcessTensor(cfg.dim, full))
     return tensors[0], tensors[1]
 
 
 def _gate_physical(t: ProcessTensor, label: str) -> ProcessTensor:
     if not is_cp(t):
-        raise ArithmeticError(f"{label} failed the complete-positivity gate")
+        raise PhysicalityError(f"{label} failed the complete-positivity gate")
     if not is_trace_nonincreasing(t):
-        raise ArithmeticError(f"{label} is trace-increasing")
+        raise PhysicalityError(f"{label} is trace-increasing")
     return t
 
 
@@ -270,9 +243,8 @@ def addition_branches(cfg: AdditionConfig):
     d = dim.size
     v = _pair_table(cfg.chi, dim)
     h = math.cosh(cfg.gamma * cfg.chi) ** 2
-    occ = np.arange(d, dtype=float)
     if cfg.detector == "apd":
-        wc = 1.0 - (1.0 - cfg.mu) ** occ
+        wc = apd_click(cfg.mu).diagonal(d)
         # parasite thermal weights q_i = (1/h)((h-1)/h)^i resummed exactly
         kappa_nc = 1.0 / (cfg.mu * h + 1.0 - cfg.mu)
         correct = kappa_nc * np.einsum("ljn,j,kjm->lknm", v, wc, v)

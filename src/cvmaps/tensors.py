@@ -22,6 +22,7 @@ import numpy as np
 from .fock import DensityOperator, FockDim
 
 __all__ = [
+    "PhysicalityError",
     "KrausSet",
     "ProcessTensor",
     "ChoiMatrix",
@@ -56,6 +57,10 @@ _MAX_ELEMENTS = 21_000_000
 _HERM_TOL = 1e-12
 DEFAULT_CP_TOL = 1e-9
 DEFAULT_TNI_TOL = 1e-9
+
+
+class PhysicalityError(ArithmeticError):
+    """A map failed the complete-positivity or trace-non-increase gate."""
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,14 @@ class ProcessTensor:
                 f"tensor with {arr.size} elements exceeds the dense cap "
                 f"{_MAX_ELEMENTS}; reduce n_max or mode count"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
+        # adopt a C-ordered array only if it and every array it views are
+        # read-only; copy any other, so no later write can reach the tensor
+        owner = arr
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is not None or not arr.flags.c_contiguous:
+            arr = arr.copy()
+            arr.flags.writeable = False
         object.__setattr__(self, "elements", arr)
 
     def hermiticity_defect(self) -> float:
@@ -152,7 +163,14 @@ def _check_hermiticity(t: ProcessTensor, tol: float = 1e-10):
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     d = k.dim.size
     ops = np.stack(k.operators)
-    flat = np.einsum("iln,ikm->lknm", ops, ops.conj(), optimize=True)
+    rows, cols = ops.shape[1:]
+    # flat[l, k, n, m] = sum_i E_i[l, n] conj(E_i[k, m]), filled row by row so
+    # that no second full-size array is allocated
+    conj = ops.conj().reshape(len(ops), rows * cols)
+    flat = np.empty((rows, rows, cols, cols), dtype=complex)
+    for l in range(rows):
+        flat[l] = (ops[:, l, :].T @ conj).reshape(cols, rows, cols).transpose(1, 0, 2)
+    flat.flags.writeable = False
     # unflatten the D^M composite indices into per-mode axes, then interleave
     arr = flat.reshape(
         (d,) * k.output_modes + (d,) * k.output_modes

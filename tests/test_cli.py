@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cvmaps import cli
+from cvmaps import cli, models
 from cvmaps.fock import FockDim, coherent_state
 from cvmaps.tensors import ProcessTensor
 
@@ -246,3 +246,22 @@ def test_verify_summary_times_each_check(monkeypatch):
     for check in summary["checks"]:
         assert check["passed"]
         assert 0.0 <= check["seconds"] <= summary["runtime_seconds"] + 1e-3
+
+
+def test_only_physicality_errors_exit_cp(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {"model": "identity", "n_max": 3})
+    argv = ["tensor", "--config", cfg, "--out", str(tmp_path / "o")]
+    dim = FockDim(3)
+    arr = np.zeros((dim.size,) * 4, dtype=complex)
+    arr[0, 0, 0, 0] = 2.0  # CP but trace-increasing
+    monkeypatch.setattr(cli, "build_model",
+                        lambda c: models._gate_physical(ProcessTensor(dim, arr), "map"))
+    assert cli.main(argv) == cli.EXIT_CP
+
+    def divide(c):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "build_model", divide)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(argv)
+    assert not (tmp_path / "o").exists()

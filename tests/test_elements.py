@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from cvmaps.elements import (
     attenuation,
     attenuation_kraus,
     beam_splitter,
+    beam_splitter_amplitudes,
     beam_splitter_matrix,
     displacement,
     experimental_single_photon,
@@ -136,6 +139,30 @@ def test_beam_splitter_against_expm():
     cols = [n1 * d + n2 for n1 in range(d) for n2 in range(d) if n1 + n2 <= dim.n_max]
     diff = np.max(np.abs(u[np.ix_(cols, cols)] - ref[np.ix_(cols, cols)]))
     assert diff < 1e-12
+
+
+@pytest.mark.parametrize("t, n1, n2, n_out", [
+    (0.7, 5, 0, 4),
+    (math.sqrt(0.5), 6, 2, 5),
+    (-0.4, 3, 2, 2),
+    (math.sqrt(0.2), 2, 0, 3),
+])
+def test_beam_splitter_amplitudes_against_expm(t, n1, n2, n_out):
+    amps = beam_splitter_amplitudes(t, n1, n2, n_out)
+    assert amps.shape == (n_out, n_out, n1 + 1, n2 + 1)
+    # every input total is at most n1 + n2, so this truncation is exact there
+    size = n1 + n2 + 1
+    ref = oracles.bs2(t, size).reshape((size,) * 4)
+    assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cvmaps; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_beam_splitter_element_structure():
@@ -293,6 +320,8 @@ def test_detector_matrices_and_completeness():
     assert np.sum(pc.matrix(dim)) == 1.0
     vp = vacuum_projector()
     assert vp.matrix(dim)[0, 0] == 1.0
+    # a count above the truncation never fires
+    assert not np.any(pc.diagonal(3))
     with pytest.raises(ValueError):
         DetectorElement("bolometer")
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pure_state
@@ -233,6 +235,40 @@ def test_branch_probability_additivity(rng):
     pc = success_probability(correct, rho)
     pf = success_probability(faulty, rho)
     assert abs(success_probability(total, rho) - (pc + pf)) < 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n_max=st.integers(2, 6),
+       gain=st.one_of(st.none(), st.floats(1.0, 10.0)),
+       reflectivity=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       mu=st.floats(0.0, 1.0, exclude_min=True),
+       delta=st.floats(0.0, 2.0, exclude_min=True),
+       eta_m=st.floats(0.0, 1.0, exclude_min=True),
+       detector=st.sampled_from(["apd", "photon_counter"]),
+       second_output=st.sampled_from(["vacuum", "no_click", "trace"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_amplifier_matches_circuit_property(n_max, gain, reflectivity, mu, delta,
+                                            eta_m, detector, second_output, seed):
+    split = {"gain": gain} if gain is not None else {"reflectivity": reflectivity}
+    cfg = AmplifierConfig(dim=FockDim(n_max), mu=mu, delta=delta, eta_m=eta_m,
+                          detector=detector, second_output=second_output, **split)
+    psi = random_pure_state(np.random.default_rng(seed), n_max + 1)
+    compare_amplifier_with_circuit(cfg, psi)
+    correct, faulty = amplifier_branches(cfg)
+    rho = DensityOperator(cfg.dim, np.outer(psi, psi.conj()))
+    split_p = success_probability(correct, rho) + success_probability(faulty, rho)
+    assert abs(success_probability(amplifier_model(cfg), rho) - split_p) < 1e-14
+
+
+@pytest.mark.parametrize("n_max", [62, 63])
+def test_amplifier_builds_at_largest_truncations(n_max):
+    kwargs = dict(gain=2.0, mu=0.11, delta=1.089, eta_m=0.9, detector="apd")
+    small = amplifier_branches(AmplifierConfig(dim=FockDim(8), **kwargs))
+    large = amplifier_branches(AmplifierConfig(dim=FockDim(n_max), **kwargs))
+    # stored elements are exact, so they do not depend on the truncation
+    for s, big in zip(small, large):
+        assert big.elements.shape == (n_max + 1,) * 4
+        assert np.max(np.abs(big.elements[:9, :9, :9, :9] - s.elements)) < 1e-14
 
 
 def test_model_report_shape():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,34 @@ def test_tensor_from_kraus_two_mode_matches_plain_einsum(rng):
     # (l1, l2, k1, k2, n1, n2, m1, m2) -> per-mode pairs (l1, k1, l2, k2, ...)
     ref = flat.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
     assert np.max(np.abs(t.elements - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_process_tensor_copies_arrays_the_caller_can_write():
+    d = DIM.size
+    arr = np.zeros((d,) * 4, dtype=complex)
+    arr[0, 0, 0, 0] = 1.0
+    t = ProcessTensor(DIM, arr)
+    view = arr.view()
+    view.flags.writeable = False
+    t_view = ProcessTensor(DIM, view)
+    arr[0, 0, 0, 0] = 5.0
+    assert t.elements[0, 0, 0, 0] == 1.0 and t_view.elements[0, 0, 0, 0] == 1.0
+    for tensor in (t, t_view):
+        assert not tensor.elements.flags.writeable
+        with pytest.raises(ValueError):
+            tensor.elements[0, 0, 0, 0] = 2.0
+    arr.flags.writeable = False
+    assert ProcessTensor(DIM, arr).elements is arr
+
+
+def test_tensor_from_kraus_keeps_one_copy(rng):
+    dim = FockDim(29)
+    kraus = random_kraus(rng, dim, count=4)
+    tracemalloc.start()
+    try:
+        t = tensor_from_kraus(kraus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.elements.nbytes
+    assert not t.elements.flags.writeable and t.elements.flags.c_contiguous
