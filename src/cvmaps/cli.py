@@ -21,7 +21,7 @@ import numpy as np
 from jsonschema import Draft7Validator
 
 from .fock import DensityOperator, FockDim, coherent_state, fock_state, thermal_state
-from .wigner import QuadratureGrid, wigner_of
+from .wigner import QuadratureGrid, grid_integral, wigner_basis, wigner_of
 from .tensors import (DEFAULT_CP_TOL, PhysicalityError, ProcessTensor,
                       apply_tensor, cp_defect, success_probability)
 from .kernels import apply_kernel, kernel_from_tensor, radial_form
@@ -39,6 +39,12 @@ _PROFILE_SUMS = (2.0, 20.0)
 _PROFILE_HALF_RANGE = 3.0
 _PROFILE_POINTS = 121
 _CROSS_CHECK_TOL = 1e-6
+# apply's default box: half-widths on this ladder, at most this spacing
+_APPLY_HALF_STEP = 0.5
+_APPLY_HALF_MAX = 30.0
+_APPLY_SPACING = 0.2
+_APPLY_MIN_POINTS = 81
+_APPLY_MASS_TOL = 1e-9
 
 
 def format_float(v: float) -> str:
@@ -229,6 +235,24 @@ def _parse_grid(text: str):
     return lo, hi, n
 
 
+def _default_apply_grid(dim: FockDim) -> QuadratureGrid:
+    """One input and output box that holds the truncated space.
+
+    The half-width L is the smallest multiple of 0.5 for which the trapezoid
+    integral of W_{n_max,n_max}, the widest Fock state, is within 1e-9 of 1
+    on the box; the box has max(81, 2L/0.2 + 1) points per axis.
+    """
+    n = dim.n_max
+    steps = int(_APPLY_HALF_MAX / _APPLY_HALF_STEP)
+    for half in _APPLY_HALF_STEP * np.arange(1, steps + 1):
+        points = max(_APPLY_MIN_POINTS, int(round(2.0 * half / _APPLY_SPACING)) + 1)
+        grid = QuadratureGrid(-half, half, -half, half, points, points)
+        w = wigner_basis(n, n, grid.xs[:, None], grid.ps[None, :]).real
+        if abs(grid_integral(w, grid) - 1.0) <= _APPLY_MASS_TOL:
+            return grid
+    raise ValueError(f"no box up to +-{_APPLY_HALF_MAX} holds n_max={n}")
+
+
 def _parse_theta(text: str):
     vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     if not vals:
@@ -331,8 +355,11 @@ def cmd_apply(args) -> int:
     _gate_cp(t)
     rho_in = build_input_state(cfg, t.dim)
     path = cfg.get("path", "both")
-    lo, hi, n = _parse_grid(args.grid) if args.grid else (-5.0, 5.0, 81)
-    grid = QuadratureGrid(lo, hi, lo, hi, n, n)
+    if args.grid:
+        lo, hi, n = _parse_grid(args.grid)
+        grid = QuadratureGrid(lo, hi, lo, hi, n, n)
+    else:
+        grid = _default_apply_grid(t.dim)
 
     raw = apply_tensor(t, rho_in)
     prob = success_probability(t, rho_in)
@@ -430,8 +457,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_apply = sub.add_parser("apply", help="run a state through the model")
     common(p_apply)
     p_apply.add_argument("--grid", default=None,
-                         help='quadrature box as "min,max,n" '
-                              "(default -5,5,81)")
+                         help='quadrature box as "min,max,n" (default: '
+                              "the smallest box that holds the truncated "
+                              "space, at least 81 points per axis)")
     p_apply.set_defaults(func=cmd_apply)
 
     p_verify = sub.add_parser("verify", help="run the self-check battery")

@@ -353,7 +353,13 @@ class FactoredKernel(_SampledKernel):
         return self.dense().values
 
     def dense(self) -> GridKernel:
-        """The evaluated samples as a GridKernel."""
+        """The evaluated samples as a GridKernel, refused above the dense cap."""
+        n_vals = self.b_out.shape[1] * self.b_in.shape[1]
+        if n_vals > _MAX_GRID_VALUES:
+            raise ValueError(
+                f"grid kernel with {n_vals} samples exceeds the dense cap; "
+                "use coarser grids, the factored operations or radial_form"
+            )
         flat = 2.0 * math.pi * (self.b_out.T @ self.e @ np.conj(self.b_in))
         vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
                             self.in_grid.n_x, self.in_grid.n_p)
@@ -492,20 +498,14 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
                        out_grid: QuadratureGrid = None) -> FactoredKernel:
     """Sample the transfer function of a process tensor on grids.
 
-    The samples stay factored; the dense cap applies to the array that
-    ``values`` would build.
+    The samples stay factored, so any grid size builds; the dense cap
+    applies only where ``FactoredKernel.dense`` evaluates the samples.
     """
     _check_single_mode(t)
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
     _warn_if_coarse(in_grid, "input")
     _warn_if_coarse(out_grid, "output")
-    n_vals = out_grid.n_x * out_grid.n_p * in_grid.n_x * in_grid.n_p
-    if n_vals > _MAX_GRID_VALUES:
-        raise ValueError(
-            f"grid kernel with {n_vals} samples exceeds the dense cap; "
-            "use coarser grids or radial_form"
-        )
     d = t.dim.size
     b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
     b_out = wigner_basis_table(t.dim, out_grid).reshape(d * d, -1)

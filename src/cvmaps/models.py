@@ -237,6 +237,24 @@ def _pair_table(chi: float, dim: FockDim) -> np.ndarray:
     return v
 
 
+def _paired_bands(v: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """scale * sum_j v[l, j, n] w_j v[k, j, m], filled one idler count j at a time.
+
+    Idler count j feeds only the entries (n+j, m+j, n, m), with amplitude
+    a_n = v[n+j, j, n]; each entry is scale * ((a_n w_j) a_m), the unoptimized
+    einsum's own order of operations, so the result is bit-for-bit the same.
+    """
+    d = v.shape[0]
+    out = np.zeros((d, d, d, d), dtype=complex)
+    for j in np.flatnonzero(weights):
+        n = np.arange(d - j)
+        a = v[n + j, j, n]
+        out[(n + j)[:, None], (n + j)[None, :], n[:, None], n[None, :]] = (
+            scale * np.outer(a * weights[j], a))
+    out.flags.writeable = False
+    return out
+
+
 def addition_branches(cfg: AdditionConfig):
     """Correct and faulty photon-addition tensors before combination."""
     dim = cfg.dim
@@ -247,15 +265,15 @@ def addition_branches(cfg: AdditionConfig):
         wc = apd_click(cfg.mu).diagonal(d)
         # parasite thermal weights q_i = (1/h)((h-1)/h)^i resummed exactly
         kappa_nc = 1.0 / (cfg.mu * h + 1.0 - cfg.mu)
-        correct = kappa_nc * np.einsum("ljn,j,kjm->lknm", v, wc, v)
-        weight_faulty = 1.0 - kappa_nc
+        scale, weight_faulty = kappa_nc, 1.0 - kappa_nc
     else:
-        q0 = 1.0 / h
-        q1 = (h - 1.0) / h ** 2
-        correct = q0 * np.einsum("ln,km->lknm", v[:, 1, :], v[:, 1, :])
-        weight_faulty = q1
-    correct_t = ProcessTensor(dim, correct.astype(complex))
+        # q0 = 1/h: no parasite pair, so the click is the single idler photon
+        wc = photon_counter(1).diagonal(d)
+        scale, weight_faulty = 1.0 / h, (h - 1.0) / h ** 2
+    # the faulty branch first: its unscaled identity is freed before the
+    # correct branch is allocated
     faulty_t = scale_tensor(identity_tensor(dim), weight_faulty)
+    correct_t = ProcessTensor(dim, _paired_bands(v, wc, scale))
     return correct_t, faulty_t
 
 

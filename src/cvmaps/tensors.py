@@ -202,6 +202,9 @@ def identity_tensor(dim: FockDim, modes: int = 1) -> ProcessTensor:
         for j in range(modes):
             perm.extend([4 * j + 2, 4 * j + 3])
         arr = arr.transpose(perm)
+    # fresh and read-only, so ProcessTensor adopts it without a copy
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
     return ProcessTensor(dim, arr, modes, modes)
 
 
@@ -361,8 +364,29 @@ def choi(t: ProcessTensor) -> ChoiMatrix:
     return ChoiMatrix(t.dim, arr.reshape(side, side), mi, mo)
 
 
+def _band_blocks(t: ProcessTensor):
+    """Choi blocks C_s[n, m] = E[n+s, m+s, n, m], s = -(D-1) .. D-1.
+
+    For a single-mode tensor that obeys l - k = n - m exactly, the Choi
+    matrix is the direct sum of these blocks up to a permutation.
+    """
+    d = t.dim.size
+    for s in range(1 - d, d):
+        n = np.arange(max(0, -s), d - max(0, s))
+        yield t.elements[(n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]]
+
+
 def cp_defect(t: ProcessTensor) -> float:
-    """Most negative Choi eigenvalue (0 if spectrum is non-negative)."""
+    """Most negative Choi eigenvalue (0 if spectrum is non-negative).
+
+    Exactly phase-invariant single-mode tensors take the minimum over the
+    2D - 1 band blocks; every other tensor runs one dense eigh.
+    """
+    if t.input_modes == t.output_modes == 1 and phase_invariance_defect(t) == 0.0:
+        low = 0.0
+        for blk in _band_blocks(t):
+            low = min(low, ChoiMatrix(t.dim, blk).eigenvalues().min())
+        return float(low)
     w = choi(t).eigenvalues()
     return float(min(w.min(), 0.0))
 
@@ -406,21 +430,25 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
         f2.dim, f2.input_modes, f2.output_modes,
     ):
         raise ValueError("branch tensors must share mode structure")
-    return ProcessTensor(
-        f1.dim, f1.elements + f2.elements, f1.input_modes, f1.output_modes
-    )
+    total = f1.elements + f2.elements
+    total.flags.writeable = False
+    return ProcessTensor(f1.dim, total, f1.input_modes, f1.output_modes)
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
-    return ProcessTensor(t.dim, c * t.elements, t.input_modes, t.output_modes)
+    scaled = c * t.elements
+    scaled.flags.writeable = False
+    return ProcessTensor(t.dim, scaled, t.input_modes, t.output_modes)
 
 
 def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule sum(l-k) = sum(n-m)."""
     d = t.dim.size
     mo, mi = t.output_modes, t.input_modes
-    idx = np.arange(d)
-    total = np.zeros((1,) * (2 * (mo + mi)))
+    # int16 offsets and a boolean mask; |element| is taken one leading
+    # slice at a time, so no full-size float array is built
+    idx = np.arange(d, dtype=np.int16)
+    total = np.zeros((1,) * (2 * (mo + mi)), dtype=np.int16)
     shape_len = 2 * (mo + mi)
     for j in range(mo):
         sl = [None] * shape_len
@@ -439,7 +467,8 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
     violating = total != 0
     if not violating.any():
         return 0.0
-    return float(np.max(np.abs(t.elements) * violating))
+    return max(float(np.max(np.abs(e), where=v, initial=0.0))
+               for e, v in zip(t.elements, violating))
 
 
 def state_product(*states: DensityOperator) -> DensityOperator:

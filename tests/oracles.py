@@ -223,6 +223,31 @@ def addition_oracle(psi_in: np.ndarray, chi: float, mu: float, detector: str,
     return p, sigma
 
 
+def addition_correct_einsum(cfg) -> np.ndarray:
+    """Correct photon-addition branch as one plain einsum over idler counts.
+
+    scale * sum_j v[l, j, n] w_j v[k, j, m], with the closed-form pair
+    amplitudes v[n+j, j, n] = tanh(chi)^j sqrt(C(n+j, j)) sech(chi)^(n+1),
+    herald weights w_j and scale kappa_nc (APD) or 1/h (counter),
+    h = cosh^2(gamma chi).
+    """
+    d = cfg.dim.size
+    lam, sech = math.tanh(cfg.chi), 1.0 / math.cosh(cfg.chi)
+    v = np.zeros((d, d, d))
+    for n in range(d):
+        for j in range(d - n):
+            v[n + j, j, n] = lam ** j * math.sqrt(math.comb(n + j, j)) * sech ** (n + 1)
+    h = math.cosh(cfg.gamma * cfg.chi) ** 2
+    occ = np.arange(d, dtype=float)
+    if cfg.detector == "apd":
+        w = 1.0 - (1.0 - cfg.mu) ** occ
+        scale = 1.0 / (cfg.mu * h + 1.0 - cfg.mu)
+    else:
+        w = (occ == 1).astype(float)
+        scale = 1.0 / h
+    return (scale * np.einsum("ljn,j,kjm->lknm", v, w, v)).astype(complex)
+
+
 def scissors_probability(alpha: float, reflectivity: float) -> float:
     """Closed-form herald probability of the ideal truncating amplifier."""
     r2 = reflectivity

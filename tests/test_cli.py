@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from cvmaps import cli, models
 from cvmaps.fock import FockDim, coherent_state
 from cvmaps.tensors import ProcessTensor
+from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -133,6 +137,36 @@ def test_apply_identity_coherent(tmp_path):
     assert np.max(np.abs(rho - ref)) < 1e-10
     wigner_rows = read_rows(out / "output_wigner.csv")
     assert len(wigner_rows) == 81 * 81
+
+
+def test_default_apply_grid_holds_widest_fock_state():
+    grid = cli._default_apply_grid(FockDim(15))
+    assert grid == QuadratureGrid(-8.0, 8.0, -8.0, 8.0, 81, 81)
+    assert cli._default_apply_grid(FockDim(1)).x_max == 5.0
+    for n_max in (5, 24, 40):
+        grid = cli._default_apply_grid(FockDim(n_max))
+        assert grid.n_x == max(81, round(2 * grid.x_max / 0.2) + 1)
+        # the box holds W_{n,n} to 1e-9, and the next smaller box does not
+        for half, held in ((grid.x_max, True), (grid.x_max - 0.5, False)):
+            n = max(81, round(2 * half / 0.2) + 1)
+            box = QuadratureGrid(-half, half, -half, half, n, n)
+            w = wigner_basis(n_max, n_max, box.xs[:, None], box.ps[None, :]).real
+            assert (abs(grid_integral(w, box) - 1.0) <= 1e-9) == held, n_max
+
+
+@pytest.mark.parametrize("state", [{"kind": "fock", "n": 15},
+                                   {"kind": "thermal", "mean_n": 15.0}])
+def test_apply_default_grid_cross_checks_wide_inputs(tmp_path, state):
+    # a +-5 box clips these inputs at n_max 15 and the cross-check refused them
+    cfg = json.loads((CONFIG_DIR / "amplifier_experimental.json").read_text())
+    cfg.update(input_state=state, path="both")
+    out = tmp_path / "o"
+    assert cli.main(["apply", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 0
+    result = json.loads((out / "output_state.json").read_text())
+    assert result["cross_check_max_diff"] <= 1e-12
+    rows = read_rows(out / "output_wigner.csv")
+    assert len(rows) == 81 * 81 and float(rows[0]["x"]) == -8.0
 
 
 def test_apply_tensor_path_skips_cross_check(tmp_path):

@@ -339,12 +339,25 @@ def test_coarse_grid_warning():
 
 
 def test_dense_cap():
+    # the cap guards the dense samples only: a factored kernel past it
+    # builds and applies, and every operation that needs the samples refuses
     dim = FockDim(4)
     t = tensor_from_kraus(attenuation(0.5, dim).kraus)
     big = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 161, 161)
     huge = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 401, 401)
-    with pytest.raises(ValueError):
-        kernel_from_tensor(t, huge, big)
+    fk = kernel_from_tensor(t, huge, big)
+    rho = coherent_state(0.5, dim)
+    out = apply_kernel(fk, wigner_of(rho, huge))
+    ref = wigner_of(apply_kraus(attenuation(0.5, dim).kraus, rho), big)
+    assert np.max(np.abs(out.values - ref.values)) < 1e-12
+    with pytest.raises(ValueError, match="dense cap"):
+        fk.values
+    with pytest.raises(ValueError, match="dense cap"):
+        negativity(fk)
+    with pytest.raises(ValueError, match="dense cap"):
+        sample_kernel(fk, big, huge)
+    with pytest.raises(ValueError, match="dense cap"):
+        compose_kernels(kernel_from_tensor(t, big, big), fk)
 
 
 def test_scale_kernel_types():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,14 @@ from cvmaps.models import (
     ideal_photon_addition,
     ideal_truncated_amplifier,
     model_report,
+    _gate_physical,
 )
+from cvmaps import cli, tensors
 from cvmaps.tensors import (
+    PhysicalityError,
+    ProcessTensor,
     apply_tensor,
+    choi,
     cp_defect,
     identity_tensor,
     is_trace_nonincreasing,
@@ -28,6 +35,8 @@ from cvmaps.tensors import (
     success_probability,
     tni_defect,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def embed(psi: np.ndarray, size: int) -> np.ndarray:
@@ -258,6 +267,106 @@ def test_amplifier_matches_circuit_property(n_max, gain, reflectivity, mu, delta
     rho = DensityOperator(cfg.dim, np.outer(psi, psi.conj()))
     split_p = success_probability(correct, rho) + success_probability(faulty, rho)
     assert abs(success_probability(amplifier_model(cfg), rho) - split_p) < 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n_max=st.integers(2, 8),
+       chi=st.floats(0.0, 2.0, exclude_min=True),
+       gamma=st.floats(0.0, 4.0),
+       mu=st.floats(0.0, 1.0, exclude_min=True),
+       detector=st.sampled_from(["apd", "photon_counter"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_addition_physical_property(n_max, chi, gamma, mu, detector, seed):
+    # every schema-valid addition config passes the CP and TNI gates
+    cfg = AdditionConfig(dim=FockDim(n_max), chi=chi, gamma=gamma, mu=mu,
+                         detector=detector)
+    total = addition_model(cfg)
+    correct, faulty = addition_branches(cfg)
+    assert np.array_equal(correct.elements, oracles.addition_correct_einsum(cfg))
+    assert np.array_equal(total.elements, correct.elements + faulty.elements)
+    psi = random_pure_state(np.random.default_rng(seed), n_max + 1)
+    rho = DensityOperator(cfg.dim, np.outer(psi, psi.conj()))
+    split_p = success_probability(correct, rho) + success_probability(faulty, rho)
+    assert abs(success_probability(total, rho) - split_p) < 1e-14
+
+
+_EXPERIMENTAL_AMPLIFIER = dict(gain=2.0, mu=0.11, delta=1.089, eta_m=0.9,
+                               detector="apd")
+_EXPERIMENTAL_ADDITION = dict(chi=0.105, gamma=0.425, mu=0.11, detector="apd")
+
+
+def test_addition_branches_keep_one_copy_each():
+    cfg = AdditionConfig(dim=FockDim(29), **_EXPERIMENTAL_ADDITION)
+    tracemalloc.start()
+    try:
+        correct, faulty = addition_branches(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two tensors and nothing else of their size
+    assert peak < 2.5 * correct.elements.nbytes
+
+
+# the per-band Choi gate of exactly phase-invariant maps
+
+def _gated_maps():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        yield path.stem, cli.build_model(cli.load_config(str(path)))
+    for n_max in (16, 32):
+        dim = FockDim(n_max)
+        yield (f"amplifier/{n_max}",
+               amplifier_model(AmplifierConfig(dim=dim, **_EXPERIMENTAL_AMPLIFIER)))
+        yield (f"addition/{n_max}",
+               addition_model(AdditionConfig(dim=dim, **_EXPERIMENTAL_ADDITION)))
+
+
+def test_band_defect_matches_dense_eigh():
+    maps = list(_gated_maps())
+    assert len(maps) == 8
+    for name, t in maps:
+        assert phase_invariance_defect(t) == 0.0, name
+        dense = choi(t).eigenvalues().min()
+        band = min(np.linalg.eigvalsh(b).min() for b in tensors._band_blocks(t))
+        assert abs(band - dense) <= 1e-14, name
+        assert abs(cp_defect(t) - min(dense, 0.0)) <= 1e-14, name
+
+
+def test_band_gate_fires_on_non_cp_map():
+    # the identity with its |0><1| coherence doubled: phase invariant, and
+    # its Choi band s = 0 has the eigenvector (1, -1, 0, ...) at -1
+    dim = FockDim(4)
+    arr = identity_tensor(dim).elements.copy()
+    arr[0, 1, 0, 1] = arr[1, 0, 1, 0] = 2.0
+    t = ProcessTensor(dim, arr)
+    assert phase_invariance_defect(t) == 0.0
+    assert abs(cp_defect(t) + 1.0) < 1e-14
+    assert abs(cp_defect(t) - choi(t).eigenvalues().min()) < 1e-14
+    with pytest.raises(PhysicalityError):
+        _gate_physical(t, "doubled coherence")
+    with pytest.raises(PhysicalityError):
+        cli._gate_cp(t)
+
+
+def test_band_gate_rejects_non_hermitian_band():
+    dim = FockDim(4)
+    arr = identity_tensor(dim).elements.copy()
+    arr[0, 1, 0, 1] = 1.0 + 1e-3
+    t = ProcessTensor(dim, arr)
+    assert phase_invariance_defect(t) == 0.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi(t).eigenvalues()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        cp_defect(t)
+
+
+def test_models_gate_without_dense_choi(monkeypatch):
+    def refuse(t):
+        raise AssertionError("dense Choi matrix built for a phase-invariant map")
+
+    monkeypatch.setattr(tensors, "choi", refuse)
+    dim = FockDim(32)
+    amplifier_model(AmplifierConfig(dim=dim, **_EXPERIMENTAL_AMPLIFIER))
+    addition_model(AdditionConfig(dim=dim, **_EXPERIMENTAL_ADDITION))
 
 
 @pytest.mark.parametrize("n_max", [62, 63])

@@ -271,3 +271,39 @@ def test_tensor_from_kraus_keeps_one_copy(rng):
         tracemalloc.stop()
     assert peak < 1.5 * t.elements.nbytes
     assert not t.elements.flags.writeable and t.elements.flags.c_contiguous
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_fresh_tensors_are_adopted_without_a_copy(rng):
+    dim = FockDim(29)
+    t = tensor_from_kraus(random_kraus(rng, dim))
+    for build in (lambda: identity_tensor(dim), lambda: scale_tensor(t, 0.5),
+                  lambda: combine_heralding(t, t)):
+        out, peak = _traced_peak(build)
+        assert peak < 1.5 * t.elements.nbytes
+        assert not out.elements.flags.writeable and out.elements.flags.c_contiguous
+
+
+def test_band_defect_matches_dense_eigh_on_indefinite_maps(rng):
+    # random Hermitian Choi matrices obeying l - n = k - m, mostly indefinite
+    dim = FockDim(5)
+    d = dim.size
+    l, n = np.divmod(np.arange(d * d), d)  # Choi row (l, n)
+    keep = (l - n)[:, None] == (l - n)[None, :]
+    for _ in range(6):
+        c = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        c = np.where(keep, c + c.conj().T, 0.0)
+        t = ProcessTensor(dim, c.reshape(d, d, d, d).transpose(0, 2, 1, 3))
+        assert phase_invariance_defect(t) == 0.0
+        ref = min(np.linalg.eigvalsh(c).min(), 0.0)
+        assert ref < 0.0
+        assert abs(cp_defect(t) - ref) < 1e-12
