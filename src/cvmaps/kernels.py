@@ -479,11 +479,6 @@ class RadialKernel(_Kernel):
         return {"min_value": float(vals.min()), "negative_volume": float(part)}
 
 
-def _check_single_mode(t: ProcessTensor):
-    if t.input_modes != 1 or t.output_modes != 1:
-        raise ValueError("stored kernels are single-mode in and out")
-
-
 def _warn_if_coarse(grid: QuadratureGrid, name: str):
     if grid.dx > _COARSE_SPACING or grid.dp > _COARSE_SPACING:
         warnings.warn(
@@ -501,7 +496,6 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     The samples stay factored, so any grid size builds; the dense cap
     applies only where ``FactoredKernel.dense`` evaluates the samples.
     """
-    _check_single_mode(t)
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
     _warn_if_coarse(in_grid, "input")
@@ -509,8 +503,7 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     d = t.dim.size
     b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
     b_out = wigner_basis_table(t.dim, out_grid).reshape(d * d, -1)
-    return FactoredKernel(out_grid, in_grid, b_out,
-                          t.elements.reshape(d * d, d * d), b_in)
+    return FactoredKernel(out_grid, in_grid, b_out, t.matrix, b_in)
 
 
 def kernel_from_kraus(k: KrausSet, in_grid: QuadratureGrid = None,
@@ -645,7 +638,6 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
     """
     from .tensors import phase_invariance_defect
 
-    _check_single_mode(t)
     defect = phase_invariance_defect(t)
     if defect > defect_tol:
         raise ValueError(
@@ -660,9 +652,8 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
         theta_axis if theta_axis is not None else np.linspace(0.0, 2 * math.pi, 73),
         float)
     d = t.dim.size
-    e_mat = t.elements.reshape(d * d, d * d)
     b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
-    half = e_mat @ np.conj(b_in)  # (D^2, n_r)
+    half = t.matrix @ np.conj(b_in)  # (D^2, n_r)
     cos = np.array([math.cos(th) for th in theta_axis])
     sin = np.array([math.sin(th) for th in theta_axis])
     per_theta = d * d * rp_axis.size * np.dtype(complex).itemsize

@@ -36,7 +36,7 @@ from cvmaps.fock import (
     thermal_state,
 )
 from cvmaps.kernels import AffineDelta, GaussianKernel, apply_kernel, compose_kernels
-from cvmaps.tensors import apply_kraus, apply_tensor, state_product, tensor_from_kraus
+from cvmaps.tensors import apply_kraus, apply_tensor, tensor_from_kraus
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_of
 
 
@@ -168,6 +168,8 @@ def test_import_leaves_scipy_linalg_unloaded():
 def test_beam_splitter_element_structure():
     el = beam_splitter(math.sqrt(0.5), FockDim(3))
     assert el.kraus.input_modes == 2 and el.kraus.output_modes == 2
+    with pytest.raises(ValueError):
+        el.tensor()  # process tensors are single-mode
     assert abs(np.linalg.det(el.kernel.matrix) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         beam_splitter_matrix(1.5, FockDim(3))
@@ -203,7 +205,8 @@ def test_pdc_vacuum_herald_mean():
     g = 1.2
     dim = FockDim(20)
     el = parametric_down_conversion(g, dim)
-    vac2 = state_product(fock_state(0, dim), fock_state(0, dim))
+    vac = fock_state(0, dim).matrix
+    vac2 = DensityOperator(dim, np.kron(vac, vac), 2)
     out = apply_kraus(el.kraus, vac2)
     idler = partial_trace_first(out, dim)
     mean = float(np.sum(np.arange(dim.size) * idler.diagonal()))

@@ -1,11 +1,15 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_pure_state
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
 from cvmaps.tensors import (
+    ChoiMatrix,
     KrausSet,
     ProcessTensor,
     apply_kraus,
@@ -16,21 +20,13 @@ from cvmaps.tensors import (
     cp_defect,
     hermiticity_defect,
     identity_tensor,
-    inject_ancilla,
     is_cp,
     is_trace_nonincreasing,
     phase_invariance_defect,
-    project_mode,
     scale_tensor,
-    state_product,
     success_probability,
-    tensor_from_dict,
     tensor_from_kraus,
-    tensor_parallel,
-    tensor_to_dict,
     tni_defect,
-    trace_out,
-    zero_tensor,
 )
 
 DIM = FockDim(5)
@@ -78,7 +74,7 @@ def test_identity_and_zero():
     assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-15
     assert cp_defect(t) > -1e-12
     assert abs(tni_defect(t)) < 1e-14
-    z = zero_tensor(DIM)
+    z = scale_tensor(t, 0.0)
     assert success_probability(z, rho) == 0.0
 
 
@@ -169,77 +165,31 @@ def test_combine_and_scale(rng):
     assert abs(success_probability(scale_tensor(a, 0.5), rho) - 0.5 * pa) < 1e-15
 
 
-def test_two_mode_structure(rng):
-    dim = FockDim(2)
-    a = tensor_from_kraus(random_kraus(rng, dim, count=1))
-    b = identity_tensor(dim)
-    two = tensor_parallel(a, b)
-    assert two.input_modes == 2 and two.output_modes == 2
-    psi = random_pure_state(rng, dim.size)
-    rho1 = DensityOperator(dim, np.outer(psi, psi.conj()))
-    rho2 = fock_state(1, dim)
-    prod = state_product(rho1, rho2)
-    out = apply_tensor(two, prod)
-    # mode 2 untouched: tracing it out equals applying a to mode 1 alone
-    kept = apply_tensor(trace_out(two, 1), prod)
-    ref = apply_tensor(a, rho1)
-    assert np.max(np.abs(kept.matrix - ref.matrix)) < 1e-13
-    assert abs(out.trace - ref.trace) < 1e-13
-
-
-def test_inject_and_project(rng):
-    dim = FockDim(2)
-    d = dim.size
-    a = tensor_from_kraus(random_kraus(rng, dim, count=2))
-    b = tensor_from_kraus(random_kraus(rng, dim, count=2))
-    two = tensor_parallel(a, b)
-    anc = fock_state(1, dim)
-    pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    reduced = project_mode(inject_ancilla(two, 1, anc), 1, pi)
-    assert reduced.input_modes == 1 and reduced.output_modes == 1
-    # factorized reference: mode 2 runs independently through b
-    w2 = apply_tensor(b, anc).matrix[0, 0].real
-    psi = random_pure_state(rng, d)
-    rho = DensityOperator(dim, np.outer(psi, psi.conj()))
-    ref = w2 * apply_tensor(a, rho).matrix
-    got = apply_tensor(reduced, rho).matrix
-    assert np.max(np.abs(got - ref)) < 1e-13
-    with pytest.raises(ValueError):
-        project_mode(two, 0, np.diag([2.0, 0.0, 0.0]))
-    with pytest.raises(IndexError):
-        trace_out(a, 1)
-
-
-def test_dict_round_trip(rng):
-    t = tensor_from_kraus(random_kraus(rng, FockDim(3)))
-    back = tensor_from_dict(tensor_to_dict(t))
-    assert back.dim == t.dim
-    assert np.array_equal(back.elements, t.elements)
-
-
 def test_hermiticity_gate():
     d = DIM.size
     arr = np.zeros((d, d, d, d), dtype=complex)
     arr[0, 1, 0, 0] = 1.0  # no conjugate partner
     t = ProcessTensor(DIM, arr)
     assert t.hermiticity_defect() == 1.0
-    # loading a corrupted export trips the symmetry gate
-    blob = tensor_to_dict(t)
-    with pytest.raises(ValueError):
-        tensor_from_dict(blob)
 
 
-def test_tensor_from_kraus_two_mode_matches_plain_einsum(rng):
+def test_tensors_are_single_mode():
+    assert [f.name for f in dataclasses.fields(ProcessTensor)] == ["dim", "elements"]
+    assert [f.name for f in dataclasses.fields(ChoiMatrix)] == ["dim", "matrix"]
+    assert ProcessTensor.input_modes == ProcessTensor.output_modes == 1
+    with pytest.raises(TypeError):
+        identity_tensor(DIM, 2)
     dim = FockDim(2)
     d = dim.size
-    ops = [rng.standard_normal((d * d, d * d))
-           + 1j * rng.standard_normal((d * d, d * d)) for _ in range(4)]
-    t = tensor_from_kraus(KrausSet(dim, ops, 2, 2))
-    stacked = np.stack(ops)
-    flat = np.einsum("iln,ikm->lknm", stacked, stacked.conj())
-    # (l1, l2, k1, k2, n1, n2, m1, m2) -> per-mode pairs (l1, k1, l2, k2, ...)
-    ref = flat.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    assert np.max(np.abs(t.elements - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(ValueError):
+        ProcessTensor(dim, np.zeros((d,) * 8, dtype=complex))
+    two_mode = KrausSet(dim, [np.eye(d * d)], input_modes=2, output_modes=2)
+    with pytest.raises(ValueError):
+        tensor_from_kraus(two_mode)
+    vac2 = DensityOperator(dim, np.kron(fock_state(0, dim).matrix,
+                                        fock_state(0, dim).matrix), 2)
+    with pytest.raises(ValueError):
+        apply_tensor(identity_tensor(dim), vac2)
 
 
 def test_process_tensor_copies_arrays_the_caller_can_write():
@@ -307,3 +257,54 @@ def test_band_defect_matches_dense_eigh_on_indefinite_maps(rng):
         ref = min(np.linalg.eigvalsh(c).min(), 0.0)
         assert ref < 0.0
         assert abs(cp_defect(t) - ref) < 1e-12
+
+
+def _seeded_kraus(n_max, count, banded, seed):
+    """Random single-mode Kraus set of order-one norm.
+
+    A banded set gives each operator one diagonal l - n = s, so the map is
+    exactly phase invariant and cp_defect takes its per-band path.
+    """
+    rng = np.random.default_rng(seed)
+    dim = FockDim(n_max)
+    d = dim.size
+    ops = []
+    for _ in range(count):
+        op = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / d
+        if banded:
+            shift = rng.integers(1 - d, d)
+            op = np.where(np.subtract.outer(np.arange(d), np.arange(d)) == shift, op, 0)
+        ops.append(op)
+    return KrausSet(dim, ops)
+
+
+def _close(got, ref, rel=1e-12):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+kraus_sets = st.builds(_seeded_kraus, st.integers(1, 11), st.integers(1, 4),
+                       st.booleans(), st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(k=kraus_sets, seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_rewrites_match_kraus_property(k, seed):
+    t = tensor_from_kraus(k)
+    psi = random_pure_state(np.random.default_rng(seed), k.dim.size)
+    rho = DensityOperator(k.dim, np.outer(psi, psi.conj()))
+    assert _close(apply_tensor(t, rho).matrix, apply_kraus(k, rho).matrix)
+    top = k.completeness_defect() + 1.0
+    assert abs(tni_defect(t) + 1.0 - top) <= 1e-12 * top
+    assert cp_defect(t) >= -1e-12
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n_max=st.integers(1, 11), counts=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       banded=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_compose_serial_matches_operator_products_property(n_max, counts, banded, seed):
+    first = _seeded_kraus(n_max, counts[0], banded, seed)
+    second = _seeded_kraus(n_max, counts[1], banded, seed + 1)
+    got = compose_serial(tensor_from_kraus(second), tensor_from_kraus(first))
+    prods = [b @ a for b in second.operators for a in first.operators]
+    ref = tensor_from_kraus(KrausSet(first.dim, prods))
+    assert _close(got.elements, ref.elements)
