@@ -381,7 +381,7 @@ def cmd_apply(args) -> int:
                   file=sys.stderr)
             return EXIT_CHECK
         w_out = w_kernel.values / prob
-    if path in ("tensor",):
+    else:
         w_out = wigner_of(rho_out, grid).values
 
     out = Path(args.out)

@@ -1,18 +1,26 @@
 """Catalog of basic continuous-variable channels, detectors and sources.
 
-Each catalog entry bundles a Kraus presentation with the closed-form
-transfer kernel: affine coordinate deltas for the point transformations,
-normalized Gaussians for attenuation and phase-insensitive amplification.
+Each catalog entry bundles a Kraus presentation with its closed-form
+transfer kernel, one GaussianKernel f = weight N(r' - X r - d; Y) read as
+"output from input": a point transformation is the delta Y = 0, and
+attenuation and phase-insensitive amplification add noise Y > 0.
 
 Conventions fixed here and relied on everywhere else:
 
   phase_rotation(theta) conjugates by exp(-i theta n), so a coherent state
-  maps alpha -> exp(-i theta) alpha and the delta kernel reads
-  x = cos(theta) x' - sin(theta) p'.
+  maps alpha -> exp(-i theta) alpha and the delta kernel has
+  X = [[cos theta, sin theta], [-sin theta, cos theta]].
+
+  displacement(alpha) has X = I and d = sqrt(2) (Re alpha, Im alpha);
+  squeezing(r) has X = diag(exp(-r), exp(r)). attenuation(eta) and
+  parametric_amplification(g) have X = sqrt(g) I and Y = |g - 1|/2 I,
+  with g = eta for attenuation; at g = 1 both are the identity delta.
 
   beam_splitter(t) is exp(phi (a1+ a2 - a2+ a1)) with t = cos(phi),
   r = sin(phi) >= 0, giving a1 -> t a1 + r a2 in the Heisenberg picture
-  and U|1,0> = t|1,0> - r|0,1>.
+  and U|1,0> = t|1,0> - r|0,1>. Coherent inputs (alpha1, alpha2) leave
+  as (t alpha1 + r alpha2, -r alpha1 + t alpha2), which its kernel's
+  4 x 4 X reproduces on the coordinates (x_1, p_1, x_2, p_2).
 
   parametric_down_conversion(g) is the two-mode squeezer with
   cosh(zeta) = sqrt(g), assembled from its normal-ordered factorization
@@ -20,6 +28,8 @@ Conventions fixed here and relied on everywhere else:
   Down-chains and up-chains never pass through states above the larger of
   the bra/ket occupation, so every stored matrix element is exact at
   truncation; only columns near n_max lose the amplitude that escapes.
+  Mean amplitudes leave as (c alpha1 + s conj(alpha2), c alpha2 +
+  s conj(alpha1)) with c = sqrt(g), s = sqrt(g - 1).
 """
 
 import math
@@ -37,11 +47,10 @@ from .fock import (
 )
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
 from .wigner import QuadratureGrid, weyl_symbol
-from .kernels import AffineDelta, GaussianKernel, normalized_gaussian
+from .kernels import GaussianKernel
 
 __all__ = [
     "Element",
-    "GaussianChannelSpec",
     "DetectorElement",
     "identity",
     "phase_rotation",
@@ -55,7 +64,6 @@ __all__ = [
     "attenuation",
     "attenuation_kraus",
     "parametric_amplification",
-    "gaussian_channel",
     "apd_click",
     "photon_counter",
     "vacuum_projector",
@@ -70,7 +78,7 @@ class Element:
     name: str
     params: dict
     kraus: KrausSet
-    kernel: object = None  # AffineDelta | GaussianKernel | None
+    kernel: GaussianKernel = None
 
     @property
     def dim(self) -> FockDim:
@@ -80,37 +88,45 @@ class Element:
         return tensor_from_kraus(self.kraus)
 
 
-def _identity_delta(modes: int = 1) -> AffineDelta:
-    n = 2 * modes
-    return AffineDelta(np.eye(n), np.zeros(n), modes=modes)
+def _point_map(x, d=None) -> GaussianKernel:
+    """Delta kernel of the noiseless map r' = x r + d."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    return GaussianKernel(x, np.zeros((n, n)), np.zeros(n) if d is None else d)
+
+
+def _phase_insensitive(g: float) -> GaussianKernel:
+    """Loss (g < 1) or gain (g > 1): X = sqrt(g) I, Y = |g - 1|/2 I."""
+    return GaussianKernel(math.sqrt(g) * np.eye(2), abs(g - 1.0) / 2.0 * np.eye(2),
+                          np.zeros(2))
 
 
 def identity(dim: FockDim) -> Element:
     return Element("identity", {}, KrausSet(dim, [np.eye(dim.size)]),
-                   _identity_delta())
+                   _point_map(np.eye(2)))
 
 
 def phase_rotation(theta: float, dim: FockDim) -> Element:
     theta = float(theta)
     u = np.diag(np.exp(-1j * theta * np.arange(dim.size)))
     c, s = math.cos(theta), math.sin(theta)
-    delta = AffineDelta(np.array([[c, -s], [s, c]]), np.zeros(2))
-    return Element("phase_rotation", {"theta": theta}, KrausSet(dim, [u]), delta)
+    return Element("phase_rotation", {"theta": theta}, KrausSet(dim, [u]),
+                   _point_map([[c, s], [-s, c]]))
 
 
 def displacement(alpha: complex, dim: FockDim) -> Element:
     alpha = complex(alpha)
-    off = -math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+    shift = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
     return Element("displacement", {"alpha": alpha},
                    KrausSet(dim, [displacement_matrix(alpha, dim)]),
-                   AffineDelta(np.eye(2), off))
+                   _point_map(np.eye(2), shift))
 
 
 def squeezing(r: float, dim: FockDim) -> Element:
     r = float(r)
-    delta = AffineDelta(np.diag([math.exp(r), math.exp(-r)]), np.zeros(2))
     return Element("squeezing", {"r": r},
-                   KrausSet(dim, [squeeze_matrix(r, dim)]), delta)
+                   KrausSet(dim, [squeeze_matrix(r, dim)]),
+                   _point_map(np.diag([math.exp(-r), math.exp(r)])))
 
 
 def beam_splitter_amplitudes(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
@@ -151,15 +167,11 @@ def beam_splitter(t: float, dim: FockDim) -> Element:
     t = float(t)
     u = beam_splitter_matrix(t, dim)
     r = math.sqrt(max(0.0, 1.0 - t * t))
-    mat = np.array([
-        [t, 0.0, -r, 0.0],
-        [0.0, t, 0.0, -r],
-        [r, 0.0, t, 0.0],
-        [0.0, r, 0.0, t],
-    ])
-    delta = AffineDelta(mat, np.zeros(4), modes=2)
+    # (x1', x2') = (t x1 + r x2, -r x1 + t x2), and the same for p
+    x = np.kron(np.array([[t, r], [-r, t]]), np.eye(2))
     return Element("beam_splitter", {"t": t},
-                   KrausSet(dim, [u], input_modes=2, output_modes=2), delta)
+                   KrausSet(dim, [u], input_modes=2, output_modes=2),
+                   _point_map(x))
 
 
 def two_mode_squeeze_matrix(g: float, dim: FockDim) -> np.ndarray:
@@ -183,15 +195,12 @@ def parametric_down_conversion(g: float, dim: FockDim) -> Element:
     g = float(g)
     u = two_mode_squeeze_matrix(g, dim)
     c, s = math.sqrt(g), math.sqrt(g - 1.0)
-    mat = np.array([
-        [c, 0.0, -s, 0.0],
-        [0.0, c, 0.0, s],
-        [-s, 0.0, c, 0.0],
-        [0.0, s, 0.0, c],
-    ])
-    delta = AffineDelta(mat, np.zeros(4), modes=2)
+    # x1' = c x1 + s x2 and p1' = c p1 - s p2, symmetric in the two modes
+    z = np.diag([1.0, -1.0])
+    x = np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
     return Element("parametric_down_conversion", {"g": g},
-                   KrausSet(dim, [u], input_modes=2, output_modes=2), delta)
+                   KrausSet(dim, [u], input_modes=2, output_modes=2),
+                   _point_map(x))
 
 
 def attenuation_kraus(eta: float, dim: FockDim) -> list:
@@ -213,13 +222,8 @@ def attenuation_kraus(eta: float, dim: FockDim) -> list:
 def attenuation(eta: float, dim: FockDim) -> Element:
     eta = float(eta)
     ops = attenuation_kraus(eta, dim)
-    if eta == 1.0:
-        kernel = _identity_delta()
-    else:
-        root = math.sqrt(eta)
-        nu = math.sqrt(1.0 - eta)
-        kernel = normalized_gaussian(root, nu, root, nu)
-    return Element("attenuation", {"eta": eta}, KrausSet(dim, ops), kernel)
+    return Element("attenuation", {"eta": eta}, KrausSet(dim, ops),
+                   _phase_insensitive(eta))
 
 
 def parametric_amplification(g: float, dim: FockDim) -> Element:
@@ -239,60 +243,8 @@ def parametric_amplification(g: float, dim: FockDim) -> Element:
             ) * g ** (-(n + 1) / 2.0)
         if np.any(k):
             ops.append(k)
-    if g == 1.0:
-        kernel = _identity_delta()
-    else:
-        kernel = normalized_gaussian(math.sqrt(g), math.sqrt(g - 1.0),
-                                     math.sqrt(g), math.sqrt(g - 1.0))
     return Element("parametric_amplification", {"g": g},
-                   KrausSet(dim, ops), kernel)
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianChannelSpec:
-    """Per-quadrature coordinate transformation mixing the input with vacuum.
-
-    m_x and m_p are 2x2 blocks [[mu, nu], [eps nu, mu]] with eps = +-1 and
-    unit determinant: eps = -1 is the attenuation family (mu^2 + nu^2 = 1),
-    eps = +1 the amplification family (mu^2 - nu^2 = 1).
-    """
-
-    m_x: np.ndarray
-    m_p: np.ndarray
-
-    def __post_init__(self):
-        for name in ("m_x", "m_p"):
-            m = np.array(getattr(self, name), dtype=float)
-            if m.shape != (2, 2):
-                raise ValueError(f"{name} must be a 2x2 matrix")
-            if abs(m[1, 1] - m[0, 0]) > 1e-12 or abs(abs(m[1, 0]) - abs(m[0, 1])) > 1e-12:
-                raise ValueError(f"{name} must have the form [[mu, nu], [eps nu, mu]]")
-            if abs(np.linalg.det(m) - 1.0) > 1e-12:
-                raise ValueError(f"det({name}) must be 1")
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-
-    @property
-    def mu_x(self) -> float:
-        return float(self.m_x[0, 0])
-
-    @property
-    def nu_x(self) -> float:
-        return float(self.m_x[0, 1])
-
-    @property
-    def mu_p(self) -> float:
-        return float(self.m_p[0, 0])
-
-    @property
-    def nu_p(self) -> float:
-        return float(self.m_p[0, 1])
-
-
-def gaussian_channel(spec: GaussianChannelSpec) -> GaussianKernel:
-    if spec.nu_x == 0.0 or spec.nu_p == 0.0:
-        raise ValueError("degenerate Gaussian channel (nu = 0); use AffineDelta")
-    return normalized_gaussian(spec.mu_x, spec.nu_x, spec.mu_p, spec.nu_p)
+                   KrausSet(dim, ops), _phase_insensitive(g))
 
 
 _DETECTOR_KINDS = ("apd_click", "photon_counter", "vacuum_projector")

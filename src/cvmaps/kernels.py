@@ -12,13 +12,16 @@ The conjugate on the input-side basis function is required for the
 identity tensor to act as the reproducing kernel; with real symmetric
 combinations it is invisible, which makes it easy to drop by accident.
 
-Kernel variants: AffineDelta (coordinate substitutions, Jacobian 1),
-GaussianKernel (per-quadrature affine Gaussians), GridKernel (dense 4D
-samples, indexed [out_x, out_p, in_x, in_p]), FactoredKernel (grid samples
-of a tensor kept as the unevaluated product 2 pi B_out^T E conj(B_in)),
-SumKernel (weighted sums), RadialKernel (f(r', r, theta) samples). Each
-type carries its own apply, marginal, norm, scaling, negativity and
-sampling rules; the module functions below delegate to them.
+Kernel variants: GaussianKernel (the closed form of a Gaussian map,
+f = weight N(r' - X r - d; Y), with the delta kernel of a point map as
+Y = 0), GridKernel (dense 4D samples, indexed [out_x, out_p, in_x, in_p]),
+FactoredKernel (grid samples of a tensor kept as the unevaluated product
+2 pi B_out^T E conj(B_in)), SumKernel (weighted sums), RadialKernel
+(f(r', r, theta) samples). Each type carries its own apply, marginal,
+norm, scaling, negativity and sampling rules; the module functions below
+delegate to them. Closed-form kernels compose by one rule,
+(X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
+through the grid.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -37,7 +40,6 @@ from .wigner import (QuadratureGrid, WignerField, _basis_values, _trapz,
                      wigner_basis_table)
 
 __all__ = [
-    "AffineDelta",
     "GaussianKernel",
     "GridKernel",
     "FactoredKernel",
@@ -101,132 +103,137 @@ class _Kernel:
         raise TypeError(f"cannot sample {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class AffineDelta(_Kernel):
-    """Delta kernel recording input coordinates as a function of output.
-
-    r_in = matrix @ r_out + offset, coordinates ordered
-    (x_1, p_1, ..., x_M, p_M). Jacobian is unity (|det matrix| = 1), so
-    the action on Wigner functions is plain substitution,
-    W'(r') = W(matrix @ r' + offset).
-    """
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    modes: int = 1
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        off = np.asarray(self.offset, dtype=float)
-        n = 2 * self.modes
-        if mat.shape != (n, n) or off.shape != (n,):
-            raise ValueError("coordinate relation has wrong shape")
-        if abs(abs(np.linalg.det(mat)) - 1.0) > 1e-9:
-            raise ValueError("coordinate relation must be volume preserving")
-        mat = mat.copy(); mat.flags.writeable = False
-        off = off.copy(); off.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "offset", off)
-
-    @property
-    def input_modes(self) -> int:
-        return self.modes
-
-    @property
-    def output_modes(self) -> int:
-        return self.modes
-
-    def input_coords(self, out_coords: np.ndarray) -> np.ndarray:
-        out_coords = np.asarray(out_coords, dtype=float)
-        return out_coords @ self.matrix.T + self.offset
-
-    def apply(self, w_in):
-        if self.modes != 1:
-            raise ValueError("only single-mode delta kernels can be applied")
-        from scipy.interpolate import RegularGridInterpolator
-
-        grid = w_in.grid
-        interp = RegularGridInterpolator(
-            (grid.xs, grid.ps), w_in.values, bounds_error=False, fill_value=0.0
-        )
-        outx = grid.xs[:, None, None]
-        outp = grid.ps[None, :, None]
-        pts = np.concatenate(
-            [np.broadcast_to(outx, (grid.n_x, grid.n_p, 1)),
-             np.broadcast_to(outp, (grid.n_x, grid.n_p, 1))], axis=2
-        ).reshape(-1, 2)
-        vals = interp(self.input_coords(pts)).reshape(grid.n_x, grid.n_p)
-        return WignerField(grid, vals)
-
-    def marginal(self, grid, over_output):
-        if self.modes != 1:
-            raise ValueError("marginals are defined for single-mode kernels")
-        return WignerField(grid, np.ones((grid.n_x, grid.n_p)))
-
-    def sample(self, out_grid, in_grid):
-        raise TypeError("delta kernels are symbolic; sampling one is ill-defined")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianKernel(_Kernel):
-    """f = prefactor exp(-((x'-mu_x x-off_x)/nu_x)^2 -((p'-mu_p p-off_p)/nu_p)^2).
+    """f(r', r) = weight N(r' - X r - d; Y), the closed form of a Gaussian map.
 
-    The trace-normalized prefactor for a channel built this way is
-    1/(pi nu_x nu_p); the offsets extend the quadrature-diagonal family to
-    displaced channels so that delta/Gaussian compositions stay closed.
+    N(u; Y) is the normalized Gaussian density with covariance Y (vacuum
+    has Y = I/2); Y = 0 is the delta kernel delta(r' - X r - d), a
+    volume-preserving substitution (|det X| = 1). Coordinates are ordered
+    (x_1, p_1, ..., x_M, p_M), so X, Y are 2M x 2M and d has 2M entries.
+    A state with mean r and covariance V leaves with mean X r + d and
+    covariance X V X^T + Y, and two kernels compose by the same rule.
     """
 
-    mu_x: float
-    nu_x: float
-    mu_p: float
-    nu_p: float
-    prefactor: float
-    off_x: float = 0.0
-    off_p: float = 0.0
-
-    input_modes = 1
-    output_modes = 1
+    X: np.ndarray
+    Y: np.ndarray
+    d: np.ndarray
+    weight: float = 1.0
 
     def __post_init__(self):
-        if self.nu_x == 0.0 or self.nu_p == 0.0:
-            raise ValueError(
-                "degenerate Gaussian channel (nu = 0); use AffineDelta"
-            )
+        x = np.array(self.X, dtype=float)
+        y = np.array(self.Y, dtype=float)
+        d = np.array(self.d, dtype=float)
+        n = x.shape[0] if x.ndim == 2 else 0
+        if n == 0 or n % 2 or x.shape != (n, n) or y.shape != (n, n) or d.shape != (n,):
+            raise ValueError("X and Y must be 2M x 2M and d of length 2M")
+        if np.max(np.abs(y - y.T)) > 1e-12 * max(1.0, float(np.max(np.abs(y)))):
+            raise ValueError("noise covariance Y must be symmetric")
+        y = (y + y.T) / 2.0
+        if not y.any():
+            if abs(abs(np.linalg.det(x)) - 1.0) > 1e-9:
+                raise ValueError("a delta kernel (Y = 0) must keep volume: |det X| = 1")
+        elif np.linalg.eigvalsh(y)[0] <= 0.0:
+            raise ValueError("noise covariance Y must be 0 or positive definite")
+        for name, arr in (("X", x), ("Y", y), ("d", d)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weight", float(self.weight))
+
+    @property
+    def modes(self) -> int:
+        return self.X.shape[0] // 2
+
+    @property
+    def is_delta(self) -> bool:
+        return not self.Y.any()
+
+    def _single_mode(self):
+        if self.modes != 1:
+            raise ValueError("only single-mode kernels act on Wigner fields")
+
+    def _gaussian(self):
+        """(-Y^-1 / 2, weight / sqrt(det 2 pi Y)): exponent form and peak value."""
+        if self.is_delta:
+            raise TypeError("delta kernels are symbolic; they have no sampled values")
+        peak = self.weight / math.sqrt(np.linalg.det(2.0 * math.pi * self.Y))
+        return -0.5 * np.linalg.inv(self.Y), peak
+
+    def _residual(self, row, out, xi, pi):
+        # out - X[row] . (xi, pi) - d[row], skipping zero couplings
+        u = np.asarray(out, dtype=float)
+        for col, coord in ((0, xi), (1, pi)):
+            if self.X[row, col] != 0.0:
+                u = u - self.X[row, col] * np.asarray(coord)
+        return u - self.d[row]
 
     def evaluate(self, xo, po, xi, pi) -> np.ndarray:
-        ex = (np.asarray(xo) - self.mu_x * np.asarray(xi) - self.off_x) / self.nu_x
-        ep = (np.asarray(po) - self.mu_p * np.asarray(pi) - self.off_p) / self.nu_p
-        return self.prefactor * np.exp(-ex * ex - ep * ep)
+        """Single-mode f at output (xo, po) and input (xi, pi), broadcast together."""
+        self._single_mode()
+        q, peak = self._gaussian()
+        ux = self._residual(0, xo, xi, pi)
+        up = self._residual(1, po, xi, pi)
+        expo = q[0, 0] * ux * ux + q[1, 1] * up * up
+        if q[0, 1] != 0.0:
+            expo = expo + 2.0 * q[0, 1] * ux * up
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (xo, po, xi, pi)))
+        return np.broadcast_to(peak * np.exp(expo), shape)
 
     def apply(self, w_in):
+        self._single_mode()
         grid = w_in.grid
-        gx = np.exp(-((grid.xs[:, None] - self.mu_x * grid.xs[None, :]
-                       - self.off_x) / self.nu_x) ** 2)
-        gp = np.exp(-((grid.ps[:, None] - self.mu_p * grid.ps[None, :]
-                       - self.off_p) / self.nu_p) ** 2)
+        if self.is_delta:
+            from scipy.interpolate import RegularGridInterpolator
+
+            interp = RegularGridInterpolator(
+                (grid.xs, grid.ps), w_in.values, bounds_error=False, fill_value=0.0
+            )
+            pts = np.stack(np.meshgrid(grid.xs, grid.ps, indexing="ij"), axis=-1)
+            # W'(r') = W(X^-1 (r' - d))
+            src = (pts.reshape(-1, 2) - self.d) @ np.linalg.inv(self.X).T
+            # a node mapped onto the box edge can round just outside it
+            lo = np.array([grid.xs[0], grid.ps[0]])
+            hi = np.array([grid.xs[-1], grid.ps[-1]])
+            tol = 1e-12 * max(np.abs(lo).max(), np.abs(hi).max())
+            src = np.where((src > lo - tol) & (src < hi + tol), np.clip(src, lo, hi), src)
+            vals = interp(src).reshape(grid.n_x, grid.n_p)
+            return WignerField(grid, self.weight * vals)
+        if self.X[0, 1] != 0.0 or self.X[1, 0] != 0.0 or self.Y[0, 1] != 0.0:
+            raise TypeError(
+                "closed-form apply needs X and Y that keep x and p apart; "
+                "sample the kernel first (sample_kernel) and apply the samples"
+            )
+        q, peak = self._gaussian()
+        gx = np.exp(q[0, 0] * (grid.xs[:, None] - self.X[0, 0] * grid.xs[None, :]
+                               - self.d[0]) ** 2)
+        gp = np.exp(q[1, 1] * (grid.ps[:, None] - self.X[1, 1] * grid.ps[None, :]
+                               - self.d[1]) ** 2)
         wx = _axis_weights(grid.n_x, grid.dx)
         wp = _axis_weights(grid.n_p, grid.dp)
-        vals = self.prefactor * ((gx * wx[None, :]) @ w_in.values
-                                 @ (gp * wp[None, :]).T)
+        vals = peak * ((gx * wx[None, :]) @ w_in.values @ (gp * wp[None, :]).T)
         return WignerField(grid, vals)
 
     def marginal(self, grid, over_output):
+        self._single_mode()
         if over_output:
-            # integral over the full output plane, closed form
-            const = self.prefactor * math.pi * abs(self.nu_x) * abs(self.nu_p)
-            return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
-        # integral over inputs: substitute u = (x' - mu x - off)/nu per axis
-        if self.mu_x == 0.0 or self.mu_p == 0.0:
-            raise ValueError("output marginal diverges for mu = 0 kernels")
-        const = (self.prefactor * math.pi * abs(self.nu_x) * abs(self.nu_p)
-                 / abs(self.mu_x * self.mu_p))
+            const = self.weight
+        else:
+            # Int f dr = weight / |det X|: substitute u = X r
+            det = abs(float(np.linalg.det(self.X)))
+            if det == 0.0:
+                raise ValueError("output marginal diverges for singular X")
+            const = self.weight / det
         return WignerField(grid, np.full((grid.n_x, grid.n_p), const))
 
     def scaled(self, c):
-        return replace(self, prefactor=c * self.prefactor)
+        return replace(self, weight=c * self.weight)
 
     def negativity(self):
-        return {"min_value": 0.0, "negative_volume": 0.0}
+        _, peak = self._gaussian()
+        if peak >= 0.0:
+            return {"min_value": 0.0, "negative_volume": 0.0}
+        # a negative Gaussian over the unbounded input plane has no finite integral
+        return {"min_value": float(peak), "negative_volume": math.inf}
 
     def sample(self, out_grid, in_grid):
         vals = self.evaluate(out_grid.xs[:, None, None, None],
@@ -236,19 +243,8 @@ class GaussianKernel(_Kernel):
         return GridKernel(out_grid, in_grid, vals)
 
 
-def normalized_gaussian(mu_x: float, nu_x: float, mu_p: float, nu_p: float,
-                        off_x: float = 0.0, off_p: float = 0.0) -> GaussianKernel:
-    if nu_x == 0.0 or nu_p == 0.0:
-        raise ValueError("degenerate Gaussian channel (nu = 0); use AffineDelta")
-    pref = 1.0 / (math.pi * abs(nu_x) * abs(nu_p))
-    return GaussianKernel(mu_x, nu_x, mu_p, nu_p, pref, off_x, off_p)
-
-
 class _SampledKernel(_Kernel):
     """A kernel known through its samples on an output and an input grid."""
-
-    input_modes = 1
-    output_modes = 1
 
     def norm(self):
         return self.marginal(None, True).integral() / (2.0 * math.pi)
@@ -406,14 +402,6 @@ class SumKernel(_Kernel):
             raise ValueError("SumKernel needs at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    @property
-    def input_modes(self) -> int:
-        return self.terms[0][1].input_modes
-
-    @property
-    def output_modes(self) -> int:
-        return self.terms[0][1].output_modes
-
     def _field_sum(self, field_of) -> WignerField:
         acc = None
         for weight, term in self.terms:
@@ -525,74 +513,18 @@ def apply_kernel(f, w_in: WignerField) -> WignerField:
     return f.apply(w_in)
 
 
-def _compose_gaussians(f2: GaussianKernel, f1: GaussianKernel) -> GaussianKernel:
-    # chain the in->mid and mid->out Gaussian integrals axis by axis
-    mu_x = f2.mu_x * f1.mu_x
-    mu_p = f2.mu_p * f1.mu_p
-    nu_x = math.hypot(f2.nu_x, f2.mu_x * f1.nu_x)
-    nu_p = math.hypot(f2.nu_p, f2.mu_p * f1.nu_p)
-    off_x = f2.mu_x * f1.off_x + f2.off_x
-    off_p = f2.mu_p * f1.off_p + f2.off_p
-    pref = (f1.prefactor * f2.prefactor * math.pi
-            * (abs(f1.nu_x) * abs(f2.nu_x) / nu_x)
-            * (abs(f1.nu_p) * abs(f2.nu_p) / nu_p))
-    return GaussianKernel(mu_x, nu_x, mu_p, nu_p, pref, off_x, off_p)
-
-
-def _delta_axis_form(f: AffineDelta):
-    """Per-quadrature (a_x, b_x, a_p, b_p) if the delta does not mix x and p."""
-    m = f.matrix
-    if f.modes != 1:
-        return None
-    if m[0, 1] != 0.0 or m[1, 0] != 0.0:
-        return None
-    return m[0, 0], f.offset[0], m[1, 1], f.offset[1]
-
-
 def compose_kernels(f2, f1):
     """Kernel of (f2 after f1): integrates out the intermediate plane."""
     if isinstance(f1, SumKernel):
         return SumKernel(tuple((w, compose_kernels(f2, k)) for w, k in f1.terms))
     if isinstance(f2, SumKernel):
         return SumKernel(tuple((w, compose_kernels(k, f1)) for w, k in f2.terms))
-    if isinstance(f2, AffineDelta) and isinstance(f1, AffineDelta):
-        if f1.modes != f2.modes:
-            raise ValueError("mode counts differ")
-        return AffineDelta(
-            f1.matrix @ f2.matrix,
-            f1.matrix @ f2.offset + f1.offset,
-            f1.modes,
-        )
     if isinstance(f2, GaussianKernel) and isinstance(f1, GaussianKernel):
-        return _compose_gaussians(f2, f1)
-    if isinstance(f2, GaussianKernel) and isinstance(f1, AffineDelta):
-        axis = _delta_axis_form(f1)
-        if axis is None:
-            raise ValueError(
-                "delta kernel mixes x and p; compose through the grid path"
-            )
-        ax, bx, ap, bp = axis
-        # mid = (in - b)/a per axis, from r_in = a r_mid + b
-        return GaussianKernel(
-            f2.mu_x / ax, f2.nu_x, f2.mu_p / ap, f2.nu_p,
-            f2.prefactor,
-            f2.off_x - f2.mu_x * bx / ax,
-            f2.off_p - f2.mu_p * bp / ap,
-        )
-    if isinstance(f2, AffineDelta) and isinstance(f1, GaussianKernel):
-        axis = _delta_axis_form(f2)
-        if axis is None:
-            raise ValueError(
-                "delta kernel mixes x and p; compose through the grid path"
-            )
-        ax, bx, ap, bp = axis
-        # substitute mid = a r_out + b into the first kernel's output slot;
-        # pure substitution, so the peak value (prefactor) is unchanged
-        return GaussianKernel(
-            f1.mu_x / ax, f1.nu_x / abs(ax), f1.mu_p / ap, f1.nu_p / abs(ap),
-            f1.prefactor,
-            (f1.off_x - bx) / ax, (f1.off_p - bp) / ap,
-        )
+        if f2.modes != f1.modes:
+            raise ValueError("mode counts differ")
+        x2 = f2.X
+        return GaussianKernel(x2 @ f1.X, x2 @ f1.Y @ x2.T + f2.Y,
+                              x2 @ f1.d + f2.d, f1.weight * f2.weight)
     if isinstance(f2, _SampledKernel) and isinstance(f1, _SampledKernel):
         if f1.out_grid != f2.in_grid:
             raise ValueError("intermediate grids do not match")

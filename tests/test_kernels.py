@@ -10,12 +10,13 @@ from cvmaps.elements import (
     attenuation,
     attenuation_kraus,
     displacement,
+    identity,
     parametric_amplification,
     phase_rotation,
+    squeezing,
 )
 from cvmaps.fock import FockDim, coherent_state, thermal_state
 from cvmaps.kernels import (
-    AffineDelta,
     FactoredKernel,
     GaussianKernel,
     GridKernel,
@@ -29,7 +30,6 @@ from cvmaps.kernels import (
     kernel_from_tensor,
     kernel_norm,
     negativity,
-    normalized_gaussian,
     output_marginal,
     radial_form,
     radial_norm,
@@ -37,27 +37,38 @@ from cvmaps.kernels import (
     scale_kernel,
 )
 from cvmaps.models import ideal_photon_addition
-from cvmaps.tensors import KrausSet, ProcessTensor, apply_kraus, tensor_from_kraus
+from cvmaps.tensors import (KrausSet, ProcessTensor, apply_kraus, compose_serial,
+                            tensor_from_kraus)
 from cvmaps.wigner import QuadratureGrid, WignerField, wigner_of
 
 
-def test_affine_delta_validation():
-    with pytest.raises(ValueError):
-        AffineDelta(2.0 * np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        AffineDelta(np.eye(2), np.zeros(3))
-    d = AffineDelta(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([0.5, 0.0]))
-    pts = np.array([[1.0, 2.0], [0.0, 0.0]])
-    mapped = d.input_coords(pts)
-    assert np.allclose(mapped[0], [-2.0 + 0.5, 1.0])
-    assert np.allclose(mapped[1], [0.5, 0.0])
+def delta(x, d=(0.0, 0.0)):
+    return GaussianKernel(np.asarray(x, float), np.zeros((2, 2)), np.asarray(d, float))
 
 
 def test_gaussian_kernel_validation():
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    # a delta (Y = 0) keeps volume; Y is symmetric and 0 or positive definite
     with pytest.raises(ValueError):
-        GaussianKernel(1.0, 0.0, 1.0, 1.0, 1.0)
-    k = normalized_gaussian(0.8, 0.6, 0.8, 0.6)
-    assert abs(k.prefactor - 1.0 / (math.pi * 0.36)) < 1e-14
+        delta(2.0 * eye)
+    with pytest.raises(ValueError):
+        GaussianKernel(eye, zero, np.zeros(3))
+    with pytest.raises(ValueError):
+        GaussianKernel(np.eye(3), np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(ValueError):
+        GaussianKernel(eye, np.diag([0.5, 0.0]), np.zeros(2))
+    with pytest.raises(ValueError):
+        GaussianKernel(eye, -eye, np.zeros(2))
+    with pytest.raises(ValueError):
+        GaussianKernel(eye, np.array([[0.5, 0.1], [0.0, 0.5]]), np.zeros(2))
+    # a noisy kernel may shrink volume, down to complete loss
+    assert not GaussianKernel(zero, 0.5 * eye, np.zeros(2)).is_delta
+    d = delta([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
+    assert d.is_delta and d.modes == 1 and d.weight == 1.0
+    assert not d.X.flags.writeable and not d.d.flags.writeable
+    # the normalized density peaks at 1/(2 pi sqrt(det Y)) where r' = X r + d
+    k = GaussianKernel(0.8 * eye, 0.18 * eye, np.zeros(2))
+    assert abs(k.evaluate(0.8, 0.0, 1.0, 0.0) - 1.0 / (math.pi * 0.36)) < 1e-14
 
 
 def test_grid_kernel_validation():
@@ -108,13 +119,14 @@ def test_delta_composition_is_matrix_product():
     b = phase_rotation(0.9, FockDim(3)).kernel
     ab = compose_kernels(b, a)
     ref = phase_rotation(1.3, FockDim(3)).kernel
-    assert np.max(np.abs(ab.matrix - ref.matrix)) < 1e-15
-    assert np.max(np.abs(ab.offset)) == 0.0
+    assert ab.is_delta
+    assert np.max(np.abs(ab.X - ref.X)) < 1e-15
+    assert np.max(np.abs(ab.d)) == 0.0
     d1 = displacement(0.2 + 0.1j, FockDim(3)).kernel
     d2 = displacement(-0.5j, FockDim(3)).kernel
     both = compose_kernels(d2, d1)
     ref2 = displacement(0.2 - 0.4j, FockDim(3)).kernel
-    assert np.max(np.abs(both.offset - ref2.offset)) < 1e-15
+    assert np.max(np.abs(both.d - ref2.d)) < 1e-15
 
 
 def test_gaussian_composition_closed_form():
@@ -122,8 +134,8 @@ def test_gaussian_composition_closed_form():
     left = compose_kernels(attenuation(0.6, dim).kernel,
                            attenuation(0.5, dim).kernel)
     ref = attenuation(0.3, dim).kernel
-    for field in ("mu_x", "nu_x", "mu_p", "nu_p", "prefactor"):
-        assert abs(getattr(left, field) - getattr(ref, field)) < 1e-14, field
+    for field in ("X", "Y", "d", "weight"):
+        assert np.max(np.abs(getattr(left, field) - getattr(ref, field))) < 1e-14, field
 
 
 def coherent_field(alpha, grid):
@@ -161,16 +173,25 @@ def test_delta_after_gaussian_semantics():
     assert np.max(np.abs(out.values - ref.values)) < 1e-10
 
 
-def test_mixing_delta_needs_grid_path():
-    dim = FockDim(3)
-    rot = phase_rotation(0.3, dim).kernel  # mixes x and p
-    gauss = attenuation(0.5, dim).kernel
-    with pytest.raises(ValueError):
-        compose_kernels(gauss, rot)
-    with pytest.raises(ValueError):
-        compose_kernels(rot, gauss)
+@pytest.mark.parametrize("second, first", [
+    ("rotation", "loss"), ("loss", "rotation"), ("rotation", "gain")])
+def test_mixed_compositions_match_tensor_path(second, first):
+    # a rotation mixes x and p; its compositions stay closed-form and agree
+    # with the composed tensors' sampled kernels
+    dim = FockDim(40)
+    grid = QuadratureGrid(-2.0, 2.0, -2.0, 2.0, 17, 17)
+    catalog = {"rotation": phase_rotation(0.7, dim), "loss": attenuation(0.5, dim),
+               "gain": parametric_amplification(1.5, dim)}
+    b, a = catalog[second], catalog[first]
+    comp = compose_kernels(b.kernel, a.kernel)
+    closed = sample_kernel(comp, grid)
+    sampled = kernel_from_tensor(compose_serial(b.tensor(), a.tensor()), grid, grid)
+    assert np.max(np.abs(closed.values - sampled.values)) < 1e-6
+    # the mixed kernel has no separable closed-form apply: sample it first
+    with pytest.raises(TypeError, match="sample"):
+        apply_kernel(comp, wigner_of(coherent_state(0.3, dim), grid))
     with pytest.raises(TypeError):
-        compose_kernels(gauss, object())
+        compose_kernels(comp, object())
 
 
 def test_grid_composition_matches_closed_form():
@@ -217,9 +238,20 @@ def test_apply_identity_delta_is_exact():
     dim = FockDim(8)
     grid = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 41, 41)
     w = wigner_of(thermal_state(0.4, dim), grid)
-    ident = AffineDelta(np.eye(2), np.zeros(2))
-    out = apply_kernel(ident, w)
+    out = apply_kernel(identity(dim).kernel, w)
     assert np.max(np.abs(out.values - w.values)) == 0.0
+
+
+def test_apply_delta_keeps_edge_nodes():
+    # rotations by pi and 2 pi send grid nodes to grid nodes; rounding in
+    # X^-1 must not push edge nodes out of the box and read them as 0
+    dim = FockDim(20)
+    grid = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 41, 41)
+    w = wigner_of(thermal_state(3.0, dim), grid)
+    full = apply_kernel(phase_rotation(2.0 * math.pi, dim).kernel, w)
+    assert np.max(np.abs(full.values - w.values)) < 1e-12
+    half = apply_kernel(phase_rotation(math.pi, dim).kernel, w)
+    assert np.max(np.abs(half.values - w.values[::-1, ::-1])) < 1e-12
 
 
 def test_sum_kernel_apply_and_norm():
@@ -247,12 +279,12 @@ def test_marginals():
     # E E^dag symbol for attenuation is the constant 1/eta
     out_m = output_marginal(gauss, grid)
     assert np.max(np.abs(out_m.values - 1.0 / 0.36)) < 1e-12
-    delta = AffineDelta(np.eye(2), np.zeros(2))
-    assert np.max(np.abs(input_marginal(delta, grid).values - 1.0)) == 0.0
+    ident = identity(dim).kernel
+    assert np.max(np.abs(input_marginal(ident, grid).values - 1.0)) == 0.0
     amp = parametric_amplification(1.5, dim).kernel
     assert abs(output_marginal(amp, grid).values[0, 0] - 1.0 / 1.5) < 1e-12
     with pytest.raises(ValueError):
-        output_marginal(GaussianKernel(0.0, 1.0, 0.0, 1.0, 1.0), grid)
+        output_marginal(GaussianKernel(np.zeros((2, 2)), np.eye(2), np.zeros(2)), grid)
 
 
 def test_kernel_norm_counts_levels():
@@ -315,7 +347,19 @@ def test_negativity_and_scale_covariance():
     gauss = attenuation(0.5, dim).kernel
     assert negativity(gauss) == {"min_value": 0.0, "negative_volume": 0.0}
     with pytest.raises(TypeError):
-        negativity(AffineDelta(np.eye(2), np.zeros(2)))
+        negativity(identity(dim).kernel)
+
+
+def test_negative_gaussian_negativity():
+    # weight -2 on Y = I/4: the most negative value is -2 / (2 pi / 4) at
+    # r' = X r, and the negative part over the unbounded plane diverges
+    gauss = attenuation(0.5, FockDim(3)).kernel
+    neg = negativity(scale_kernel(gauss, -2.0))
+    assert abs(neg["min_value"] + 4.0 / math.pi) < 1e-15
+    assert neg["negative_volume"] == math.inf
+    grid = QuadratureGrid(-2.0, 2.0, -2.0, 2.0, 17, 17)
+    sampled = sample_kernel(scale_kernel(gauss, -2.0), grid)
+    assert abs(sampled.values.min() - neg["min_value"]) < 1e-15
 
 
 def test_band_concentration_limits():
@@ -361,12 +405,18 @@ def test_dense_cap():
 
 
 def test_scale_kernel_types():
-    gauss = normalized_gaussian(0.5, 0.5, 0.5, 0.5)
-    assert scale_kernel(gauss, 2.0).prefactor == 2.0 * gauss.prefactor
+    gauss = GaussianKernel(0.5 * np.eye(2), 0.125 * np.eye(2), np.zeros(2))
+    scaled = scale_kernel(gauss, 2.0)
+    assert scaled.weight == 2.0 * gauss.weight
+    assert np.array_equal(scaled.Y, gauss.Y)
     s = SumKernel(((0.5, gauss),))
     assert scale_kernel(s, 2.0).terms[0][0] == 1.0
-    with pytest.raises(TypeError):
-        scale_kernel(AffineDelta(np.eye(2), np.zeros(2)), 2.0)
+    # a delta scales too, and its substitution carries the weight
+    grid = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 41, 41)
+    w = wigner_of(thermal_state(0.4, FockDim(8)), grid)
+    twice = scale_kernel(identity(FockDim(8)).kernel, 2.0)
+    assert twice.is_delta and twice.weight == 2.0
+    assert np.array_equal(apply_kernel(twice, w).values, 2.0 * w.values)
 
 
 # factored kernels against their own dense samples
@@ -488,3 +538,45 @@ def test_radial_form_theta_blocks_agree(monkeypatch):
     for k in range(axes[2].size):
         single = radial_form(t, axes[0], axes[1], axes[2][k:k + 1])
         assert rel_diff(single.values[:, :, 0], whole.values[:, :, k]) <= 1e-14
+
+
+# closed-form composition over random chains of catalog kernels
+
+_CATALOG = {
+    "rotation": lambda u, v, dim: phase_rotation(2.0 * math.pi * u, dim),
+    "displacement": lambda u, v, dim: displacement(complex(2 * u - 1, 2 * v - 1), dim),
+    "squeezing": lambda u, v, dim: squeezing(u - 0.5, dim),
+    "attenuation": lambda u, v, dim: attenuation(u, dim),
+    "amplification": lambda u, v, dim: parametric_amplification(1.0 + 2.0 * u, dim),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(chain=st.lists(
+    st.tuples(st.sampled_from(sorted(_CATALOG)), st.floats(0.0, 1.0),
+              st.floats(0.0, 1.0), st.floats(-2.0, 2.0)),
+    min_size=3, max_size=6))
+def test_closed_form_composition_is_associative(chain):
+    dim = FockDim(1)
+    kernels = [scale_kernel(_CATALOG[name](u, v, dim).kernel, c)
+               for name, u, v, c in chain]
+    left = kernels[0]
+    for k in kernels[1:]:
+        left = compose_kernels(k, left)
+    right = kernels[-1]
+    for k in reversed(kernels[:-1]):
+        right = compose_kernels(right, k)
+    # a Gaussian state with mean m and covariance V, sent through one
+    # kernel at a time: m -> X m + d, V -> X V X^T + Y
+    m0, v0 = np.array([0.3, -0.2]), np.array([[0.7, 0.1], [0.1, 0.4]])
+    mean, cov, weight = m0, v0, 1.0
+    for k in kernels:
+        mean, cov, weight = k.X @ mean + k.d, k.X @ cov @ k.X.T + k.Y, weight * k.weight
+    pairs = [(left.X, right.X), (left.Y, right.Y), (left.d, right.d),
+             (left.weight, right.weight)]
+    for f in (left, right):
+        pairs += [(f.weight, weight), (f.X @ m0 + f.d, mean), (f.X @ v0 @ f.X.T + f.Y, cov)]
+    for got, ref in pairs:
+        ref = np.asarray(ref)
+        assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert left.is_delta == right.is_delta
