@@ -320,6 +320,26 @@ def test_attenuation_amplification_commutation_states():
     assert np.max(np.abs(left.matrix - right.matrix)) < 1e-8
 
 
+def test_gaussian_channel_spec_validation():
+    # a 0.8 splitter with vacuum in the spare port: X = sqrt(0.8) I, Y = 0.1 I
+    k = attenuation(0.8, FockDim(3)).kernel
+    assert isinstance(k, GaussianKernel) and not k.is_delta
+    assert np.allclose(k.X, math.sqrt(0.8) * np.eye(2))
+    assert np.allclose(k.Y, 0.1 * np.eye(2))
+    assert abs(k.evaluate(0.0, 0.0, 0.0, 0.0) - 1.0 / (math.pi * 0.2)) < 1e-12
+    with pytest.raises(ValueError):
+        GaussianKernel(np.eye(3), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        GaussianKernel(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        GaussianKernel(np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    # the noiseless identity channel is a delta, with no sampled values
+    ident = identity(FockDim(3)).kernel
+    assert ident.is_delta
+    with pytest.raises(TypeError):
+        ident.evaluate(0.0, 0.0, 0.0, 0.0)
+
+
 def test_detector_matrices_and_completeness():
     dim = FockDim(6)
     apd = apd_click(0.11)

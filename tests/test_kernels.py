@@ -46,11 +46,23 @@ def delta(x, d=(0.0, 0.0)):
     return GaussianKernel(np.asarray(x, float), np.zeros((2, 2)), np.asarray(d, float))
 
 
+def test_affine_delta_validation():
+    # a delta (Y = 0) keeps volume and carries a point r to X r + d
+    with pytest.raises(ValueError):
+        delta(2.0 * np.eye(2))
+    with pytest.raises(ValueError):
+        delta(np.eye(2), np.zeros(3))
+    d = delta([[0.0, -1.0], [1.0, 0.0]], [0.5, 0.0])
+    assert d.is_delta and d.modes == 1 and d.weight == 1.0
+    assert not d.X.flags.writeable and not d.d.flags.writeable
+    for point, image in (([1.0, 2.0], [-2.0 + 0.5, 1.0]), ([0.0, 0.0], [0.5, 0.0])):
+        mapped = compose_kernels(d, delta(np.eye(2), point))
+        assert mapped.is_delta and np.allclose(mapped.d, image)
+
+
 def test_gaussian_kernel_validation():
     eye, zero = np.eye(2), np.zeros((2, 2))
-    # a delta (Y = 0) keeps volume; Y is symmetric and 0 or positive definite
-    with pytest.raises(ValueError):
-        delta(2.0 * eye)
+    # Y is symmetric and 0 or positive definite
     with pytest.raises(ValueError):
         GaussianKernel(eye, zero, np.zeros(3))
     with pytest.raises(ValueError):
@@ -63,9 +75,6 @@ def test_gaussian_kernel_validation():
         GaussianKernel(eye, np.array([[0.5, 0.1], [0.0, 0.5]]), np.zeros(2))
     # a noisy kernel may shrink volume, down to complete loss
     assert not GaussianKernel(zero, 0.5 * eye, np.zeros(2)).is_delta
-    d = delta([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.5])
-    assert d.is_delta and d.modes == 1 and d.weight == 1.0
-    assert not d.X.flags.writeable and not d.d.flags.writeable
     # the normalized density peaks at 1/(2 pi sqrt(det Y)) where r' = X r + d
     k = GaussianKernel(0.8 * eye, 0.18 * eye, np.zeros(2))
     assert abs(k.evaluate(0.8, 0.0, 1.0, 0.0) - 1.0 / (math.pi * 0.36)) < 1e-14
