@@ -12,6 +12,7 @@ the verify battery (test hook).
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -160,28 +161,28 @@ def load_config(path: str):
     return data
 
 
+_FIELD_NAMES = {"R": "reflectivity", "g": "gain"}
+
+
+def _fields_set(cfg, config_class) -> dict:
+    """The model fields a config sets, under the dataclass's own names."""
+    fields = {f.name for f in dataclasses.fields(config_class)}
+    named = {_FIELD_NAMES.get(key, key): value for key, value in cfg.items()}
+    return {key: value for key, value in named.items() if key in fields}
+
+
 def build_model(cfg) -> ProcessTensor:
     """Single-mode process tensor for a validated config."""
     name = cfg["model"]
     dim = FockDim(cfg.get("n_max", 15))
     if name == "amplifier":
-        kwargs = {"dim": dim, "mu": cfg.get("mu", 1.0),
-                  "delta": cfg.get("delta", 2.0),
-                  "eta_m": cfg.get("eta_m", 1.0),
-                  "detector": cfg.get("detector", "photon_counter"),
-                  "include_faulty": cfg.get("include_faulty", True)}
-        if "R" in cfg:
-            kwargs["reflectivity"] = cfg["R"]
-        else:
-            kwargs["gain"] = cfg.get("g", 2.0)
-        return md.amplifier_model(md.AmplifierConfig(**kwargs))
+        kwargs = _fields_set(cfg, md.AmplifierConfig)
+        if "reflectivity" not in kwargs:
+            kwargs.setdefault("gain", 2.0)
+        return md.amplifier_model(md.AmplifierConfig(dim=dim, **kwargs))
     if name == "addition":
-        acfg = md.AdditionConfig(
-            dim=dim, chi=cfg.get("chi", 0.105), gamma=cfg.get("gamma", 0.0),
-            mu=cfg.get("mu", 1.0),
-            detector=cfg.get("detector", "photon_counter"),
-            include_faulty=cfg.get("include_faulty", True))
-        return md.addition_model(acfg)
+        return md.addition_model(
+            md.AdditionConfig(dim=dim, **_fields_set(cfg, md.AdditionConfig)))
     if name == "ideal_amplifier":
         return md.ideal_truncated_amplifier(cfg.get("g", 2.0), dim)
     if name == "ideal_addition":

@@ -22,14 +22,13 @@ Conventions fixed here and relied on everywhere else:
   as (t alpha1 + r alpha2, -r alpha1 + t alpha2), which its kernel's
   4 x 4 X reproduces on the coordinates (x_1, p_1, x_2, p_2).
 
-  parametric_down_conversion(g) is the two-mode squeezer with
-  cosh(zeta) = sqrt(g), assembled from its normal-ordered factorization
-  exp(G A1+ A2+) sech(zeta)^(n1+n2+1) exp(-G A1 A2), G = tanh(zeta).
-  Down-chains and up-chains never pass through states above the larger of
-  the bra/ket occupation, so every stored matrix element is exact at
-  truncation; only columns near n_max lose the amplitude that escapes.
-  Mean amplitudes leave as (c alpha1 + s conj(alpha2), c alpha2 +
-  s conj(alpha1)) with c = sqrt(g), s = sqrt(g - 1).
+  parametric_down_conversion(g) is the two-mode squeezer
+  exp(zeta (a1+ a2+ - a1 a2)) with cosh(zeta) = sqrt(g); it and
+  parametric_amplification(g), the squeezer on a traced-out vacuum idler,
+  come from one closed form, two_mode_squeeze_amplitudes, exact at
+  truncation. Mean amplitudes leave as (c alpha1 + s conj(alpha2),
+  c alpha2 + s conj(alpha1)) with c = sqrt(g), s = sqrt(g - 1). The
+  heralded models contract this routine and beam_splitter_amplitudes.
 """
 
 import math
@@ -37,14 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    FockDim,
-    DensityOperator,
-    annihilation,
-    displacement_matrix,
-    squeeze_matrix,
-    _exp_nilpotent,
-)
+from .fock import FockDim, DensityOperator, displacement_matrix, squeeze_matrix
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
 from .wigner import QuadratureGrid, weyl_symbol
 from .kernels import GaussianKernel
@@ -60,6 +52,7 @@ __all__ = [
     "beam_splitter_amplitudes",
     "beam_splitter_matrix",
     "parametric_down_conversion",
+    "two_mode_squeeze_amplitudes",
     "two_mode_squeeze_matrix",
     "attenuation",
     "attenuation_kraus",
@@ -174,21 +167,37 @@ def beam_splitter(t: float, dim: FockDim) -> Element:
                    _point_map(x))
 
 
+def two_mode_squeeze_amplitudes(zeta: float, n1: int, n2: int, n_out: int) -> np.ndarray:
+    """<p, q| S |s, b> of exp(zeta (a1+ a2+ - a1 a2)) for s <= n1, b <= n2, p, q < n_out.
+
+    The normal order exp(G a1+ a2+) sech^(n1+n2+1) exp(-G a1 a2), G = tanh
+    zeta, removes k pairs and adds j = p - s + k: the amplitude is the sum
+    over k of (-G)^k G^j sqrt(C(s,k) C(b,k) C(p,j) C(q,j)) sech^(s+b-2k+1).
+    """
+    gam, sech = math.tanh(zeta), 1.0 / math.cosh(zeta)
+    top = max(n_out, n1 + 1, n2 + 1)
+    comb = np.array([[float(math.comb(n, k)) for k in range(top)] for n in range(top)])
+    gam_pow = np.array([gam ** j for j in range(n_out)])
+    amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
+    for s in range(n1 + 1):
+        for b in range(n2 + 1):
+            for k in range(min(s, b) + 1):
+                j = np.arange(n_out - max(s, b) + k)
+                p, q = s - k + j, b - k + j
+                amps[p, q, s, b] += (
+                    ((-gam) ** k * gam_pow[j])
+                    * np.sqrt(comb[s, k] * comb[b, k] * comb[p, j] * comb[q, j])
+                    * sech ** (s + b - 2 * k + 1))
+    return amps
+
+
 def two_mode_squeeze_matrix(g: float, dim: FockDim) -> np.ndarray:
     """Two-mode squeezer with cosh(zeta) = sqrt(g), index n1 * D + n2."""
     if g < 1.0:
         raise ValueError("parametric gain must satisfy g >= 1")
-    size = dim.size
-    zeta = math.acosh(math.sqrt(g))
-    gam = math.tanh(zeta)
-    a = annihilation(dim)
-    eye = np.eye(size)
-    a1, a2 = np.kron(a, eye), np.kron(eye, a)
-    n_tot = np.add.outer(np.arange(size), np.arange(size)).ravel()
-    mid = np.diag((1.0 / math.cosh(zeta)) ** (n_tot + 1.0))
-    up = _exp_nilpotent(gam * (a1.T @ a2.T))
-    dn = _exp_nilpotent(-gam * (a1 @ a2))
-    return (up @ mid @ dn).real
+    side = dim.size ** 2
+    return two_mode_squeeze_amplitudes(
+        math.acosh(math.sqrt(g)), dim.n_max, dim.n_max, dim.size).reshape(side, side)
 
 
 def parametric_down_conversion(g: float, dim: FockDim) -> Element:
@@ -227,22 +236,12 @@ def attenuation(eta: float, dim: FockDim) -> Element:
 
 
 def parametric_amplification(g: float, dim: FockDim) -> Element:
-    """Phase-insensitive amplifier; K_j adds j photons with thermal weights."""
+    """Phase-insensitive amplifier; K_j = <j| S |0> on the idler adds j photons."""
     g = float(g)
     if g < 1.0:
         raise ValueError("gain must satisfy g >= 1")
-    size = dim.size
-    gam2 = (g - 1.0) / g
-    ops = []
-    for j in range(size):
-        k = np.zeros((size, size))
-        for n in range(size - j):
-            k[n + j, n] = math.sqrt(
-                gam2 ** j / math.factorial(j)
-                * math.factorial(n + j) / math.factorial(n)
-            ) * g ** (-(n + 1) / 2.0)
-        if np.any(k):
-            ops.append(k)
+    amps = two_mode_squeeze_amplitudes(math.acosh(math.sqrt(g)), dim.n_max, 0, dim.size)
+    ops = [amps[:, j, :, 0] for j in range(dim.size) if np.any(amps[:, j, :, 0])]
     return Element("parametric_amplification", {"g": g},
                    KrausSet(dim, ops), _phase_insensitive(g))
 

@@ -457,6 +457,13 @@ class RadialKernel(_Kernel):
         return RadialKernel(self.rp_axis, self.r_axis, self.theta_axis,
                             c * self.values)
 
+    def norm(self):
+        """Int f r r' dr dr' dtheta over the radial samples."""
+        w = self.values * self.rp_axis[:, None, None] * self.r_axis[None, :, None]
+        inner = _trapz(w, x=self.theta_axis, axis=-1)
+        inner = _trapz(inner, x=self.r_axis, axis=-1)
+        return float(_trapz(inner, x=self.rp_axis, axis=-1))
+
     def negativity(self):
         vals = self.values
         neg = np.where(vals < 0.0, -vals, 0.0)
@@ -599,14 +606,6 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
         vals[block] = (2.0 * math.pi * np.real(b_out.T @ half)).reshape(
             -1, rp_axis.size, r_axis.size)
     return RadialKernel(rp_axis, r_axis, theta_axis, vals.transpose(1, 2, 0))
-
-
-def radial_norm(rk: RadialKernel) -> float:
-    """kernel_norm computed from radial samples: Int f r r' dr dr' dtheta."""
-    w = rk.values * rk.rp_axis[:, None, None] * rk.r_axis[None, :, None]
-    inner = _trapz(w, x=rk.theta_axis, axis=-1)
-    inner = _trapz(inner, x=rk.r_axis, axis=-1)
-    return float(_trapz(inner, x=rk.rp_axis, axis=-1))
 
 
 def negativity(f) -> dict:

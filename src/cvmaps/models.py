@@ -11,24 +11,25 @@ evaluated on the pair (intended mode, spurious mode) seen by the same
 detector, so the total herald probability is additive by construction and
 equals the probability of the full circuit.
 
-Amplifier circuit, exact amplitude-level assembly: the resource photon and
-vacuum pass an asymmetric beam splitter (reflectivity R toward the herald
-arm, gain g = sqrt((1-R)/R)); the input loses (1 - eta_m) of its light to a
-mismatched mode before interfering with the herald arm on a symmetric beam
-splitter; the mismatched light reaches the same pair of detectors through
-its own symmetric split. The herald detector sits on the second S-BS
-output, which fixes the sign so a coherent input alpha yields an output
-proportional to |0> + g alpha |1>. Each splitter is an exact amplitude
-table over the photon numbers its ports carry (the herald arm at most the
-resource's two, the signal-splitter outputs up to n_max + 2), so no interior
-truncation error enters the stored tensor.
+Amplifier circuit, one contraction of catalog splitter amplitudes: the
+resource photon and vacuum pass an asymmetric beam splitter (reflectivity R
+toward the herald arm, gain g = sqrt((1-R)/R)); the input loses (1 - eta_m)
+of its light to a mismatched mode before interfering with the herald arm on
+a symmetric beam splitter; the mismatched light reaches the same pair of
+detectors through its own symmetric split. The herald detector sits on the
+second S-BS output, which fixes the sign so a coherent input alpha yields an
+output proportional to |0> + g alpha |1>. Each splitter is an exact
+amplitude table over the photon numbers its ports carry (the herald arm at
+most the resource's two, the signal-splitter outputs up to n_max + 2), so no
+interior truncation error enters the stored tensor; numpy's greedy path
+search orders the one einsum per branch.
 
-Addition circuit: a two-mode squeezer at gain g = cosh^2(chi) with vacuum
-idler, heralded by a click on the idler detector. The faulty branch models
-parasitic down-conversion at gain h = cosh^2(gamma chi) whose idler hits
-the same detector while its signal stays in unobserved modes: the spurious
-clicks leave the state unchanged (identity on the signal), with the exact
-geometrically-resummed click weight.
+Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
+with vacuum idler, heralded by a click on the idler detector. The faulty
+branch models parasitic down-conversion at gain h = cosh^2(gamma chi) whose
+idler hits the same detector while its signal stays in unobserved modes: the
+spurious clicks leave the state unchanged (identity on the signal), with the
+exact geometrically-resummed click weight.
 """
 
 import math
@@ -51,7 +52,7 @@ from .tensors import (
     PhysicalityError,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
-                       photon_counter, vacuum_projector)
+                       photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
 
 __all__ = [
     "AmplifierConfig",
@@ -67,6 +68,9 @@ __all__ = [
 
 _DETECTORS = ("apd", "photon_counter")
 _SECOND_OUTPUT = ("vacuum", "no_click", "trace")
+# einsum's greedy path with no intermediate-size cap; the default cap (the
+# largest operand) forces a slow three-operand step in the amplifier
+_UNCAPPED = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -178,14 +182,12 @@ def amplifier_branches(cfg: AmplifierConfig):
     n_max, d = cfg.dim.n_max, cfg.dim.size
     f = n_max + 3  # interior size; the resource adds at most 2 photons
 
-    # resource after the asymmetric splitter: res[o, b, phi], o = output arm
+    # resource after the asymmetric splitter: res[o, b, phi], b = herald arm
     res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
     weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
-    # S-BS <d1, d2| U |s, b>: matched input s <= n_max, herald arm b <= 2;
-    # g_tab[phi, o, d1, d2, s] is the herald-arm light of resource |phi>
+    # S-BS us[d1, d2, s, b]: matched input s <= n_max, herald arm b <= 2
     us = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 2, f)
-    g_tab = np.einsum("obp,desb->podes", res, us)
-    # mode-matching split of the input <s, u| U |n, 0>, s + u = n
+    # mode-matching split of the input um[s, u, n], s + u = n
     um = beam_splitter_amplitudes(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
     # symmetric split of the mismatched light toward the two detectors
     vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
@@ -197,16 +199,16 @@ def amplifier_branches(cfg: AmplifierConfig):
 
     # the click detector sits on the second S-BS port (port 1 carries the
     # vacuum / no-click condition); this is the wiring that makes a coherent
-    # input come out as |0> + g alpha |1> with a plus sign
+    # input come out as |0> + g alpha |1> with a plus sign. Each table enters
+    # once on the ket (lower-case letters) and once on the bra (upper-case);
+    # the resource mixture and the herald diagonals tie the two sides.
     tensors = []
-    for wd1, wu1 in ((w1_d, w1_u), (w2_d, w2_u)):
-        q = np.einsum("vwu,v,w,vwt->ut", vh, wso, wu1, vh, optimize=True)
-        t_in = np.einsum("sun,ut,rtm->srnm", um, q, um, optimize=True)
-        h_tab = np.einsum("pades,p,d,e,pbdet->abst", g_tab, weights, wso, wd1,
-                          g_tab, optimize=True)
-        e3 = np.einsum("abst,stnm->abnm", h_tab, t_in, optimize=True)
+    for w_click, w_mismatch in ((w1_d, w1_u), (w2_d, w2_u)):
+        e = np.einsum("obp,desb,sun,vwu,p,d,e,v,w,OBp,deSB,SUm,vwU->oOnm",
+                      res, us, um, vh, weights, wso, w_click, wso, w_mismatch,
+                      res, us, um, vh, optimize=("greedy", _UNCAPPED))
         full = np.zeros((d, d, d, d), dtype=complex)
-        full[:3, :3] = (e3 + e3.transpose(1, 0, 3, 2)) / 2.0
+        full[:3, :3] = (e + e.transpose(1, 0, 3, 2)) / 2.0
         full.flags.writeable = False
         tensors.append(ProcessTensor(cfg.dim, full))
     return tensors[0], tensors[1]
@@ -224,17 +226,6 @@ def amplifier_model(cfg: AmplifierConfig) -> ProcessTensor:
     correct, faulty = amplifier_branches(cfg)
     total = combine_heralding(correct, faulty) if cfg.include_faulty else correct
     return _gate_physical(total, "amplifier model")
-
-
-def _pair_table(chi: float, dim: FockDim) -> np.ndarray:
-    """<n+j, j| U_tms |n, 0> closed form; axis order [signal, idler, input]."""
-    d = dim.size
-    lam, sech = math.tanh(chi), 1.0 / math.cosh(chi)
-    v = np.zeros((d, d, d))
-    for n in range(d):
-        for j in range(d - n):
-            v[n + j, j, n] = lam ** j * math.sqrt(math.comb(n + j, j)) * sech ** (n + 1)
-    return v
 
 
 def _paired_bands(v: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
@@ -259,7 +250,7 @@ def addition_branches(cfg: AdditionConfig):
     """Correct and faulty photon-addition tensors before combination."""
     dim = cfg.dim
     d = dim.size
-    v = _pair_table(cfg.chi, dim)
+    v = two_mode_squeeze_amplitudes(cfg.chi, dim.n_max, 0, d)[..., 0]
     h = math.cosh(cfg.gamma * cfg.chi) ** 2
     if cfg.detector == "apd":
         wc = apd_click(cfg.mu).diagonal(d)

@@ -15,6 +15,9 @@ from scipy.special import eval_genlaguerre, factorial
 from cvmaps.elements import experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
 
+# np.trapezoid is numpy 2.0's name for np.trapz
+_trapz = getattr(np, "trapezoid", None) or np.trapz
+
 
 # ---------------------------------------------------------------------------
 # phase-space references
@@ -44,7 +47,7 @@ def wigner_quadrature(rho: np.ndarray, x: float, p: float,
     right = np.array([hermite_psi(n, np.asarray(x + nu / 2.0)) for n in range(d)])
     chord = np.einsum("an,ab,bn->n", left, rho, right)
     integrand = np.exp(1j * nu * p) * chord
-    val = np.trapezoid(integrand, nu) / (2.0 * math.pi)
+    val = _trapz(integrand, nu) / (2.0 * math.pi)
     return float(np.real(val))
 
 

@@ -105,6 +105,16 @@ def test_kernel_rejects_displacement(tmp_path):
     assert code == cli.EXIT_PHASE
 
 
+def test_model_defaults_come_from_the_config_classes():
+    amp = cli.build_model({"model": "amplifier"})
+    assert np.array_equal(
+        amp.elements,
+        models.amplifier_model(models.AmplifierConfig(gain=2.0)).elements)
+    add = cli.build_model({"model": "addition"})
+    assert np.array_equal(
+        add.elements, models.addition_model(models.AdditionConfig()).elements)
+
+
 def test_config_rejection(tmp_path):
     bad_key = write_config(tmp_path, "a.json", {"model": "identity", "bogus": 1})
     assert cli.main(["tensor", "--config", bad_key,

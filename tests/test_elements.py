@@ -22,6 +22,7 @@ from cvmaps.elements import (
     phase_rotation,
     photon_counter,
     squeezing,
+    two_mode_squeeze_amplitudes,
     two_mode_squeeze_matrix,
     vacuum_projector,
 )
@@ -153,6 +154,24 @@ def test_beam_splitter_amplitudes_against_expm(t, n1, n2, n_out):
     # every input total is at most n1 + n2, so this truncation is exact there
     size = n1 + n2 + 1
     ref = oracles.bs2(t, size).reshape((size,) * 4)
+    assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
+
+
+@pytest.mark.parametrize("zeta, n1, n2, n_out", [
+    (0.105, 5, 0, 4),
+    (0.5, 4, 3, 6),
+    (-0.3, 3, 2, 2),
+    (0.8, 2, 2, 5),
+])
+def test_two_mode_squeeze_amplitudes_against_expm(zeta, n1, n2, n_out):
+    amps = two_mode_squeeze_amplitudes(zeta, n1, n2, n_out)
+    assert amps.shape == (n_out, n_out, n1 + 1, n2 + 1)
+    # more output room adds rows and columns but changes no entry
+    wider = two_mode_squeeze_amplitudes(zeta, n1, n2, n_out + 7)
+    assert np.array_equal(amps, wider[:n_out, :n_out])
+    # the truncated expm is converged on the low block of a buffered space
+    size = max(n_out, n1 + 1, n2 + 1) + 22
+    ref = oracles.tms2(zeta, size).reshape((size,) * 4)
     assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
 
 

@@ -32,7 +32,6 @@ from cvmaps.kernels import (
     negativity,
     output_marginal,
     radial_form,
-    radial_norm,
     sample_kernel,
     scale_kernel,
 )
@@ -331,8 +330,8 @@ def test_radial_norm_consistency():
                      theta_axis=np.linspace(0, 2 * math.pi, 73))
     grid = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 81, 81)
     f = kernel_from_tensor(t, grid, grid)
-    # radial_norm folds the angular 2 pi into the measure already
-    a = radial_norm(rk)
+    # the radial measure folds the angular 2 pi in already
+    a = kernel_norm(rk)
     b = kernel_norm(f)
     assert abs(a - b) / b < 0.01
 

@@ -307,6 +307,18 @@ def test_addition_branches_keep_one_copy_each():
     assert peak < 2.5 * correct.elements.nbytes
 
 
+def test_amplifier_branches_keep_no_quartic_intermediate():
+    cfg = AmplifierConfig(dim=FockDim(29), **_EXPERIMENTAL_AMPLIFIER)
+    tracemalloc.start()
+    try:
+        correct, faulty = amplifier_branches(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two output tensors and no D^4 intermediate beside them
+    assert peak < 2.5 * correct.elements.nbytes
+
+
 # the per-band Choi gate of exactly phase-invariant maps
 
 def _gated_maps():
