@@ -23,8 +23,8 @@ from jsonschema import Draft7Validator
 
 from .fock import DensityOperator, FockDim, coherent_state, fock_state, thermal_state
 from .wigner import QuadratureGrid, grid_integral, wigner_basis, wigner_of
-from .tensors import (DEFAULT_CP_TOL, PhysicalityError, ProcessTensor,
-                      apply_tensor, cp_defect, success_probability)
+from .tensors import (PhysicalityError, ProcessTensor, apply_tensor, require_cp,
+                      success_probability)
 from .kernels import apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
 from . import models as md
@@ -273,18 +273,10 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
-def _gate_cp(t: ProcessTensor):
-    # cp_defect is the most negative Choi eigenvalue, so it is never positive
-    defect = cp_defect(t)
-    if defect < -DEFAULT_CP_TOL:
-        raise PhysicalityError(f"map is not completely positive "
-                               f"(Choi defect {defect:.3e})")
-
-
 def cmd_tensor(args) -> int:
     cfg = load_config(args.config)
     t = build_model(cfg)
-    _gate_cp(t)
+    require_cp(t)
     out = Path(args.out)
     rows = _diagonal_rows(t)
     if args.format == "json":
@@ -302,8 +294,10 @@ def cmd_tensor(args) -> int:
 def cmd_kernel(args) -> int:
     cfg = load_config(args.config)
     t = build_model(cfg)
-    _gate_cp(t)
+    require_cp(t)
     lo, hi, n = _parse_grid(args.grid) if args.grid else (0.0, 5.0, 101)
+    if hi <= 0.0:
+        raise ValueError("a radial grid needs max > 0: radii are non-negative")
     r_axis = np.linspace(max(lo, 0.0), hi, n)
     thetas = _parse_theta(args.theta) if args.theta else [0.0]
     try:
@@ -353,7 +347,7 @@ class PhaseSymmetryError(RuntimeError):
 def cmd_apply(args) -> int:
     cfg = load_config(args.config)
     t = build_model(cfg)
-    _gate_cp(t)
+    require_cp(t)
     rho_in = build_input_state(cfg, t.dim)
     path = cfg.get("path", "both")
     if args.grid:

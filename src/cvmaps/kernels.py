@@ -21,7 +21,9 @@ FactoredKernel (grid samples of a tensor kept as the unevaluated product
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
-through the grid.
+through the grid. Integrals over samples use the trapezoid weights of
+QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
+2D - 1 angular harmonics of the map, from the basis on the real axis.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -36,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
-from .wigner import (QuadratureGrid, WignerField, _basis_values, _trapz,
-                     wigner_basis_table)
+from .wigner import (QuadratureGrid, WignerField, _basis_values,
+                     _trapezoid_weights, wigner_basis_table)
 
 __all__ = [
     "GaussianKernel",
@@ -59,23 +61,8 @@ __all__ = [
 
 _MAX_GRID_VALUES = 70_000_000
 _COARSE_SPACING = 0.25
-# bytes of output basis values radial_form evaluates at once
-_RADIAL_BLOCK_BYTES = 64 * 2 ** 20
 
 _DEFAULT_KERNEL_GRID = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
-
-
-def _axis_weights(n: int, step: float) -> np.ndarray:
-    w = np.full(n, step)
-    w[0] = w[-1] = step / 2
-    return w
-
-
-def _weighted(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Trapezoid-weighted samples on a grid, ready to be summed."""
-    wx = _axis_weights(grid.n_x, grid.dx)
-    wp = _axis_weights(grid.n_p, grid.dp)
-    return values * wx[:, None] * wp[None, :]
 
 
 class _Kernel:
@@ -208,13 +195,12 @@ class GaussianKernel(_Kernel):
                                - self.d[0]) ** 2)
         gp = np.exp(q[1, 1] * (grid.ps[:, None] - self.X[1, 1] * grid.ps[None, :]
                                - self.d[1]) ** 2)
-        wx = _axis_weights(grid.n_x, grid.dx)
-        wp = _axis_weights(grid.n_p, grid.dp)
-        vals = peak * ((gx * wx[None, :]) @ w_in.values @ (gp * wp[None, :]).T)
+        vals = peak * (gx @ (w_in.values * grid.weights) @ gp.T)
         return WignerField(grid, vals)
 
     def marginal(self, grid, over_output):
         self._single_mode()
+        grid = grid or _DEFAULT_KERNEL_GRID
         if over_output:
             const = self.weight
         else:
@@ -244,7 +230,24 @@ class GaussianKernel(_Kernel):
 
 
 class _SampledKernel(_Kernel):
-    """A kernel known through its samples on an output and an input grid."""
+    """A kernel known through its samples on an output and an input grid.
+
+    Each type integrates a weighted v over inputs (_push, giving a field on
+    the output grid) and over outputs (_pull, on the input grid).
+    """
+
+    def apply(self, w_in):
+        if self.in_grid != w_in.grid:
+            raise ValueError("field grid does not match kernel input grid")
+        return self._push(w_in.values * self.in_grid.weights)
+
+    def marginal(self, grid, over_output):
+        kept = self.in_grid if over_output else self.out_grid
+        if grid is not None and grid != kept:
+            raise ValueError("sampled kernels give marginals on their own grids only")
+        if over_output:
+            return self._pull(self.out_grid.weights)
+        return self._push(self.in_grid.weights)
 
     def norm(self):
         return self.marginal(None, True).integral() / (2.0 * math.pi)
@@ -252,19 +255,14 @@ class _SampledKernel(_Kernel):
     def negativity(self):
         vals = self.values
         neg = np.where(vals < 0.0, -vals, 0.0)
-        part = _trapz(neg, dx=self.in_grid.dp, axis=-1)
-        part = _trapz(part, dx=self.in_grid.dx, axis=-1)
-        part = _trapz(part, dx=self.out_grid.dp, axis=-1)
-        part = _trapz(part, dx=self.out_grid.dx, axis=-1)
+        wo, wi = self.out_grid.weights.ravel(), self.in_grid.weights.ravel()
+        part = wo @ neg.reshape(wo.size, wi.size) @ wi
         return {"min_value": float(vals.min()), "negative_volume": float(part)}
 
-    def _check_field(self, w_in: WignerField):
-        if self.in_grid != w_in.grid:
-            raise ValueError("field grid does not match kernel input grid")
-
-    def _check_grids(self, out_grid, in_grid):
+    def sample(self, out_grid, in_grid):
         if self.out_grid != out_grid or self.in_grid != in_grid:
             raise ValueError("grid kernel resampling is not supported")
+        return self.dense()
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,29 +292,16 @@ class GridKernel(_SampledKernel):
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def apply(self, w_in):
-        self._check_field(w_in)
-        vals = np.einsum("abxy,xy->ab", self.values, _weighted(w_in.values, self.in_grid))
-        return WignerField(self.out_grid, vals)
+    def _push(self, v):
+        return WignerField(self.out_grid, np.tensordot(self.values, v, 2))
 
-    def marginal(self, grid, over_output):
-        if over_output:
-            g = self.out_grid
-            wx = _axis_weights(g.n_x, g.dx)
-            wp = _axis_weights(g.n_p, g.dp)
-            vals = np.einsum("abxy,a,b->xy", self.values, wx, wp)
-            return WignerField(self.in_grid, vals)
-        g = self.in_grid
-        wx = _axis_weights(g.n_x, g.dx)
-        wp = _axis_weights(g.n_p, g.dp)
-        vals = np.einsum("abxy,x,y->ab", self.values, wx, wp)
-        return WignerField(self.out_grid, vals)
+    def _pull(self, v):
+        return WignerField(self.in_grid, np.tensordot(v, self.values, 2))
 
     def scaled(self, c):
         return GridKernel(self.out_grid, self.in_grid, c * self.values)
 
-    def sample(self, out_grid, in_grid):
-        self._check_grids(out_grid, in_grid)
+    def dense(self):
         return self
 
 
@@ -361,23 +346,15 @@ class FactoredKernel(_SampledKernel):
                             self.in_grid.n_x, self.in_grid.n_p)
         return GridKernel(self.out_grid, self.in_grid, vals)
 
-    def _out_field(self, weighted_in: np.ndarray) -> WignerField:
-        # Int f w_in over inputs; conj(B_in) v = conj(B_in v) for real v
-        half = self.e @ np.conj(self.b_in @ weighted_in.ravel())
+    def _push(self, v):
+        # conj(B_in) v = conj(B_in v) for real v
+        half = self.e @ np.conj(self.b_in @ v.ravel())
         vals = 2.0 * math.pi * np.real(self.b_out.T @ half)
         return WignerField(self.out_grid,
                            vals.reshape(self.out_grid.n_x, self.out_grid.n_p))
 
-    def apply(self, w_in):
-        self._check_field(w_in)
-        return self._out_field(_weighted(w_in.values, self.in_grid))
-
-    def marginal(self, grid, over_output):
-        if not over_output:
-            ones = np.ones((self.in_grid.n_x, self.in_grid.n_p))
-            return self._out_field(_weighted(ones, self.in_grid))
-        g = self.out_grid
-        row = (self.b_out @ _weighted(np.ones((g.n_x, g.n_p)), g).ravel()) @ self.e
+    def _pull(self, v):
+        row = (self.b_out @ v.ravel()) @ self.e
         # Re(row conj(B_in)) = Re(conj(row) B_in)
         vals = 2.0 * math.pi * np.real(np.conj(row) @ self.b_in)
         return WignerField(self.in_grid,
@@ -385,10 +362,6 @@ class FactoredKernel(_SampledKernel):
 
     def scaled(self, c):
         return replace(self, e=c * self.e)
-
-    def sample(self, out_grid, in_grid):
-        self._check_grids(out_grid, in_grid)
-        return self.dense()
 
 
 @dataclass(frozen=True)
@@ -440,38 +413,36 @@ class RadialKernel(_Kernel):
     values: np.ndarray
 
     def __post_init__(self):
-        rp = np.asarray(self.rp_axis, dtype=float)
-        r = np.asarray(self.r_axis, dtype=float)
-        th = np.asarray(self.theta_axis, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (rp.size, r.size, th.size):
-            raise ValueError("radial values do not match axes")
-        for arr in (rp, r, th, vals):
+        for name in ("rp_axis", "r_axis", "theta_axis", "values"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
-        object.__setattr__(self, "rp_axis", rp)
-        object.__setattr__(self, "r_axis", r)
-        object.__setattr__(self, "theta_axis", th)
-        object.__setattr__(self, "values", vals)
+            object.__setattr__(self, name, arr)
+        if self.values.shape != (self.rp_axis.size, self.r_axis.size, self.theta_axis.size):
+            raise ValueError("radial values do not match axes")
 
     def scaled(self, c):
         return RadialKernel(self.rp_axis, self.r_axis, self.theta_axis,
                             c * self.values)
 
+    @property
+    def weights(self):
+        """Trapezoid weights of the r', r and theta axes."""
+        return tuple(_trapezoid_weights(np.diff(axis))
+                     for axis in (self.rp_axis, self.r_axis, self.theta_axis))
+
+    def _integral(self, vals) -> float:
+        """Int vals r' r dr' dr dtheta over the samples."""
+        wrp, wr, wt = self.weights
+        return float(vals @ wt @ (self.r_axis * wr) @ (self.rp_axis * wrp))
+
     def norm(self):
-        """Int f r r' dr dr' dtheta over the radial samples."""
-        w = self.values * self.rp_axis[:, None, None] * self.r_axis[None, :, None]
-        inner = _trapz(w, x=self.theta_axis, axis=-1)
-        inner = _trapz(inner, x=self.r_axis, axis=-1)
-        return float(_trapz(inner, x=self.rp_axis, axis=-1))
+        return self._integral(self.values)
 
     def negativity(self):
         vals = self.values
         neg = np.where(vals < 0.0, -vals, 0.0)
-        neg = neg * self.rp_axis[:, None, None] * self.r_axis[None, :, None]
-        part = _trapz(neg, x=self.theta_axis, axis=-1)
-        part = _trapz(part, x=self.r_axis, axis=-1)
-        part = _trapz(part, x=self.rp_axis, axis=-1)
-        return {"min_value": float(vals.min()), "negative_volume": float(part)}
+        return {"min_value": float(vals.min()),
+                "negative_volume": self._integral(neg)}
 
 
 def _warn_if_coarse(grid: QuadratureGrid, name: str):
@@ -537,7 +508,7 @@ def compose_kernels(f2, f1):
             raise ValueError("intermediate grids do not match")
         out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
         # one matmul over the flattened intermediate plane, weights on f2
-        left = _weighted(f2.values.reshape(-1, mid.n_x, mid.n_p), mid)
+        left = f2.values.reshape(-1, mid.n_x, mid.n_p) * mid.weights
         flat = (left.reshape(out.n_x * out.n_p, -1)
                 @ f1.values.reshape(mid.n_x * mid.n_p, -1))
         vals = flat.reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
@@ -547,18 +518,17 @@ def compose_kernels(f2, f1):
     )
 
 
-def _marginal(f, grid: QuadratureGrid, over_output: bool) -> WignerField:
-    return f.marginal(grid or _DEFAULT_KERNEL_GRID, over_output)
-
-
 def input_marginal(f, grid: QuadratureGrid = None) -> WignerField:
-    """Int f dx' dp' as a field over inputs; Weyl symbol of E^dag E."""
-    return _marginal(f, grid, over_output=True)
+    """Int f dx' dp' as a field over inputs; Weyl symbol of E^dag E.
+
+    Sampled kernels keep their own input grid and refuse any other.
+    """
+    return f.marginal(grid, over_output=True)
 
 
 def output_marginal(f, grid: QuadratureGrid = None) -> WignerField:
     """Int f dx dp as a field over outputs; Weyl symbol of E E^dag."""
-    return _marginal(f, grid, over_output=False)
+    return f.marginal(grid, over_output=False)
 
 
 def kernel_norm(f) -> float:
@@ -571,9 +541,16 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
     """Sample f(r', r, theta) of a phase-invariant map directly from the tensor.
 
     Points are (x, p) = (r, 0) and (x', p') = (r' cos theta, r' sin theta);
-    no 4D grid is materialized. All (r', theta) output points go through one
-    basis evaluation and one matmul, split over theta only as far as needed
-    to keep the output basis values under _RADIAL_BLOCK_BYTES.
+    no 4D grid is materialized. The basis is evaluated on the real axis
+    only, once for r' and once for r: every basis function turns with its
+    band, W_{lk}(r' e^{i theta}) = W_{lk}(r') e^{i (k - l) theta}, so
+
+        f = 2 pi Re sum_q e^{-i q theta} C_q(r', r),
+
+    where the angular harmonic C_q sums the terms of B_out^T E conj(B_in)
+    with l - k = q. Each of the 2D - 1 harmonics is added into the output
+    as soon as it is formed, so besides the output only one C_q and one
+    product of the output's size are held at a time.
     """
     from .tensors import phase_invariance_defect
 
@@ -591,20 +568,20 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
         theta_axis if theta_axis is not None else np.linspace(0.0, 2 * math.pi, 73),
         float)
     d = t.dim.size
-    b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
+    b_in = _basis_values(t.dim, r_axis, 0.0).reshape(d * d, -1)
+    b_out = (b_in if np.array_equal(rp_axis, r_axis)
+             else _basis_values(t.dim, rp_axis, 0.0).reshape(d * d, -1))
     half = t.matrix @ np.conj(b_in)  # (D^2, n_r)
-    cos = np.array([math.cos(th) for th in theta_axis])
-    sin = np.array([math.sin(th) for th in theta_axis])
-    per_theta = d * d * rp_axis.size * np.dtype(complex).itemsize
-    step = max(1, _RADIAL_BLOCK_BYTES // max(per_theta, 1))
-    vals = np.empty((theta_axis.size, rp_axis.size, r_axis.size))
-    for lo in range(0, theta_axis.size, step):
-        block = slice(lo, lo + step)
-        xo = cos[block, None] * rp_axis[None, :]
-        po = sin[block, None] * rp_axis[None, :]
-        b_out = _basis_values(t.dim, xo, po).reshape(d * d, -1)
-        vals[block] = (2.0 * math.pi * np.real(b_out.T @ half)).reshape(
-            -1, rp_axis.size, r_axis.size)
+    band = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # l - k per row
+    vals = np.zeros((theta_axis.size, rp_axis.size * r_axis.size))
+    for q in range(1 - d, d):
+        rows = band == q
+        c = (b_out[rows].T @ half[rows]).ravel()
+        # Re(e^{-i q theta} C_q) = cos(q theta) Re C_q + sin(q theta) Im C_q
+        trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)], axis=1)
+        vals += trig @ np.stack([c.real, c.imag])
+    vals *= 2.0 * math.pi
+    vals = vals.reshape(theta_axis.size, rp_axis.size, r_axis.size)
     return RadialKernel(rp_axis, r_axis, theta_axis, vals.transpose(1, 2, 0))
 
 
@@ -625,10 +602,9 @@ def band_concentration(rk: RadialKernel, half_width: float = 0.5,
     """
     sl = rk.values[:, :, theta_index] ** 2
     band = np.abs(rk.rp_axis[:, None] - rk.r_axis[None, :]) <= half_width
-
-    total = _trapz(_trapz(sl, x=rk.rp_axis, axis=0), x=rk.r_axis, axis=0)
-    inside = _trapz(_trapz(np.where(band, sl, 0.0), x=rk.rp_axis, axis=0),
-                    x=rk.r_axis, axis=0)
+    wrp, wr, _ = rk.weights
+    total = wrp @ sl @ wr
+    inside = wrp @ np.where(band, sl, 0.0) @ wr
     if total == 0.0:
         return 1.0
     return float(inside / total)

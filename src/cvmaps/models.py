@@ -47,8 +47,8 @@ from .tensors import (
     success_probability,
     combine_heralding,
     scale_tensor,
-    is_cp,
     is_trace_nonincreasing,
+    require_cp,
     PhysicalityError,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
@@ -215,8 +215,7 @@ def amplifier_branches(cfg: AmplifierConfig):
 
 
 def _gate_physical(t: ProcessTensor, label: str) -> ProcessTensor:
-    if not is_cp(t):
-        raise PhysicalityError(f"{label} failed the complete-positivity gate")
+    require_cp(t, label)
     if not is_trace_nonincreasing(t):
         raise PhysicalityError(f"{label} is trace-increasing")
     return t

@@ -38,6 +38,7 @@ __all__ = [
     "choi",
     "cp_defect",
     "is_cp",
+    "require_cp",
     "tni_defect",
     "is_trace_nonincreasing",
     "combine_heralding",
@@ -244,6 +245,15 @@ def cp_defect(t: ProcessTensor) -> float:
 
 def is_cp(t: ProcessTensor, tol: float = DEFAULT_CP_TOL) -> bool:
     return cp_defect(t) >= -tol
+
+
+def require_cp(t: ProcessTensor, label: str = "map") -> ProcessTensor:
+    """The complete-positivity gate: t, or a PhysicalityError naming the Choi defect."""
+    defect = cp_defect(t)
+    if defect < -DEFAULT_CP_TOL:
+        raise PhysicalityError(f"{label} is not completely positive "
+                               f"(Choi defect {defect:.3e})")
+    return t
 
 
 def tni_defect(t: ProcessTensor) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fock import (DensityOperator, FockDim, annihilation, coherent_state,
                    coherent_vector, creation, fidelity, fock_state)
-from .wigner import QuadratureGrid, weyl_symbol, wigner_of
+from .wigner import QuadratureGrid, overlap, weyl_symbol, wigner_of
 from .tensors import (KrausSet, ProcessTensor, apply_kraus, apply_tensor,
                       compose_serial, cp_defect, phase_invariance_defect,
                       success_probability, tni_defect)
@@ -101,10 +101,8 @@ def check_trace_rule(fault):
     dim = FockDim(20)
     grid = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 97, 97)
     a, b = coherent_state(0.5, dim), coherent_state(-0.2 + 0.4j, dim)
-    wa, wb = wigner_of(a, grid), wigner_of(b, grid)
     lhs = float(np.real(np.trace(a.matrix @ b.matrix)))
-    step = grid.dx * grid.dp
-    rhs = 2.0 * math.pi * float(np.sum(wa.values * wb.values)) * step
+    rhs = overlap(wigner_of(a, grid), wigner_of(b, grid))
     return _result("wigner_trace_rule", 1e-9, abs(lhs - rhs))
 
 

@@ -13,6 +13,9 @@ and W_{mn} = conj(W_{nm}). The generalized Laguerre values come from the
 upward three-term recurrence with the Gaussian envelope folded in from the
 start, which keeps every intermediate bounded (|e^{-xi/2} L_n^d(xi)| is at
 most binom(n+d, n) for xi >= 0).
+
+Integrals over samples are trapezoid-weighted sums; one helper gives the
+weights of uniform and non-uniform axes alike.
 """
 
 from __future__ import annotations
@@ -36,10 +39,17 @@ __all__ = [
     "overlap",
 ]
 
-# np.trapz was retired in favor of np.trapezoid
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 _SQRT2 = math.sqrt(2.0)
+
+
+def _trapezoid_weights(steps) -> np.ndarray:
+    """Weights w with sum(w * f) the trapezoid integral of samples f.
+
+    ``steps`` are the n - 1 gaps between samples: constant on a grid axis,
+    np.diff(axis) on any other.
+    """
+    half = np.asarray(steps, dtype=float) / 2.0
+    return np.append(half, 0.0) + np.append(0.0, half)
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,13 @@ class QuadratureGrid:
     @property
     def dp(self) -> float:
         return (self.p_max - self.p_min) / (self.n_p - 1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights [ix, ip]: sum(weights * f) integrates f."""
+        wx = _trapezoid_weights(np.full(self.n_x - 1, self.dx))
+        wp = _trapezoid_weights(np.full(self.n_p - 1, self.dp))
+        return np.outer(wx, wp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +206,7 @@ def weyl_symbol(mat: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarr
 
 
 def grid_integral(values: np.ndarray, grid: QuadratureGrid) -> float:
-    inner = _trapz(values, dx=grid.dp, axis=-1)
-    return float(_trapz(inner, dx=grid.dx, axis=-1))
+    return float(np.sum(values * grid.weights))
 
 
 def overlap(a: WignerField, b: WignerField) -> float:

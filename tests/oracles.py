@@ -3,7 +3,8 @@
 Everything here is built from first principles with scipy/numpy primitives
 (direct expm circuits, quadrature integrals, textbook series) and avoids the
 package's own recurrences and factorizations, so agreement is evidence and
-not circularity.
+not circularity. radial_form_reference reuses the package's basis
+evaluator: it checks only the angular bookkeeping of radial_form.
 """
 
 import math
@@ -14,9 +15,10 @@ from scipy.special import eval_genlaguerre, factorial
 
 from cvmaps.elements import experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
+from cvmaps.wigner import _basis_values
 
 # np.trapezoid is numpy 2.0's name for np.trapz
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +49,7 @@ def wigner_quadrature(rho: np.ndarray, x: float, p: float,
     right = np.array([hermite_psi(n, np.asarray(x + nu / 2.0)) for n in range(d)])
     chord = np.einsum("an,ab,bn->n", left, rho, right)
     integrand = np.exp(1j * nu * p) * chord
-    val = _trapz(integrand, nu) / (2.0 * math.pi)
+    val = trapezoid(integrand, nu) / (2.0 * math.pi)
     return float(np.real(val))
 
 
@@ -86,6 +88,27 @@ def amplification_kernel_reference(g: float, xp, pp, x, p):
     val = np.exp(-((np.asarray(xp) - mu * np.asarray(x)) ** 2
                    + (np.asarray(pp) - mu * np.asarray(p)) ** 2) / nu2)
     return val / (math.pi * nu2)
+
+
+def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
+    """f(r', r, theta) of a tensor, contracted one sampled angle at a time.
+
+    The output basis is evaluated off the real axis, at (r' cos theta,
+    r' sin theta), and contracted with E conj(B_in) for each theta. It
+    reuses the package's basis evaluator (checked against the Laguerre
+    closed form above in test_wigner), so what it checks is the angular
+    bookkeeping of radial_form.
+    """
+    rp_axis, r_axis = np.asarray(rp_axis, float), np.asarray(r_axis, float)
+    d = t.dim.size
+    b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
+    half = t.matrix @ np.conj(b_in)
+    vals = np.empty((rp_axis.size, r_axis.size, len(theta_axis)))
+    for k, theta in enumerate(theta_axis):
+        b_out = _basis_values(t.dim, math.cos(theta) * rp_axis,
+                              math.sin(theta) * rp_axis).reshape(d * d, -1)
+        vals[:, :, k] = 2.0 * math.pi * np.real(b_out.T @ half)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from cvmaps import cli, models
 from cvmaps.fock import FockDim, coherent_state
-from cvmaps.tensors import ProcessTensor
+from cvmaps.tensors import ProcessTensor, require_cp
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -103,6 +103,24 @@ def test_kernel_rejects_displacement(tmp_path):
                        {"model": "displacement", "alpha_re": 0.4, "n_max": 5})
     code = cli.main(["kernel", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_PHASE
+
+
+def test_kernel_refuses_negative_radii(tmp_path):
+    # an axis with max <= 0 would export negative radii r = 0, -0.25, ...
+    cfg = write_config(tmp_path, "c.json",
+                       {"model": "ideal_addition", "n_max": 3})
+    for grid in ("-5,-1,5", "-5,0,5"):
+        out = tmp_path / grid
+        code = cli.main(["kernel", "--config", cfg, "--out", str(out),
+                         f"--grid={grid}"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+    # a negative min is clipped to r = 0 as before
+    out = tmp_path / "clipped"
+    assert cli.main(["kernel", "--config", cfg, "--out", str(out),
+                     "--grid=-1,2,5"]) == cli.EXIT_OK
+    radii = {float(r["r"]) for r in read_rows(out / "kernel_theta_0p0.csv")}
+    assert radii == {0.0, 0.5, 1.0, 1.5, 2.0}
 
 
 def test_model_defaults_come_from_the_config_classes():
@@ -271,7 +289,7 @@ def test_cp_gate_rejects_transpose_map(tmp_path, monkeypatch):
             arr[l, k, k, l] = 1.0
     transpose = ProcessTensor(dim, arr)
     with pytest.raises(ArithmeticError, match="not completely positive"):
-        cli._gate_cp(transpose)
+        require_cp(transpose)
     monkeypatch.setattr(cli, "build_model", lambda cfg: transpose)
     cfg = write_config(tmp_path, "c.json", {"model": "identity", "n_max": 3})
     code = cli.main(["tensor", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cvmaps import cli
 from cvmaps.elements import (
     attenuation,
     attenuation_kraus,
@@ -533,19 +535,94 @@ def test_grid_composition_matches_weighted_einsum(rng):
     assert np.array_equal(compose_kernels(dense(f2), dense(f1)).values, comp.values)
 
 
-def test_radial_form_theta_blocks_agree(monkeypatch):
-    import cvmaps.kernels as kernels
-
+def test_radial_form_theta_blocks_agree():
+    # any split of the theta axis samples the same kernel
     t = ideal_photon_addition(FockDim(5))
     axes = (np.linspace(0, 3, 13), np.linspace(0, 3, 11), np.linspace(0, 3, 7))
     whole = radial_form(t, *axes)
-    # room for the basis values of two theta slices per block
-    monkeypatch.setattr(kernels, "_RADIAL_BLOCK_BYTES", 2 * 36 * 13 * 16)
-    blocked = radial_form(t, *axes)
-    assert rel_diff(blocked.values, whole.values) <= 1e-14
+    blocked = np.concatenate([radial_form(t, axes[0], axes[1], axes[2][lo:lo + 2]).values
+                              for lo in range(0, axes[2].size, 2)], axis=2)
+    assert rel_diff(blocked, whole.values) <= 1e-14
     for k in range(axes[2].size):
         single = radial_form(t, axes[0], axes[1], axes[2][k:k + 1])
         assert rel_diff(single.values[:, :, 0], whole.values[:, :, k]) <= 1e-14
+
+
+def random_phase_invariant_tensor(rng, dim, count):
+    # each Kraus operator shifts the photon number by its own s:
+    # K = sum_n c_n |n + s><n|, so the map commutes with phase rotations
+    d = dim.size
+    ops = []
+    for _ in range(count):
+        s = int(rng.integers(1 - d, d))
+        c = rng.standard_normal(d - abs(s)) + 1j * rng.standard_normal(d - abs(s))
+        ops.append(np.diag(c, -s))
+    return tensor_from_kraus(KrausSet(dim, ops))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n_max=st.integers(1, 7), count=st.integers(1, 3),
+       sizes=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_radial_form_matches_theta_sampled_contraction(n_max, count, sizes, seed):
+    # non-uniform radial axes, and angles well outside [0, 2 pi)
+    rng = np.random.default_rng(seed)
+    t = random_phase_invariant_tensor(rng, FockDim(n_max), count)
+    rp = np.sort(rng.uniform(0.0, 4.0, sizes[0]))
+    r = np.sort(rng.uniform(0.0, 4.0, sizes[1]))
+    theta = rng.uniform(-10.0, 20.0, sizes[2])
+    got = radial_form(t, rp, r, theta).values
+    ref = oracles.radial_form_reference(t, rp, r, theta)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# every shipped config, and the slowest-converging map at the n_max cap
+RADIAL_MAPS = {path.stem: lambda path=path: cli.build_model(cli.load_config(str(path)))
+               for path in (Path(__file__).resolve().parents[1] / "configs").glob("*.json")}
+RADIAL_MAPS["attenuation_0.9_n63"] = lambda: attenuation(0.9, FockDim(63)).tensor()
+
+
+@pytest.mark.parametrize("name", sorted(RADIAL_MAPS))
+def test_radial_form_matches_reference_on_shipped_maps(name):
+    t = RADIAL_MAPS[name]()
+    axes = (np.linspace(0.0, 5.0, 101), np.linspace(0.0, 5.0, 101),
+            np.linspace(0.0, 2 * math.pi, 13))
+    ref = oracles.radial_form_reference(t, *axes)
+    assert rel_diff(radial_form(t, *axes).values, ref) <= 1e-13
+
+
+def test_radial_form_evaluates_the_basis_on_the_real_axis(monkeypatch):
+    # the angles enter through the harmonics, never through basis points
+    import cvmaps.kernels as kernels
+
+    basis, seen = kernels._basis_values, []
+
+    def spy(dim, x, p):
+        seen.append(np.asarray(p))
+        return basis(dim, x, p)
+
+    monkeypatch.setattr(kernels, "_basis_values", spy)
+    radial_form(ideal_photon_addition(FockDim(4)), np.linspace(0.0, 2.0, 5),
+                np.linspace(0.0, 2.0, 4), np.array([0.0, 1.0, 2.5]))
+    assert seen and not any(p.any() for p in seen)
+
+
+def test_sampled_marginals_stay_on_their_own_grids(rng):
+    dim = FockDim(3)
+    fk = kernel_from_tensor(random_tensor(rng, dim), FACTORED_IN, FACTORED_OUT)
+    other = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 11, 11)
+    for f in (fk, dense(fk), SumKernel(((1.0, fk),))):
+        for marginal, own, wrong in ((input_marginal, FACTORED_IN, FACTORED_OUT),
+                                     (output_marginal, FACTORED_OUT, FACTORED_IN)):
+            assert marginal(f).grid == own
+            assert marginal(f, own).grid == own
+            for grid in (other, wrong):
+                with pytest.raises(ValueError):
+                    marginal(f, grid)
+    # closed-form kernels are evaluated on the grid they are given
+    gauss = attenuation(0.5, dim).kernel
+    assert input_marginal(gauss, other).grid == other
+    assert output_marginal(gauss).values.shape == (81, 81)
 
 
 # closed-form composition over random chains of catalog kernels

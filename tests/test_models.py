@@ -356,7 +356,7 @@ def test_band_gate_fires_on_non_cp_map():
     with pytest.raises(PhysicalityError):
         _gate_physical(t, "doubled coherence")
     with pytest.raises(PhysicalityError):
-        cli._gate_cp(t)
+        tensors.require_cp(t)
 
 
 def test_band_gate_rejects_non_hermitian_band():

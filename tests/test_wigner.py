@@ -8,6 +8,7 @@ from cvmaps.fock import FockDim, coherent_state, fock_state, thermal_state
 from cvmaps.wigner import (
     QuadratureGrid,
     WignerField,
+    _trapezoid_weights,
     grid_integral,
     overlap,
     weyl_symbol,
@@ -127,6 +128,23 @@ def test_grid_and_field_validation():
     f = WignerField(grid, np.ones((5, 7)))
     assert abs(f.integral() - 4.0) < 1e-12
     assert abs(grid_integral(np.ones((5, 7)), grid) - 4.0) < 1e-12
+
+
+def test_trapezoid_weights_match_the_trapezoid_rule(rng):
+    # non-uniform axes, down to a single sample (whose integral is 0)
+    for n in (1, 2, 3, 8, 40):
+        axis = np.sort(rng.uniform(-2.0, 3.0, n))
+        f = rng.standard_normal((4, n))
+        got = f @ _trapezoid_weights(np.diff(axis))
+        ref = oracles.trapezoid(f, axis, axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    # a uniform grid: interior weights are the spacing itself, ends half of it
+    grid = QuadratureGrid(-1.5, 2.0, -1.0, 1.0, 8, 5)
+    assert np.array_equal(grid.weights[1:-1, 1:-1], np.full((6, 3), grid.dx * grid.dp))
+    assert grid.weights[0, 0] == grid.dx * grid.dp / 4
+    f = rng.standard_normal((8, 5))
+    ref = oracles.trapezoid(oracles.trapezoid(f, grid.ps, axis=1), grid.xs)
+    assert abs(grid_integral(f, grid) - ref) <= 1e-14
 
 
 def test_basis_table_matches_pointwise():
