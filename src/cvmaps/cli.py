@@ -141,11 +141,18 @@ for name in sorted(glob.glob("profile_sum*.csv")):
 """
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def load_config(path: str):
     """Parse and schema-validate a config; raises ValueError on any problem."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -229,7 +236,7 @@ def _parse_grid(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError('grid must be "min,max,n"')
-    lo, hi = float(parts[0]), float(parts[1])
+    lo, hi = _finite(parts[0]), _finite(parts[1])
     n = int(parts[2])
     if not (hi > lo and n >= 2):
         raise ValueError("grid needs max > min and n >= 2")
@@ -255,7 +262,7 @@ def _default_apply_grid(dim: FockDim) -> QuadratureGrid:
 
 
 def _parse_theta(text: str):
-    vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    vals = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
     if not vals:
         raise ValueError("theta list is empty")
     return vals

@@ -23,7 +23,8 @@ delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
 through the grid. Integrals over samples use the trapezoid weights of
 QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
-2D - 1 angular harmonics of the map, from the basis on the real axis.
+2D - 1 angular harmonics of an exactly phase-invariant map, one
+coherence-order block at a time. Kernels copy writable input arrays.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -37,7 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
+from .tensors import (KrausSet, ProcessTensor, _adopt, _coherence_order, _frozen,
+                      phase_invariance_defect, tensor_from_kraus)
 from .wigner import (QuadratureGrid, WignerField, _basis_values,
                      _trapezoid_weights, wigner_basis_table)
 
@@ -123,8 +125,7 @@ class GaussianKernel(_Kernel):
         elif np.linalg.eigvalsh(y)[0] <= 0.0:
             raise ValueError("noise covariance Y must be 0 or positive definite")
         for name, arr in (("X", x), ("Y", y), ("d", d)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
         object.__setattr__(self, "weight", float(self.weight))
 
     @property
@@ -164,7 +165,7 @@ class GaussianKernel(_Kernel):
         if q[0, 1] != 0.0:
             expo = expo + 2.0 * q[0, 1] * ux * up
         shape = np.broadcast_shapes(*(np.shape(v) for v in (xo, po, xi, pi)))
-        return np.broadcast_to(peak * np.exp(expo), shape)
+        return np.broadcast_to(_frozen(np.asarray(peak * np.exp(expo))), shape)
 
     def apply(self, w_in):
         self._single_mode()
@@ -288,9 +289,7 @@ class GridKernel(_SampledKernel):
                     "transfer functions are real"
                 )
             vals = vals.real
-        vals = np.ascontiguousarray(vals, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _adopt(np.asarray(vals, dtype=float)))
 
     def _push(self, v):
         return WignerField(self.out_grid, np.tensordot(self.values, v, 2))
@@ -299,7 +298,7 @@ class GridKernel(_SampledKernel):
         return WignerField(self.in_grid, np.tensordot(v, self.values, 2))
 
     def scaled(self, c):
-        return GridKernel(self.out_grid, self.in_grid, c * self.values)
+        return replace(self, values=_frozen(c * self.values))
 
     def dense(self):
         return self
@@ -341,7 +340,7 @@ class FactoredKernel(_SampledKernel):
                 f"grid kernel with {n_vals} samples exceeds the dense cap; "
                 "use coarser grids, the factored operations or radial_form"
             )
-        flat = 2.0 * math.pi * (self.b_out.T @ self.e @ np.conj(self.b_in))
+        flat = _frozen(2.0 * math.pi * (self.b_out.T @ self.e @ np.conj(self.b_in)))
         vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
                             self.in_grid.n_x, self.in_grid.n_p)
         return GridKernel(self.out_grid, self.in_grid, vals)
@@ -400,7 +399,7 @@ class SumKernel(_Kernel):
         for w, term in self.terms:
             part = w * term.sample(out_grid, in_grid).values
             total = part if total is None else total + part
-        return GridKernel(out_grid, in_grid, total)
+        return GridKernel(out_grid, in_grid, _frozen(total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,15 +413,13 @@ class RadialKernel(_Kernel):
 
     def __post_init__(self):
         for name in ("rp_axis", "r_axis", "theta_axis", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name,
+                               _adopt(np.asarray(getattr(self, name), dtype=float)))
         if self.values.shape != (self.rp_axis.size, self.r_axis.size, self.theta_axis.size):
             raise ValueError("radial values do not match axes")
 
     def scaled(self, c):
-        return RadialKernel(self.rp_axis, self.r_axis, self.theta_axis,
-                            c * self.values)
+        return replace(self, values=_frozen(c * self.values))
 
     @property
     def weights(self):
@@ -509,8 +506,8 @@ def compose_kernels(f2, f1):
         out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
         # one matmul over the flattened intermediate plane, weights on f2
         left = f2.values.reshape(-1, mid.n_x, mid.n_p) * mid.weights
-        flat = (left.reshape(out.n_x * out.n_p, -1)
-                @ f1.values.reshape(mid.n_x * mid.n_p, -1))
+        flat = _frozen(left.reshape(out.n_x * out.n_p, -1)
+                       @ f1.values.reshape(mid.n_x * mid.n_p, -1))
         vals = flat.reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
         return GridKernel(out, inp, vals)
     raise TypeError(
@@ -536,53 +533,52 @@ def kernel_norm(f) -> float:
     return f.norm()
 
 
-def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None, theta_axis=None,
-                defect_tol: float = 1e-10) -> RadialKernel:
+def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
+                theta_axis=None) -> RadialKernel:
     """Sample f(r', r, theta) of a phase-invariant map directly from the tensor.
 
-    Points are (x, p) = (r, 0) and (x', p') = (r' cos theta, r' sin theta);
-    no 4D grid is materialized. The basis is evaluated on the real axis
-    only, once for r' and once for r: every basis function turns with its
-    band, W_{lk}(r' e^{i theta}) = W_{lk}(r') e^{i (k - l) theta}, so
+    Points are (x, p) = (r, 0) and (x', p') = (r' cos theta, r' sin theta).
+    The basis is evaluated on the real axis, where it is real, once for r'
+    and once for r. W_{lk} turns with its coherence order q = l - k,
+    W_{lk}(r' e^{i theta}) = W_{lk}(r') e^{-i q theta}, so
 
-        f = 2 pi Re sum_q e^{-i q theta} C_q(r', r),
+        f = 2 pi Re sum_q e^{-i q theta} B_out,q^T M_q B_in,q,
 
-    where the angular harmonic C_q sums the terms of B_out^T E conj(B_in)
-    with l - k = q. Each of the 2D - 1 harmonics is added into the output
-    as soon as it is formed, so besides the output only one C_q and one
+    with M_q the block of E where l - k = n - m = q and B_q the basis rows
+    of order q. The sum is exact: a map whose phase_invariance_defect is
+    not exactly 0 is refused. Besides the output, one harmonic and one
     product of the output's size are held at a time.
     """
-    from .tensors import phase_invariance_defect
-
     defect = phase_invariance_defect(t)
-    if defect > defect_tol:
+    if defect != 0.0:
         raise ValueError(
             f"map is not phase invariant (defect {defect:.3e}); "
             "no radial form exists"
         )
-    rp_axis = np.asarray(
-        rp_axis if rp_axis is not None else np.linspace(0.0, 5.0, 101), float)
-    r_axis = np.asarray(
-        r_axis if r_axis is not None else np.linspace(0.0, 5.0, 101), float)
-    theta_axis = np.asarray(
-        theta_axis if theta_axis is not None else np.linspace(0.0, 2 * math.pi, 73),
-        float)
+    radii = np.linspace(0.0, 5.0, 101)
+    rp_axis = np.asarray(radii if rp_axis is None else rp_axis, float)
+    r_axis = np.asarray(radii if r_axis is None else r_axis, float)
+    theta_axis = np.asarray(np.linspace(0.0, 2 * math.pi, 73)
+                            if theta_axis is None else theta_axis, float)
     d = t.dim.size
-    b_in = _basis_values(t.dim, r_axis, 0.0).reshape(d * d, -1)
-    b_out = (b_in if np.array_equal(rp_axis, r_axis)
-             else _basis_values(t.dim, rp_axis, 0.0).reshape(d * d, -1))
-    half = t.matrix @ np.conj(b_in)  # (D^2, n_r)
-    band = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # l - k per row
-    vals = np.zeros((theta_axis.size, rp_axis.size * r_axis.size))
+
+    def basis(axis):
+        return np.ascontiguousarray(_basis_values(t.dim, axis, 0.0).real).reshape(d * d, -1)
+
+    b_in = basis(r_axis)
+    b_out = b_in if np.array_equal(rp_axis, r_axis) else basis(rp_axis)
+    order = _coherence_order(d)
+    vals = np.zeros((rp_axis.size * r_axis.size, theta_axis.size))
     for q in range(1 - d, d):
-        rows = band == q
-        c = (b_out[rows].T @ half[rows]).ravel()
-        # Re(e^{-i q theta} C_q) = cos(q theta) Re C_q + sin(q theta) Im C_q
-        trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)], axis=1)
-        vals += trig @ np.stack([c.real, c.imag])
+        rows = order == q
+        block = t.matrix[np.ix_(rows, rows)]
+        c = (b_out[rows].T @ (block @ b_in[rows])).ravel()
+        # Re(e^{-i q theta} c) = Re c cos(q theta) + Im c sin(q theta)
+        trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)])
+        vals += np.stack([c.real, c.imag], axis=1) @ trig
     vals *= 2.0 * math.pi
-    vals = vals.reshape(theta_axis.size, rp_axis.size, r_axis.size)
-    return RadialKernel(rp_axis, r_axis, theta_axis, vals.transpose(1, 2, 0))
+    vals = _frozen(vals).reshape(rp_axis.size, r_axis.size, theta_axis.size)
+    return RadialKernel(rp_axis, r_axis, theta_axis, vals)
 
 
 def negativity(f) -> dict:
@@ -590,9 +586,8 @@ def negativity(f) -> dict:
     return f.negativity()
 
 
-def band_concentration(rk: RadialKernel, half_width: float = 0.5,
-                       theta_index: int = 0) -> float:
-    """Fraction of squared kernel mass within |r' - r| <= half_width.
+def band_concentration(rk: RadialKernel, half_width: float = 0.5) -> float:
+    """Fraction of squared mass within |r' - r| <= half_width at the first theta.
 
     Concentration is measured on the squared values. The exact kernels of
     photon-number-shifting maps are delta derivatives supported on r' = r,
@@ -600,7 +595,7 @@ def band_concentration(rk: RadialKernel, half_width: float = 0.5,
     tails whose absolute mass grows logarithmically with the cutoff; the
     squared mass converges onto the ridge instead.
     """
-    sl = rk.values[:, :, theta_index] ** 2
+    sl = rk.values[:, :, 0] ** 2
     band = np.abs(rk.rp_axis[:, None] - rk.r_axis[None, :]) <= half_width
     wrp, wr, _ = rk.weights
     total = wrp @ sl @ wr

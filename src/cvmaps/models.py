@@ -50,6 +50,8 @@ from .tensors import (
     is_trace_nonincreasing,
     require_cp,
     PhysicalityError,
+    _frozen,
+    _shift_block,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
                        photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
@@ -209,8 +211,7 @@ def amplifier_branches(cfg: AmplifierConfig):
                       res, us, um, vh, optimize=("greedy", _UNCAPPED))
         full = np.zeros((d, d, d, d), dtype=complex)
         full[:3, :3] = (e + e.transpose(1, 0, 3, 2)) / 2.0
-        full.flags.writeable = False
-        tensors.append(ProcessTensor(cfg.dim, full))
+        tensors.append(ProcessTensor(cfg.dim, _frozen(full)))
     return tensors[0], tensors[1]
 
 
@@ -237,12 +238,9 @@ def _paired_bands(v: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarra
     d = v.shape[0]
     out = np.zeros((d, d, d, d), dtype=complex)
     for j in np.flatnonzero(weights):
-        n = np.arange(d - j)
-        a = v[n + j, j, n]
-        out[(n + j)[:, None], (n + j)[None, :], n[:, None], n[None, :]] = (
-            scale * np.outer(a * weights[j], a))
-    out.flags.writeable = False
-    return out
+        a = np.diagonal(v[:, j], -j)
+        out[_shift_block(d, j)] = scale * np.outer(a * weights[j], a)
+    return _frozen(out)
 
 
 def addition_branches(cfg: AdditionConfig):

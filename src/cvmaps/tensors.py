@@ -108,15 +108,7 @@ class ProcessTensor:
                 f"tensor with {arr.size} elements exceeds the dense cap "
                 f"{_MAX_ELEMENTS}; reduce n_max"
             )
-        # adopt a C-ordered array only if it and every array it views are
-        # read-only; copy any other, so no later write can reach the tensor
-        owner = arr
-        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-            owner = owner.base
-        if owner is not None or not arr.flags.c_contiguous:
-            arr = arr.copy()
-            arr.flags.writeable = False
-        object.__setattr__(self, "elements", arr)
+        object.__setattr__(self, "elements", _adopt(arr))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -146,10 +138,31 @@ def hermiticity_defect(t: ProcessTensor) -> float:
     return t.hermiticity_defect()
 
 
-def _fresh_tensor(dim: FockDim, arr: np.ndarray) -> ProcessTensor:
-    """Hand a newly computed array to ProcessTensor without a copy."""
+def _adopt(arr: np.ndarray) -> np.ndarray:
+    """arr if it is C-ordered and read-only down to its owner, else a read-only copy."""
+    owner = arr
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is not None or not arr.flags.c_contiguous:
+        arr = _frozen(arr.copy())
+    return arr
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A newly computed array made read-only, so _adopt keeps it without a copy."""
     arr.flags.writeable = False
-    return ProcessTensor(dim, arr.reshape((dim.size,) * 4))
+    return arr
+
+
+def _shift_block(d: int, s: int):
+    """Index of the Choi block of photon-number shift s: E[n+s, m+s, n, m]."""
+    n = np.arange(max(0, -s), d - max(0, s))
+    return (n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]
+
+
+def _coherence_order(d: int) -> np.ndarray:
+    """q = l - k of each row (l, k) of the matrix, and n - m of each column (n, m)."""
+    return np.subtract.outer(np.arange(d), np.arange(d)).ravel()
 
 
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
@@ -164,12 +177,12 @@ def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     arr = np.empty((d, d, d, d), dtype=complex)
     for l in range(d):
         arr[l] = (ops[:, l, :].T @ conj).reshape(d, d, d).transpose(1, 0, 2)
-    return _fresh_tensor(k.dim, arr)
+    return ProcessTensor(k.dim, _frozen(arr))
 
 
 def identity_tensor(dim: FockDim) -> ProcessTensor:
     eye = np.eye(dim.size, dtype=complex)
-    return _fresh_tensor(dim, np.einsum("ln,km->lknm", eye, eye))
+    return ProcessTensor(dim, _frozen(np.einsum("ln,km->lknm", eye, eye)))
 
 
 def apply_tensor(t: ProcessTensor, rho: DensityOperator) -> DensityOperator:
@@ -207,7 +220,8 @@ def compose_serial(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor
     """Tensor of (second after first); contracts the intermediate pair."""
     if first.dim != second.dim:
         raise ValueError("composed tensors need a common FockDim")
-    return _fresh_tensor(first.dim, second.matrix @ first.matrix)
+    product = _frozen(second.matrix @ first.matrix)
+    return ProcessTensor(first.dim, product.reshape(first.elements.shape))
 
 
 def choi(t: ProcessTensor) -> ChoiMatrix:
@@ -216,29 +230,17 @@ def choi(t: ProcessTensor) -> ChoiMatrix:
     return ChoiMatrix(t.dim, t.elements.transpose(0, 2, 1, 3).reshape(side, side))
 
 
-def _band_blocks(t: ProcessTensor):
-    """Choi blocks C_s[n, m] = E[n+s, m+s, n, m], s = -(D-1) .. D-1.
-
-    For a tensor that obeys l - k = n - m exactly, the Choi
-    matrix is the direct sum of these blocks up to a permutation.
-    """
-    d = t.dim.size
-    for s in range(1 - d, d):
-        n = np.arange(max(0, -s), d - max(0, s))
-        yield t.elements[(n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]]
-
-
 def cp_defect(t: ProcessTensor) -> float:
     """Most negative Choi eigenvalue (0 if spectrum is non-negative).
 
-    Exactly phase-invariant tensors take the minimum over the 2D - 1 band
-    blocks; every other tensor runs one dense eigh.
+    Exactly phase-invariant tensors take the minimum over the 2D - 1 shift
+    blocks of their permuted, block-diagonal Choi matrix; others run one eigh.
     """
+    d = t.dim.size
     if phase_invariance_defect(t) == 0.0:
-        low = 0.0
-        for blk in _band_blocks(t):
-            low = min(low, ChoiMatrix(t.dim, blk).eigenvalues().min())
-        return float(low)
+        low = min(ChoiMatrix(t.dim, t.elements[_shift_block(d, s)]).eigenvalues().min()
+                  for s in range(1 - d, d))
+        return float(min(low, 0.0))
     w = choi(t).eigenvalues()
     return float(min(w.min(), 0.0))
 
@@ -277,19 +279,20 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     """Sum of exclusive heralded branches; probabilities add exactly."""
     if f1.dim != f2.dim:
         raise ValueError("branch tensors need a common FockDim")
-    return _fresh_tensor(f1.dim, f1.elements + f2.elements)
+    return ProcessTensor(f1.dim, _frozen(f1.elements + f2.elements))
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
-    return _fresh_tensor(t.dim, c * t.elements)
+    return ProcessTensor(t.dim, _frozen(c * t.elements))
 
 
 def phase_invariance_defect(t: ProcessTensor) -> float:
-    """Max |element| outside the selection rule l - k = n - m."""
-    # an int16 mask of l - k - n + m != 0; |element| is taken one leading
-    # slice at a time, so no full-size float array is built
-    idx = np.arange(t.dim.size, dtype=np.int16)
-    violating = (idx[:, None, None, None] - idx[:, None, None]
-                 - idx[:, None] + idx) != 0
-    return max(float(np.max(np.abs(e), where=v, initial=0.0))
-               for e, v in zip(t.elements, violating))
+    """Max |element| outside the selection rule l - k = n - m.
+
+    A map is phase invariant only when this is exactly 0, for cp_defect and
+    radial_form alike. It reads one leading slice (fixed l) at a time.
+    """
+    d = t.dim.size
+    order = _coherence_order(d)
+    return max(float(np.max(np.abs(e), where=q[:, None] != order, initial=0.0))
+               for e, q in zip(t.elements.reshape(d, d, d * d), order.reshape(d, d)))

@@ -1,5 +1,14 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI subprocesses that
+# the tests start need it on PYTHONPATH as well
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

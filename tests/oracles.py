@@ -114,6 +114,14 @@ def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fock-space references
 
+def phase_invariance_defect_reference(t) -> float:
+    """Max |E^{n,m}_{l,k}| over l - k - n + m != 0, from a full D^4 mask."""
+    idx = np.arange(t.dim.size, dtype=np.int16)
+    violating = (idx[:, None, None, None] - idx[:, None, None]
+                 - idx[:, None] + idx) != 0
+    return float(np.max(np.abs(t.elements), where=violating, initial=0.0))
+
+
 def coherent_amplitudes(alpha: complex, size: int) -> np.ndarray:
     if alpha == 0:
         return np.eye(size)[0].astype(complex)

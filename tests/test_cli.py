@@ -327,3 +327,26 @@ def test_only_physicality_errors_exit_cp(tmp_path, monkeypatch):
     with pytest.raises(ZeroDivisionError):
         cli.main(argv)
     assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_numbers_exit_config(tmp_path, capsys):
+    # NaN or infinity, in an argument or in the config JSON, is refused
+    # before any model is built or file written
+    kernel_cfg = write_config(tmp_path, "k.json", {"model": "ideal_addition", "n_max": 3})
+    runs = [["kernel", "--config", kernel_cfg, flag]
+            for flag in ("--theta=nan", "--theta=0,inf", "--grid=0,inf,5",
+                         "--grid=-inf,2,5")]
+    coherent = '"input_state": {"kind": "coherent", "alpha_re": %s}'
+    for i, text in enumerate((
+            '{"model": "identity", "n_max": 3, %s}' % (coherent % "NaN"),
+            '{"model": "identity", "n_max": 3, %s}' % (coherent % "-Infinity"),
+            '{"model": "phase_rotation", "n_max": 3, "theta": NaN}',
+            '{"model": "phase_rotation", "n_max": 3, "theta": 1e999}')):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(text, encoding="utf-8")
+        runs += [["apply", "--config", str(path)], ["kernel", "--config", str(path)]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
+        assert "not a finite number" in capsys.readouterr().err, argv
+        assert not out.exists()

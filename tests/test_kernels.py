@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,7 @@ from cvmaps.kernels import (
 )
 from cvmaps.models import ideal_photon_addition
 from cvmaps.tensors import (KrausSet, ProcessTensor, apply_kraus, compose_serial,
-                            tensor_from_kraus)
+                            phase_invariance_defect, tensor_from_kraus)
 from cvmaps.wigner import QuadratureGrid, WignerField, wigner_of
 
 
@@ -589,6 +590,78 @@ def test_radial_form_matches_reference_on_shipped_maps(name):
             np.linspace(0.0, 2 * math.pi, 13))
     ref = oracles.radial_form_reference(t, *axes)
     assert rel_diff(radial_form(t, *axes).values, ref) <= 1e-13
+
+
+def test_phase_test_and_radial_form_build_nothing_tensor_sized():
+    t = attenuation(0.9, FockDim(63)).tensor()
+    for run in (lambda: phase_invariance_defect(t), lambda: radial_form(t)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.elements.nbytes / 16
+
+
+def test_radial_form_refuses_any_off_band_entry(tmp_path, monkeypatch):
+    # phase invariance means a defect of exactly 0, as in the CP gate
+    dim = FockDim(4)
+    arr = attenuation(0.5, dim).tensor().elements.copy()
+    arr[0, 0, 0, 1] = 1e-13  # l - k = 0 but n - m = -1
+    t = ProcessTensor(dim, arr)
+    assert phase_invariance_defect(t) == 1e-13
+    with pytest.raises(ValueError, match="not phase invariant"):
+        radial_form(t)
+    monkeypatch.setattr(cli, "build_model", lambda cfg: t)
+    out = tmp_path / "o"
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "addition_counter.json")
+    assert cli.main(["kernel", "--config", config, "--out", str(out)]) == cli.EXIT_PHASE
+    assert not out.exists()
+
+
+def test_kernels_leave_the_callers_arrays_alone():
+    axis = np.linspace(0.0, 1.0, 3)
+    vals = np.zeros((3, 3, 1))
+    grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    samples = np.zeros((3, 3, 3, 3))
+    view = samples.view()
+    view.flags.writeable = False  # read-only, but its owner is not
+    rk = RadialKernel(axis, axis, np.zeros(1), vals)
+    kernels = (GridKernel(grid, grid, samples), GridKernel(grid, grid, view))
+    assert axis.flags.writeable and vals.flags.writeable and samples.flags.writeable
+    axis[0] = vals[0, 0, 0] = samples[0, 0, 0, 0] = 1.0
+    assert rk.r_axis[0] == rk.values[0, 0, 0] == 0.0
+    for k in kernels:
+        assert k.values[0, 0, 0, 0] == 0.0 and not k.values.flags.writeable
+    assert not (rk.r_axis.flags.writeable or rk.values.flags.writeable)
+    # an array that no one can write to is kept as it is
+    samples.flags.writeable = False
+    assert GridKernel(grid, grid, samples).values is samples
+
+
+def test_kernel_producers_hand_over_without_a_copy(monkeypatch, rng):
+    import cvmaps.kernels as kernels
+
+    adopt, copied = kernels._adopt, []
+
+    def spy(arr):
+        out = adopt(arr)
+        if out is not arr and arr.ndim >= 3:  # sample arrays, not axes
+            copied.append(arr.shape)
+        return out
+
+    monkeypatch.setattr(kernels, "_adopt", spy)
+    grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    grid_kernel = dense(kernel_from_tensor(random_tensor(rng, FockDim(3)), grid, grid))
+    copied.clear()  # dense() copies the real part out of its complex product
+    gauss = attenuation(0.5, FockDim(3)).kernel.sample(grid, grid)
+    compose_kernels(gauss, grid_kernel)
+    SumKernel(((2.0, gauss),)).sample(grid, grid)
+    scale_kernel(gauss, 3.0)
+    rk = radial_form(ideal_photon_addition(FockDim(3)))
+    scale_kernel(rk, 3.0)
+    assert copied == []
 
 
 def test_radial_form_evaluates_the_basis_on_the_real_axis(monkeypatch):

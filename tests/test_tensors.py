@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_pure_state
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
 from cvmaps.tensors import (
@@ -152,6 +153,25 @@ def test_phase_invariance_defect():
 
     disp = tensor_from_kraus(KrausSet(DIM, [displacement_matrix(0.3, DIM)]))
     assert phase_invariance_defect(disp) > 1e-3
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n_max=st.integers(1, 9), count=st.integers(0, 4),
+       scale=st.floats(-300.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale, seed):
+    # a random tensor on the bands l - k = n - m, plus a few random entries
+    # off them, some far below the band entries
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    shape = (d,) * 4
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    l, k, n, m = np.indices(shape)
+    arr[l - k != n - m] = 0.0
+    for _ in range(count):
+        spot = tuple(rng.integers(0, d, 4))
+        arr[spot] = 10.0 ** rng.uniform(scale, 3.0) * np.exp(2j * np.pi * rng.uniform())
+    t = ProcessTensor(FockDim(n_max), arr)
+    assert phase_invariance_defect(t) == oracles.phase_invariance_defect_reference(t)
 
 
 def test_combine_and_scale(rng):
