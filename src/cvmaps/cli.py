@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft7Validator
 
-from .fock import DensityOperator, FockDim, coherent_state, fock_state, thermal_state
+from .fock import (DensityOperator, FockDim, coherent_state, fock_state, normalize,
+                   thermal_state)
 from .wigner import QuadratureGrid, grid_integral, wigner_basis, wigner_of
 from .tensors import (PhysicalityError, ProcessTensor, apply_tensor, require_cp,
-                      success_probability)
+                      tensor_diagonal)
 from .kernels import apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
 from . import models as md
@@ -70,12 +71,8 @@ def render_json_table(header, rows) -> str:
 
 
 def _diagonal_rows(t: ProcessTensor):
-    d = t.dim.size
-    rows = []
-    for m in range(d):
-        for k in range(d):
-            rows.append((m, k, float(np.real(t.elements[k, k, m, m]))))
-    return rows
+    return [(m, k, float(v))
+            for m, column in enumerate(tensor_diagonal(t).real.T) for k, v in enumerate(column)]
 
 
 def render_tensor_csv(t: ProcessTensor) -> str:
@@ -280,18 +277,20 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
+def _write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
+    """The table as <stem>.json when fmt is "json", else as <stem>.csv."""
+    if fmt == "json":
+        return _write(out_dir, stem + ".json", render_json_table(header, rows))
+    return _write(out_dir, stem + ".csv", render_csv(header, rows))
+
+
 def cmd_tensor(args) -> int:
     cfg = load_config(args.config)
     t = build_model(cfg)
     require_cp(t)
     out = Path(args.out)
-    rows = _diagonal_rows(t)
-    if args.format == "json":
-        _write(out, "tensor_diagonal.json",
-               render_json_table(("m", "k", "value"), rows))
-    else:
-        _write(out, "tensor_diagonal.csv",
-               render_csv(("m", "k", "value"), rows))
+    _write_table(out, "tensor_diagonal", ("m", "k", "value"), _diagonal_rows(t), args.format)
+    if args.format != "json":
         _write(out, "plot_tensor.py", _TENSOR_PLOT)
     print(f"tensor: wrote diagonal slice for {cfg['model']} "
           f"(n_max={t.dim.n_max}) to {out}")
@@ -314,16 +313,9 @@ def cmd_kernel(args) -> int:
     out = Path(args.out)
     header = ("r_prime", "r", "theta", "value")
     for i, theta in enumerate(thetas):
-        rows = []
-        for a, rp in enumerate(r_axis):
-            for b, r in enumerate(r_axis):
-                rows.append((float(rp), float(r), float(theta),
-                             float(rk.values[a, b, i])))
-        name = f"kernel_theta_{_theta_tag(theta)}"
-        if args.format == "json":
-            _write(out, name + ".json", render_json_table(header, rows))
-        else:
-            _write(out, name + ".csv", render_csv(header, rows))
+        rows = [(float(rp), float(r), float(theta), float(rk.values[a, b, i]))
+                for a, rp in enumerate(r_axis) for b, r in enumerate(r_axis)]
+        _write_table(out, f"kernel_theta_{_theta_tag(theta)}", header, rows, args.format)
     for total in _PROFILE_SUMS:
         u = np.linspace(-_PROFILE_HALF_RANGE, _PROFILE_HALF_RANGE,
                         _PROFILE_POINTS)
@@ -332,14 +324,9 @@ def cmd_kernel(args) -> int:
         r = (total - u) / 2.0
         prof = radial_form(t, rp, r, np.zeros(1))
         vals = np.diagonal(prof.values[:, :, 0])
-        rows = [(float(ui), float(total), float(v))
-                for ui, v in zip(u, vals)]
-        header_p = ("r_prime_minus_r", "r_sum", "value")
-        name = f"profile_sum{int(total)}"
-        if args.format == "json":
-            _write(out, name + ".json", render_json_table(header_p, rows))
-        else:
-            _write(out, name + ".csv", render_csv(header_p, rows))
+        rows = [(float(ui), float(total), float(v)) for ui, v in zip(u, vals)]
+        _write_table(out, f"profile_sum{int(total)}",
+                     ("r_prime_minus_r", "r_sum", "value"), rows, args.format)
     if args.format != "json":
         _write(out, "plot_kernel.py", _KERNEL_PLOT)
     print(f"kernel: wrote {len(thetas)} radial slice(s) and "
@@ -364,12 +351,12 @@ def cmd_apply(args) -> int:
         grid = _default_apply_grid(t.dim)
 
     raw = apply_tensor(t, rho_in)
-    prob = success_probability(t, rho_in)
+    prob = raw.trace
     if prob <= 0.0:
         print("apply: success probability vanished; nothing to normalize",
               file=sys.stderr)
         return EXIT_CHECK
-    rho_out = DensityOperator(t.dim, raw.matrix / prob)
+    rho_out = normalize(raw)
 
     cross = None
     if path in ("kernel", "both"):
@@ -399,11 +386,9 @@ def cmd_apply(args) -> int:
         state["cross_check_max_diff"] = cross
     _write(out, "output_state.json",
            json.dumps(state, indent=2, sort_keys=True) + "\n")
-    rows = []
-    for i, x in enumerate(grid.xs):
-        for j, p in enumerate(grid.ps):
-            rows.append((float(x), float(p), float(w_out[i, j])))
-    _write(out, "output_wigner.csv", render_csv(("x", "p", "value"), rows))
+    rows = [(float(x), float(p), float(w_out[i, j]))
+            for i, x in enumerate(grid.xs) for j, p in enumerate(grid.ps)]
+    _write_table(out, "output_wigner", ("x", "p", "value"), rows, "csv")
     print(f"apply: P = {prob:.6g}, output written to {out}")
     return EXIT_OK
 

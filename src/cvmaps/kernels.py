@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import (KrausSet, ProcessTensor, _adopt, _coherence_order, _frozen,
+from .tensors import (KrausSet, ProcessTensor, _adopt, _coherence_blocks, _frozen,
                       phase_invariance_defect, tensor_from_kraus)
 from .wigner import (QuadratureGrid, WignerField, _basis_values,
                      _trapezoid_weights, wigner_basis_table)
@@ -423,9 +423,14 @@ class RadialKernel(_Kernel):
 
     @property
     def weights(self):
-        """Trapezoid weights of the r', r and theta axes."""
-        return tuple(_trapezoid_weights(np.diff(axis))
-                     for axis in (self.rp_axis, self.r_axis, self.theta_axis))
+        """Trapezoid weights of the r', r and theta axes, which must be finite and
+        strictly increasing, with no negative radius: others raise ValueError."""
+        axes = (self.rp_axis, self.r_axis, self.theta_axis)
+        ok = all(np.isfinite(a).all() and (np.diff(a) > 0.0).all() for a in axes)
+        if not ok or (self.rp_axis < 0.0).any() or (self.r_axis < 0.0).any():
+            raise ValueError("cannot integrate: axes must be finite and strictly "
+                             "increasing, and radii non-negative")
+        return tuple(_trapezoid_weights(np.diff(axis)) for axis in axes)
 
     def _integral(self, vals) -> float:
         """Int vals r' r dr' dr dtheta over the samples."""
@@ -567,11 +572,8 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
 
     b_in = basis(r_axis)
     b_out = b_in if np.array_equal(rp_axis, r_axis) else basis(rp_axis)
-    order = _coherence_order(d)
     vals = np.zeros((rp_axis.size * r_axis.size, theta_axis.size))
-    for q in range(1 - d, d):
-        rows = order == q
-        block = t.matrix[np.ix_(rows, rows)]
+    for q, rows, block in _coherence_blocks(t):
         c = (b_out[rows].T @ (block @ b_in[rows])).ravel()
         # Re(e^{-i q theta} c) = Re c cos(q theta) + Im c sin(q theta)
         trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)])

@@ -44,12 +44,12 @@ from .tensors import (
     tensor_from_kraus,
     identity_tensor,
     apply_tensor,
-    success_probability,
     combine_heralding,
     scale_tensor,
     is_trace_nonincreasing,
     require_cp,
     PhysicalityError,
+    tensor_diagonal,
     _frozen,
     _shift_block,
 )
@@ -272,18 +272,20 @@ def addition_model(cfg: AdditionConfig) -> ProcessTensor:
 
 
 def model_report(t: ProcessTensor, inputs) -> dict:
-    """Tabulate success probabilities, output fidelities and tensor diagonals."""
+    """Tabulate success probabilities, output fidelities and tensor diagonals.
+
+    Each input is applied once: the probability is the output's trace, and
+    normalize divides it out. The diagonal F^{m,m}_{k,k} is listed [m][k].
+    """
     d = t.dim.size
-    diag = [[float(np.real(t.elements[k, k, m, m])) for k in range(d)]
-            for m in range(d)]
     rows = []
     for rho in inputs:
-        p = success_probability(t, rho)
         out = apply_tensor(t, rho)
+        p = out.trace
         if p > 0.0:
             out_n = normalize(out)
             fid = fidelity(out_n, rho)
-            out_diag = [float(np.real(x)) for x in out_n.diagonal()]
+            out_diag = out_n.diagonal().tolist()
         else:
             fid = 0.0
             out_diag = [0.0] * d
@@ -296,6 +298,6 @@ def model_report(t: ProcessTensor, inputs) -> dict:
         "n_max": t.dim.n_max,
         "input_modes": t.input_modes,
         "output_modes": t.output_modes,
-        "diagonal": diag,
+        "diagonal": tensor_diagonal(t).real.T.tolist(),
         "rows": rows,
     }

@@ -12,6 +12,9 @@ transpose and its trace form a partial trace. Heralded maps stay
 sub-normalized; the trace of the output is the occurrence probability of
 the branch.
 
+Only this module reads a tensor's entries by index; other modules use
+tensor_diagonal, success_probability, _coherence_blocks and the matrix view.
+
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
 """
@@ -34,6 +37,7 @@ __all__ = [
     "apply_tensor",
     "apply_kraus",
     "success_probability",
+    "tensor_diagonal",
     "compose_serial",
     "choi",
     "cp_defect",
@@ -165,6 +169,19 @@ def _coherence_order(d: int) -> np.ndarray:
     return np.subtract.outer(np.arange(d), np.arange(d)).ravel()
 
 
+def _coherence_blocks(t: ProcessTensor):
+    """(q, rows, M_q) per coherence order q: the row mask of order q and E on it."""
+    order = _coherence_order(t.dim.size)
+    for q in range(1 - t.dim.size, t.dim.size):
+        rows = order == q
+        yield q, rows, t.matrix[np.ix_(rows, rows)]
+
+
+def _trace_form(t: ProcessTensor) -> np.ndarray:
+    """S_{n,m} = sum_l E^{n,m}_{l,l}, so that Tr E(rho) = sum_{n,m} S_{n,m} rho_{n,m}."""
+    return np.trace(t.elements, axis1=0, axis2=1)
+
+
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     if k.input_modes != 1 or k.output_modes != 1:
         raise ValueError("process tensors are single-mode; apply a "
@@ -213,7 +230,16 @@ def apply_kraus(k: KrausSet, rho: DensityOperator) -> DensityOperator:
 
 
 def success_probability(t: ProcessTensor, rho: DensityOperator) -> float:
-    return apply_tensor(t, rho).trace
+    """Tr E(rho) = Re sum_{n,m} S_{n,m} rho_{n,m} by the trace form; applies nothing."""
+    if rho.dim != t.dim or rho.modes != 1:
+        raise ValueError("state does not match tensor input structure")
+    return float((_trace_form(t).ravel() @ rho.matrix.ravel()).real)
+
+
+def tensor_diagonal(t: ProcessTensor) -> np.ndarray:
+    """F^{m,m}_{k,k}, the map's photon-number transfer, as a read-only D x D view [k, m]."""
+    d = t.dim.size
+    return t.matrix[::d + 1, ::d + 1]
 
 
 def compose_serial(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor:
@@ -261,9 +287,9 @@ def require_cp(t: ProcessTensor, label: str = "map") -> ProcessTensor:
 def tni_defect(t: ProcessTensor) -> float:
     """Largest eigenvalue of S - I; <= 0 means trace non-increasing.
 
-    S_{n,m} = sum_l E^{n,m}_{l,l} equals (sum_i E_i^dag E_i)^T.
+    The trace form S_{n,m} = sum_l E^{n,m}_{l,l} equals (sum_i E_i^dag E_i)^T.
     """
-    s = np.trace(t.elements, axis1=0, axis2=1)
+    s = _trace_form(t)
     gap = np.max(np.abs(s - s.conj().T))
     if gap > 1e-8:
         raise ValueError(f"trace form not Hermitian, defect {gap:.3e}")

@@ -23,11 +23,11 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import (DensityOperator, FockDim, annihilation, coherent_state,
-                   coherent_vector, creation, fidelity, fock_state)
+                   coherent_vector, creation, fidelity, fock_state, normalize)
 from .wigner import QuadratureGrid, overlap, weyl_symbol, wigner_of
-from .tensors import (KrausSet, ProcessTensor, apply_kraus, apply_tensor,
+from .tensors import (KrausSet, apply_kraus, apply_tensor, combine_heralding,
                       compose_serial, cp_defect, phase_invariance_defect,
-                      success_probability, tni_defect)
+                      success_probability, tensor_diagonal, tni_defect)
 from .kernels import (band_concentration, compose_kernels, input_marginal,
                       kernel_from_kraus, kernel_from_tensor, kernel_norm,
                       negativity, radial_form, sample_kernel, scale_kernel)
@@ -55,18 +55,20 @@ def _result(name, tolerance, measured, note=""):
     return out
 
 
+_EXPERIMENTAL_AMPLIFIER = md.AmplifierConfig(dim=FockDim(15), gain=2.0, mu=0.11,
+                                             delta=1.089, detector="apd")
+_EXPERIMENTAL_ADDITION = md.AdditionConfig(dim=FockDim(15), chi=0.105, gamma=0.425,
+                                           mu=0.11, detector="apd")
+
+
 @lru_cache(maxsize=None)
 def _experimental_amplifier():
-    cfg = md.AmplifierConfig(dim=FockDim(15), gain=2.0, mu=0.11, delta=1.089,
-                             detector="apd")
-    return md.amplifier_model(cfg)
+    return md.amplifier_model(_EXPERIMENTAL_AMPLIFIER)
 
 
 @lru_cache(maxsize=None)
 def _experimental_addition():
-    cfg = md.AdditionConfig(dim=FockDim(15), chi=0.105, gamma=0.425, mu=0.11,
-                            detector="apd")
-    return md.addition_model(cfg)
+    return md.addition_model(_EXPERIMENTAL_ADDITION)
 
 
 @lru_cache(maxsize=None)
@@ -209,8 +211,7 @@ def check_coherent_transport(fault):
     cases.append((el.squeezing(r, dim), sq_ref))
     worst = 0.0
     for elem, ref in cases:
-        out = apply_tensor(elem.tensor(), rho)
-        out = DensityOperator(dim, out.matrix / out.trace)
+        out = normalize(apply_tensor(elem.tensor(), rho))
         worst = max(worst, 1.0 - fidelity(out, ref))
     return _result("coherent_transport", 1e-9, worst)
 
@@ -247,7 +248,7 @@ def check_beam_splitter_transport(fault):
     b2 = -r * a1 + t * a2
     ref_vec = np.kron(coherent_vector(b1, dim), coherent_vector(b2, dim))
     ref = DensityOperator(dim, np.outer(ref_vec, ref_vec.conj()), 2)
-    out = DensityOperator(dim, out.matrix / out.trace, 2)
+    out = normalize(out)
     return _result("beam_splitter_transport", 1e-9, 1.0 - fidelity(out, ref))
 
 
@@ -255,10 +256,7 @@ def check_beam_splitter_transport(fault):
 def check_ideal_amplifier_fidelity(fault):
     dim = FockDim(12)
     cfg = md.AmplifierConfig(dim=dim, gain=2.0, detector="photon_counter")
-    t = md.amplifier_model(cfg)
-    rho = coherent_state(0.1, dim)
-    out = apply_tensor(t, rho)
-    out = DensityOperator(dim, out.matrix / out.trace)
+    out = normalize(apply_tensor(md.amplifier_model(cfg), coherent_state(0.1, dim)))
     vec = np.zeros(dim.size, dtype=complex)
     vec[0], vec[1] = 1.0, 0.2
     vec /= np.linalg.norm(vec)
@@ -284,13 +282,8 @@ def check_ideal_amplifier_probability(fault):
 
 @_register
 def check_ideal_amplifier_truncation(fault):
-    dim = FockDim(12)
-    cfg = md.AmplifierConfig(dim=dim, gain=2.0, detector="photon_counter")
-    t = md.amplifier_model(cfg)
-    worst = 0.0
-    for k in range(2, dim.size):
-        for m in range(dim.size):
-            worst = max(worst, abs(t.elements[k, k, m, m]))
+    cfg = md.AmplifierConfig(dim=FockDim(12), gain=2.0, detector="photon_counter")
+    worst = np.abs(tensor_diagonal(md.amplifier_model(cfg))[2:]).max()
     return _result("ideal_amplifier_output_truncation", 0.0, worst,
                    note="F^{m,m}_{k,k} for k >= 2 vanishes exactly")
 
@@ -314,13 +307,9 @@ def check_amplifier_phase_invariance(fault):
 
 @_register
 def check_amplifier_population_signatures(fault):
-    e = _experimental_amplifier().elements
-    d = e.shape[0]
-    ground = min(np.real(e[1, 1, m, m]) for m in range(2, d))
-    excited = max(np.real(e[k, k, m, m]) for k in range(2, d)
-                  for m in range(d))
+    diag = tensor_diagonal(_experimental_amplifier()).real
     return _result("amplifier_population_signatures", -1e-6,
-                   -min(ground, excited),
+                   -min(diag[1, 2:].min(), diag[2:].max()),
                    note="one-photon recycling and k>=2 leakage rates")
 
 
@@ -420,16 +409,10 @@ def check_addition_band_concentration(fault):
 def check_heralding_additivity(fault):
     rng = np.random.default_rng(20240517)
     worst = 0.0
-    for branches, dim in (
-        (md.amplifier_branches(md.AmplifierConfig(
-            dim=FockDim(15), gain=2.0, mu=0.11, delta=1.089,
-            detector="apd")), FockDim(15)),
-        (md.addition_branches(md.AdditionConfig(
-            dim=FockDim(15), chi=0.105, gamma=0.425, mu=0.11,
-            detector="apd")), FockDim(15)),
-    ):
-        correct, faulty = branches
-        total = ProcessTensor(dim, correct.elements + faulty.elements)
+    dim = FockDim(15)
+    for correct, faulty in (md.amplifier_branches(_EXPERIMENTAL_AMPLIFIER),
+                            md.addition_branches(_EXPERIMENTAL_ADDITION)):
+        total = combine_heralding(correct, faulty)
         for _ in range(100):
             vec = rng.normal(size=dim.size) + 1j * rng.normal(size=dim.size)
             vec /= np.linalg.norm(vec)

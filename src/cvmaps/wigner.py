@@ -64,10 +64,11 @@ class QuadratureGrid:
     n_p: int = 161
 
     def __post_init__(self):
-        if self.x_max <= self.x_min or self.p_max <= self.p_min:
-            raise ValueError("grid bounds must be increasing")
-        if self.n_x < 2 or self.n_p < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        if not (np.isfinite([self.x_min, self.x_max, self.p_min, self.p_max]).all()
+                and self.x_max > self.x_min and self.p_max > self.p_min):
+            raise ValueError("grid bounds must be finite and increasing")
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.n_x, self.n_p)):
+            raise ValueError("grid needs an integer count of at least 2 points per axis")
 
     @property
     def xs(self) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvmaps import cli, models
+from cvmaps import cli, models, tensors
 from cvmaps.fock import FockDim, coherent_state
 from cvmaps.tensors import ProcessTensor, require_cp
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
@@ -350,3 +350,25 @@ def test_non_finite_numbers_exit_config(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
         assert "not a finite number" in capsys.readouterr().err, argv
         assert not out.exists()
+
+
+def test_apply_applies_the_map_once(tmp_path, monkeypatch):
+    calls = []
+    original = tensors.apply_tensor
+
+    def counted(t, rho):
+        calls.append(t)
+        return original(t, rho)
+
+    monkeypatch.setattr(tensors, "apply_tensor", counted)
+    monkeypatch.setattr(cli, "apply_tensor", counted)
+    cfg = dict(json.loads((CONFIG_DIR / "addition_counter.json").read_text()),
+               input_state={"kind": "thermal", "mean_n": 0.6}, path="both")
+    out = tmp_path / "o"
+    code = cli.main(["apply", "--config", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+    state = json.loads((out / "output_state.json").read_text())
+    assert state["success_probability"] == original(calls[0], cli.build_input_state(
+        cfg, calls[0].dim)).trace

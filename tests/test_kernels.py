@@ -738,3 +738,26 @@ def test_closed_form_composition_is_associative(chain):
         ref = np.asarray(ref)
         assert np.max(np.abs(np.asarray(got) - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert left.is_delta == right.is_delta
+
+
+def test_radial_integrals_refuse_axes_they_cannot_integrate():
+    t = attenuation(0.5, FockDim(10)).tensor()
+    radii = np.linspace(0.0, 5.0, 101)
+    good = radial_form(t, radii, radii)
+    flipped = radial_form(t, radii, radii[::-1])
+    # building a form on any axes and reading its samples stay allowed
+    peak = np.abs(good.values).max()
+    assert np.max(np.abs(flipped.values - good.values[:, ::-1])) <= 1e-15 * peak
+    unsorted = radial_form(t, radii, radii, np.array([2.0, 0.5]))
+    assert unsorted.values.shape == (101, 101, 2)
+    assert kernel_norm(good) > 0.0
+    few = np.linspace(0.0, 1.0, 5)
+    bad = [flipped, unsorted,
+           RadialKernel(few - 0.5, few, np.zeros(1), np.zeros((5, 5, 1))),
+           RadialKernel(few, few, np.array([0.0, math.nan]), np.zeros((5, 5, 2))),
+           RadialKernel(few, np.append(few[:4], math.inf), np.zeros(1), np.zeros((5, 5, 1))),
+           RadialKernel(few, few, np.array([0.0, 0.0]), np.zeros((5, 5, 2)))]
+    for rk in bad:
+        for integral in (kernel_norm, negativity, band_concentration):
+            with pytest.raises(ValueError, match="cannot integrate"):
+                integral(rk)

@@ -22,7 +22,7 @@ from cvmaps.models import (
     model_report,
     _gate_physical,
 )
-from cvmaps import cli, tensors
+from cvmaps import cli, models, tensors
 from cvmaps.tensors import (
     PhysicalityError,
     ProcessTensor,
@@ -406,6 +406,28 @@ def test_model_report_shape():
     assert row["probability"] > 0.0
     zero = model_report(t, [fock_state(3, dim)])["rows"][0]
     assert zero["probability"] == 0.0 and zero["fidelity_to_input"] == 0.0
+
+
+def test_model_report_applies_the_map_once_per_input(monkeypatch):
+    dim = FockDim(6)
+    t = ideal_truncated_amplifier(1.5, dim)
+    inputs = [fock_state(0, dim), coherent_state(0.3, dim), fock_state(3, dim)]
+    calls = []
+    original = tensors.apply_tensor
+
+    def counted(t, rho):
+        calls.append(rho)
+        return original(t, rho)
+
+    monkeypatch.setattr(tensors, "apply_tensor", counted)
+    monkeypatch.setattr(models, "apply_tensor", counted)
+    report = model_report(t, inputs)
+    assert len(calls) == len(inputs)
+    assert [row["probability"] for row in report["rows"]] == [
+        original(t, rho).trace for rho in inputs]
+    d = dim.size
+    assert report["diagonal"] == [[t.elements[k, k, m, m].real for k in range(d)]
+                                  for m in range(d)]
 
 
 def test_config_validation():

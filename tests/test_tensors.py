@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pure_state
+from cvmaps import cli, tensors
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
 from cvmaps.tensors import (
     ChoiMatrix,
@@ -26,11 +29,13 @@ from cvmaps.tensors import (
     phase_invariance_defect,
     scale_tensor,
     success_probability,
+    tensor_diagonal,
     tensor_from_kraus,
     tni_defect,
 )
 
 DIM = FockDim(5)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def random_kraus(rng, dim, count=3, scale=0.4):
@@ -328,3 +333,55 @@ def test_compose_serial_matches_operator_products_property(n_max, counts, banded
     prods = [b @ a for b in second.operators for a in first.operators]
     ref = tensor_from_kraus(KrausSet(first.dim, prods))
     assert _close(got.elements, ref.elements)
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_model(name):
+    return cli.build_model(cli.load_config(str(CONFIG_DIR / f"{name}.json")))
+
+
+def _diagonal_reference(t):
+    d = t.dim.size
+    ref = np.empty((d, d), dtype=t.elements.dtype)
+    for k in range(d):
+        for m in range(d):
+            ref[k, m] = t.elements[k, k, m, m]
+    return ref
+
+
+herald_tensors = st.one_of(
+    kraus_sets.map(tensor_from_kraus),
+    st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(_shipped_model))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(t=herald_tensors, seed=st.integers(0, 2 ** 32 - 1))
+def test_herald_quantities_match_the_applied_map_property(t, seed):
+    rng = np.random.default_rng(seed)
+    d = t.dim.size
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    mixed = g @ g.conj().T
+    rho = DensityOperator(t.dim, (mixed + mixed.conj().T) / (2 * np.trace(mixed).real))
+    p = success_probability(t, rho)
+    ref = apply_tensor(t, rho).trace
+    assert abs(p - ref) <= 1e-14 * abs(ref)
+    assert success_probability(scale_tensor(t, 0.0), rho) == 0.0
+    diag = tensor_diagonal(t)
+    assert diag.dtype == t.elements.dtype
+    assert np.array_equal(diag, _diagonal_reference(t))
+
+
+def test_success_probability_builds_no_state_and_applies_nothing(monkeypatch, rng):
+    t = tensor_from_kraus(random_kraus(rng, DIM))
+    rho = coherent_state(0.3 - 0.2j, DIM)
+    ref = apply_tensor(t, rho).trace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("success_probability applied the map")
+
+    monkeypatch.setattr(tensors, "apply_tensor", refuse)
+    monkeypatch.setattr(tensors, "DensityOperator", refuse)
+    monkeypatch.setattr(ProcessTensor, "matrix", property(refuse))
+    assert abs(success_probability(t, rho) - ref) <= 1e-14 * ref
+    with pytest.raises(ValueError):
+        success_probability(t, coherent_state(0.3, FockDim(4)))

@@ -130,6 +130,20 @@ def test_grid_and_field_validation():
     assert abs(grid_integral(np.ones((5, 7)), grid) - 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("bounds", [(math.nan, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0),
+                                    (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, -1.0, math.nan)])
+def test_grid_refuses_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureGrid(*bounds, 11, 11)
+
+
+@pytest.mark.parametrize("counts", [(11.0, 11), (11, 7.5), ("11", 11)])
+def test_grid_refuses_non_integer_point_counts(counts):
+    with pytest.raises(ValueError, match="integer"):
+        QuadratureGrid(-1.0, 1.0, -1.0, 1.0, *counts)
+    assert QuadratureGrid(-1.0, 1.0, -1.0, 1.0, np.int64(11), 11).xs.size == 11
+
+
 def test_trapezoid_weights_match_the_trapezoid_rule(rng):
     # non-uniform axes, down to a single sample (whose integral is 0)
     for n in (1, 2, 3, 8, 40):
