@@ -425,16 +425,19 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True,
                            help="path to a JSON model config")
         p.add_argument("--out", default=".", help="output directory")
+
+    def exporter(p):
+        common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table format for exported slices")
 
     p_tensor = sub.add_parser("tensor",
                               help="export the diagonal tensor slice")
-    common(p_tensor)
+    exporter(p_tensor)
     p_tensor.set_defaults(func=cmd_tensor)
 
     p_kernel = sub.add_parser("kernel", help="export radial kernel slices")
-    common(p_kernel)
+    exporter(p_kernel)
     p_kernel.add_argument("--theta", default=None,
                           help="comma-separated relative angles (radians)")
     p_kernel.add_argument("--grid", default=None,

@@ -21,8 +21,9 @@ FactoredKernel (grid samples of a tensor kept as the unevaluated product
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
-through the grid. Integrals over samples use the trapezoid weights of
-QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
+through the grid, with factor entries below sqrt(float64 tiny) zeroed so
+that no product is subnormal. Integrals over samples use the trapezoid
+weights of QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
 2D - 1 angular harmonics of an exactly phase-invariant map, one
 coherence-order block at a time. Kernels copy writable input arrays.
 Bookkeeping convention: integrating f over the output plane gives the
@@ -38,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import (KrausSet, ProcessTensor, _adopt, _coherence_blocks, _frozen,
-                      phase_invariance_defect, tensor_from_kraus)
+from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _coherence_blocks,
+                      _frozen, phase_invariance_defect, scale_tensor, tensor_from_kraus)
 from .wigner import (QuadratureGrid, WignerField, _basis_values,
                      _trapezoid_weights, wigner_basis_table)
 
@@ -62,6 +63,15 @@ __all__ = [
 ]
 
 _MAX_GRID_VALUES = 70_000_000
+# Grid composition zeroes factor entries below sqrt(float64 tiny), about
+# 1.49e-154, so that no product of two factor entries is subnormal: subnormal
+# operands and results slow the matmul several-fold. Each composed sample
+# moves by at most N_mid * _FACTOR_FLOOR * max(max |w f2|, max |f1|).
+_FACTOR_FLOOR = math.sqrt(np.finfo(float).tiny)
+# entries per block of a factor that composition floors at a time (4 MB).
+# Each column block of f1 repacks the whole weighted f2 in the matmul, so
+# narrower blocks run slower; wider ones raised verify's peak RSS.
+_BLOCK_ENTRIES = 1 << 19
 _COARSE_SPACING = 0.25
 
 _DEFAULT_KERNEL_GRID = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
@@ -309,22 +319,22 @@ class FactoredKernel(_SampledKernel):
     """Grid samples of a tensor's kernel, kept as 2 pi B_out^T E conj(B_in).
 
     b_out (D^2, N_out) and b_in (D^2, N_in) are the Wigner basis tables
-    flattened over grid points and e is the tensor as a D^2 x D^2 matrix.
-    The product has rank at most D^2, so apply, marginals and norms cost
-    O(D^2 N + D^4): the quadrature weights are contracted into a basis
-    table first. ``values`` evaluates the dense samples on each access.
+    flattened over grid points. E is applied by tensors._block_product, one
+    coherence block at a time for a phase-invariant tensor, so apply,
+    marginals and norms cost O(D^2 N) plus the blocks: the quadrature
+    weights are contracted into a basis table first. ``values`` evaluates
+    the dense samples as B_out^T (E conj(B_in)) on each access.
     """
 
     out_grid: QuadratureGrid
     in_grid: QuadratureGrid
     b_out: np.ndarray
-    e: np.ndarray
+    tensor: ProcessTensor
     b_in: np.ndarray
 
     def __post_init__(self):
-        side = self.e.shape[0]
-        if (self.e.shape != (side, side)
-                or self.b_out.shape != (side, self.out_grid.n_x * self.out_grid.n_p)
+        side = self.tensor.dim.size ** 2
+        if (self.b_out.shape != (side, self.out_grid.n_x * self.out_grid.n_p)
                 or self.b_in.shape != (side, self.in_grid.n_x * self.in_grid.n_p)):
             raise ValueError("factors do not match each other or the grids")
 
@@ -340,27 +350,28 @@ class FactoredKernel(_SampledKernel):
                 f"grid kernel with {n_vals} samples exceeds the dense cap; "
                 "use coarser grids, the factored operations or radial_form"
             )
-        flat = _frozen(2.0 * math.pi * (self.b_out.T @ self.e @ np.conj(self.b_in)))
+        half = _block_product(self.tensor, np.conj(self.b_in))
+        flat = _frozen(2.0 * math.pi * (self.b_out.T @ half))
         vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
                             self.in_grid.n_x, self.in_grid.n_p)
         return GridKernel(self.out_grid, self.in_grid, vals)
 
     def _push(self, v):
         # conj(B_in) v = conj(B_in v) for real v
-        half = self.e @ np.conj(self.b_in @ v.ravel())
+        half = _block_product(self.tensor, np.conj(self.b_in @ v.ravel()))
         vals = 2.0 * math.pi * np.real(self.b_out.T @ half)
         return WignerField(self.out_grid,
                            vals.reshape(self.out_grid.n_x, self.out_grid.n_p))
 
     def _pull(self, v):
-        row = (self.b_out @ v.ravel()) @ self.e
+        row = _block_product(self.tensor, self.b_out @ v.ravel(), left=True)
         # Re(row conj(B_in)) = Re(conj(row) B_in)
         vals = 2.0 * math.pi * np.real(np.conj(row) @ self.b_in)
         return WignerField(self.in_grid,
                            vals.reshape(self.in_grid.n_x, self.in_grid.n_p))
 
     def scaled(self, c):
-        return replace(self, e=c * self.e)
+        return replace(self, tensor=scale_tensor(self.tensor, c))
 
 
 @dataclass(frozen=True)
@@ -471,7 +482,7 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     d = t.dim.size
     b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
     b_out = wigner_basis_table(t.dim, out_grid).reshape(d * d, -1)
-    return FactoredKernel(out_grid, in_grid, b_out, t.matrix, b_in)
+    return FactoredKernel(out_grid, in_grid, b_out, t, b_in)
 
 
 def kernel_from_kraus(k: KrausSet, in_grid: QuadratureGrid = None,
@@ -493,6 +504,30 @@ def apply_kernel(f, w_in: WignerField) -> WignerField:
     return f.apply(w_in)
 
 
+def _floored(a: np.ndarray) -> np.ndarray:
+    """Real a with every entry below _FACTOR_FLOOR in magnitude set to 0, in place."""
+    a[(a > -_FACTOR_FLOOR) & (a < _FACTOR_FLOOR)] = 0.0
+    return a
+
+
+def _weighted_floor(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """f diag(w), floored, built one block of rows at a time."""
+    out = np.empty(f.shape)
+    step = max(1, _BLOCK_ENTRIES // f.shape[1])
+    for lo in range(0, f.shape[0], step):
+        _floored(np.multiply(f[lo:lo + step], w, out=out[lo:lo + step]))
+    return out
+
+
+def _product_floor(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ floored(right), one floored copy of a block of right's columns at a time."""
+    out = np.empty((left.shape[0], right.shape[1]))
+    step = max(1, _BLOCK_ENTRIES // right.shape[0])
+    for lo in range(0, right.shape[1], step):
+        np.matmul(left, _floored(right[:, lo:lo + step].copy()), out=out[:, lo:lo + step])
+    return out
+
+
 def compose_kernels(f2, f1):
     """Kernel of (f2 after f1): integrates out the intermediate plane."""
     if isinstance(f1, SumKernel):
@@ -509,11 +544,11 @@ def compose_kernels(f2, f1):
         if f1.out_grid != f2.in_grid:
             raise ValueError("intermediate grids do not match")
         out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
-        # one matmul over the flattened intermediate plane, weights on f2
-        left = f2.values.reshape(-1, mid.n_x, mid.n_p) * mid.weights
-        flat = _frozen(left.reshape(out.n_x * out.n_p, -1)
-                       @ f1.values.reshape(mid.n_x * mid.n_p, -1))
-        vals = flat.reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
+        # one product over the flattened intermediate plane, weights on f2
+        left = _weighted_floor(f2.values.reshape(out.n_x * out.n_p, -1),
+                               mid.weights.ravel())
+        flat = _product_floor(left, f1.values.reshape(mid.n_x * mid.n_p, -1))
+        vals = _frozen(flat).reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
         return GridKernel(out, inp, vals)
     raise TypeError(
         f"no composition rule for {type(f2).__name__} after {type(f1).__name__}"

@@ -12,8 +12,8 @@ transpose and its trace form a partial trace. Heralded maps stay
 sub-normalized; the trace of the output is the occurrence probability of
 the branch.
 
-Only this module reads a tensor's entries by index; other modules use
-tensor_diagonal, success_probability, _coherence_blocks and the matrix view.
+Only this module reads a tensor's entries; other modules use
+tensor_diagonal, success_probability, _coherence_blocks and _block_product.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -120,10 +120,6 @@ class ProcessTensor:
         side = self.dim.size ** 2
         return self.elements.reshape(side, side)
 
-    def hermiticity_defect(self) -> float:
-        e = self.elements
-        return float(np.max(np.abs(e - e.transpose(1, 0, 3, 2).conj())))
-
 
 @dataclass(frozen=True)
 class ChoiMatrix:
@@ -139,7 +135,9 @@ class ChoiMatrix:
 
 
 def hermiticity_defect(t: ProcessTensor) -> float:
-    return t.hermiticity_defect()
+    """Max |E^{n,m}_{l,k} - conj(E^{m,n}_{k,l})|; 0 for a map that keeps rho Hermitian."""
+    e = t.elements
+    return float(np.max(np.abs(e - e.transpose(1, 0, 3, 2).conj())))
 
 
 def _adopt(arr: np.ndarray) -> np.ndarray:
@@ -175,6 +173,28 @@ def _coherence_blocks(t: ProcessTensor):
     for q in range(1 - t.dim.size, t.dim.size):
         rows = order == q
         yield q, rows, t.matrix[np.ix_(rows, rows)]
+
+
+def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
+    """E x, or x E when left, for x with D^2 rows (D^2 columns when left).
+
+    An exactly phase-invariant map (phase_invariance_defect 0, the rule of
+    cp_defect and radial_form) is block diagonal over coherence orders, so
+    each block M_q meets only the rows (columns) of its own order q: about
+    2 D^3 / 3 products per column of x instead of D^4. Any other map is one
+    full block.
+    """
+    if phase_invariance_defect(t) == 0.0:
+        blocks = ((rows, block) for _, rows, block in _coherence_blocks(t))
+    else:
+        blocks = ((slice(None), t.matrix),)
+    out = np.zeros(x.shape, dtype=complex)
+    for rows, block in blocks:
+        if left:
+            out[..., rows] = x[..., rows] @ block
+        else:
+            out[rows] = block @ x[rows]
+    return out
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:

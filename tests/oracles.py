@@ -111,6 +111,24 @@ def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
     return vals
 
 
+def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
+    """Real samples f[out_x, out_p, in_x, in_p] = 2 pi B_out^T E conj(B_in).
+
+    The whole D^2 x D^2 matrix E enters one dense product, evaluated as
+    (B_out^T E) conj(B_in), with no coherence blocks. Like
+    radial_form_reference it reuses the package's basis evaluator, so what
+    it checks is the contraction of FactoredKernel.
+    """
+    d = t.dim.size
+
+    def table(grid):
+        xs, ps = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+        return _basis_values(t.dim, xs.ravel(), ps.ravel()).reshape(d * d, -1)
+
+    flat = 2.0 * math.pi * (table(out_grid).T @ t.matrix @ np.conj(table(in_grid)))
+    return flat.real.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
+
+
 # ---------------------------------------------------------------------------
 # Fock-space references
 

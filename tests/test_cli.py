@@ -79,6 +79,23 @@ def test_tensor_json_format_matches_csv(tmp_path):
         assert float(c["value"]) == j["value"]
 
 
+def test_format_is_an_option_only_of_the_exporters(tmp_path, capsys):
+    # apply writes a fixed csv table and verify a JSON summary, so --format
+    # would be ignored there: the parser refuses it with a usage error
+    cfg = write_config(tmp_path, "c.json", {"model": "attenuation", "eta": 0.6,
+                                            "n_max": 4})
+    for argv in (["apply", "--config", cfg], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "o"), "--format", "json"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    parser = cli.make_parser()
+    for command in ("tensor", "kernel"):
+        args = parser.parse_args([command, "--config", cfg, "--format", "json"])
+        assert args.format == "json"
+
+
 def test_kernel_export_files_and_profiles(tmp_path):
     cfg = write_config(tmp_path, "c.json",
                        {"model": "ideal_addition", "n_max": 5})

@@ -536,6 +536,33 @@ def test_grid_composition_matches_weighted_einsum(rng):
     assert np.array_equal(compose_kernels(dense(f2), dense(f1)).values, comp.values)
 
 
+def test_grid_composition_floors_subnormal_tails():
+    # on a wide intermediate plane the sampled Gaussians' tails run into the
+    # subnormal range; composition zeroes factor entries below sqrt(tiny),
+    # which moves each sample by at most N_mid sqrt(tiny) max(|w f2|, |f1|)
+    import cvmaps.kernels as kernels
+
+    g = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 13, 13)
+    mid = QuadratureGrid(-9.0, 9.0, -9.0, 9.0, 25, 25)
+    f1 = sample_kernel(attenuation(0.5, FockDim(4)).kernel, mid, g)
+    f2 = sample_kernel(attenuation(0.8, FockDim(4)).kernel, g, mid)
+    left = f2.values * mid.weights
+    tiny, floor = np.finfo(float).tiny, kernels._FACTOR_FLOOR
+    assert floor == math.sqrt(tiny)
+    assert ((left != 0.0) & (np.abs(left) < tiny)).any()
+    for factor in (left, f1.values):
+        assert (np.abs(factor) < floor).any()
+    comp = compose_kernels(f2, f1).values
+    ref = np.einsum("abxy,xyij->abij", left, f1.values)
+    # einsum and the blocked matmul round differently: 1e-13 of each sample's
+    # absolute sum on top of the floor's bound
+    mag = np.einsum("abxy,xyij->abij", np.abs(left), np.abs(f1.values))
+    bound = mid.n_x * mid.n_p * floor * max(np.abs(left).max(), np.abs(f1.values).max())
+    assert (np.abs(comp - ref) <= 1e-13 * mag + bound).all()
+    # the tails of the composed kernel are far below the samples' scale
+    assert (ref < 1e-100).any()
+
+
 def test_radial_form_theta_blocks_agree():
     # any split of the theta axis samples the same kernel
     t = ideal_photon_addition(FockDim(5))
@@ -590,6 +617,45 @@ def test_radial_form_matches_reference_on_shipped_maps(name):
             np.linspace(0.0, 2 * math.pi, 13))
     ref = oracles.radial_form_reference(t, *axes)
     assert rel_diff(radial_form(t, *axes).values, ref) <= 1e-13
+
+
+def check_factored_kernel_against_reference(t, c):
+    # FactoredKernel contracts a phase-invariant tensor by coherence block;
+    # every operation must give what the one dense product gives
+    f = kernel_from_tensor(t, FACTORED_IN, FACTORED_OUT)
+    ref = oracles.factored_kernel_reference(t, FACTORED_OUT, FACTORED_IN)
+    grid_ref = GridKernel(FACTORED_OUT, FACTORED_IN, ref)
+    assert rel_diff(f.values, ref) <= 1e-13
+    w = wigner_of(coherent_state(0.4 - 0.2j, t.dim), FACTORED_IN)
+    want = apply_kernel(grid_ref, w).values
+    assert rel_diff(apply_kernel(f, w).values, want) <= 1e-13
+    for marginal in (input_marginal, output_marginal):
+        assert rel_diff(marginal(f).values, marginal(grid_ref).values) <= 1e-13
+    assert abs(kernel_norm(f) - kernel_norm(grid_ref)) <= 1e-13 * abs(kernel_norm(grid_ref))
+    scaled = scale_kernel(f, c)
+    assert isinstance(scaled, FactoredKernel)
+    assert rel_diff(scaled.values, c * ref) <= 1e-13
+    assert rel_diff(apply_kernel(scaled, w).values, c * want) <= 1e-13
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n_max=st.integers(1, 7), count=st.integers(1, 3), invariant=st.booleans(),
+       c=st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_kernel_matches_dense_reference(n_max, count, invariant, c, seed):
+    rng = np.random.default_rng(seed)
+    dim = FockDim(n_max)
+    t = (random_phase_invariant_tensor(rng, dim, count) if invariant
+         else random_tensor(rng, dim, count))
+    assert (phase_invariance_defect(t) == 0.0) == invariant
+    check_factored_kernel_against_reference(t, c)
+
+
+@pytest.mark.parametrize("name", ["amplifier_experimental", "addition_experimental"])
+def test_factored_kernel_matches_dense_reference_on_experimental_models(name):
+    t = RADIAL_MAPS[name]()
+    assert t.dim.n_max == 15 and phase_invariance_defect(t) == 0.0
+    check_factored_kernel_against_reference(t, -2.5)
 
 
 def test_phase_test_and_radial_form_build_nothing_tensor_sized():

@@ -1,7 +1,7 @@
 """Only ``tensors`` reads a process tensor's entries by index.
 
 The other modules reach a tensor through ``tensor_diagonal``,
-``success_probability``, ``_coherence_blocks`` and the ``matrix`` view, so a
+``success_probability``, ``_coherence_blocks`` and ``_block_product``, so a
 new storage layout for the same entries changes ``tensors.py`` alone. Photon
 addition is the one producer that writes bands: ``models._paired_bands``
 fills them through ``_shift_block``.
@@ -46,3 +46,10 @@ def test_only_tensors_indexes_tensor_entries():
 def test_only_paired_bands_writes_shift_blocks():
     users = {path.name: _functions_using(path, "_shift_block") for path in _modules()}
     assert {name: f for name, f in users.items() if f} == {"models.py": {"_paired_bands"}}
+
+
+def test_kernels_apply_tensors_through_block_product():
+    # FactoredKernel applies E through tensors._block_product, so whether a
+    # map is contracted by coherence block or as one full block is decided in
+    # tensors alone
+    assert _functions_using(SRC / "kernels.py", "matrix") == set()

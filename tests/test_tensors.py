@@ -195,7 +195,7 @@ def test_hermiticity_gate():
     arr = np.zeros((d, d, d, d), dtype=complex)
     arr[0, 1, 0, 0] = 1.0  # no conjugate partner
     t = ProcessTensor(DIM, arr)
-    assert t.hermiticity_defect() == 1.0
+    assert hermiticity_defect(t) == 1.0
 
 
 def test_tensors_are_single_mode():
