@@ -6,9 +6,10 @@ through one float formatter (shortest round-trip decimal, negative zero
 folded to zero) so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
-violation, 3 physicality gate (PhysicalityError), 4 kernel export requested
-for a model without phase symmetry. CVMAPS_FAULT injects a named defect into
-the verify battery (test hook).
+violation (a radial kernel above the size cap included), 3 physicality gate
+(PhysicalityError: CP for every command, and trace non-increase for apply),
+4 kernel export requested for a model without phase symmetry. CVMAPS_FAULT
+injects a named defect into the verify battery (test hook).
 """
 
 import argparse
@@ -24,9 +25,9 @@ from jsonschema import Draft7Validator
 from .fock import (DensityOperator, FockDim, coherent_state, fock_state, normalize,
                    thermal_state)
 from .wigner import QuadratureGrid, grid_integral, wigner_basis, wigner_of
-from .tensors import (PhysicalityError, ProcessTensor, apply_tensor, require_cp,
-                      tensor_diagonal)
-from .kernels import apply_kernel, kernel_from_tensor, radial_form
+from .tensors import (PhysicalityError, ProcessTensor, apply_tensor,
+                      phase_invariance_defect, require_cp, require_tni, tensor_diagonal)
+from .kernels import _require_radial_size, apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
 from . import models as md
 
@@ -304,12 +305,15 @@ def cmd_kernel(args) -> int:
     lo, hi, n = _parse_grid(args.grid) if args.grid else (0.0, 5.0, 101)
     if hi <= 0.0:
         raise ValueError("a radial grid needs max > 0: radii are non-negative")
-    r_axis = np.linspace(max(lo, 0.0), hi, n)
     thetas = _parse_theta(args.theta) if args.theta else [0.0]
+    _require_radial_size(t.dim.size, n, n, len(thetas))  # before the axis is built
+    r_axis = np.linspace(max(lo, 0.0), hi, n)
     try:
         rk = radial_form(t, r_axis, r_axis, np.asarray(thetas, float))
     except ValueError as exc:
-        raise PhaseSymmetryError(str(exc)) from exc
+        if phase_invariance_defect(t) != 0.0:
+            raise PhaseSymmetryError(str(exc)) from exc
+        raise
     out = Path(args.out)
     header = ("r_prime", "r", "theta", "value")
     for i, theta in enumerate(thetas):
@@ -341,7 +345,7 @@ class PhaseSymmetryError(RuntimeError):
 def cmd_apply(args) -> int:
     cfg = load_config(args.config)
     t = build_model(cfg)
-    require_cp(t)
+    require_tni(require_cp(t))
     rho_in = build_input_state(cfg, t.dim)
     path = cfg.get("path", "both")
     if args.grid:

@@ -25,7 +25,8 @@ through the grid, with factor entries below sqrt(float64 tiny) zeroed so
 that no product is subnormal. Integrals over samples use the trapezoid
 weights of QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
 2D - 1 angular harmonics of an exactly phase-invariant map, one
-coherence-order block at a time. Kernels copy writable input arrays.
+coherence-order block at a time, and are refused above the same value
+cap as dense grid samples. Kernels copy writable input arrays.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -587,7 +588,9 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     with M_q the block of E where l - k = n - m = q and B_q the basis rows
     of order q. The sum is exact: a map whose phase_invariance_defect is
     not exactly 0 is refused. Besides the output, one harmonic and one
-    product of the output's size are held at a time.
+    product of the output's size are held at a time; a form whose output or
+    basis tables would exceed _MAX_GRID_VALUES is refused before either is
+    built.
     """
     defect = phase_invariance_defect(t)
     if defect != 0.0:
@@ -601,6 +604,7 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     theta_axis = np.asarray(np.linspace(0.0, 2 * math.pi, 73)
                             if theta_axis is None else theta_axis, float)
     d = t.dim.size
+    _require_radial_size(d, rp_axis.size, r_axis.size, theta_axis.size)
 
     def basis(axis):
         return np.ascontiguousarray(_basis_values(t.dim, axis, 0.0).real).reshape(d * d, -1)
@@ -616,6 +620,16 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     vals *= 2.0 * math.pi
     vals = _frozen(vals).reshape(rp_axis.size, r_axis.size, theta_axis.size)
     return RadialKernel(rp_axis, r_axis, theta_axis, vals)
+
+
+def _require_radial_size(d: int, n_rp: int, n_r: int, n_theta: int) -> None:
+    """Refuse a radial form with more than _MAX_GRID_VALUES output or basis values."""
+    n_vals = max(n_rp * n_r * n_theta, d * d * max(n_rp, n_r))
+    if n_vals > _MAX_GRID_VALUES:
+        raise ValueError(
+            f"radial form with {n_vals} values exceeds the cap {_MAX_GRID_VALUES}; "
+            "use fewer radii or angles"
+        )
 
 
 def negativity(f) -> dict:

@@ -25,11 +25,16 @@ interior truncation error enters the stored tensor; numpy's greedy path
 search orders the one einsum per branch.
 
 Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
-with vacuum idler, heralded by a click on the idler detector. The faulty
+with vacuum idler, heralded by a click on the idler detector. Each idler
+count j feeds one Choi shift block of the correct branch, which the band
+writer of the tensors module fills one block at a time. The faulty
 branch models parasitic down-conversion at gain h = cosh^2(gamma chi) whose
 idler hits the same detector while its signal stays in unobserved modes: the
 spurious clicks leave the state unchanged (identity on the signal), with the
 exact geometrically-resummed click weight.
+
+Both models pass the complete-positivity and trace-non-increase gates of the
+tensors module before they are returned.
 """
 
 import math
@@ -46,12 +51,11 @@ from .tensors import (
     apply_tensor,
     combine_heralding,
     scale_tensor,
-    is_trace_nonincreasing,
     require_cp,
-    PhysicalityError,
+    require_tni,
     tensor_diagonal,
+    _band_tensor,
     _frozen,
-    _shift_block,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
                        photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
@@ -216,31 +220,13 @@ def amplifier_branches(cfg: AmplifierConfig):
 
 
 def _gate_physical(t: ProcessTensor, label: str) -> ProcessTensor:
-    require_cp(t, label)
-    if not is_trace_nonincreasing(t):
-        raise PhysicalityError(f"{label} is trace-increasing")
-    return t
+    return require_tni(require_cp(t, label), label)
 
 
 def amplifier_model(cfg: AmplifierConfig) -> ProcessTensor:
     correct, faulty = amplifier_branches(cfg)
     total = combine_heralding(correct, faulty) if cfg.include_faulty else correct
     return _gate_physical(total, "amplifier model")
-
-
-def _paired_bands(v: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """scale * sum_j v[l, j, n] w_j v[k, j, m], filled one idler count j at a time.
-
-    Idler count j feeds only the entries (n+j, m+j, n, m), with amplitude
-    a_n = v[n+j, j, n]; each entry is scale * ((a_n w_j) a_m), the unoptimized
-    einsum's own order of operations, so the result is bit-for-bit the same.
-    """
-    d = v.shape[0]
-    out = np.zeros((d, d, d, d), dtype=complex)
-    for j in np.flatnonzero(weights):
-        a = np.diagonal(v[:, j], -j)
-        out[_shift_block(d, j)] = scale * np.outer(a * weights[j], a)
-    return _frozen(out)
 
 
 def addition_branches(cfg: AdditionConfig):
@@ -261,7 +247,13 @@ def addition_branches(cfg: AdditionConfig):
     # the faulty branch first: its unscaled identity is freed before the
     # correct branch is allocated
     faulty_t = scale_tensor(identity_tensor(dim), weight_faulty)
-    correct_t = ProcessTensor(dim, _paired_bands(v, wc, scale))
+    # scale * sum_j v[l, j, n] w_j v[k, j, m]: idler count j feeds only the
+    # shift block j, with amplitude a_n = v[n+j, j, n]; each entry is
+    # scale * ((a_n w_j) a_m), the unoptimized einsum's own order of
+    # operations, so the result is bit-for-bit the same
+    diagonals = ((j, np.diagonal(v[:, j], -j)) for j in np.flatnonzero(wc))
+    correct_t = _band_tensor(dim, ((j, scale * np.outer(a * wc[j], a))
+                                   for j, a in diagonals))
     return correct_t, faulty_t
 
 

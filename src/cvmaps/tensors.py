@@ -6,14 +6,17 @@ A map acting on single-mode density matrices is stored as the tensor
     E^{n,m}_{l,k} = sum_i <l|E_i|n> <m|E_i^dag|k>,
 
 with axes (l, k, n, m), each of dimension D. Read as the D^2 x D^2 matrix
-with rows (l, k) and columns (n, m), E acts on the flattened rho by one
-matrix-vector product and composes by one matmul; its Choi matrix is a
-transpose and its trace form a partial trace. Heralded maps stay
-sub-normalized; the trace of the output is the occurrence probability of
-the branch.
+with rows (l, k) and columns (n, m), E acts on the flattened rho and
+composes through one product, _block_product, which multiplies one
+coherence-order block at a time when the map is phase invariant; its Choi
+matrix is a transpose and its trace form a partial trace. Heralded maps
+stay sub-normalized; the trace of the output is the occurrence probability
+of the branch.
 
-Only this module reads a tensor's entries; other modules use
-tensor_diagonal, success_probability, _coherence_blocks and _block_product.
+Only this module reads or writes a tensor's entries by index; other modules
+use tensor_diagonal, success_probability, _coherence_blocks, _block_product
+and the band writer _band_tensor. A tensor's array is read-only, so its
+phase-invariance defect is computed once, on first use, and kept.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -22,6 +25,7 @@ through apply_kraus); only a single-mode one converts to a tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "require_cp",
     "tni_defect",
     "is_trace_nonincreasing",
+    "require_tni",
     "combine_heralding",
     "scale_tensor",
     "phase_invariance_defect",
@@ -120,6 +125,10 @@ class ProcessTensor:
         side = self.dim.size ** 2
         return self.elements.reshape(side, side)
 
+    @cached_property
+    def _phase_defect(self) -> float:
+        return _phase_invariance_scan(self)
+
 
 @dataclass(frozen=True)
 class ChoiMatrix:
@@ -162,6 +171,19 @@ def _shift_block(d: int, s: int):
     return (n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]
 
 
+def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
+    """The phase-invariant tensor with Choi block B_s at each shift s of bands.
+
+    The only writer of shift blocks: B_s[i, j] lands at E[n_i + s, n_j + s,
+    n_i, n_j], n_i = max(0, -s) + i, and every other entry is 0.
+    """
+    d = dim.size
+    out = np.zeros((d,) * 4, dtype=complex)
+    for s, block in bands:
+        out[_shift_block(d, s)] = block
+    return ProcessTensor(dim, _frozen(out))
+
+
 def _coherence_order(d: int) -> np.ndarray:
     """q = l - k of each row (l, k) of the matrix, and n - m of each column (n, m)."""
     return np.subtract.outer(np.arange(d), np.arange(d)).ravel()
@@ -178,11 +200,12 @@ def _coherence_blocks(t: ProcessTensor):
 def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
     """E x, or x E when left, for x with D^2 rows (D^2 columns when left).
 
-    An exactly phase-invariant map (phase_invariance_defect 0, the rule of
-    cp_defect and radial_form) is block diagonal over coherence orders, so
-    each block M_q meets only the rows (columns) of its own order q: about
-    2 D^3 / 3 products per column of x instead of D^4. Any other map is one
-    full block.
+    The one product with E: apply_tensor, compose_serial and FactoredKernel
+    all contract through it. An exactly phase-invariant map
+    (phase_invariance_defect 0, the rule of cp_defect and radial_form) is
+    block diagonal over coherence orders, so each block M_q meets only the
+    rows (columns) of its own order q: about 2 D^3 / 3 products per column
+    of x instead of D^4. Any other map is one full block.
     """
     if phase_invariance_defect(t) == 0.0:
         blocks = ((rows, block) for _, rows, block in _coherence_blocks(t))
@@ -218,8 +241,8 @@ def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
 
 
 def identity_tensor(dim: FockDim) -> ProcessTensor:
-    eye = np.eye(dim.size, dtype=complex)
-    return ProcessTensor(dim, _frozen(np.einsum("ln,km->lknm", eye, eye)))
+    """E[n, m, n, m] = 1: the shift-0 Choi block of ones."""
+    return _band_tensor(dim, [(0, np.ones((dim.size, dim.size)))])
 
 
 def apply_tensor(t: ProcessTensor, rho: DensityOperator) -> DensityOperator:
@@ -227,7 +250,7 @@ def apply_tensor(t: ProcessTensor, rho: DensityOperator) -> DensityOperator:
     if rho.dim != t.dim or rho.modes != 1:
         raise ValueError("state does not match tensor input structure")
     d = t.dim.size
-    mat = (t.matrix @ rho.matrix.reshape(d * d)).reshape(d, d)
+    mat = _block_product(t, rho.matrix.reshape(d * d)).reshape(d, d)
     mat = (mat + mat.conj().T) / 2
     return DensityOperator(t.dim, mat)
 
@@ -266,7 +289,7 @@ def compose_serial(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor
     """Tensor of (second after first); contracts the intermediate pair."""
     if first.dim != second.dim:
         raise ValueError("composed tensors need a common FockDim")
-    product = _frozen(second.matrix @ first.matrix)
+    product = _frozen(_block_product(second, first.matrix))
     return ProcessTensor(first.dim, product.reshape(first.elements.shape))
 
 
@@ -321,6 +344,15 @@ def is_trace_nonincreasing(t: ProcessTensor, tol: float = DEFAULT_TNI_TOL) -> bo
     return tni_defect(t) <= tol
 
 
+def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
+    """The trace-non-increase gate: t, or a PhysicalityError naming the TNI defect."""
+    defect = tni_defect(t)
+    if defect > DEFAULT_TNI_TOL:
+        raise PhysicalityError(f"{label} is trace-increasing "
+                               f"(TNI defect {defect:.3e})")
+    return t
+
+
 def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     """Sum of exclusive heralded branches; probabilities add exactly."""
     if f1.dim != f2.dim:
@@ -335,9 +367,15 @@ def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
 def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
-    A map is phase invariant only when this is exactly 0, for cp_defect and
-    radial_form alike. It reads one leading slice (fixed l) at a time.
+    A map is phase invariant only when this is exactly 0, for cp_defect,
+    _block_product and radial_form alike. The elements are read-only, so
+    the tensor is scanned on first use only and the defect kept on it.
     """
+    return t._phase_defect
+
+
+def _phase_invariance_scan(t: ProcessTensor) -> float:
+    """phase_invariance_defect read from the entries, one leading slice (fixed l) at a time."""
     d = t.dim.size
     order = _coherence_order(d)
     return max(float(np.max(np.abs(e), where=q[:, None] != order, initial=0.0))

@@ -441,7 +441,7 @@ def check_cli_determinism(fault):
 
 def run_checks(fault: str = None) -> dict:
     """Run the battery; returns the summary dict used by the CLI."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     for fn in _CHECKS:
         start = time.perf_counter()
@@ -451,6 +451,6 @@ def run_checks(fault: str = None) -> dict:
     return {
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
-        "runtime_seconds": round(time.time() - t0, 3),
+        "runtime_seconds": round(time.perf_counter() - t0, 3),
         "fault": fault,
     }

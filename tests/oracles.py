@@ -132,6 +132,18 @@ def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fock-space references
 
+def apply_tensor_reference(t, rho) -> np.ndarray:
+    """E(rho) as one product with the whole D^2 x D^2 matrix, Hermitian part kept."""
+    d = t.dim.size
+    mat = (t.matrix @ rho.matrix.reshape(d * d)).reshape(d, d)
+    return (mat + mat.conj().T) / 2
+
+
+def compose_serial_reference(second, first) -> np.ndarray:
+    """Entries of (second after first) as one dense D^2 x D^2 matmul."""
+    return (second.matrix @ first.matrix).reshape(first.elements.shape)
+
+
 def phase_invariance_defect_reference(t) -> float:
     """Max |E^{n,m}_{l,k}| over l - k - n + m != 0, from a full D^4 mask."""
     idx = np.arange(t.dim.size, dtype=np.int16)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,27 @@ def test_kernel_rejects_displacement(tmp_path):
     assert code == cli.EXIT_PHASE
 
 
+def test_kernel_size_cap_exits_config_and_only_asymmetry_exits_phase(tmp_path):
+    # a 10^8-point radial axis would be 800 MB and its form 10^16 values;
+    # both are refused before anything of that size is built
+    invariant = write_config(tmp_path, "a.json", {"model": "ideal_addition", "n_max": 3})
+    asymmetric = write_config(tmp_path, "d.json",
+                              {"model": "displacement", "alpha_re": 0.4, "n_max": 3})
+    tracemalloc.start()
+    try:
+        for cfg, grid in ((invariant, "0,5,100000000"), (invariant, "0,5,9000")):
+            out = tmp_path / grid
+            code = cli.main(["kernel", "--config", cfg, "--out", str(out), f"--grid={grid}"])
+            assert code == cli.EXIT_CONFIG and not out.exists()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    out = tmp_path / "asymmetric"
+    code = cli.main(["kernel", "--config", asymmetric, "--out", str(out), "--grid=0,5,11"])
+    assert code == cli.EXIT_PHASE and not out.exists()
+
+
 def test_kernel_refuses_negative_radii(tmp_path):
     # an axis with max <= 0 would export negative radii r = 0, -0.25, ...
     cfg = write_config(tmp_path, "c.json",
@@ -182,6 +204,25 @@ def test_apply_identity_coherent(tmp_path):
     assert np.max(np.abs(rho - ref)) < 1e-10
     wigner_rows = read_rows(out / "output_wigner.csv")
     assert len(wigner_rows) == 81 * 81
+
+
+@pytest.mark.parametrize("model, state", [
+    ({"model": "ideal_addition", "n_max": 8}, {"kind": "fock", "n": 2}),
+    ({"model": "ideal_amplifier", "g": 2.0}, {"kind": "coherent", "alpha_re": 0.5}),
+])
+def test_apply_refuses_trace_increasing_maps(tmp_path, model, state):
+    cfg = write_config(tmp_path, "c.json", {**model, "input_state": state})
+    out = tmp_path / "o"
+    assert cli.main(["apply", "--config", cfg, "--out", str(out)]) == cli.EXIT_CP
+    assert not out.exists()
+    # the exporters still serve the ideal reference maps
+    assert cli.main(["tensor", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    identity = write_config(tmp_path, "i.json", {"model": "identity", "n_max": 8,
+                                                 "input_state": {"kind": "fock", "n": 2}})
+    assert cli.main(["apply", "--config", identity, "--out", str(tmp_path / "i"),
+                     "--grid=-6,6,49"]) == cli.EXIT_OK
+    p = json.loads((tmp_path / "i" / "output_state.json").read_text())["success_probability"]
+    assert abs(p - 1.0) < 1e-12
 
 
 def test_default_apply_grid_holds_widest_fock_state():

@@ -1,10 +1,10 @@
 """Only ``tensors`` reads a process tensor's entries by index.
 
 The other modules reach a tensor through ``tensor_diagonal``,
-``success_probability``, ``_coherence_blocks`` and ``_block_product``, so a
-new storage layout for the same entries changes ``tensors.py`` alone. Photon
-addition is the one producer that writes bands: ``models._paired_bands``
-fills them through ``_shift_block``.
+``success_probability``, ``_coherence_blocks`` and ``_block_product``, and
+write bands through ``_band_tensor``, so a new storage layout for the same
+entries changes ``tensors.py`` alone. Inside ``tensors``, apply and serial
+composition multiply by E only through ``_block_product``.
 """
 
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvmaps"
 INDEX_READS = (".elements[", "np.ix_", "_coherence_order")
+NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
 
 
 def _modules():
@@ -43,9 +44,26 @@ def test_only_tensors_indexes_tensor_entries():
     assert not hits, hits
 
 
-def test_only_paired_bands_writes_shift_blocks():
+def test_only_tensors_writes_shift_blocks():
     users = {path.name: _functions_using(path, "_shift_block") for path in _modules()}
-    assert {name: f for name, f in users.items() if f} == {"models.py": {"_paired_bands"}}
+    assert {name: f for name, f in users.items() if f} == {}
+
+
+def test_apply_and_compose_contract_through_block_product():
+    # neither multiplies by E's matrix itself: the coherence-block decision
+    # is made in _block_product alone
+    tree = ast.parse((SRC / "tensors.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("apply_tensor", "compose_serial"):
+        nodes = list(ast.walk(functions[name]))
+        matmuls = [n.lineno for n in nodes
+                   if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
+        called = {n.func.attr if isinstance(n.func, ast.Attribute) else n.func.id
+                  for n in nodes if isinstance(n, ast.Call)
+                  and isinstance(n.func, (ast.Attribute, ast.Name))}
+        assert not matmuls, (name, matmuls)
+        assert not called & NUMPY_PRODUCTS, (name, called & NUMPY_PRODUCTS)
+        assert "_block_product" in called, name
 
 
 def test_kernels_apply_tensors_through_block_product():

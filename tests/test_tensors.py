@@ -12,6 +12,9 @@ import oracles
 from conftest import random_pure_state
 from cvmaps import cli, tensors
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
+from cvmaps.kernels import (apply_kernel, input_marginal, kernel_from_tensor,
+                            output_marginal, radial_form)
+from cvmaps.wigner import QuadratureGrid, wigner_of
 from cvmaps.tensors import (
     ChoiMatrix,
     KrausSet,
@@ -82,6 +85,13 @@ def test_identity_and_zero():
     assert abs(tni_defect(t)) < 1e-14
     z = scale_tensor(t, 0.0)
     assert success_probability(z, rho) == 0.0
+
+
+def test_identity_tensor_is_the_einsum_it_replaced():
+    for n_max in (1, 2, 6):
+        eye = np.eye(n_max + 1, dtype=complex)
+        assert np.array_equal(identity_tensor(FockDim(n_max)).elements,
+                              np.einsum("ln,km->lknm", eye, eye))
 
 
 def test_compose_serial_matches_operator_product(rng):
@@ -385,3 +395,55 @@ def test_success_probability_builds_no_state_and_applies_nothing(monkeypatch, rn
     assert abs(success_probability(t, rho) - ref) <= 1e-14 * ref
     with pytest.raises(ValueError):
         success_probability(t, coherent_state(0.3, FockDim(4)))
+
+
+def _mixed_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim.size,) * 2) + 1j * rng.standard_normal((dim.size,) * 2)
+    mixed = g @ g.conj().T
+    return DensityOperator(dim, (mixed + mixed.conj().T) / (2 * np.trace(mixed).real))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(t=herald_tensors, count=st.integers(1, 4), banded=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_contractions_match_dense_products_property(t, count, banded, seed):
+    # apply_tensor and compose_serial contract by coherence block exactly
+    # when t is phase invariant; either way they match one dense product
+    rho = _mixed_state(t.dim, seed)
+    assert _close(apply_tensor(t, rho).matrix, oracles.apply_tensor_reference(t, rho),
+                  rel=1e-13)
+    other = tensor_from_kraus(_seeded_kraus(t.dim.n_max, count, banded, seed))
+    for second, first in ((t, other), (other, t), (t, t)):
+        assert _close(compose_serial(second, first).elements,
+                      oracles.compose_serial_reference(second, first), rel=1e-13)
+
+
+@pytest.mark.parametrize("banded", [True, False])
+def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
+    scanned = []
+    scan = tensors._phase_invariance_scan
+
+    def spy(t):
+        scanned.append(t)
+        return scan(t)
+
+    monkeypatch.setattr(tensors, "_phase_invariance_scan", spy)
+    t = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
+    grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
+    rho = _mixed_state(t.dim, 5)
+    fk = kernel_from_tensor(t, grid)
+    assert (phase_invariance_defect(t) == 0.0) == banded
+    cp_defect(t)
+    if banded:
+        radial_form(t, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5), np.zeros(2))
+    else:
+        with pytest.raises(ValueError, match="not phase invariant"):
+            radial_form(t)
+    fk.dense()
+    apply_kernel(fk, wigner_of(rho, grid))
+    input_marginal(fk)
+    output_marginal(fk)
+    apply_tensor(t, rho)
+    compose_serial(t, t)
+    assert len(scanned) == 1 and scanned[0] is t
