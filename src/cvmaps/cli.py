@@ -8,7 +8,8 @@ folded to zero) so identical configs produce byte-identical files.
 Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
 violation (a radial kernel above the size cap included), 3 physicality gate
 (PhysicalityError: CP for every command, and trace non-increase for apply),
-4 kernel export requested for a model without phase symmetry. CVMAPS_FAULT
+4 kernel export requested for a model without phase symmetry
+(PhaseSymmetryError from the tensors gate). CVMAPS_FAULT
 injects a named defect into the verify battery (test hook).
 """
 
@@ -25,8 +26,8 @@ from jsonschema import Draft7Validator
 from .fock import (DensityOperator, FockDim, coherent_state, fock_state, normalize,
                    thermal_state)
 from .wigner import QuadratureGrid, grid_integral, wigner_basis, wigner_of
-from .tensors import (PhysicalityError, ProcessTensor, apply_tensor,
-                      phase_invariance_defect, require_cp, require_tni, tensor_diagonal)
+from .tensors import (PhaseSymmetryError, PhysicalityError, ProcessTensor, apply_tensor,
+                      require_cp, require_tni, tensor_diagonal)
 from .kernels import _require_radial_size, apply_kernel, kernel_from_tensor, radial_form
 from . import elements as el
 from . import models as md
@@ -36,6 +37,10 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_CP = 3
 EXIT_PHASE = 4
+# exit code of each error main reports; the first matching entry wins, so
+# PhaseSymmetryError, also a ValueError, comes first
+_REFUSALS = ((PhaseSymmetryError, EXIT_PHASE), (ValueError, EXIT_CONFIG),
+             (PhysicalityError, EXIT_CP))
 
 _SCHEMA_PATH = Path(__file__).with_name("config_schema.json")
 _PROFILE_SUMS = (2.0, 20.0)
@@ -260,9 +265,12 @@ def _default_apply_grid(dim: FockDim) -> QuadratureGrid:
 
 
 def _parse_theta(text: str):
+    """The angles of a comma-separated list, each of which names its own file."""
     vals = [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
     if not vals:
         raise ValueError("theta list is empty")
+    if len({_theta_tag(v) for v in vals}) < len(vals):
+        raise ValueError(f"theta list {text!r} repeats an angle")
     return vals
 
 
@@ -300,20 +308,15 @@ def cmd_tensor(args) -> int:
 
 def cmd_kernel(args) -> int:
     cfg = load_config(args.config)
-    t = build_model(cfg)
-    require_cp(t)
     lo, hi, n = _parse_grid(args.grid) if args.grid else (0.0, 5.0, 101)
     if hi <= 0.0:
         raise ValueError("a radial grid needs max > 0: radii are non-negative")
     thetas = _parse_theta(args.theta) if args.theta else [0.0]
+    t = build_model(cfg)
+    require_cp(t)
     _require_radial_size(t.dim.size, n, n, len(thetas))  # before the axis is built
     r_axis = np.linspace(max(lo, 0.0), hi, n)
-    try:
-        rk = radial_form(t, r_axis, r_axis, np.asarray(thetas, float))
-    except ValueError as exc:
-        if phase_invariance_defect(t) != 0.0:
-            raise PhaseSymmetryError(str(exc)) from exc
-        raise
+    rk = radial_form(t, r_axis, r_axis, np.asarray(thetas, float))
     out = Path(args.out)
     header = ("r_prime", "r", "theta", "value")
     for i, theta in enumerate(thetas):
@@ -336,10 +339,6 @@ def cmd_kernel(args) -> int:
     print(f"kernel: wrote {len(thetas)} radial slice(s) and "
           f"{len(_PROFILE_SUMS)} profiles for {cfg['model']} to {out}")
     return EXIT_OK
-
-
-class PhaseSymmetryError(RuntimeError):
-    pass
 
 
 def cmd_apply(args) -> int:
@@ -467,15 +466,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, PhysicalityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PhaseSymmetryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHASE
-    except PhysicalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CP
+        return next(code for kind, code in _REFUSALS if isinstance(exc, kind))
 
 
 def entry():

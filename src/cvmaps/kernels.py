@@ -23,10 +23,11 @@ delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
 through the grid, with factor entries below sqrt(float64 tiny) zeroed so
 that no product is subnormal. Integrals over samples use the trapezoid
-weights of QuadratureGrid.weights and RadialKernel.weights. Radial forms sum the
-2D - 1 angular harmonics of an exactly phase-invariant map, one
-coherence-order block at a time, and are refused above the same value
-cap as dense grid samples. Kernels copy writable input arrays.
+weights of QuadratureGrid.weights and RadialKernel.weights; a radial
+integral needs two or more points on each axis it integrates over. Radial forms sum the 2D - 1
+angular harmonics that tensors._harmonics yields for a map that passes
+tensors.require_phase_invariant, and are refused above the same value cap
+as dense grid samples. Kernels copy writable input arrays.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -40,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _coherence_blocks,
-                      _frozen, phase_invariance_defect, scale_tensor, tensor_from_kraus)
+from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _frozen, _harmonics,
+                      require_phase_invariant, scale_tensor, tensor_from_kraus)
 from .wigner import (QuadratureGrid, WignerField, _basis_values,
                      _trapezoid_weights, wigner_basis_table)
 
@@ -436,16 +437,19 @@ class RadialKernel(_Kernel):
     @property
     def weights(self):
         """Trapezoid weights of the r', r and theta axes, which must be finite and
-        strictly increasing, with no negative radius: others raise ValueError."""
+        strictly increasing, with two or more radii on each radial axis and none
+        negative: others raise ValueError. A one-point axis has weight 0."""
         axes = (self.rp_axis, self.r_axis, self.theta_axis)
         ok = all(np.isfinite(a).all() and (np.diff(a) > 0.0).all() for a in axes)
-        if not ok or (self.rp_axis < 0.0).any() or (self.r_axis < 0.0).any():
+        if not ok or any(a.size < 2 or (a < 0.0).any() for a in axes[:2]):
             raise ValueError("cannot integrate: axes must be finite and strictly "
-                             "increasing, and radii non-negative")
+                             "increasing, with two or more radii, none negative")
         return tuple(_trapezoid_weights(np.diff(axis)) for axis in axes)
 
     def _integral(self, vals) -> float:
-        """Int vals r' r dr' dr dtheta over the samples."""
+        """Int vals r' r dr' dr dtheta over the samples, which need two or more angles."""
+        if self.theta_axis.size < 2:
+            raise ValueError("cannot integrate over a single angle")
         wrp, wr, wt = self.weights
         return float(vals @ wt @ (self.r_axis * wr) @ (self.rp_axis * wrp))
 
@@ -583,21 +587,16 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     and once for r. W_{lk} turns with its coherence order q = l - k,
     W_{lk}(r' e^{i theta}) = W_{lk}(r') e^{-i q theta}, so
 
-        f = 2 pi Re sum_q e^{-i q theta} B_out,q^T M_q B_in,q,
+        f = 2 pi Re sum_q e^{-i q theta} C_q,
 
-    with M_q the block of E where l - k = n - m = q and B_q the basis rows
-    of order q. The sum is exact: a map whose phase_invariance_defect is
-    not exactly 0 is refused. Besides the output, one harmonic and one
-    product of the output's size are held at a time; a form whose output or
-    basis tables would exceed _MAX_GRID_VALUES is refused before either is
-    built.
+    with C_q = B_out,q^T M_q B_in,q the harmonics of tensors._harmonics. The
+    sum is exact: a map that fails tensors.require_phase_invariant is
+    refused with its PhaseSymmetryError. Besides the output, one harmonic
+    and one product of the output's size are held at a time; a form whose
+    output or basis tables would exceed _MAX_GRID_VALUES is refused before
+    either is built.
     """
-    defect = phase_invariance_defect(t)
-    if defect != 0.0:
-        raise ValueError(
-            f"map is not phase invariant (defect {defect:.3e}); "
-            "no radial form exists"
-        )
+    require_phase_invariant(t)
     radii = np.linspace(0.0, 5.0, 101)
     rp_axis = np.asarray(radii if rp_axis is None else rp_axis, float)
     r_axis = np.asarray(radii if r_axis is None else r_axis, float)
@@ -612,11 +611,10 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     b_in = basis(r_axis)
     b_out = b_in if np.array_equal(rp_axis, r_axis) else basis(rp_axis)
     vals = np.zeros((rp_axis.size * r_axis.size, theta_axis.size))
-    for q, rows, block in _coherence_blocks(t):
-        c = (b_out[rows].T @ (block @ b_in[rows])).ravel()
+    for q, c in _harmonics(t, b_out, b_in):
         # Re(e^{-i q theta} c) = Re c cos(q theta) + Im c sin(q theta)
         trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)])
-        vals += np.stack([c.real, c.imag], axis=1) @ trig
+        vals += np.stack([c.real, c.imag], axis=-1).reshape(-1, 2) @ trig
     vals *= 2.0 * math.pi
     vals = _frozen(vals).reshape(rp_axis.size, r_axis.size, theta_axis.size)
     return RadialKernel(rp_axis, r_axis, theta_axis, vals)

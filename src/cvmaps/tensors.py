@@ -6,17 +6,18 @@ A map acting on single-mode density matrices is stored as the tensor
     E^{n,m}_{l,k} = sum_i <l|E_i|n> <m|E_i^dag|k>,
 
 with axes (l, k, n, m), each of dimension D. Read as the D^2 x D^2 matrix
-with rows (l, k) and columns (n, m), E acts on the flattened rho and
-composes through one product, _block_product, which multiplies one
-coherence-order block at a time when the map is phase invariant; its Choi
+with rows (l, k) and columns (n, m), E acts on the flattened rho; its Choi
 matrix is a transpose and its trace form a partial trace. Heralded maps
 stay sub-normalized; the trace of the output is the occurrence probability
 of the branch.
 
-Only this module reads or writes a tensor's entries by index; other modules
-use tensor_diagonal, success_probability, _coherence_blocks, _block_product
-and the band writer _band_tensor. A tensor's array is read-only, so its
-phase-invariance defect is computed once, on first use, and kept.
+Only this module reads or writes a tensor's entries by index or decides
+phase symmetry. Other modules use tensor_diagonal, success_probability,
+the band writer _band_tensor, the gate require_phase_invariant and the two
+products with E, _block_product and _harmonics, which read the blocks M_q
+of coherence order q = l - k = n - m through _coherence_blocks. A tensor's
+array is read-only, so its phase-invariance defect is computed once, on
+first use, and kept.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -33,6 +34,7 @@ from .fock import DensityOperator, FockDim
 
 __all__ = [
     "PhysicalityError",
+    "PhaseSymmetryError",
     "KrausSet",
     "ProcessTensor",
     "ChoiMatrix",
@@ -50,6 +52,7 @@ __all__ = [
     "tni_defect",
     "is_trace_nonincreasing",
     "require_tni",
+    "require_phase_invariant",
     "combine_heralding",
     "scale_tensor",
     "phase_invariance_defect",
@@ -65,6 +68,10 @@ DEFAULT_TNI_TOL = 1e-9
 
 class PhysicalityError(ArithmeticError):
     """A map failed the complete-positivity or trace-non-increase gate."""
+
+
+class PhaseSymmetryError(ValueError):
+    """A map failed the phase-invariance gate."""
 
 
 @dataclass(frozen=True)
@@ -184,40 +191,41 @@ def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     return ProcessTensor(dim, _frozen(out))
 
 
-def _coherence_order(d: int) -> np.ndarray:
-    """q = l - k of each row (l, k) of the matrix, and n - m of each column (n, m)."""
-    return np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-
-
 def _coherence_blocks(t: ProcessTensor):
-    """(q, rows, M_q) per coherence order q: the row mask of order q and E on it."""
-    order = _coherence_order(t.dim.size)
-    for q in range(1 - t.dim.size, t.dim.size):
-        rows = order == q
-        yield q, rows, t.matrix[np.ix_(rows, rows)]
+    """(q, rows, M_q) per coherence order q: E on the rows (k + q, k) and the
+    columns (m + q, m), read as a double diagonal of the entries, and those
+    rows (k + q) D + k of a D^2 axis as a strided slice. Nothing is kept."""
+    e, d = t.elements, t.dim.size
+    for q in range(1 - d, d):
+        first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
+        rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
+        yield q, rows, np.ascontiguousarray(e.diagonal(-q, 0, 1).diagonal(-q, 0, 1))
 
 
 def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
     """E x, or x E when left, for x with D^2 rows (D^2 columns when left).
 
-    The one product with E: apply_tensor, compose_serial and FactoredKernel
-    all contract through it. An exactly phase-invariant map
-    (phase_invariance_defect 0, the rule of cp_defect and radial_form) is
-    block diagonal over coherence orders, so each block M_q meets only the
-    rows (columns) of its own order q: about 2 D^3 / 3 products per column
-    of x instead of D^4. Any other map is one full block.
+    An exactly phase-invariant map is block diagonal over coherence orders,
+    so each block M_q meets only the rows (columns) of its own order q:
+    about 2 D^3 / 3 products per column of x instead of D^4. Any other map
+    is one full product.
     """
-    if phase_invariance_defect(t) == 0.0:
-        blocks = ((rows, block) for _, rows, block in _coherence_blocks(t))
-    else:
-        blocks = ((slice(None), t.matrix),)
+    if phase_invariance_defect(t) != 0.0:
+        return x @ t.matrix if left else t.matrix @ x
     out = np.zeros(x.shape, dtype=complex)
-    for rows, block in blocks:
+    for _, rows, block in _coherence_blocks(t):
         if left:
             out[..., rows] = x[..., rows] @ block
         else:
             out[rows] = block @ x[rows]
     return out
+
+
+def _harmonics(t: ProcessTensor, b_out: np.ndarray, b_in: np.ndarray):
+    """(q, B_out,q^T M_q B_in,q) per coherence order q, for b_out and b_in with
+    D^2 rows; they sum to B_out^T E B_in if t passes require_phase_invariant."""
+    for q, rows, block in _coherence_blocks(t):
+        yield q, b_out[rows].T @ (block @ b_in[rows])
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:
@@ -353,6 +361,14 @@ def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
     return t
 
 
+def require_phase_invariant(t: ProcessTensor, label: str = "map") -> ProcessTensor:
+    """The phase-invariance gate: t, or a PhaseSymmetryError naming the defect."""
+    defect = phase_invariance_defect(t)
+    if defect != 0.0:
+        raise PhaseSymmetryError(f"{label} is not phase invariant (defect {defect:.3e})")
+    return t
+
+
 def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     """Sum of exclusive heralded branches; probabilities add exactly."""
     if f1.dim != f2.dim:
@@ -368,8 +384,9 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
     A map is phase invariant only when this is exactly 0, for cp_defect,
-    _block_product and radial_form alike. The elements are read-only, so
-    the tensor is scanned on first use only and the defect kept on it.
+    _block_product and require_phase_invariant alike. The elements are
+    read-only, so the tensor is scanned on first use only and the defect
+    kept on it.
     """
     return t._phase_defect
 
@@ -377,6 +394,6 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
 def _phase_invariance_scan(t: ProcessTensor) -> float:
     """phase_invariance_defect read from the entries, one leading slice (fixed l) at a time."""
     d = t.dim.size
-    order = _coherence_order(d)
-    return max(float(np.max(np.abs(e), where=q[:, None] != order, initial=0.0))
-               for e, q in zip(t.elements.reshape(d, d, d * d), order.reshape(d, d)))
+    order = np.subtract.outer(np.arange(d), np.arange(d))  # l - k of (l, k), n - m of (n, m)
+    return max(float(np.max(np.abs(e), where=q[:, None] != order.ravel(), initial=0.0))
+               for e, q in zip(t.elements.reshape(d, d, d * d), order))

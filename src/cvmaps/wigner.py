@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# bytes of one basis table, 16 D^2 n_x n_p: the largest default apply grid
+# (n_max 63, 136^2 points) needs 1.21e9
+_MAX_TABLE_BYTES = 2_000_000_000
 
 
 def _trapezoid_weights(steps) -> np.ndarray:
@@ -178,7 +181,12 @@ def _basis_values(dim: FockDim, x, p) -> np.ndarray:
 
 @lru_cache(maxsize=6)
 def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-    """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only."""
+    """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only; refused
+    above _MAX_TABLE_BYTES before it is allocated."""
+    size = 16 * dim.size ** 2 * grid.n_x * grid.n_p
+    if size > _MAX_TABLE_BYTES:
+        raise ValueError(f"Wigner basis table of {size:.3e} bytes exceeds the cap "
+                         f"{_MAX_TABLE_BYTES:.1e}; use a coarser grid or a smaller n_max")
     table = _basis_values(dim, grid.xs[:, None], grid.ps[None, :])
     table.flags.writeable = False
     return table

@@ -144,6 +144,16 @@ def compose_serial_reference(second, first) -> np.ndarray:
     return (second.matrix @ first.matrix).reshape(first.elements.shape)
 
 
+def coherence_blocks_reference(t):
+    """(q, rows, M_q) per coherence order q, from a row mask over the D^2 rows
+    (l, k) with l - k = q and an np.ix_ copy of E on it."""
+    d = t.dim.size
+    order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
+    for q in range(1 - d, d):
+        rows = np.flatnonzero(order == q)
+        yield q, rows, t.matrix[np.ix_(rows, rows)]
+
+
 def phase_invariance_defect_reference(t) -> float:
     """Max |E^{n,m}_{l,k}| over l - k - n + m != 0, from a full D^4 mask."""
     idx = np.arange(t.dim.size, dtype=np.int16)

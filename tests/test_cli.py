@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvmaps import cli, models, tensors
+from cvmaps import cli, models, tensors, verify, wigner
 from cvmaps.fock import FockDim, coherent_state
 from cvmaps.tensors import ProcessTensor, require_cp
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
@@ -144,6 +144,23 @@ def test_kernel_size_cap_exits_config_and_only_asymmetry_exits_phase(tmp_path):
     assert code == cli.EXIT_PHASE and not out.exists()
 
 
+def test_kernel_refuses_repeated_angles_before_building_the_model(tmp_path, monkeypatch):
+    # 0 and -0.0, and 0.5 and 0.50, would be written to the same file
+    cfg = write_config(tmp_path, "c.json", {"model": "ideal_addition", "n_max": 3})
+    built = []
+    build = cli.build_model
+    monkeypatch.setattr(cli, "build_model", lambda c: built.append(c) or build(c))
+    for theta in ("0,-0.0", "0,0.5,0.50", "0.0,0"):
+        out = tmp_path / theta
+        code = cli.main(["kernel", "--config", cfg, "--out", str(out), f"--theta={theta}"])
+        assert code == cli.EXIT_CONFIG and not out.exists()
+    assert built == []
+    out = tmp_path / "distinct"
+    assert cli.main(["kernel", "--config", cfg, "--out", str(out), "--grid=0,2,5",
+                     "--theta=0,-0.5,0.5"]) == cli.EXIT_OK
+    assert len(list(out.glob("kernel_theta_*.csv"))) == 3
+
+
 def test_kernel_refuses_negative_radii(tmp_path):
     # an axis with max <= 0 would export negative radii r = 0, -0.25, ...
     cfg = write_config(tmp_path, "c.json",
@@ -223,6 +240,33 @@ def test_apply_refuses_trace_increasing_maps(tmp_path, model, state):
                      "--grid=-6,6,49"]) == cli.EXIT_OK
     p = json.loads((tmp_path / "i" / "output_state.json").read_text())["success_probability"]
     assert abs(p - 1.0) < 1e-12
+
+
+def test_apply_refuses_an_oversized_grid_with_exit_config(tmp_path):
+    # its basis table would hold 16^2 * 20001^2 complex values, 1.49 TiB
+    tracemalloc.start()
+    try:
+        for path in ("both", "tensor"):
+            out = tmp_path / path
+            cfg = write_config(tmp_path, f"{path}.json", {
+                "model": "identity", "n_max": 15, "path": path,
+                "input_state": {"kind": "coherent", "alpha_re": 0.3},
+            })
+            code = cli.main(["apply", "--config", cfg, "--out", str(out), "--grid=-5,5,20001"])
+            assert code == cli.EXIT_CONFIG and not out.exists()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # the 1 MB identity tensor and small change
+
+
+def test_every_default_apply_grid_fits_the_basis_table_cap():
+    # the widest default box is the one at the largest n_max
+    dim = FockDim(63)
+    grid = cli._default_apply_grid(dim)
+    assert (grid.n_x, grid.n_p) == (136, 136)
+    table_bytes = dim.size ** 2 * grid.n_x * grid.n_p * np.dtype(complex).itemsize
+    assert table_bytes <= wigner._MAX_TABLE_BYTES
 
 
 def test_default_apply_grid_holds_widest_fock_state():
@@ -430,3 +474,15 @@ def test_apply_applies_the_map_once(tmp_path, monkeypatch):
     state = json.loads((out / "output_state.json").read_text())
     assert state["success_probability"] == original(calls[0], cli.build_input_state(
         cfg, calls[0].dim)).trace
+
+
+@pytest.mark.parametrize("config, build", [
+    ("amplifier_experimental", verify._experimental_amplifier),
+    ("amplifier_pure_resource", verify._amplifier_delta2),
+    ("addition_experimental", verify._experimental_addition),
+])
+def test_verify_parameters_are_the_shipped_configs(config, build):
+    # verify's experimental maps and the shipped configs state the paper's
+    # parameters twice; they must build the same tensor
+    shipped = cli.build_model(cli.load_config(str(CONFIG_DIR / f"{config}.json")))
+    assert np.array_equal(build().elements, shipped.elements)

@@ -827,3 +827,21 @@ def test_radial_integrals_refuse_axes_they_cannot_integrate():
         for integral in (kernel_norm, negativity, band_concentration):
             with pytest.raises(ValueError, match="cannot integrate"):
                 integral(rk)
+
+
+def test_radial_integrals_refuse_one_point_axes():
+    # a one-point axis has trapezoid weight 0, so its integrals would read 0
+    # (and band concentration 1)
+    t = attenuation(0.5, FockDim(10)).tensor()
+    radii = np.linspace(0.0, 5.0, 101)
+    assert kernel_norm(radial_form(t, radii, radii)) > 10.0
+    one = np.array([1.0])
+    for axes, integrals in (((radii, radii, np.zeros(1)), (kernel_norm, negativity)),
+                            ((one, radii, None), (kernel_norm, negativity, band_concentration)),
+                            ((radii, one, None), (kernel_norm, negativity, band_concentration))):
+        rk = radial_form(t, *axes)
+        for integral in integrals:
+            with pytest.raises(ValueError, match="cannot integrate"):
+                integral(rk)
+    # band concentration reads the first angle only, so one angle serves it
+    assert 0.0 < band_concentration(radial_form(t, radii, radii, np.zeros(1))) < 1.0

@@ -1,10 +1,13 @@
-"""Only ``tensors`` reads a process tensor's entries by index.
+"""Only ``tensors`` reads a process tensor's entries by index or decides
+phase symmetry.
 
 The other modules reach a tensor through ``tensor_diagonal``,
-``success_probability``, ``_coherence_blocks`` and ``_block_product``, and
-write bands through ``_band_tensor``, so a new storage layout for the same
-entries changes ``tensors.py`` alone. Inside ``tensors``, apply and serial
-composition multiply by E only through ``_block_product``.
+``success_probability``, ``_block_product`` and ``_harmonics``, write bands
+through ``_band_tensor`` and gate phase symmetry through
+``require_phase_invariant``, so a new storage layout for the same entries
+changes ``tensors.py`` alone. Inside ``tensors``, apply and serial
+composition multiply by E only through ``_block_product``, and coherence
+blocks are read only by ``_coherence_blocks``.
 """
 
 import ast
@@ -71,3 +74,24 @@ def test_kernels_apply_tensors_through_block_product():
     # map is contracted by coherence block or as one full block is decided in
     # tensors alone
     assert _functions_using(SRC / "kernels.py", "matrix") == set()
+
+
+def test_only_tensors_reads_coherence_blocks():
+    users = {path.name: _functions_using(path, "_coherence_blocks") for path in _modules()}
+    assert {name: f for name, f in users.items() if f} == {}
+
+
+def test_kernels_and_cli_leave_the_phase_decision_to_tensors():
+    # radial_form and the kernel command gate through require_phase_invariant;
+    # neither reads the defect itself
+    for name in ("kernels.py", "cli.py"):
+        assert _functions_using(SRC / name, "phase_invariance_defect") == set(), name
+
+
+def test_block_reader_builds_no_mask():
+    tree = ast.parse((SRC / "tensors.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_coherence_blocks", "_block_product", "_harmonics"):
+        used = {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(functions[name]) if isinstance(n, (ast.Name, ast.Attribute))}
+        assert "ix_" not in used, name

@@ -29,7 +29,10 @@ from cvmaps.tensors import (
     identity_tensor,
     is_cp,
     is_trace_nonincreasing,
+    PhaseSymmetryError,
+    PhysicalityError,
     phase_invariance_defect,
+    require_phase_invariant,
     scale_tensor,
     success_probability,
     tensor_diagonal,
@@ -187,6 +190,33 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
         arr[spot] = 10.0 ** rng.uniform(scale, 3.0) * np.exp(2j * np.pi * rng.uniform())
     t = ProcessTensor(FockDim(n_max), arr)
     assert phase_invariance_defect(t) == oracles.phase_invariance_defect_reference(t)
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 9])
+def test_coherence_blocks_are_the_masked_blocks(rng, n_max):
+    # the double-diagonal reader yields the blocks a D^2 row mask selects,
+    # in the same order, and its row slice selects the masked rows
+    dim = FockDim(n_max)
+    d = dim.size
+    t = ProcessTensor(dim, rng.standard_normal((d,) * 4) + 1j * rng.standard_normal((d,) * 4))
+    got = list(tensors._coherence_blocks(t))
+    ref = list(oracles.coherence_blocks_reference(t))
+    assert [q for q, _, _ in got] == [q for q, _, _ in ref]
+    for (_, rows, block), (_, ref_rows, ref_block) in zip(got, ref):
+        assert np.array_equal(np.arange(d * d)[rows], ref_rows)
+        assert np.array_equal(block, ref_block) and block.flags.c_contiguous
+
+
+def test_phase_invariance_gate():
+    t = identity_tensor(DIM)
+    assert require_phase_invariant(t) is t
+    from cvmaps.fock import displacement_matrix
+
+    disp = tensor_from_kraus(KrausSet(DIM, [displacement_matrix(0.3, DIM)]))
+    with pytest.raises(PhaseSymmetryError, match="displacement is not phase invariant") as err:
+        require_phase_invariant(disp, "displacement")
+    assert isinstance(err.value, ValueError) and not isinstance(err.value, PhysicalityError)
+    assert f"{phase_invariance_defect(disp):.3e}" in str(err.value)
 
 
 def test_combine_and_scale(rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,3 +170,16 @@ def test_basis_table_matches_pointwise():
     for n, m in ((0, 0), (2, 4), (6, 1)):
         ref = wigner_basis(n, m, grid.xs[:, None], grid.ps[None, :])
         assert np.max(np.abs(table[n, m] - ref)) == 0.0
+
+
+def test_basis_table_refuses_oversized_grids_before_allocating():
+    # 16^2 * 20001^2 complex values would be 1.49 TiB
+    grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 20001, 20001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="basis table"):
+            wigner_basis_table(FockDim(15), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
