@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
 violation (a radial kernel above the size cap included), 3 physicality gate
 (PhysicalityError: CP for every command, and trace non-increase for apply),
 4 kernel export requested for a model without phase symmetry
-(PhaseSymmetryError from the tensors gate). CVMAPS_FAULT
-injects a named defect into the verify battery (test hook).
+(PhaseSymmetryError from the tensors gate). CVMAPS_FAULT injects a named
+defect into the verify battery (test hook).
 """
 
 import argparse
@@ -37,10 +37,6 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_CP = 3
 EXIT_PHASE = 4
-# exit code of each error main reports; the first matching entry wins, so
-# PhaseSymmetryError, also a ValueError, comes first
-_REFUSALS = ((PhaseSymmetryError, EXIT_PHASE), (ValueError, EXIT_CONFIG),
-             (PhysicalityError, EXIT_CP))
 
 _SCHEMA_PATH = Path(__file__).with_name("config_schema.json")
 _PROFILE_SUMS = (2.0, 20.0)
@@ -466,9 +462,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, PhysicalityError) as exc:
+    except PhaseSymmetryError as exc:  # a ValueError, so caught first
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _REFUSALS if isinstance(exc, kind))
+        return EXIT_PHASE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except PhysicalityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CP
 
 
 def entry():

@@ -24,10 +24,11 @@ delegate to them. Closed-form kernels compose by one rule,
 through the grid, with factor entries below sqrt(float64 tiny) zeroed so
 that no product is subnormal. Integrals over samples use the trapezoid
 weights of QuadratureGrid.weights and RadialKernel.weights; a radial
-integral needs two or more points on each axis it integrates over. Radial forms sum the 2D - 1
-angular harmonics that tensors._harmonics yields for a map that passes
-tensors.require_phase_invariant, and are refused above the same value cap
-as dense grid samples. Kernels copy writable input arrays.
+integral needs two or more points on each axis it integrates over.
+Radial forms sum the 2D - 1 angular harmonics that tensors._harmonics
+yields for a map that passes tensors.require_phase_invariant, and are
+refused above the same value cap as dense grid samples. Kernels copy
+writable input arrays.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -438,7 +439,7 @@ class RadialKernel(_Kernel):
     def weights(self):
         """Trapezoid weights of the r', r and theta axes, which must be finite and
         strictly increasing, with two or more radii on each radial axis and none
-        negative: others raise ValueError. A one-point axis has weight 0."""
+        negative: others raise ValueError. A one-point theta axis has weight 0."""
         axes = (self.rp_axis, self.r_axis, self.theta_axis)
         ok = all(np.isfinite(a).all() and (np.diff(a) > 0.0).all() for a in axes)
         if not ok or any(a.size < 2 or (a < 0.0).any() for a in axes[:2]):
@@ -477,8 +478,9 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
                        out_grid: QuadratureGrid = None) -> FactoredKernel:
     """Sample the transfer function of a process tensor on grids.
 
-    The samples stay factored, so any grid size builds; the dense cap
-    applies only where ``FactoredKernel.dense`` evaluates the samples.
+    The samples stay factored, so the dense cap applies only where
+    ``FactoredKernel.dense`` evaluates them; a grid whose basis table would
+    exceed wigner._MAX_TABLE_BYTES (2e9 bytes) is refused with ValueError.
     """
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
@@ -614,7 +616,7 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     for q, c in _harmonics(t, b_out, b_in):
         # Re(e^{-i q theta} c) = Re c cos(q theta) + Im c sin(q theta)
         trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)])
-        vals += np.stack([c.real, c.imag], axis=-1).reshape(-1, 2) @ trig
+        vals += np.stack([c.real, c.imag], axis=1) @ trig
     vals *= 2.0 * math.pi
     vals = _frozen(vals).reshape(rp_axis.size, r_axis.size, theta_axis.size)
     return RadialKernel(rp_axis, r_axis, theta_axis, vals)

@@ -222,10 +222,11 @@ def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.nd
 
 
 def _harmonics(t: ProcessTensor, b_out: np.ndarray, b_in: np.ndarray):
-    """(q, B_out,q^T M_q B_in,q) per coherence order q, for b_out and b_in with
-    D^2 rows; they sum to B_out^T E B_in if t passes require_phase_invariant."""
+    """(q, C_q) per coherence order q, C_q = B_out,q^T M_q B_in,q raveled, for b_out
+    and b_in with D^2 rows; if t passes require_phase_invariant they sum to
+    B_out^T E B_in raveled."""
     for q, rows, block in _coherence_blocks(t):
-        yield q, b_out[rows].T @ (block @ b_in[rows])
+        yield q, (b_out[rows].T @ (block @ b_in[rows])).ravel()
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:
@@ -361,11 +362,11 @@ def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
     return t
 
 
-def require_phase_invariant(t: ProcessTensor, label: str = "map") -> ProcessTensor:
+def require_phase_invariant(t: ProcessTensor) -> ProcessTensor:
     """The phase-invariance gate: t, or a PhaseSymmetryError naming the defect."""
     defect = phase_invariance_defect(t)
     if defect != 0.0:
-        raise PhaseSymmetryError(f"{label} is not phase invariant (defect {defect:.3e})")
+        raise PhaseSymmetryError(f"map is not phase invariant (defect {defect:.3e})")
     return t
 
 

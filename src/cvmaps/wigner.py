@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# bytes of one basis table, 16 D^2 n_x n_p: the largest default apply grid
-# (n_max 63, 136^2 points) needs 1.21e9
+# cap on a basis table's 16 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 1.21e9
 _MAX_TABLE_BYTES = 2_000_000_000
 
 

@@ -6,6 +6,8 @@ import pytest
 
 import oracles
 from cvmaps.fock import FockDim, coherent_state, fock_state, thermal_state
+from cvmaps.kernels import kernel_from_tensor
+from cvmaps.tensors import identity_tensor
 from cvmaps.wigner import (
     QuadratureGrid,
     WignerField,
@@ -175,10 +177,13 @@ def test_basis_table_matches_pointwise():
 def test_basis_table_refuses_oversized_grids_before_allocating():
     # 16^2 * 20001^2 complex values would be 1.49 TiB
     grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 20001, 20001)
+    t = identity_tensor(FockDim(15))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="basis table"):
             wigner_basis_table(FockDim(15), grid)
+        with pytest.raises(ValueError, match="basis table"):
+            kernel_from_tensor(t, grid, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
