@@ -488,7 +488,9 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     _warn_if_coarse(out_grid, "output")
     d = t.dim.size
     b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
-    b_out = wigner_basis_table(t.dim, out_grid).reshape(d * d, -1)
+    # one table for both sides when the grids match, cached or not
+    b_out = (b_in if out_grid == in_grid
+             else wigner_basis_table(t.dim, out_grid).reshape(d * d, -1))
     return FactoredKernel(out_grid, in_grid, b_out, t, b_in)
 
 

@@ -22,7 +22,10 @@ output proportional to |0> + g alpha |1>. Each splitter is an exact
 amplitude table over the photon numbers its ports carry (the herald arm at
 most the resource's two, the signal-splitter outputs up to n_max + 2), so no
 interior truncation error enters the stored tensor; numpy's greedy path
-search orders the one einsum per branch.
+search orders the one einsum per branch. Its (3, 3, D, D) result holds
+every nonzero entry (the output carries at most the resource's two
+photons) and goes to the corner constructor of the tensors module, which
+stores it by coherence block when it is exactly phase invariant.
 
 Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
 with vacuum idler, heralded by a click on the idler detector. Each idler
@@ -55,7 +58,7 @@ from .tensors import (
     require_tni,
     tensor_diagonal,
     _band_tensor,
-    _frozen,
+    _corner_tensor,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
                        photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
@@ -213,9 +216,7 @@ def amplifier_branches(cfg: AmplifierConfig):
         e = np.einsum("obp,desb,sun,vwu,p,d,e,v,w,OBp,deSB,SUm,vwU->oOnm",
                       res, us, um, vh, weights, wso, w_click, wso, w_mismatch,
                       res, us, um, vh, optimize=("greedy", _UNCAPPED))
-        full = np.zeros((d, d, d, d), dtype=complex)
-        full[:3, :3] = (e + e.transpose(1, 0, 3, 2)) / 2.0
-        tensors.append(ProcessTensor(cfg.dim, _frozen(full)))
+        tensors.append(_corner_tensor(cfg.dim, (e + e.transpose(1, 0, 3, 2)) / 2.0))
     return tensors[0], tensors[1]
 
 

@@ -1,6 +1,6 @@
 """Single-mode process tensors, and Kraus sets on truncated Fock spaces.
 
-A map acting on single-mode density matrices is stored as the tensor
+A map acting on single-mode density matrices is the tensor
 
     [E(rho)]_{l,k} = sum_{n,m} E^{n,m}_{l,k} rho_{n,m},
     E^{n,m}_{l,k} = sum_i <l|E_i|n> <m|E_i^dag|k>,
@@ -11,13 +11,25 @@ matrix is a transpose and its trace form a partial trace. Heralded maps
 stay sub-normalized; the trace of the output is the occurrence probability
 of the branch.
 
+A tensor has one of two layouts. An exactly phase-invariant map is kept
+as its 2D - 1 coherence blocks M_q alone, q = l - k = n - m, packed into
+one read-only array of sum_q (D - |q|)^2 entries: 1.2 MB instead of 92 MB
+at D = 49. The band writer _band_tensor, tensor_from_kraus when every
+Kraus operator lies on one diagonal, the amplifier's corner constructor
+_corner_tensor when its off-band entries are exactly 0, and
+combine_heralding, scale_tensor and compose_serial on band inputs give
+this layout. Every other map, and every tensor built from a dense array by
+ProcessTensor(dim, elements), keeps the dense D^4 array. ``elements`` is
+the (l, k, n, m) array in either layout; for a band tensor it is built on
+each access, read-only, and not kept, and no function here reads it.
+
 Only this module reads or writes a tensor's entries by index or decides
 phase symmetry. Other modules use tensor_diagonal, success_probability,
-the band writer _band_tensor, the gate require_phase_invariant and the two
-products with E, _block_product and _harmonics, which read the blocks M_q
-of coherence order q = l - k = n - m through _coherence_blocks. A tensor's
-array is read-only, so its phase-invariance defect is computed once, on
-first use, and kept.
+the writers _band_tensor and _corner_tensor, the gate
+require_phase_invariant and the two products with E, _block_product and
+_harmonics, which read the blocks M_q through _coherence_blocks. A dense
+tensor's array is read-only, so its phase-invariance defect is computed
+once, on first use, and kept; a band tensor's is 0 with no scan.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -26,7 +38,7 @@ through apply_kraus); only a single-mode one converts to a tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -137,6 +149,29 @@ class ProcessTensor:
         return _phase_invariance_scan(self)
 
 
+class _BandTensor(ProcessTensor):
+    """An exactly phase-invariant map, kept as its coherence blocks alone.
+
+    ``packed`` holds M_q for q = 1 - D .. D - 1 back to back, each in C
+    order (_packed_block). ``elements`` is built on each access and not kept.
+    """
+
+    _phase_defect = 0.0  # the blocks hold no entry off l - k = n - m
+
+    def __init__(self, dim: FockDim, packed: np.ndarray):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "packed", _frozen(packed))
+
+    @property
+    def elements(self) -> np.ndarray:
+        d = self.dim.size
+        out = np.zeros((d,) * 4, dtype=complex)
+        mat = out.reshape(d * d, d * d)
+        for _, rows, block in _coherence_blocks(self):
+            mat[rows, rows] = block
+        return _frozen(out)
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     dim: FockDim
@@ -178,6 +213,41 @@ def _shift_block(d: int, s: int):
     return (n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]
 
 
+@lru_cache(maxsize=None)
+def _block_offsets(d: int) -> np.ndarray:
+    """Start of each block M_q, q = 1 - D .. D - 1, in a band tensor's packed
+    array, and the packed length as a last entry."""
+    sizes = (d - np.abs(np.arange(1 - d, d))) ** 2
+    return _frozen(np.concatenate(([0], np.cumsum(sizes))))
+
+
+def _packed_block(packed: np.ndarray, d: int, q: int) -> np.ndarray:
+    """M_q of a packed array as a C-ordered view: M_q[i, j] = E[k_i + q, k_i,
+    m_j + q, m_j], with k_i = max(-q, 0) + i and m_j = max(-q, 0) + j."""
+    off = _block_offsets(d)
+    n = d - abs(q)
+    return packed[off[q + d - 1]:off[q + d]].reshape(n, n)
+
+
+def _empty_packed(d: int) -> np.ndarray:
+    return np.zeros(_block_offsets(d)[-1], dtype=complex)
+
+
+def _double_diagonal(e: np.ndarray, q: int) -> np.ndarray:
+    """The entries e[k + q, k, m + q, m] of an (a, b, D, D) array as a view
+    [k - max(-q, 0), m - max(-q, 0)]: all of M_q when a = b = D, its
+    leading rows when a = b < D."""
+    return e.diagonal(-q, 0, 1).diagonal(-q, 0, 1)
+
+
+def _shift_index(d: int, s: int) -> np.ndarray:
+    """Where the entries of _shift_block(d, s) lie in a band tensor's packed array."""
+    _, k, n, m = _shift_block(d, s)
+    q = n - m
+    low = np.maximum(-q, 0)
+    return _block_offsets(d)[q + d - 1] + (k - low) * (d - np.abs(q)) + m - low
+
+
 def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     """The phase-invariant tensor with Choi block B_s at each shift s of bands.
 
@@ -185,21 +255,44 @@ def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     n_i, n_j], n_i = max(0, -s) + i, and every other entry is 0.
     """
     d = dim.size
-    out = np.zeros((d,) * 4, dtype=complex)
+    packed = _empty_packed(d)
     for s, block in bands:
-        out[_shift_block(d, s)] = block
-    return ProcessTensor(dim, _frozen(out))
+        packed[_shift_index(d, s)] = block
+    return _BandTensor(dim, packed)
+
+
+def _corner_tensor(dim: FockDim, corner: np.ndarray) -> ProcessTensor:
+    """The tensor equal to corner on E[l, k] for l, k < len(corner), else 0.
+
+    Band storage when the corner has no entry off l - k = n - m, by the
+    exact rule of phase_invariance_defect; dense storage otherwise.
+    """
+    d, j = dim.size, len(corner)
+    if _off_band_max(corner) == 0.0:
+        packed = _empty_packed(d)
+        for q in range(1 - j, j):
+            part = _double_diagonal(corner, q)
+            _packed_block(packed, d, q)[:len(part)] = part
+        return _BandTensor(dim, packed)
+    full = np.zeros((d,) * 4, dtype=complex)
+    full[:j, :j] = corner
+    return ProcessTensor(dim, _frozen(full))
 
 
 def _coherence_blocks(t: ProcessTensor):
     """(q, rows, M_q) per coherence order q: E on the rows (k + q, k) and the
-    columns (m + q, m), read as a double diagonal of the entries, and those
-    rows (k + q) D + k of a D^2 axis as a strided slice. Nothing is kept."""
-    e, d = t.elements, t.dim.size
+    columns (m + q, m), and those rows (k + q) D + k of a D^2 axis as a
+    strided slice. A band tensor's blocks are views of its packed array; a
+    dense tensor's are read as double diagonals of its entries. Nothing is
+    kept."""
+    d = t.dim.size
     for q in range(1 - d, d):
         first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
         rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
-        yield q, rows, np.ascontiguousarray(e.diagonal(-q, 0, 1).diagonal(-q, 0, 1))
+        if isinstance(t, _BandTensor):
+            yield q, rows, _packed_block(t.packed, d, q)
+        else:
+            yield q, rows, np.ascontiguousarray(_double_diagonal(t.elements, q))
 
 
 def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
@@ -221,6 +314,16 @@ def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.nd
     return out
 
 
+def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
+    """second after first for two band tensors: M_q = M2_q M1_q per order q."""
+    d = first.dim.size
+    packed = _empty_packed(d)
+    for q in range(1 - d, d):
+        np.matmul(_packed_block(second.packed, d, q), _packed_block(first.packed, d, q),
+                  out=_packed_block(packed, d, q))
+    return _BandTensor(first.dim, packed)
+
+
 def _harmonics(t: ProcessTensor, b_out: np.ndarray, b_in: np.ndarray):
     """(q, C_q) per coherence order q, C_q = B_out,q^T M_q B_in,q raveled, for b_out
     and b_in with D^2 rows; if t passes require_phase_invariant they sum to
@@ -230,16 +333,49 @@ def _harmonics(t: ProcessTensor, b_out: np.ndarray, b_in: np.ndarray):
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:
-    """S_{n,m} = sum_l E^{n,m}_{l,l}, so that Tr E(rho) = sum_{n,m} S_{n,m} rho_{n,m}."""
+    """S_{n,m} = sum_l E^{n,m}_{l,l}, so that Tr E(rho) = sum_{n,m} S_{n,m} rho_{n,m}.
+
+    Only the order q = 0 meets l = k, so a band tensor's S is the diagonal
+    of the column sums of M_0.
+    """
+    if isinstance(t, _BandTensor):
+        return np.diag(_packed_block(t.packed, t.dim.size, 0).sum(axis=0))
     return np.trace(t.elements, axis1=0, axis2=1)
 
 
+def _max_entry_gap(a: ProcessTensor, b: ProcessTensor) -> float:
+    """Max |E_a - E_b| over all entries; two band tensors differ only in their blocks."""
+    if isinstance(a, _BandTensor) and isinstance(b, _BandTensor):
+        return float(np.abs(a.packed - b.packed).max())
+    return float(np.abs(a.elements - b.elements).max())
+
+
+def _kraus_blocks(ops: np.ndarray) -> np.ndarray:
+    """The packed blocks of sum_i E_i . E_i^dag for operators that each lie on
+    one diagonal: M_q = sum_i E_i[q:, q:] * conj(E_i[:D-q, :D-q]) and
+    M_-q = conj(M_q) for q >= 0. An entry fed by one real operator is one
+    rounded product, so it equals the dense build bit for bit; other
+    entries agree with it to rounding."""
+    d = ops.shape[1]
+    packed = _empty_packed(d)
+    for q in range(d):
+        block = _packed_block(packed, d, q)
+        block[...] = (ops[:, q:, q:] * ops[:, :d - q, :d - q].conj()).sum(axis=0)
+        if q:
+            _packed_block(packed, d, -q)[...] = block.conj()
+    return packed
+
+
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
+    """The tensor of a single-mode Kraus set: band storage when every operator
+    lies on one diagonal l - n = s, the dense D^4 array otherwise."""
     if k.input_modes != 1 or k.output_modes != 1:
         raise ValueError("process tensors are single-mode; apply a "
                          "multi-mode KrausSet with apply_kraus")
     ops = np.stack(k.operators)
     d = k.dim.size
+    if all(np.unique(np.subtract(*np.nonzero(op))).size <= 1 for op in ops):
+        return _BandTensor(k.dim, _kraus_blocks(ops))
     # E[l, k, n, m] = sum_i E_i[l, n] conj(E_i[k, m]), filled row by row so
     # that no second full-size array is allocated
     conj = ops.conj().reshape(len(ops), d * d)
@@ -291,15 +427,20 @@ def success_probability(t: ProcessTensor, rho: DensityOperator) -> float:
 def tensor_diagonal(t: ProcessTensor) -> np.ndarray:
     """F^{m,m}_{k,k}, the map's photon-number transfer, as a read-only D x D view [k, m]."""
     d = t.dim.size
+    if isinstance(t, _BandTensor):
+        return _packed_block(t.packed, d, 0)
     return t.matrix[::d + 1, ::d + 1]
 
 
 def compose_serial(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor:
-    """Tensor of (second after first); contracts the intermediate pair."""
+    """Tensor of (second after first); contracts the intermediate pair, block
+    by block when both are band tensors."""
     if first.dim != second.dim:
         raise ValueError("composed tensors need a common FockDim")
+    if isinstance(second, _BandTensor) and isinstance(first, _BandTensor):
+        return _band_product(second, first)
     product = _frozen(_block_product(second, first.matrix))
-    return ProcessTensor(first.dim, product.reshape(first.elements.shape))
+    return ProcessTensor(first.dim, product.reshape((first.dim.size,) * 4))
 
 
 def choi(t: ProcessTensor) -> ChoiMatrix:
@@ -308,15 +449,24 @@ def choi(t: ProcessTensor) -> ChoiMatrix:
     return ChoiMatrix(t.dim, t.elements.transpose(0, 2, 1, 3).reshape(side, side))
 
 
+def _choi_band(t: ProcessTensor, s: int) -> np.ndarray:
+    """The Choi block of shift s of a phase-invariant tensor: E[n + s, m + s, n, m]."""
+    d = t.dim.size
+    if isinstance(t, _BandTensor):
+        return t.packed[_shift_index(d, s)]
+    return t.elements[_shift_block(d, s)]
+
+
 def cp_defect(t: ProcessTensor) -> float:
     """Most negative Choi eigenvalue (0 if spectrum is non-negative).
 
     Exactly phase-invariant tensors take the minimum over the 2D - 1 shift
-    blocks of their permuted, block-diagonal Choi matrix; others run one eigh.
+    blocks of their permuted, block-diagonal Choi matrix, which a band
+    tensor gathers from its coherence blocks; others run one eigh.
     """
     d = t.dim.size
     if phase_invariance_defect(t) == 0.0:
-        low = min(ChoiMatrix(t.dim, t.elements[_shift_block(d, s)]).eigenvalues().min()
+        low = min(ChoiMatrix(t.dim, _choi_band(t, s)).eigenvalues().min()
                   for s in range(1 - d, d))
         return float(min(low, 0.0))
     w = choi(t).eigenvalues()
@@ -374,10 +524,14 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     """Sum of exclusive heralded branches; probabilities add exactly."""
     if f1.dim != f2.dim:
         raise ValueError("branch tensors need a common FockDim")
+    if isinstance(f1, _BandTensor) and isinstance(f2, _BandTensor):
+        return _BandTensor(f1.dim, f1.packed + f2.packed)
     return ProcessTensor(f1.dim, _frozen(f1.elements + f2.elements))
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
+    if isinstance(t, _BandTensor):
+        return _BandTensor(t.dim, c * t.packed)
     return ProcessTensor(t.dim, _frozen(c * t.elements))
 
 
@@ -385,16 +539,24 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
     A map is phase invariant only when this is exactly 0, for cp_defect,
-    _block_product and require_phase_invariant alike. The elements are
-    read-only, so the tensor is scanned on first use only and the defect
-    kept on it.
+    _block_product and require_phase_invariant alike. A band tensor holds
+    no off-band entry, so its defect is 0 with no scan. A dense tensor's
+    elements are read-only, so it is scanned on first use only and the
+    defect kept on it.
     """
     return t._phase_defect
 
 
 def _phase_invariance_scan(t: ProcessTensor) -> float:
-    """phase_invariance_defect read from the entries, one leading slice (fixed l) at a time."""
-    d = t.dim.size
-    order = np.subtract.outer(np.arange(d), np.arange(d))  # l - k of (l, k), n - m of (n, m)
-    return max(float(np.max(np.abs(e), where=q[:, None] != order.ravel(), initial=0.0))
-               for e, q in zip(t.elements.reshape(d, d, d * d), order))
+    """phase_invariance_defect read from a dense tensor's entries."""
+    return _off_band_max(t.elements)
+
+
+def _off_band_max(e: np.ndarray) -> float:
+    """Max |e[l, k, n, m]| over l - k != n - m for an (a, b, D, D) array, one
+    leading slice (fixed l) at a time."""
+    a, b, d, _ = e.shape
+    order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # n - m of (n, m)
+    return max((float(np.max(np.abs(s), where=(l - np.arange(b))[:, None] != order,
+                              initial=0.0))
+                for l, s in enumerate(e.reshape(a, b, d * d))), default=0.0)

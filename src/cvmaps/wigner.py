@@ -21,8 +21,8 @@ weights of uniform and non-uniform axes alike.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +42,11 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # cap on a basis table's 16 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 1.21e9
 _MAX_TABLE_BYTES = 2_000_000_000
+# bytes of basis tables kept between calls, least recently used dropped first.
+# It holds verify's largest repeated grid (n_max 20 on 97^2 points, 66 MB) and
+# the n_max-15 apply grid (27 MB); a larger table, such as n_max 40 on the
+# 111^2-point apply grid (331 MB), is returned and not kept
+_TABLE_CACHE_BYTES = 96 * 2 ** 20
 
 
 def _trapezoid_weights(steps) -> np.ndarray:
@@ -178,17 +183,50 @@ def _basis_values(dim: FockDim, x, p) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=6)
+_CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes")
+_tables = OrderedDict()  # (dim, grid) -> table, least recently used first
+_table_stats = {"hits": 0, "misses": 0}
+
+
 def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
     """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only; refused
-    above _MAX_TABLE_BYTES before it is allocated."""
+    above _MAX_TABLE_BYTES before it is allocated.
+
+    Tables are kept up to _TABLE_CACHE_BYTES in all; ``cache_info()`` counts
+    hits and misses as functools.lru_cache does, and ``cache_clear()`` empties
+    the cache.
+    """
+    key = (dim, grid)
+    if key in _tables:
+        _table_stats["hits"] += 1
+        _tables.move_to_end(key)
+        return _tables[key]
+    _table_stats["misses"] += 1
     size = 16 * dim.size ** 2 * grid.n_x * grid.n_p
     if size > _MAX_TABLE_BYTES:
         raise ValueError(f"Wigner basis table of {size:.3e} bytes exceeds the cap "
                          f"{_MAX_TABLE_BYTES:.1e}; use a coarser grid or a smaller n_max")
     table = _basis_values(dim, grid.xs[:, None], grid.ps[None, :])
     table.flags.writeable = False
+    if table.nbytes <= _TABLE_CACHE_BYTES:
+        _tables[key] = table
+        while sum(t.nbytes for t in _tables.values()) > _TABLE_CACHE_BYTES:
+            _tables.popitem(last=False)
     return table
+
+
+def _cache_info() -> _CacheInfo:
+    return _CacheInfo(_table_stats["hits"], _table_stats["misses"], len(_tables),
+                     sum(t.nbytes for t in _tables.values()))
+
+
+def _cache_clear() -> None:
+    _tables.clear()
+    _table_stats.update(hits=0, misses=0)
+
+
+wigner_basis_table.cache_info = _cache_info
+wigner_basis_table.cache_clear = _cache_clear
 
 
 def wigner_of(rho: DensityOperator, grid: QuadratureGrid) -> WignerField:

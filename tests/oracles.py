@@ -144,6 +144,45 @@ def compose_serial_reference(second, first) -> np.ndarray:
     return (second.matrix @ first.matrix).reshape(first.elements.shape)
 
 
+def tensor_from_kraus_reference(k):
+    """The dense tensor of a single-mode Kraus set, E[l, k, n, m] = sum_i
+    E_i[l, n] conj(E_i[k, m]), one BLAS product per output row l."""
+    from cvmaps.tensors import ProcessTensor
+
+    ops = np.stack(k.operators)
+    d = k.dim.size
+    conj = ops.conj().reshape(len(ops), d * d)
+    arr = np.empty((d, d, d, d), dtype=complex)
+    for l in range(d):
+        arr[l] = (ops[:, l, :].T @ conj).reshape(d, d, d).transpose(1, 0, 2)
+    arr.flags.writeable = False  # adopted without a copy
+    return ProcessTensor(k.dim, arr)
+
+
+def band_tensor_reference(dim, bands):
+    """The dense tensor with Choi block B_s at E[n + s, m + s, n, m] for each (s, B_s)."""
+    from cvmaps.tensors import ProcessTensor
+
+    d = dim.size
+    out = np.zeros((d,) * 4, dtype=complex)
+    for s, block in bands:
+        n = np.arange(max(0, -s), d - max(0, s))
+        out[(n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]] = block
+    out.flags.writeable = False
+    return ProcessTensor(dim, out)
+
+
+def corner_tensor_reference(dim, corner):
+    """The dense tensor equal to corner on E[l, k] for l, k < len(corner), else 0."""
+    from cvmaps.tensors import ProcessTensor
+
+    d, j = dim.size, len(corner)
+    out = np.zeros((d,) * 4, dtype=complex)
+    out[:j, :j] = corner
+    out.flags.writeable = False
+    return ProcessTensor(dim, out)
+
+
 def coherence_blocks_reference(t):
     """(q, rows, M_q) per coherence order q, from a row mask over the D^2 rows
     (l, k) with l - k = q and an np.ix_ copy of E on it."""

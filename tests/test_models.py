@@ -461,3 +461,28 @@ def test_config_validation():
     cfg2 = AmplifierConfig(reflectivity=0.2, detector="apd")
     assert abs(cfg2.gain - 2.0) < 1e-15
     assert cfg2.second_output == "no_click"
+
+
+# the models at the top of the sweep ladder build no D^4 array
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_addition_model_at_n_max_48_builds_no_quartic_array():
+    cfg = AdditionConfig(dim=FockDim(48), **_EXPERIMENTAL_ADDITION)
+    assert _traced_peak(lambda: addition_model(cfg)) < 16 * 49 ** 4 / 8
+
+
+def test_amplifier_model_at_n_max_48_builds_no_quartic_array():
+    # the branch einsum's own intermediates take about a quarter of one D^4
+    # array at D = 49; the stored corner and both tensors take 1/70 of one
+    cfg = AmplifierConfig(dim=FockDim(48), **_EXPERIMENTAL_AMPLIFIER)
+    assert _traced_peak(lambda: amplifier_model(cfg)) < 0.3 * 16 * 49 ** 4
+    correct, faulty = amplifier_branches(cfg)
+    assert isinstance(correct, tensors._BandTensor) and isinstance(faulty, tensors._BandTensor)

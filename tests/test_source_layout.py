@@ -1,13 +1,14 @@
-"""Only ``tensors`` reads a process tensor's entries by index or decides
+"""Only ``tensors`` builds a process tensor, reads its entries or decides
 phase symmetry.
 
 The other modules reach a tensor through ``tensor_diagonal``,
 ``success_probability``, ``_block_product`` and ``_harmonics``, write bands
-through ``_band_tensor`` and gate phase symmetry through
-``require_phase_invariant``, so a new storage layout for the same entries
-changes ``tensors.py`` alone. Inside ``tensors``, apply and serial
-composition multiply by E only through ``_block_product``, and coherence
-blocks are read only by ``_coherence_blocks``.
+through ``_band_tensor`` and ``_corner_tensor`` and gate phase symmetry
+through ``require_phase_invariant``, so the choice between the band and the
+dense layout is made in ``tensors.py`` alone. Inside ``tensors``, apply and
+serial composition multiply by E only through ``_block_product`` (two band
+tensors compose block by block), and coherence blocks are read only by
+``_coherence_blocks``.
 """
 
 import ast
@@ -45,6 +46,19 @@ def test_only_tensors_indexes_tensor_entries():
             for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             for token in INDEX_READS if token in line]
     assert not hits, hits
+
+
+def test_only_tensors_constructs_tensors():
+    # a band tensor's layout is chosen by its producer in tensors, and a
+    # band tensor's elements are built on access, so no other module builds
+    # a ProcessTensor or reads a tensor's elements
+    calls = {path.name: [n.lineno for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                         and n.func.id == "ProcessTensor"]
+             for path in _modules()}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+    readers = {path.name: _functions_using(path, "elements") for path in _modules()}
+    assert {name: f for name, f in readers.items() if f} == {}
 
 
 def test_only_tensors_writes_shift_blocks():

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import importlib
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -41,7 +43,8 @@ from cvmaps.tensors import (
 )
 
 DIM = FockDim(5)
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def random_kraus(rng, dim, count=3, scale=0.4):
@@ -461,6 +464,9 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
 
     monkeypatch.setattr(tensors, "_phase_invariance_scan", spy)
     t = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
+    if banded:
+        # a tensor built from an array keeps the dense layout, phase invariant or not
+        t = ProcessTensor(t.dim, np.array(t.elements))
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     rho = _mixed_state(t.dim, 5)
     fk = kernel_from_tensor(t, grid)
@@ -478,3 +484,184 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     apply_tensor(t, rho)
     compose_serial(t, t)
     assert len(scanned) == 1 and scanned[0] is t
+
+
+# band storage of exactly phase-invariant maps
+
+def _band_builders():
+    dim = FockDim(6)
+    band = tensor_from_kraus(_seeded_kraus(6, 3, True, 4))
+    return {
+        "kraus": lambda: band,
+        "identity": lambda: identity_tensor(dim),
+        "shipped": lambda: _shipped_model("amplifier_experimental"),
+        "combined": lambda: combine_heralding(band, identity_tensor(dim)),
+        "scaled": lambda: scale_tensor(band, 0.5),
+        "composed": lambda: compose_serial(band, identity_tensor(dim)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_band_builders()))
+def test_band_tensors_are_never_scanned(monkeypatch, case):
+    # a band tensor holds no off-band entry, so its phase defect is 0 with no scan
+    scanned = []
+    monkeypatch.setattr(tensors, "_phase_invariance_scan", scanned.append)
+    t = _band_builders()[case]()
+    assert isinstance(t, tensors._BandTensor)
+    grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
+    rho = _mixed_state(t.dim, 5)
+    fk = kernel_from_tensor(t, grid)
+    assert phase_invariance_defect(t) == 0.0
+    cp_defect(t)
+    radial_form(t, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5), np.zeros(2))
+    fk.dense()
+    apply_kernel(fk, wigner_of(rho, grid))
+    input_marginal(fk)
+    output_marginal(fk)
+    apply_tensor(t, rho)
+    compose_serial(t, t)
+    assert scanned == []
+
+
+def test_band_elements_are_built_on_access_and_not_kept():
+    t = identity_tensor(FockDim(4))
+    first, second = t.elements, t.elements
+    assert first is not second and np.array_equal(first, second)
+    assert not first.flags.writeable and first.flags.c_contiguous
+    assert "elements" not in vars(t)
+    assert t.packed.nbytes == 16 * sum((5 - abs(q)) ** 2 for q in range(-4, 5))
+
+
+def test_corner_tensor_keeps_an_off_band_corner_dense():
+    dim = FockDim(5)
+    corner = np.zeros((3, 3, dim.size, dim.size))
+    corner[1, 0, 2, 1] = corner[0, 1, 1, 2] = 0.5  # l - k = n - m = +-1
+    band = tensors._corner_tensor(dim, corner)
+    assert isinstance(band, tensors._BandTensor)
+    assert np.array_equal(band.elements, oracles.corner_tensor_reference(dim, corner).elements)
+    corner[2, 0, 0, 0] = 1e-300  # l - k = 2 but n - m = 0
+    dense = tensors._corner_tensor(dim, corner)
+    assert not isinstance(dense, tensors._BandTensor)
+    assert phase_invariance_defect(dense) == 1e-300
+
+
+def _dense_builds(mp):
+    """Route every band producer to its dense reference, so that builds made
+    inside the context have the layout and code path of a dense tensor."""
+    from cvmaps import elements, models
+
+    mp.setattr(tensors, "_band_tensor", oracles.band_tensor_reference)
+    mp.setattr(models, "_band_tensor", oracles.band_tensor_reference)
+    mp.setattr(models, "_corner_tensor", oracles.corner_tensor_reference)
+    for module in (tensors, models, elements):
+        mp.setattr(module, "tensor_from_kraus", oracles.tensor_from_kraus_reference)
+
+
+def _single_diagonal_kraus(n_max, count, real, seed):
+    k = _seeded_kraus(n_max, count, True, seed)
+    return KrausSet(k.dim, [op.real for op in k.operators]) if real else k
+
+
+def _bit_exact(k):
+    """Whether each entry of k's tensor is one product of real numbers, which
+    the dense build and the band fill round alike; BLAS fuses the
+    multiply-adds of complex products and of sums over operators, so there
+    the two agree to rounding only."""
+    if any(np.iscomplexobj(op) and np.any(op.imag) for op in k.operators):
+        return False
+    shifts = [np.unique(np.subtract(*np.nonzero(op))) for op in k.operators]
+    shifts = [int(s[0]) for s in shifts if s.size]
+    return len(shifts) == len(set(shifts))
+
+
+def _check_band_against_dense(build, exact=True):
+    """A band build and the dense build of the same map agree entry for entry
+    (bit for bit when exact), and every reader and product agrees with the
+    dense path to 1e-14 relative."""
+    band = build()
+    with pytest.MonkeyPatch.context() as mp:
+        _dense_builds(mp)
+        dense = build()
+    assert isinstance(band, tensors._BandTensor)
+    assert not isinstance(dense, tensors._BandTensor)
+    entries = band.elements
+    assert np.array_equal(entries, dense.elements) if exact else _close(entries, dense.elements,
+                                                                         rel=1e-14)
+    del entries
+    rho = _mixed_state(band.dim, 3)
+    assert _close(apply_tensor(band, rho).matrix, apply_tensor(dense, rho).matrix, rel=1e-14)
+    assert _close(compose_serial(band, band).elements, compose_serial(dense, dense).elements,
+                  rel=1e-14)
+    axis = np.linspace(0.0, 3.0, 7)
+    assert _close(radial_form(band, axis, axis, np.linspace(0.0, 3.0, 4)).values,
+                  radial_form(dense, axis, axis, np.linspace(0.0, 3.0, 4)).values, rel=1e-14)
+    assert _close(tensor_diagonal(band), tensor_diagonal(dense), rel=1e-14)
+    for reader in (cp_defect, tni_defect):
+        assert abs(reader(band) - reader(dense)) <= 1e-14 * max(abs(reader(dense)), 1.0)
+    p, ref = success_probability(band, rho), success_probability(dense, rho)
+    assert abs(p - ref) <= 1e-14 * abs(ref)
+
+
+single_diagonal_kraus = st.builds(_single_diagonal_kraus, st.integers(1, 11),
+                                  st.integers(1, 4), st.booleans(),
+                                  st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=st.one_of(
+    single_diagonal_kraus.map(lambda k: (lambda: tensors.tensor_from_kraus(k),
+                                         _bit_exact(k))),
+    st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(
+        lambda name: (lambda: cli.build_model(cli.load_config(str(CONFIG_DIR / f"{name}.json"))),
+                      True))))
+def test_band_storage_matches_the_dense_build_property(case):
+    build, exact = case
+    _check_band_against_dense(build, exact)
+
+
+@pytest.mark.parametrize("n_max", [16, 32, 48])
+@pytest.mark.parametrize("model", ["amplifier", "addition"])
+def test_band_storage_matches_the_dense_build_on_sweep_rungs(model, n_max):
+    from cvmaps import models
+
+    # imported here: a module imported at collection adds its constants to
+    # what hypothesis draws from in every later property of the suite
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spec = next(m for m in workloads.sweep_plan(3)["models"] if m["model"] == model)
+    params = {k: v for k, v in spec.items() if k != "model"}
+    config, build = ((models.AmplifierConfig, models.amplifier_model) if model == "amplifier"
+                     else (models.AdditionConfig, models.addition_model))
+    _check_band_against_dense(lambda: build(config(dim=FockDim(n_max), **params)))
+
+
+@pytest.mark.parametrize("element", ["attenuation(0.64)@40", "attenuation(0.3)@63",
+                                     "parametric_amplification(1.2)@63"])
+def test_shipped_kraus_blocks_match_the_dense_build(element):
+    from cvmaps import elements
+
+    name, n_max = element.split("@")
+    func, arg = name.rstrip(")").split("(")
+    kraus = getattr(elements, func)(float(arg), FockDim(int(n_max))).kraus
+    band = tensor_from_kraus(kraus)
+    assert isinstance(band, tensors._BandTensor)
+    dense = oracles.tensor_from_kraus_reference(kraus)
+    for (q, _, got), (_, _, ref) in zip(tensors._coherence_blocks(band),
+                                        tensors._coherence_blocks(dense)):
+        assert np.array_equal(got, ref), q
+
+
+def test_kraus_sets_off_one_diagonal_stay_dense(rng):
+    k = random_kraus(rng, DIM)
+    t = tensor_from_kraus(k)
+    assert not isinstance(t, tensors._BandTensor)
+    assert np.array_equal(t.elements, oracles.tensor_from_kraus_reference(k).elements)
+
+
+def test_tensor_from_kraus_at_n_max_63_builds_no_quartic_array():
+    from cvmaps.elements import attenuation
+
+    kraus = attenuation(0.3, FockDim(63)).kraus
+    _, peak = _traced_peak(lambda: tensor_from_kraus(kraus))
+    assert peak < 16 * 64 ** 4 / 8

@@ -188,3 +188,42 @@ def test_basis_table_refuses_oversized_grids_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_basis_tables_above_the_byte_budget_are_not_kept():
+    import gc
+    import weakref
+
+    from cvmaps import cli, wigner
+    from cvmaps.elements import attenuation
+
+    wigner_basis_table.cache_clear()
+    dim = FockDim(40)
+    grid = cli._default_apply_grid(dim)
+    assert 16 * dim.size ** 2 * grid.n_x * grid.n_p > wigner._TABLE_CACHE_BYTES
+    fk = kernel_from_tensor(attenuation(0.5, dim).tensor(), grid, grid)
+    table = weakref.ref(fk.b_in.base)
+    assert fk.b_out is fk.b_in  # one table serves both sides
+    info = wigner_basis_table.cache_info()
+    assert (info.misses, info.entries, info.nbytes) == (1, 0, 0)
+    del fk
+    gc.collect()
+    assert table() is None
+
+
+def test_cache_keeps_tables_by_bytes_and_counts_hits():
+    from cvmaps import verify, wigner
+
+    wigner_basis_table.cache_clear()
+    verify.check_wigner_normalization(None)
+    verify.check_trace_rule(None)  # the same grid, sampled twice
+    info = wigner_basis_table.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    verify.check_cross_representation_attenuation(None)
+    misses = wigner_basis_table.cache_info().misses
+    verify.check_cross_representation_amplification(None)  # the n_max-63 grid again
+    info = wigner_basis_table.cache_info()
+    assert info.misses == misses and info.hits == 3
+    assert 0 < info.nbytes <= wigner._TABLE_CACHE_BYTES
+    wigner_basis_table.cache_clear()
+    assert tuple(wigner_basis_table.cache_info()) == (0, 0, 0, 0)
