@@ -595,12 +595,13 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
 
     with C_q = B_out,q^T M_q B_in,q the harmonics of tensors._harmonics. The
     sum is exact: a map that fails tensors.require_phase_invariant is
-    refused with its PhaseSymmetryError. Besides the output, one harmonic
+    refused with its PhaseSymmetryError, and the harmonics are read from the
+    band tensor that gate returns. Besides the output, one harmonic
     and one product of the output's size are held at a time; a form whose
     output or basis tables would exceed _MAX_GRID_VALUES is refused before
     either is built.
     """
-    require_phase_invariant(t)
+    t = require_phase_invariant(t)
     radii = np.linspace(0.0, 5.0, 101)
     rp_axis = np.asarray(radii if rp_axis is None else rp_axis, float)
     r_axis = np.asarray(radii if r_axis is None else r_axis, float)

@@ -76,7 +76,6 @@ __all__ = [
 ]
 
 _DETECTORS = ("apd", "photon_counter")
-_SECOND_OUTPUT = ("vacuum", "no_click", "trace")
 # einsum's greedy path with no intermediate-size cap; the default cap (the
 # largest operand) forces a slow three-operand step in the amplifier
 _UNCAPPED = 2 ** 62
@@ -87,10 +86,9 @@ class AmplifierConfig:
     """Heralded noiseless-amplifier parameters.
 
     Exactly one of reflectivity R (toward the herald arm) and gain g is
-    given; the other follows from g = sqrt((1-R)/R). second_output chooses
-    the condition on the unmonitored S-BS port and defaults to the vacuum
-    projector for the photon_counter detector and to APD no-click for the
-    apd detector.
+    given; the other follows from g = sqrt((1-R)/R). The detector also sets
+    the condition on the unmonitored S-BS port: the vacuum projector for
+    photon_counter, APD no-click for apd.
     """
 
     dim: FockDim = FockDim(15)
@@ -100,7 +98,6 @@ class AmplifierConfig:
     delta: float = 2.0
     eta_m: float = 1.0
     detector: str = "photon_counter"
-    second_output: str = None
     include_faulty: bool = True
 
     def __post_init__(self):
@@ -124,11 +121,6 @@ class AmplifierConfig:
             raise ValueError("mode matching must satisfy 0 < eta_m <= 1")
         if self.detector not in _DETECTORS:
             raise ValueError(f"unknown detector {self.detector!r}")
-        if self.second_output is None:
-            cond = "vacuum" if self.detector == "photon_counter" else "no_click"
-            object.__setattr__(self, "second_output", cond)
-        if self.second_output not in _SECOND_OUTPUT:
-            raise ValueError(f"unknown second-output condition {self.second_output!r}")
         if self.dim.n_max < 2:
             raise ValueError("need n_max >= 2 for the two-photon resource term")
 
@@ -202,9 +194,9 @@ def amplifier_branches(cfg: AmplifierConfig):
     vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
 
     (w1_d, w1_u), (w2_d, w2_u) = _click_weights(cfg.detector, cfg.mu, f)
-    wso = {"vacuum": vacuum_projector().diagonal(f),
-           "no_click": 1.0 - apd_click(cfg.mu).diagonal(f),
-           "trace": np.ones(f)}[cfg.second_output]
+    # the condition on the unmonitored S-BS port
+    wso = (vacuum_projector().diagonal(f) if cfg.detector == "photon_counter"
+           else 1.0 - apd_click(cfg.mu).diagonal(f))
 
     # the click detector sits on the second S-BS port (port 1 carries the
     # vacuum / no-click condition); this is the wiring that makes a coherent

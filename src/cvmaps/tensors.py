@@ -11,25 +11,30 @@ matrix is a transpose and its trace form a partial trace. Heralded maps
 stay sub-normalized; the trace of the output is the occurrence probability
 of the branch.
 
-A tensor has one of two layouts. An exactly phase-invariant map is kept
-as its 2D - 1 coherence blocks M_q alone, q = l - k = n - m, packed into
-one read-only array of sum_q (D - |q|)^2 entries: 1.2 MB instead of 92 MB
-at D = 49. The band writer _band_tensor, tensor_from_kraus when every
-Kraus operator lies on one diagonal, the amplifier's corner constructor
-_corner_tensor when its off-band entries are exactly 0, and
-combine_heralding, scale_tensor and compose_serial on band inputs give
-this layout. Every other map, and every tensor built from a dense array by
-ProcessTensor(dim, elements), keeps the dense D^4 array. ``elements`` is
-the (l, k, n, m) array in either layout; for a band tensor it is built on
-each access, read-only, and not kept, and no function here reads it.
+A tensor has one of two layouts, and every code path follows the layout.
+An exactly phase-invariant map is kept as its 2D - 1 coherence blocks M_q
+alone, q = l - k = n - m, packed into one read-only array of
+sum_q (D - |q|)^2 entries: 1.2 MB instead of 92 MB at D = 49. The shift-block
+writer _band_tensor (behind tensor_from_kraus when every Kraus operator
+lies on one diagonal), the amplifier's corner constructor _corner_tensor
+when its off-band entries are exactly 0, and combine_heralding,
+scale_tensor and compose_serial on band inputs give this layout. Every
+other map, and every tensor built from a dense array by
+ProcessTensor(dim, elements), keeps the dense D^4 array and is treated
+densely, whatever its entries: one full product, one Choi eigh.
+``elements`` is the (l, k, n, m) array in either layout; for a band tensor
+it is built on each access, read-only, and not kept, and no function here
+reads it.
 
 Only this module reads or writes a tensor's entries by index or decides
 phase symmetry. Other modules use tensor_diagonal, success_probability,
 the writers _band_tensor and _corner_tensor, the gate
-require_phase_invariant and the two products with E, _block_product and
-_harmonics, which read the blocks M_q through _coherence_blocks. A dense
-tensor's array is read-only, so its phase-invariance defect is computed
-once, on first use, and kept; a band tensor's is 0 with no scan.
+require_phase_invariant, which returns a band tensor, and the two products
+with E, _block_product and _harmonics; the blocks M_q of a band tensor are
+read through _coherence_blocks alone. phase_invariance_defect is a
+diagnostic and chooses no path: a dense tensor's array is read-only, so
+its defect is computed once, on first use, and kept; a band tensor's is 0
+with no scan.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -59,16 +64,13 @@ __all__ = [
     "compose_serial",
     "choi",
     "cp_defect",
-    "is_cp",
     "require_cp",
     "tni_defect",
-    "is_trace_nonincreasing",
     "require_tni",
     "require_phase_invariant",
     "combine_heralding",
     "scale_tensor",
     "phase_invariance_defect",
-    "hermiticity_defect",
 ]
 
 # dense storage cap on the D^4 entries: n_max = 66 (D = 67, 322 MB) fits
@@ -185,12 +187,6 @@ class ChoiMatrix:
         return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
-def hermiticity_defect(t: ProcessTensor) -> float:
-    """Max |E^{n,m}_{l,k} - conj(E^{m,n}_{k,l})|; 0 for a map that keeps rho Hermitian."""
-    e = t.elements
-    return float(np.max(np.abs(e - e.transpose(1, 0, 3, 2).conj())))
-
-
 def _adopt(arr: np.ndarray) -> np.ndarray:
     """arr if it is C-ordered and read-only down to its owner, else a read-only copy."""
     owner = arr
@@ -249,15 +245,16 @@ def _shift_index(d: int, s: int) -> np.ndarray:
 
 
 def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
-    """The phase-invariant tensor with Choi block B_s at each shift s of bands.
+    """The phase-invariant tensor whose Choi block at shift s is the sum of
+    the blocks B_s that bands gives for s, added in order.
 
-    The only writer of shift blocks: B_s[i, j] lands at E[n_i + s, n_j + s,
+    The only writer of shift blocks: B_s[i, j] adds to E[n_i + s, n_j + s,
     n_i, n_j], n_i = max(0, -s) + i, and every other entry is 0.
     """
     d = dim.size
     packed = _empty_packed(d)
     for s, block in bands:
-        packed[_shift_index(d, s)] = block
+        packed[_shift_index(d, s)] += block
     return _BandTensor(dim, packed)
 
 
@@ -279,31 +276,26 @@ def _corner_tensor(dim: FockDim, corner: np.ndarray) -> ProcessTensor:
     return ProcessTensor(dim, _frozen(full))
 
 
-def _coherence_blocks(t: ProcessTensor):
+def _coherence_blocks(t: _BandTensor):
     """(q, rows, M_q) per coherence order q: E on the rows (k + q, k) and the
-    columns (m + q, m), and those rows (k + q) D + k of a D^2 axis as a
-    strided slice. A band tensor's blocks are views of its packed array; a
-    dense tensor's are read as double diagonals of its entries. Nothing is
-    kept."""
+    columns (m + q, m) as a view of the packed array, and those rows
+    (k + q) D + k of a D^2 axis as a strided slice. Nothing is kept."""
     d = t.dim.size
     for q in range(1 - d, d):
         first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
         rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
-        if isinstance(t, _BandTensor):
-            yield q, rows, _packed_block(t.packed, d, q)
-        else:
-            yield q, rows, np.ascontiguousarray(_double_diagonal(t.elements, q))
+        yield q, rows, _packed_block(t.packed, d, q)
 
 
 def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
     """E x, or x E when left, for x with D^2 rows (D^2 columns when left).
 
-    An exactly phase-invariant map is block diagonal over coherence orders,
-    so each block M_q meets only the rows (columns) of its own order q:
-    about 2 D^3 / 3 products per column of x instead of D^4. Any other map
-    is one full product.
+    A band tensor is block diagonal over coherence orders, so each block M_q
+    meets only the rows (columns) of its own order q: about 2 D^3 / 3
+    products per column of x instead of D^4. A dense tensor is one full
+    product, whatever its entries.
     """
-    if phase_invariance_defect(t) != 0.0:
+    if not isinstance(t, _BandTensor):
         return x @ t.matrix if left else t.matrix @ x
     out = np.zeros(x.shape, dtype=complex)
     for _, rows, block in _coherence_blocks(t):
@@ -324,10 +316,9 @@ def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
     return _BandTensor(first.dim, packed)
 
 
-def _harmonics(t: ProcessTensor, b_out: np.ndarray, b_in: np.ndarray):
+def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
     """(q, C_q) per coherence order q, C_q = B_out,q^T M_q B_in,q raveled, for b_out
-    and b_in with D^2 rows; if t passes require_phase_invariant they sum to
-    B_out^T E B_in raveled."""
+    and b_in with D^2 rows; they sum to B_out^T E B_in raveled."""
     for q, rows, block in _coherence_blocks(t):
         yield q, (b_out[rows].T @ (block @ b_in[rows])).ravel()
 
@@ -350,32 +341,19 @@ def _max_entry_gap(a: ProcessTensor, b: ProcessTensor) -> float:
     return float(np.abs(a.elements - b.elements).max())
 
 
-def _kraus_blocks(ops: np.ndarray) -> np.ndarray:
-    """The packed blocks of sum_i E_i . E_i^dag for operators that each lie on
-    one diagonal: M_q = sum_i E_i[q:, q:] * conj(E_i[:D-q, :D-q]) and
-    M_-q = conj(M_q) for q >= 0. An entry fed by one real operator is one
-    rounded product, so it equals the dense build bit for bit; other
-    entries agree with it to rounding."""
-    d = ops.shape[1]
-    packed = _empty_packed(d)
-    for q in range(d):
-        block = _packed_block(packed, d, q)
-        block[...] = (ops[:, q:, q:] * ops[:, :d - q, :d - q].conj()).sum(axis=0)
-        if q:
-            _packed_block(packed, d, -q)[...] = block.conj()
-    return packed
-
-
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
-    """The tensor of a single-mode Kraus set: band storage when every operator
-    lies on one diagonal l - n = s, the dense D^4 array otherwise."""
+    """The tensor of a single-mode Kraus set: the dense D^4 array, or band
+    storage when every operator E_i lies on one diagonal l - n = s; each
+    then adds a a^dag, a_n = E_i[n + s, n], to the Choi block of shift s."""
     if k.input_modes != 1 or k.output_modes != 1:
         raise ValueError("process tensors are single-mode; apply a "
                          "multi-mode KrausSet with apply_kraus")
     ops = np.stack(k.operators)
     d = k.dim.size
-    if all(np.unique(np.subtract(*np.nonzero(op))).size <= 1 for op in ops):
-        return _BandTensor(k.dim, _kraus_blocks(ops))
+    shifts = [np.unique(np.subtract(*np.nonzero(op))) for op in ops]
+    if all(s.size <= 1 for s in shifts):
+        diagonals = [(s[0], np.diagonal(op, -s[0])) for op, s in zip(ops, shifts) if s.size]
+        return _band_tensor(k.dim, ((s, np.outer(a, a.conj())) for s, a in diagonals))
     # E[l, k, n, m] = sum_i E_i[l, n] conj(E_i[k, m]), filled row by row so
     # that no second full-size array is allocated
     conj = ops.conj().reshape(len(ops), d * d)
@@ -449,32 +427,20 @@ def choi(t: ProcessTensor) -> ChoiMatrix:
     return ChoiMatrix(t.dim, t.elements.transpose(0, 2, 1, 3).reshape(side, side))
 
 
-def _choi_band(t: ProcessTensor, s: int) -> np.ndarray:
-    """The Choi block of shift s of a phase-invariant tensor: E[n + s, m + s, n, m]."""
-    d = t.dim.size
-    if isinstance(t, _BandTensor):
-        return t.packed[_shift_index(d, s)]
-    return t.elements[_shift_block(d, s)]
-
-
 def cp_defect(t: ProcessTensor) -> float:
     """Most negative Choi eigenvalue (0 if spectrum is non-negative).
 
-    Exactly phase-invariant tensors take the minimum over the 2D - 1 shift
-    blocks of their permuted, block-diagonal Choi matrix, which a band
-    tensor gathers from its coherence blocks; others run one eigh.
+    A band tensor's permuted Choi matrix is block diagonal, so it takes the
+    minimum over its 2D - 1 shift blocks, gathered from its coherence
+    blocks; a dense tensor runs one eigh, whatever its entries.
     """
     d = t.dim.size
-    if phase_invariance_defect(t) == 0.0:
-        low = min(ChoiMatrix(t.dim, _choi_band(t, s)).eigenvalues().min()
+    if isinstance(t, _BandTensor):
+        low = min(ChoiMatrix(t.dim, t.packed[_shift_index(d, s)]).eigenvalues().min()
                   for s in range(1 - d, d))
-        return float(min(low, 0.0))
-    w = choi(t).eigenvalues()
-    return float(min(w.min(), 0.0))
-
-
-def is_cp(t: ProcessTensor, tol: float = DEFAULT_CP_TOL) -> bool:
-    return cp_defect(t) >= -tol
+    else:
+        low = choi(t).eigenvalues().min()
+    return float(min(low, 0.0))
 
 
 def require_cp(t: ProcessTensor, label: str = "map") -> ProcessTensor:
@@ -499,10 +465,6 @@ def tni_defect(t: ProcessTensor) -> float:
     return float(w.max() - 1.0)
 
 
-def is_trace_nonincreasing(t: ProcessTensor, tol: float = DEFAULT_TNI_TOL) -> bool:
-    return tni_defect(t) <= tol
-
-
 def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
     """The trace-non-increase gate: t, or a PhysicalityError naming the TNI defect."""
     defect = tni_defect(t)
@@ -512,12 +474,13 @@ def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
     return t
 
 
-def require_phase_invariant(t: ProcessTensor) -> ProcessTensor:
-    """The phase-invariance gate: t, or a PhaseSymmetryError naming the defect."""
+def require_phase_invariant(t: ProcessTensor) -> _BandTensor:
+    """The phase-invariance gate: t in band storage, or a PhaseSymmetryError
+    naming the defect."""
     defect = phase_invariance_defect(t)
     if defect != 0.0:
         raise PhaseSymmetryError(f"map is not phase invariant (defect {defect:.3e})")
-    return t
+    return t if isinstance(t, _BandTensor) else _corner_tensor(t.dim, t.elements)
 
 
 def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
@@ -538,11 +501,11 @@ def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
 def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
-    A map is phase invariant only when this is exactly 0, for cp_defect,
-    _block_product and require_phase_invariant alike. A band tensor holds
-    no off-band entry, so its defect is 0 with no scan. A dense tensor's
-    elements are read-only, so it is scanned on first use only and the
-    defect kept on it.
+    A map is phase invariant only when this is exactly 0. The defect is a
+    diagnostic behind require_phase_invariant and the reports; it chooses no
+    code path, which follows the layout. A band tensor holds no off-band
+    entry, so its defect is 0 with no scan. A dense tensor's elements are
+    read-only, so it is scanned on first use only and the defect kept on it.
     """
     return t._phase_defect
 

@@ -278,18 +278,14 @@ def amplifier_oracle(psi_in: np.ndarray, cfg, size: int):
     signal-splitter port and the extra condition on the first.
     """
     occ = np.arange(size, dtype=float)
+    # the detector sets both the click pair and the condition on the first port
     if cfg.detector == "apd":
         nc1 = (1.0 - cfg.mu) ** occ
-        click_pair = 1.0 - nc1[:, None] * nc1[None, :]
+        so = nc1[:, None] * nc1[None, :]
+        click_pair = 1.0 - so
     else:
         click_pair = ((occ[:, None] + occ[None, :]) == 1.0).astype(float)
-    if cfg.second_output == "vacuum":
         so = ((occ[:, None] == 0) & (occ[None, :] == 0)).astype(float)
-    elif cfg.second_output == "no_click":
-        nc = (1.0 - cfg.mu) ** occ
-        so = nc[:, None] * nc[None, :]
-    else:
-        so = np.ones((size, size))
 
     u_m = bs2(math.sqrt(cfg.eta_m), size)
     u_a = bs2(math.sqrt(1.0 - cfg.reflectivity), size)

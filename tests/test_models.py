@@ -25,13 +25,12 @@ from cvmaps.models import (
 from cvmaps import cli, models, tensors
 from cvmaps.tensors import (
     PhysicalityError,
-    ProcessTensor,
     apply_tensor,
     choi,
     cp_defect,
     identity_tensor,
-    is_trace_nonincreasing,
     phase_invariance_defect,
+    require_tni,
     success_probability,
     tni_defect,
 )
@@ -65,12 +64,6 @@ def test_amplifier_matches_circuit_experimental(rng):
     cfg = AmplifierConfig(dim=FockDim(8), gain=2.0, delta=1.089, mu=0.11,
                           eta_m=0.8, detector="apd")
     compare_amplifier_with_circuit(cfg, random_pure_state(rng, 9))
-
-
-def test_amplifier_matches_circuit_traced_port(rng):
-    cfg = AmplifierConfig(dim=FockDim(7), reflectivity=0.3, delta=1.5, mu=0.4,
-                          detector="apd", second_output="trace")
-    compare_amplifier_with_circuit(cfg, random_pure_state(rng, 8))
 
 
 def test_amplifier_matches_circuit_counter_mismatch(rng):
@@ -125,7 +118,8 @@ def test_ideal_addition_raises_number():
         out = apply_tensor(t, fock_state(n, dim))
         assert abs(out.trace - (n + 1)) < 1e-13
         assert abs(out.matrix[n + 1, n + 1].real - (n + 1)) < 1e-13
-    assert not is_trace_nonincreasing(t)
+    with pytest.raises(PhysicalityError, match="trace-increasing"):
+        require_tni(t)
 
 
 def test_addition_matches_circuit_counter(rng):
@@ -254,13 +248,12 @@ def test_branch_probability_additivity(rng):
        delta=st.floats(0.0, 2.0, exclude_min=True),
        eta_m=st.floats(0.0, 1.0, exclude_min=True),
        detector=st.sampled_from(["apd", "photon_counter"]),
-       second_output=st.sampled_from(["vacuum", "no_click", "trace"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_amplifier_matches_circuit_property(n_max, gain, reflectivity, mu, delta,
-                                            eta_m, detector, second_output, seed):
+                                            eta_m, detector, seed):
     split = {"gain": gain} if gain is not None else {"reflectivity": reflectivity}
     cfg = AmplifierConfig(dim=FockDim(n_max), mu=mu, delta=delta, eta_m=eta_m,
-                          detector=detector, second_output=second_output, **split)
+                          detector=detector, **split)
     psi = random_pure_state(np.random.default_rng(seed), n_max + 1)
     compare_amplifier_with_circuit(cfg, psi)
     correct, faulty = amplifier_branches(cfg)
@@ -346,13 +339,13 @@ def test_band_defect_matches_dense_eigh():
 
 
 def test_band_gate_fires_on_non_cp_map():
-    # the identity with its |0><1| coherence doubled: phase invariant, and
-    # its Choi band s = 0 has the eigenvector (1, -1, 0, ...) at -1
+    # the identity with its |0><1| coherence doubled: a band tensor, and its
+    # Choi band s = 0 has the eigenvector (1, -1, 0, ...) at -1
     dim = FockDim(4)
-    arr = identity_tensor(dim).elements.copy()
-    arr[0, 1, 0, 1] = arr[1, 0, 1, 0] = 2.0
-    t = ProcessTensor(dim, arr)
-    assert phase_invariance_defect(t) == 0.0
+    block = np.ones((dim.size, dim.size))
+    block[0, 1] = block[1, 0] = 2.0
+    t = tensors._band_tensor(dim, [(0, block)])
+    assert isinstance(t, tensors._BandTensor)
     assert abs(cp_defect(t) + 1.0) < 1e-14
     assert abs(cp_defect(t) - choi(t).eigenvalues().min()) < 1e-14
     with pytest.raises(PhysicalityError):
@@ -363,10 +356,10 @@ def test_band_gate_fires_on_non_cp_map():
 
 def test_band_gate_rejects_non_hermitian_band():
     dim = FockDim(4)
-    arr = identity_tensor(dim).elements.copy()
-    arr[0, 1, 0, 1] = 1.0 + 1e-3
-    t = ProcessTensor(dim, arr)
-    assert phase_invariance_defect(t) == 0.0
+    block = np.ones((dim.size, dim.size))
+    block[0, 1] = 1.0 + 1e-3  # E[0, 1, 0, 1] with no conjugate partner
+    t = tensors._band_tensor(dim, [(0, block)])
+    assert isinstance(t, tensors._BandTensor)
     with pytest.raises(ValueError, match="not Hermitian"):
         choi(t).eigenvalues()
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -446,8 +439,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AmplifierConfig(gain=2.0, detector="bolometer")
     with pytest.raises(ValueError):
-        AmplifierConfig(gain=2.0, second_output="discard")
-    with pytest.raises(ValueError):
         AmplifierConfig(dim=FockDim(1), gain=2.0)
     with pytest.raises(ValueError):
         AdditionConfig(chi=-0.1)
@@ -457,10 +448,8 @@ def test_config_validation():
         AdditionConfig(detector="nanowire")
     cfg = AmplifierConfig(gain=2.0)
     assert abs(cfg.reflectivity - 0.2) < 1e-15
-    assert cfg.second_output == "vacuum"
     cfg2 = AmplifierConfig(reflectivity=0.2, detector="apd")
     assert abs(cfg2.gain - 2.0) < 1e-15
-    assert cfg2.second_output == "no_click"
 
 
 # the models at the top of the sweep ladder build no D^4 array

@@ -1,5 +1,5 @@
 """Only ``tensors`` builds a process tensor, reads its entries or decides
-phase symmetry.
+phase symmetry, and inside it the code path follows the storage layout.
 
 The other modules reach a tensor through ``tensor_diagonal``,
 ``success_probability``, ``_block_product`` and ``_harmonics``, write bands
@@ -7,8 +7,9 @@ through ``_band_tensor`` and ``_corner_tensor`` and gate phase symmetry
 through ``require_phase_invariant``, so the choice between the band and the
 dense layout is made in ``tensors.py`` alone. Inside ``tensors``, apply and
 serial composition multiply by E only through ``_block_product`` (two band
-tensors compose block by block), and coherence blocks are read only by
-``_coherence_blocks``.
+tensors compose block by block), coherence blocks are read only by
+``_coherence_blocks`` and only from band storage, and the products and the
+CP gate choose their path by layout, never by ``phase_invariance_defect``.
 """
 
 import ast
@@ -62,8 +63,19 @@ def test_only_tensors_constructs_tensors():
 
 
 def test_only_tensors_writes_shift_blocks():
-    users = {path.name: _functions_using(path, "_shift_block") for path in _modules()}
-    assert {name: f for name, f in users.items() if f} == {}
+    for index in ("_shift_block", "_shift_index"):
+        users = {path.name: _functions_using(path, index) for path in _modules()}
+        assert {name: f for name, f in users.items() if f} == {}, index
+
+
+def test_paths_follow_the_layout_not_the_phase_defect():
+    # the defect is a diagnostic: products and the CP gate test the layout,
+    # and the block reader reads band views, never a dense tensor's entries
+    tensors_py = SRC / "tensors.py"
+    deciders = {"_block_product", "cp_defect", "compose_serial"}
+    assert deciders <= _functions_using(tensors_py, "_BandTensor")
+    assert not deciders & _functions_using(tensors_py, "phase_invariance_defect")
+    assert "_coherence_blocks" not in _functions_using(tensors_py, "elements")
 
 
 def test_apply_and_compose_contract_through_block_product():

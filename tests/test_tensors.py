@@ -27,14 +27,13 @@ from cvmaps.tensors import (
     combine_heralding,
     compose_serial,
     cp_defect,
-    hermiticity_defect,
     identity_tensor,
-    is_cp,
-    is_trace_nonincreasing,
     PhaseSymmetryError,
     PhysicalityError,
     phase_invariance_defect,
+    require_cp,
     require_phase_invariant,
+    require_tni,
     scale_tensor,
     success_probability,
     tensor_diagonal,
@@ -66,7 +65,8 @@ def test_tensor_from_kraus_matches_definition(rng):
                     for m in range(d):
                         ref[l, kk, n, m] += op[l, n] * np.conj(op[kk, m])
     assert np.max(np.abs(t.elements - ref)) < 1e-14
-    assert hermiticity_defect(t) == 0.0
+    c = choi(t).matrix
+    assert np.array_equal(c, c.conj().T)
 
 
 def test_apply_tensor_matches_kraus(rng):
@@ -125,11 +125,13 @@ def test_choi_spectrum_flags_non_cp():
         for k in range(d):
             arr[l, k, k, l] = 1.0
     t = ProcessTensor(DIM, arr)
-    assert hermiticity_defect(t) == 0.0
+    c = choi(t).matrix
+    assert np.array_equal(c, c.conj().T)
     assert cp_defect(t) < -0.9
-    assert not is_cp(t)
+    with pytest.raises(PhysicalityError, match="not completely positive"):
+        require_cp(t)
     ok = tensor_from_kraus(KrausSet(DIM, [np.eye(d) * 0.7]))
-    assert is_cp(ok)
+    assert require_cp(ok) is ok
     assert cp_defect(ok) > -1e-12
 
 
@@ -147,9 +149,10 @@ def test_choi_matches_elements(rng):
 def test_trace_nonincreasing_detection():
     d = DIM.size
     ok = tensor_from_kraus(KrausSet(DIM, [0.9 * np.eye(d)]))
-    assert is_trace_nonincreasing(ok)
+    assert require_tni(ok) is ok
     bad = tensor_from_kraus(KrausSet(DIM, [1.1 * np.eye(d)]))
-    assert not is_trace_nonincreasing(bad)
+    with pytest.raises(PhysicalityError, match="trace-increasing"):
+        require_tni(bad)
     assert abs(tni_defect(bad) - 0.21) < 1e-12
 
 
@@ -197,11 +200,14 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
 
 @pytest.mark.parametrize("n_max", [1, 4, 9])
 def test_coherence_blocks_are_the_masked_blocks(rng, n_max):
-    # the double-diagonal reader yields the blocks a D^2 row mask selects,
-    # in the same order, and its row slice selects the masked rows
+    # the band reader yields the blocks a D^2 row mask selects, in the same
+    # order, and its row slice selects the masked rows
     dim = FockDim(n_max)
     d = dim.size
-    t = ProcessTensor(dim, rng.standard_normal((d,) * 4) + 1j * rng.standard_normal((d,) * 4))
+    shapes = [(d - abs(s),) * 2 for s in range(1 - d, d)]
+    bands = [(s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             for s, shape in zip(range(1 - d, d), shapes)]
+    t = tensors._band_tensor(dim, bands)
     got = list(tensors._coherence_blocks(t))
     ref = list(oracles.coherence_blocks_reference(t))
     assert [q for q, _, _ in got] == [q for q, _, _ in ref]
@@ -239,7 +245,10 @@ def test_hermiticity_gate():
     arr = np.zeros((d, d, d, d), dtype=complex)
     arr[0, 1, 0, 0] = 1.0  # no conjugate partner
     t = ProcessTensor(DIM, arr)
-    assert hermiticity_defect(t) == 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        choi(t).eigenvalues()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_cp(t)
 
 
 def test_tensors_are_single_mode():
@@ -455,6 +464,8 @@ def test_block_contractions_match_dense_products_property(t, count, banded, seed
 
 @pytest.mark.parametrize("banded", [True, False])
 def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
+    # the layout chooses every path, so products, kernels and the CP gate
+    # never scan a dense tensor; the defect and the gate scan it once
     scanned = []
     scan = tensors._phase_invariance_scan
 
@@ -463,26 +474,26 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
         return scan(t)
 
     monkeypatch.setattr(tensors, "_phase_invariance_scan", spy)
-    t = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
-    if banded:
-        # a tensor built from an array keeps the dense layout, phase invariant or not
-        t = ProcessTensor(t.dim, np.array(t.elements))
+    # a tensor built from an array keeps the dense layout, phase invariant or not
+    k = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
+    t = ProcessTensor(k.dim, np.array(k.elements))
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     rho = _mixed_state(t.dim, 5)
     fk = kernel_from_tensor(t, grid)
-    assert (phase_invariance_defect(t) == 0.0) == banded
     cp_defect(t)
-    if banded:
-        radial_form(t, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5), np.zeros(2))
-    else:
-        with pytest.raises(ValueError, match="not phase invariant"):
-            radial_form(t)
     fk.dense()
     apply_kernel(fk, wigner_of(rho, grid))
     input_marginal(fk)
     output_marginal(fk)
     apply_tensor(t, rho)
     compose_serial(t, t)
+    assert scanned == []
+    assert (phase_invariance_defect(t) == 0.0) == banded
+    if banded:
+        radial_form(t, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5), np.zeros(2))
+    else:
+        with pytest.raises(ValueError, match="not phase invariant"):
+            radial_form(t)
     assert len(scanned) == 1 and scanned[0] is t
 
 
@@ -582,12 +593,18 @@ def _check_band_against_dense(build, exact=True):
     with pytest.MonkeyPatch.context() as mp:
         _dense_builds(mp)
         dense = build()
-    assert isinstance(band, tensors._BandTensor)
-    assert not isinstance(dense, tensors._BandTensor)
     entries = band.elements
     assert np.array_equal(entries, dense.elements) if exact else _close(entries, dense.elements,
                                                                          rel=1e-14)
     del entries
+    _check_layouts_agree(band, dense)
+
+
+def _check_layouts_agree(band, dense):
+    """Every reader and product of a band tensor agrees with the dense path
+    of a dense tensor of the same map to 1e-14 relative."""
+    assert isinstance(band, tensors._BandTensor)
+    assert not isinstance(dense, tensors._BandTensor)
     rho = _mixed_state(band.dim, 3)
     assert _close(apply_tensor(band, rho).matrix, apply_tensor(dense, rho).matrix, rel=1e-14)
     assert _close(compose_serial(band, band).elements, compose_serial(dense, dense).elements,
@@ -619,6 +636,16 @@ def test_band_storage_matches_the_dense_build_property(case):
     _check_band_against_dense(build, exact)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(t=st.one_of(
+    single_diagonal_kraus.map(tensor_from_kraus),
+    st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(_shipped_model)))
+def test_dense_twin_takes_the_dense_path_to_the_same_map_property(t):
+    # the layout, not the entries, chooses the path: a dense copy of a band
+    # tensor takes one full product and one eigh, and agrees with it
+    _check_layouts_agree(t, ProcessTensor(t.dim, np.array(t.elements)))
+
+
 @pytest.mark.parametrize("n_max", [16, 32, 48])
 @pytest.mark.parametrize("model", ["amplifier", "addition"])
 def test_band_storage_matches_the_dense_build_on_sweep_rungs(model, n_max):
@@ -647,9 +674,7 @@ def test_shipped_kraus_blocks_match_the_dense_build(element):
     band = tensor_from_kraus(kraus)
     assert isinstance(band, tensors._BandTensor)
     dense = oracles.tensor_from_kraus_reference(kraus)
-    for (q, _, got), (_, _, ref) in zip(tensors._coherence_blocks(band),
-                                        tensors._coherence_blocks(dense)):
-        assert np.array_equal(got, ref), q
+    assert np.array_equal(band.elements, dense.elements)
 
 
 def test_kraus_sets_off_one_diagonal_stay_dense(rng):
