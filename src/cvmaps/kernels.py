@@ -21,9 +21,13 @@ FactoredKernel (grid samples of a tensor kept as the unevaluated product
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
-through the grid, with factor entries below sqrt(float64 tiny) zeroed so
-that no product is subnormal. Integrals over samples use the trapezoid
-weights of QuadratureGrid.weights and RadialKernel.weights; a radial
+through the grid. A GridKernel stores no nonzero sample below
+sqrt(float64 tiny) in magnitude: its producers zero those entries in
+their fresh arrays, and a caller's array with such entries is kept as a
+floored copy. Grid composition multiplies blocks of rows of the weighted
+f2, floored again, by f1's stored samples, so no product is subnormal
+and neither factor is copied whole. Integrals over samples use the
+trapezoid weights of QuadratureGrid.weights and RadialKernel.weights; a radial
 integral needs two or more points on each axis it integrates over.
 Radial forms sum the 2D - 1 angular harmonics that tensors._harmonics
 yields for a map that passes tensors.require_phase_invariant, and are
@@ -66,14 +70,15 @@ __all__ = [
 ]
 
 _MAX_GRID_VALUES = 70_000_000
-# Grid composition zeroes factor entries below sqrt(float64 tiny), about
-# 1.49e-154, so that no product of two factor entries is subnormal: subnormal
-# operands and results slow the matmul several-fold. Each composed sample
-# moves by at most N_mid * _FACTOR_FLOOR * max(max |w f2|, max |f1|).
+# Stored samples and composition's weighted f2 hold no nonzero entry below
+# sqrt(float64 tiny), about 1.49e-154, so that no product of two factor
+# entries is subnormal: subnormal operands and results slow the matmul
+# several-fold. Each composed sample moves by at most
+# N_mid * _FACTOR_FLOOR * max(max |w f2|, max |f1|), plus _FACTOR_FLOOR
+# where it is itself floored.
 _FACTOR_FLOOR = math.sqrt(np.finfo(float).tiny)
-# entries per block of a factor that composition floors at a time (4 MB).
-# Each column block of f1 repacks the whole weighted f2 in the matmul, so
-# narrower blocks run slower; wider ones raised verify's peak RSS.
+# entries per row block of the weighted f2 that composition floors and
+# multiplies at a time (4 MB), and per block that a floor or its scan reads
 _BLOCK_ENTRIES = 1 << 19
 _COARSE_SPACING = 0.25
 
@@ -168,17 +173,24 @@ class GaussianKernel(_Kernel):
                 u = u - self.X[row, col] * np.asarray(coord)
         return u - self.d[row]
 
-    def evaluate(self, xo, po, xi, pi) -> np.ndarray:
-        """Single-mode f at output (xo, po) and input (xi, pi), broadcast together."""
+    def _values(self, xo, po, xi, pi) -> np.ndarray:
+        """f at the points as a fresh writable array, broadcast only as far as
+        the residuals reach."""
         self._single_mode()
         q, peak = self._gaussian()
         ux = self._residual(0, xo, xi, pi)
         up = self._residual(1, po, xi, pi)
-        expo = q[0, 0] * ux * ux + q[1, 1] * up * up
+        expo = np.asarray(q[0, 0] * ux * ux + q[1, 1] * up * up)
         if q[0, 1] != 0.0:
-            expo = expo + 2.0 * q[0, 1] * ux * up
+            expo += 2.0 * q[0, 1] * ux * up
+        np.exp(expo, out=expo)
+        expo *= peak
+        return expo
+
+    def evaluate(self, xo, po, xi, pi) -> np.ndarray:
+        """Single-mode f at output (xo, po) and input (xi, pi), broadcast together."""
         shape = np.broadcast_shapes(*(np.shape(v) for v in (xo, po, xi, pi)))
-        return np.broadcast_to(_frozen(np.asarray(peak * np.exp(expo))), shape)
+        return np.broadcast_to(_frozen(self._values(xo, po, xi, pi)), shape)
 
     def apply(self, w_in):
         self._single_mode()
@@ -236,11 +248,12 @@ class GaussianKernel(_Kernel):
         return {"min_value": float(peak), "negative_volume": math.inf}
 
     def sample(self, out_grid, in_grid):
-        vals = self.evaluate(out_grid.xs[:, None, None, None],
-                             out_grid.ps[None, :, None, None],
-                             in_grid.xs[None, None, :, None],
-                             in_grid.ps[None, None, None, :])
-        return GridKernel(out_grid, in_grid, vals)
+        vals = _floored(self._values(out_grid.xs[:, None, None, None],
+                                     out_grid.ps[None, :, None, None],
+                                     in_grid.xs[None, None, :, None],
+                                     in_grid.ps[None, None, None, :]))
+        shape = (out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
+        return GridKernel(out_grid, in_grid, np.broadcast_to(_frozen(vals), shape))
 
 
 class _SampledKernel(_Kernel):
@@ -281,7 +294,12 @@ class _SampledKernel(_Kernel):
 
 @dataclass(frozen=True, eq=False)
 class GridKernel(_SampledKernel):
-    """Dense 4D samples f[out_x, out_p, in_x, in_p] on two grids."""
+    """Dense 4D samples f[out_x, out_p, in_x, in_p] on two grids.
+
+    No stored sample is nonzero below _FACTOR_FLOOR in magnitude. A writable
+    array is floored in the copy that _adopt makes of it; a read-only one is
+    kept as it is unless it holds such entries, and then a floored copy is.
+    """
 
     out_grid: QuadratureGrid
     in_grid: QuadratureGrid
@@ -302,7 +320,14 @@ class GridKernel(_SampledKernel):
                     "transfer functions are real"
                 )
             vals = vals.real
-        object.__setattr__(self, "values", _adopt(np.asarray(vals, dtype=float)))
+        vals = np.asarray(vals, dtype=float)
+        kept = _adopt(vals)
+        if kept is not vals:  # _adopt's own copy, which no one else holds
+            kept.flags.writeable = True
+            kept = _frozen(_floored(kept))
+        elif _holds_sub_floor(kept):
+            kept = _frozen(_floored(kept.copy()))
+        object.__setattr__(self, "values", kept)
 
     def _push(self, v):
         return WignerField(self.out_grid, np.tensordot(self.values, v, 2))
@@ -311,7 +336,7 @@ class GridKernel(_SampledKernel):
         return WignerField(self.in_grid, np.tensordot(v, self.values, 2))
 
     def scaled(self, c):
-        return replace(self, values=_frozen(c * self.values))
+        return replace(self, values=_frozen(_floored(c * self.values)))
 
     def dense(self):
         return self
@@ -413,7 +438,7 @@ class SumKernel(_Kernel):
         for w, term in self.terms:
             part = w * term.sample(out_grid, in_grid).values
             total = part if total is None else total + part
-        return GridKernel(out_grid, in_grid, _frozen(total))
+        return GridKernel(out_grid, in_grid, _frozen(_floored(total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,28 +538,23 @@ def apply_kernel(f, w_in: WignerField) -> WignerField:
     return f.apply(w_in)
 
 
+def _blocks(a: np.ndarray):
+    """Views of C-ordered a's entries, _BLOCK_ENTRIES at a time."""
+    flat = a.reshape(-1)
+    return (flat[lo:lo + _BLOCK_ENTRIES] for lo in range(0, flat.size, _BLOCK_ENTRIES))
+
+
 def _floored(a: np.ndarray) -> np.ndarray:
-    """Real a with every entry below _FACTOR_FLOOR in magnitude set to 0, in place."""
-    a[(a > -_FACTOR_FLOOR) & (a < _FACTOR_FLOOR)] = 0.0
+    """Real C-ordered a with every entry below _FACTOR_FLOOR in magnitude set to
+    0, in place."""
+    for blk in _blocks(a):
+        blk[np.abs(blk) < _FACTOR_FLOOR] = 0.0
     return a
 
 
-def _weighted_floor(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """f diag(w), floored, built one block of rows at a time."""
-    out = np.empty(f.shape)
-    step = max(1, _BLOCK_ENTRIES // f.shape[1])
-    for lo in range(0, f.shape[0], step):
-        _floored(np.multiply(f[lo:lo + step], w, out=out[lo:lo + step]))
-    return out
-
-
-def _product_floor(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ floored(right), one floored copy of a block of right's columns at a time."""
-    out = np.empty((left.shape[0], right.shape[1]))
-    step = max(1, _BLOCK_ENTRIES // right.shape[0])
-    for lo in range(0, right.shape[1], step):
-        np.matmul(left, _floored(right[:, lo:lo + step].copy()), out=out[:, lo:lo + step])
-    return out
+def _holds_sub_floor(a: np.ndarray) -> bool:
+    """Whether C-ordered a holds a nonzero entry below _FACTOR_FLOOR in magnitude."""
+    return any(((blk != 0.0) & (np.abs(blk) < _FACTOR_FLOOR)).any() for blk in _blocks(a))
 
 
 def compose_kernels(f2, f1):
@@ -553,10 +573,17 @@ def compose_kernels(f2, f1):
         if f1.out_grid != f2.in_grid:
             raise ValueError("intermediate grids do not match")
         out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
-        # one product over the flattened intermediate plane, weights on f2
-        left = _weighted_floor(f2.values.reshape(out.n_x * out.n_p, -1),
-                               mid.weights.ravel())
-        flat = _product_floor(left, f1.values.reshape(mid.n_x * mid.n_p, -1))
+        # one product over the flattened intermediate plane, weights on f2,
+        # streamed by blocks of f2's rows against f1's stored samples
+        left = f2.values.reshape(out.n_x * out.n_p, -1)
+        right = f1.values.reshape(mid.n_x * mid.n_p, -1)
+        w = mid.weights.ravel()
+        flat = np.empty((left.shape[0], right.shape[1]))
+        step = max(1, _BLOCK_ENTRIES // left.shape[1])
+        for lo in range(0, left.shape[0], step):
+            rows = flat[lo:lo + step]
+            np.matmul(_floored(left[lo:lo + step] * w), right, out=rows)
+            _floored(rows)
         vals = _frozen(flat).reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
         return GridKernel(out, inp, vals)
     raise TypeError(

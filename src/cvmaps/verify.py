@@ -78,6 +78,11 @@ def _amplifier_delta2():
     return md.amplifier_model(cfg)
 
 
+@lru_cache(maxsize=None)
+def _amplifier_delta2_radial():
+    return radial_form(_amplifier_delta2())
+
+
 @_register
 def check_vacuum_peak(fault):
     grid = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 97, 97)
@@ -151,10 +156,10 @@ def check_composition_grid(fault):
     mid = QuadratureGrid(-8.0, 8.0, -8.0, 8.0, 65, 65)
     f1 = sample_kernel(el.attenuation(0.5, dim).kernel, mid, g)
     f2 = sample_kernel(el.attenuation(0.8, dim).kernel, g, mid)
-    comp = compose_kernels(f2, f1)
-    ref = sample_kernel(el.attenuation(0.4, dim).kernel, g, g)
-    return _result("composition_grid", 1e-5,
-                   float(np.abs(comp.values - ref.values).max()))
+    comp = compose_kernels(f2, f1).values
+    del f1, f2  # released before the reference is sampled
+    gap = comp - sample_kernel(el.attenuation(0.4, dim).kernel, g, g).values
+    return _result("composition_grid", 1e-5, float(np.abs(gap, out=gap).max()))
 
 
 def _single_kraus_cases(dim):
@@ -314,7 +319,7 @@ def check_amplifier_population_signatures(fault):
 
 @_register
 def check_amplifier_kernel_negativity(fault):
-    rk = radial_form(_amplifier_delta2())
+    rk = _amplifier_delta2_radial()
     near = rk.values[rk.rp_axis <= 0.5, :, 0]
     return _result("amplifier_kernel_negativity", -1e-3, float(near.min()),
                    note="theta=0 slice near r'=0, delta=2")
@@ -324,7 +329,7 @@ def check_amplifier_kernel_negativity(fault):
 def check_amplifier_negativity_ordering(fault):
     dim = FockDim(15)
     vac = fock_state(0, dim)
-    n2 = negativity(radial_form(_amplifier_delta2()))
+    n2 = negativity(_amplifier_delta2_radial())
     n1 = negativity(radial_form(_experimental_amplifier()))
     p2 = success_probability(_amplifier_delta2(), vac)
     p1 = success_probability(_experimental_amplifier(), vac)
@@ -336,7 +341,7 @@ def check_amplifier_negativity_ordering(fault):
 
 @_register
 def check_negativity_scale_covariance(fault):
-    rk = radial_form(_amplifier_delta2())
+    rk = _amplifier_delta2_radial()
     base = negativity(rk)
     worst = 0.0
     for c in (2.0, 3.7):

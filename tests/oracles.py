@@ -90,6 +90,22 @@ def amplification_kernel_reference(g: float, xp, pp, x, p):
     return val / (math.pi * nu2)
 
 
+def gaussian_evaluate_reference(k, xo, po, xi, pi) -> np.ndarray:
+    """GaussianKernel.evaluate as peak * exp(expo), each step a new array.
+
+    It reuses the kernel's exponent form and residuals, so what it checks is
+    that evaluating the exponential in place changes no bit.
+    """
+    q, peak = k._gaussian()
+    ux = k._residual(0, xo, xi, pi)
+    up = k._residual(1, po, xi, pi)
+    expo = q[0, 0] * ux * ux + q[1, 1] * up * up
+    if q[0, 1] != 0.0:
+        expo = expo + 2.0 * q[0, 1] * ux * up
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (xo, po, xi, pi)))
+    return np.broadcast_to(peak * np.exp(expo), shape)
+
+
 def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
     """f(r', r, theta) of a tensor, contracted one sampled angle at a time.
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cvmaps import cli
+from cvmaps import cli, verify
 from cvmaps.elements import (
     attenuation,
     attenuation_kraus,
@@ -536,31 +536,140 @@ def test_grid_composition_matches_weighted_einsum(rng):
     assert np.array_equal(compose_kernels(dense(f2), dense(f1)).values, comp.values)
 
 
+def sub_floor(a):
+    import cvmaps.kernels as kernels
+
+    return (a != 0.0) & (np.abs(a) < kernels._FACTOR_FLOOR)
+
+
 def test_grid_composition_floors_subnormal_tails():
     # on a wide intermediate plane the sampled Gaussians' tails run into the
-    # subnormal range; composition zeroes factor entries below sqrt(tiny),
-    # which moves each sample by at most N_mid sqrt(tiny) max(|w f2|, |f1|)
+    # subnormal range; stored samples and the weighted f2 hold no nonzero
+    # entry below sqrt(tiny), which moves each composed sample by at most
+    # N_mid sqrt(tiny) max(|w f2|, |f1|) against the unfloored product
     import cvmaps.kernels as kernels
 
     g = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 13, 13)
     mid = QuadratureGrid(-9.0, 9.0, -9.0, 9.0, 25, 25)
-    f1 = sample_kernel(attenuation(0.5, FockDim(4)).kernel, mid, g)
-    f2 = sample_kernel(attenuation(0.8, FockDim(4)).kernel, g, mid)
-    left = f2.values * mid.weights
+    k1, k2 = attenuation(0.5, FockDim(4)).kernel, attenuation(0.8, FockDim(4)).kernel
+    raw1 = k1.evaluate(*np.ix_(mid.xs, mid.ps, g.xs, g.ps))
+    raw2 = k2.evaluate(*np.ix_(g.xs, g.ps, mid.xs, mid.ps))
+    left = raw2 * mid.weights
     tiny, floor = np.finfo(float).tiny, kernels._FACTOR_FLOOR
     assert floor == math.sqrt(tiny)
     assert ((left != 0.0) & (np.abs(left) < tiny)).any()
-    for factor in (left, f1.values):
-        assert (np.abs(factor) < floor).any()
-    comp = compose_kernels(f2, f1).values
-    ref = np.einsum("abxy,xyij->abij", left, f1.values)
+    for factor in (raw1, raw2, left):
+        assert sub_floor(factor).any()
+    ref = np.einsum("abxy,xyij->abij", left, raw1)
     # einsum and the blocked matmul round differently: 1e-13 of each sample's
     # absolute sum on top of the floor's bound
-    mag = np.einsum("abxy,xyij->abij", np.abs(left), np.abs(f1.values))
-    bound = mid.n_x * mid.n_p * floor * max(np.abs(left).max(), np.abs(f1.values).max())
-    assert (np.abs(comp - ref) <= 1e-13 * mag + bound).all()
+    mag = np.einsum("abxy,xyij->abij", np.abs(left), np.abs(raw1))
+    bound = mid.n_x * mid.n_p * floor * max(np.abs(left).max(), np.abs(raw1).max())
+    read_only = []
+    for raw in (raw1, raw2):
+        arr = np.array(raw)
+        arr.flags.writeable = False
+        read_only.append(arr)
+    for f2, f1 in ((sample_kernel(k2, g, mid), sample_kernel(k1, mid, g)),
+                   (GridKernel(g, mid, read_only[1]), GridKernel(mid, g, read_only[0]))):
+        comp = compose_kernels(f2, f1).values
+        assert (np.abs(comp - ref) <= 1e-13 * mag + bound).all()
     # the tails of the composed kernel are far below the samples' scale
     assert (ref < 1e-100).any()
+
+
+def test_grid_samples_hold_no_sub_floor_entries():
+    # every producer floors its fresh samples, and a caller's array is
+    # floored in a copy that leaves the caller's own entries alone
+    grid = QuadratureGrid(-12.0, 12.0, -12.0, 12.0, 13, 13)
+    gauss = attenuation(0.5, FockDim(4)).kernel
+    raw = np.array(gauss.evaluate(*np.ix_(grid.xs, grid.ps, grid.xs, grid.ps)))
+    assert sub_floor(raw).any()
+
+    def floored(a):
+        return np.where(sub_floor(a), 0.0, a)
+
+    sampled = gauss.sample(grid, grid)
+    assert np.array_equal(sampled.values, floored(raw))
+    scaled_raw = 1e-10 * sampled.values
+    summed_raw = 1e-10 * sampled.values + 2e-10 * sampled.values
+    w = grid.weights.reshape(-1)
+    flat = sampled.values.reshape(w.size, w.size)
+    composed_raw = floored(flat * w) @ flat
+    with pytest.warns(RuntimeWarning, match="spacing"):
+        factored = kernel_from_tensor(attenuation(0.5, FockDim(4)).tensor(), grid, grid)
+    factored_raw = oracles.factored_kernel_reference(factored.tensor, grid, grid)
+    for a in (scaled_raw, summed_raw, composed_raw, factored_raw):
+        assert sub_floor(a).any()
+    writable = raw.copy()
+    read_only = raw.copy()
+    read_only.flags.writeable = False
+    callers = (GridKernel(grid, grid, writable), GridKernel(grid, grid, read_only))
+    assert sub_floor(writable).any() and sub_floor(read_only).any()
+    produced = (sampled, scale_kernel(sampled, 1e-10),
+                SumKernel(((1e-10, gauss), (2e-10, gauss))).sample(grid, grid),
+                compose_kernels(sampled, sampled), factored.dense()) + callers
+    for k in produced:
+        assert not sub_floor(k.values).any() and not k.values.flags.writeable
+    assert np.array_equal(produced[1].values, floored(scaled_raw))
+    assert np.array_equal(produced[2].values, floored(summed_raw))
+    assert rel_diff(produced[3].values.reshape(w.size, w.size), composed_raw) <= 1e-13
+    assert rel_diff(produced[4].values, factored_raw) <= 1e-13
+    for k in callers:
+        assert np.array_equal(k.values, floored(raw))
+
+
+# verify's composition check: 49^2 x 65^2 samples in each factor and
+# 49^2 x 49^2 in the result, in bytes
+COMPOSITION_FACTOR = 8 * 49 ** 2 * 65 ** 2
+COMPOSITION_RESULT = 8 * 49 ** 4
+
+
+def test_composition_check_holds_no_full_size_copy():
+    # f1, f2 and the result, then the result, the reference and their gap
+    tracemalloc.start()
+    try:
+        assert verify.check_composition_grid(None)["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * COMPOSITION_FACTOR + COMPOSITION_RESULT + (16 << 20)
+
+
+def test_grid_composition_streams_row_blocks():
+    # the result and one row block of the weighted f2 with its floor's
+    # temporaries; no full-size copy of either factor
+    import cvmaps.kernels as kernels
+
+    g = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 49, 49)
+    mid = QuadratureGrid(-8.0, 8.0, -8.0, 8.0, 65, 65)
+    f1 = sample_kernel(attenuation(0.5, FockDim(15)).kernel, mid, g)
+    f2 = sample_kernel(attenuation(0.8, FockDim(15)).kernel, g, mid)
+    tracemalloc.start()
+    try:
+        compose_kernels(f2, f1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < COMPOSITION_RESULT + 2 * kernels._BLOCK_ENTRIES * 8 + (2 << 20)
+
+
+def test_gaussian_evaluate_matches_reference_bit_for_bit():
+    # the in-place exponential changes no bit of peak * exp(expo)
+    grid = QuadratureGrid(-3.0, 3.0, -2.5, 2.5, 9, 11)
+    rot = np.array([[math.cos(0.4), math.sin(0.4)], [-math.sin(0.4), math.cos(0.4)]])
+    cases = (attenuation(0.5, FockDim(3)).kernel,
+             GaussianKernel(np.diag([1.3, 0.7]), np.diag([0.4, 0.9]), [0.2, -0.1], 2.5),
+             GaussianKernel(rot @ np.diag([1.2, 0.5]), [[0.6, 0.25], [0.25, 0.4]],
+                            [-0.3, 0.5], -1.5))
+    points = (np.ix_(grid.xs, grid.ps, grid.xs, grid.ps),
+              (0.3, -0.2, grid.xs[:, None], grid.ps[None, :]),
+              (0.8, 0.1, 1.0, -0.4))
+    for k in cases:
+        for pts in points:
+            got = k.evaluate(*pts)
+            ref = oracles.gaussian_evaluate_reference(k, *pts)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_radial_form_theta_blocks_agree():
