@@ -3,38 +3,33 @@
 A map acting on single-mode density matrices is the tensor
 
     [E(rho)]_{l,k} = sum_{n,m} E^{n,m}_{l,k} rho_{n,m},
-    E^{n,m}_{l,k} = sum_i <l|E_i|n> <m|E_i^dag|k>,
+    E^{n,m}_{l,k} = sum_i w_i <l|E_i|n> <m|E_i^dag|k>,
 
-with axes (l, k, n, m), each of dimension D. Read as the D^2 x D^2 matrix
-with rows (l, k) and columns (n, m), E acts on the flattened rho; its Choi
-matrix is a transpose and its trace form a partial trace. Heralded maps
-stay sub-normalized; the trace of the output is the occurrence probability
-of the branch.
+with axes (l, k, n, m), each of dimension D, and real weights w_i. Heralded
+maps stay sub-normalized; the trace of the output is the occurrence
+probability of the branch.
 
-A tensor has one of two layouts, and every code path follows the layout.
-An exactly phase-invariant map is kept as its 2D - 1 coherence blocks M_q
-alone, q = l - k = n - m, packed into one read-only array of
-sum_q (D - |q|)^2 entries: 1.2 MB instead of 92 MB at D = 49. The shift-block
-writer _band_tensor (behind tensor_from_kraus when every Kraus operator
-lies on one diagonal), the amplifier's corner constructor _corner_tensor
-when its off-band entries are exactly 0, and combine_heralding,
-scale_tensor and compose_serial on band inputs give this layout. Every
-other map, and every tensor built from a dense array by
-ProcessTensor(dim, elements), keeps the dense D^4 array and is treated
-densely, whatever its entries: one full product, one Choi eigh.
-``elements`` is the (l, k, n, m) array in either layout; for a band tensor
-it is built on each access, read-only, and not kept, and no function here
-reads it.
+A tensor has one of two layouts, neither holding the D^4 array, and every
+code path follows the layout. An exactly phase-invariant map is kept as its
+2D - 1 coherence blocks M_q alone, q = l - k = n - m, packed into one
+read-only array of sum_q (D - |q|)^2 entries (2.8 MB instead of 268 MB at
+D = 64). Every other map is kept as read-only operators ``ops`` (r, D, D)
+and real ``weights`` (r,), E(X) = sum_i w_i E_i X E_i^dag; signed weights
+keep scaling by c < 0, sums and maps that are not CP. A caller's array
+(ProcessTensor(dim, elements)) and an off-band corner enter through the eigh
+of their Choi matrix, one shift block at a time when the array is exactly
+phase invariant, and a band operand of a Kraus operation the same way.
+``elements`` is the (l, k, n, m) array in either layout, built on each
+access, read-only, and not kept; no function here reads it.
 
-Only this module reads or writes a tensor's entries by index or decides
-phase symmetry. Other modules use tensor_diagonal, success_probability,
-the writers _band_tensor and _corner_tensor, the gate
-require_phase_invariant, which returns a band tensor, and the two products
-with E, _block_product and _harmonics; the blocks M_q of a band tensor are
-read through _coherence_blocks alone. phase_invariance_defect is a
-diagnostic and chooses no path: a dense tensor's array is read-only, so
-its defect is computed once, on first use, and kept; a band tensor's is 0
-with no scan.
+Only this module reads or writes a tensor's entries or decides phase
+symmetry. Other modules use tensor_diagonal, success_probability, the
+writers _band_tensor and _corner_tensor, the gate require_phase_invariant,
+which returns a band tensor, and the two products with E, _block_product and
+_harmonics; the blocks M_q of a band tensor are read through
+_coherence_blocks alone. phase_invariance_defect is a diagnostic and chooses
+no path: a band tensor's defect is 0 with no scan, and a Kraus tensor's is
+computed once, one output row E[l] at a time, and kept.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -54,7 +49,6 @@ __all__ = [
     "PhaseSymmetryError",
     "KrausSet",
     "ProcessTensor",
-    "ChoiMatrix",
     "tensor_from_kraus",
     "identity_tensor",
     "apply_tensor",
@@ -62,7 +56,6 @@ __all__ = [
     "success_probability",
     "tensor_diagonal",
     "compose_serial",
-    "choi",
     "cp_defect",
     "require_cp",
     "tni_defect",
@@ -72,9 +65,6 @@ __all__ = [
     "scale_tensor",
     "phase_invariance_defect",
 ]
-
-# dense storage cap on the D^4 entries: n_max = 66 (D = 67, 322 MB) fits
-_MAX_ELEMENTS = 21_000_000
 
 DEFAULT_CP_TOL = 1e-9
 DEFAULT_TNI_TOL = 1e-9
@@ -118,45 +108,41 @@ class KrausSet:
         return float(w.max() - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ProcessTensor:
-    """Single-mode map E^{n,m}_{l,k}, stored with axes (l, k, n, m)."""
+    """Single-mode map E^{n,m}_{l,k}, kept as weighted Kraus operators."""
 
     dim: FockDim
-    elements: np.ndarray
+    ops: np.ndarray
+    weights: np.ndarray
 
     input_modes = 1
     output_modes = 1
 
-    def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=complex)
-        shape = (self.dim.size,) * 4
+    def __init__(self, dim: FockDim, elements):
+        """The map of a caller's (l, k, n, m) array; the array is not kept."""
+        arr = np.asarray(elements, dtype=complex)
+        shape = (dim.size,) * 4
         if arr.shape != shape:
             raise ValueError(f"elements shape {arr.shape} != {shape}")
-        if arr.size > _MAX_ELEMENTS:
-            raise ValueError(
-                f"tensor with {arr.size} elements exceeds the dense cap "
-                f"{_MAX_ELEMENTS}; reduce n_max"
-            )
-        object.__setattr__(self, "elements", _adopt(arr))
+        vars(self).update(vars(_as_kraus(_corner_tensor(dim, arr))))
 
     @property
-    def matrix(self) -> np.ndarray:
-        """E as the D^2 x D^2 matrix with rows (l, k) and columns (n, m)."""
-        side = self.dim.size ** 2
-        return self.elements.reshape(side, side)
+    def elements(self) -> np.ndarray:
+        out = np.empty((self.dim.size,) * 4, dtype=complex)
+        for l, part in enumerate(_kraus_slices(self)):
+            out[l] = part
+        return _frozen(out)
 
     @cached_property
     def _phase_defect(self) -> float:
-        return _phase_invariance_scan(self)
+        return _off_band_max(_kraus_slices(self))
 
 
 class _BandTensor(ProcessTensor):
-    """An exactly phase-invariant map, kept as its coherence blocks alone.
-
-    ``packed`` holds M_q for q = 1 - D .. D - 1 back to back, each in C
-    order (_packed_block). ``elements`` is built on each access and not kept.
-    """
+    """An exactly phase-invariant map, kept as its coherence blocks alone:
+    ``packed`` holds M_q for q = 1 - D .. D - 1 back to back, each in C order
+    (_packed_block)."""
 
     _phase_defect = 0.0  # the blocks hold no entry off l - k = n - m
 
@@ -174,17 +160,11 @@ class _BandTensor(ProcessTensor):
         return _frozen(out)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    dim: FockDim
-    matrix: np.ndarray
-
-    def eigenvalues(self) -> np.ndarray:
-        m = self.matrix
-        herm_gap = np.max(np.abs(m - m.conj().T))
-        if herm_gap > 1e-8:
-            raise ValueError(f"Choi matrix not Hermitian, defect {herm_gap:.3e}")
-        return np.linalg.eigvalsh((m + m.conj().T) / 2)
+def _kraus_tensor(dim: FockDim, ops: np.ndarray, weights) -> ProcessTensor:
+    """The Kraus-layout tensor sum_i weights[i] ops[i] X ops[i]^dag."""
+    t = object.__new__(ProcessTensor)
+    vars(t).update(dim=dim, ops=_frozen(ops), weights=_frozen(np.asarray(weights, float)))
+    return t
 
 
 def _adopt(arr: np.ndarray) -> np.ndarray:
@@ -201,6 +181,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """A newly computed array made read-only, so _adopt keeps it without a copy."""
     arr.flags.writeable = False
     return arr
+
+
+def _hermitian_eigh(c: np.ndarray, vectors: bool = False, name: str = "Choi matrix"):
+    """The eigenvalues of c, or with vectors its eigenpairs (w, v[:, i]) above
+    the eigh's rounding len(c) eps max |w|; ValueError when c is not Hermitian."""
+    gap = np.max(np.abs(c - c.conj().T))
+    if gap > 1e-8:
+        raise ValueError(f"{name} not Hermitian, defect {gap:.3e}")
+    c = (c + c.conj().T) / 2
+    if not vectors:
+        return np.linalg.eigvalsh(c)
+    w, v = np.linalg.eigh(c)
+    keep = np.abs(w) > len(c) * np.finfo(float).eps * np.abs(w).max()
+    return w[keep], v[:, keep]
 
 
 def _shift_block(d: int, s: int):
@@ -229,13 +223,6 @@ def _empty_packed(d: int) -> np.ndarray:
     return np.zeros(_block_offsets(d)[-1], dtype=complex)
 
 
-def _double_diagonal(e: np.ndarray, q: int) -> np.ndarray:
-    """The entries e[k + q, k, m + q, m] of an (a, b, D, D) array as a view
-    [k - max(-q, 0), m - max(-q, 0)]: all of M_q when a = b = D, its
-    leading rows when a = b < D."""
-    return e.diagonal(-q, 0, 1).diagonal(-q, 0, 1)
-
-
 def _shift_index(d: int, s: int) -> np.ndarray:
     """Where the entries of _shift_block(d, s) lie in a band tensor's packed array."""
     _, k, n, m = _shift_block(d, s)
@@ -261,19 +248,45 @@ def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
 def _corner_tensor(dim: FockDim, corner: np.ndarray) -> ProcessTensor:
     """The tensor equal to corner on E[l, k] for l, k < len(corner), else 0.
 
-    Band storage when the corner has no entry off l - k = n - m, by the
-    exact rule of phase_invariance_defect; dense storage otherwise.
+    Band storage when the corner has no entry off l - k = n - m (the rule of
+    phase_invariance_defect), else operators E_v[l, n] = v[(l, n)], l < j, from its Choi eigh.
     """
     d, j = dim.size, len(corner)
     if _off_band_max(corner) == 0.0:
         packed = _empty_packed(d)
         for q in range(1 - j, j):
-            part = _double_diagonal(corner, q)
+            # corner[k + q, k, m + q, m] as a view: the leading rows of M_q
+            part = corner.diagonal(-q, 0, 1).diagonal(-q, 0, 1)
             _packed_block(packed, d, q)[:len(part)] = part
         return _BandTensor(dim, packed)
-    full = np.zeros((d,) * 4, dtype=complex)
-    full[:j, :j] = corner
-    return ProcessTensor(dim, _frozen(full))
+    w, v = _hermitian_eigh(corner.transpose(0, 2, 1, 3).reshape(j * d, j * d), True)
+    ops = np.zeros((len(w), d, d), dtype=complex)
+    ops[:, :j] = v.T.reshape(-1, j, d)
+    return _kraus_tensor(dim, ops, w)
+
+
+def _as_kraus(t: ProcessTensor) -> ProcessTensor:
+    """t in the Kraus layout: E_v[n + s, n] = v[n - max(0, -s)] of weight w per
+    eigenpair (w, v) of a band tensor's Choi block at shift s."""
+    if not isinstance(t, _BandTensor):
+        return t
+    d = t.dim.size
+    ops, weights = [], []
+    for s in range(1 - d, d):
+        w, v = _hermitian_eigh(t.packed[_shift_index(d, s)], True)
+        n = np.arange(max(0, -s), d - max(0, s))
+        ops.append(np.zeros((len(w), d, d), dtype=complex))
+        ops[-1][:, n + s, n] = v.T
+        weights.append(w)
+    return _kraus_tensor(t.dim, np.concatenate(ops), np.concatenate(weights))
+
+
+def _kraus_slices(t: ProcessTensor):
+    """A Kraus tensor's rows E[l] = sum_i (E_i[l, n] conj(E_i[k, m])) w_i, one (k, n, m)
+    array at a time; w last keeps E[k, l, m, n] exactly conj(E[l, k, n, m])."""
+    conj = t.ops.conj()
+    for l in range(t.dim.size):
+        yield np.einsum("in,ikm,i->knm", t.ops[:, l], conj, t.weights)
 
 
 def _coherence_blocks(t: _BandTensor):
@@ -292,17 +305,26 @@ def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.nd
 
     A band tensor is block diagonal over coherence orders, so each block M_q
     meets only the rows (columns) of its own order q: about 2 D^3 / 3
-    products per column of x instead of D^4. A dense tensor is one full
-    product, whatever its entries.
+    products per column of x instead of D^4. A Kraus tensor takes each column
+    X of x to sum_i w_i E_i X E_i^dag (each row to sum_i w_i E_i^T X conj(E_i)).
     """
-    if not isinstance(t, _BandTensor):
-        return x @ t.matrix if left else t.matrix @ x
     out = np.zeros(x.shape, dtype=complex)
-    for _, rows, block in _coherence_blocks(t):
-        if left:
-            out[..., rows] = x[..., rows] @ block
-        else:
-            out[rows] = block @ x[rows]
+    if isinstance(t, _BandTensor):
+        for _, rows, block in _coherence_blocks(t):
+            if left:
+                out[..., rows] = x[..., rows] @ block
+            else:
+                out[rows] = block @ x[rows]
+        return out
+    d = t.dim.size
+    if left:
+        rows, acc = x.reshape(-1, d, d), out.reshape(-1, d, d)  # [j, l, k]
+        for op, w in zip(t.ops, t.weights):
+            acc += w * (op.T @ (rows @ op.conj()))
+    else:
+        cols, acc = x.reshape(d, -1), out.reshape(d, d, -1)  # [n, (m, j)], [l, k, j]
+        for op, w in zip(t.ops, t.weights):
+            acc += w * (op.conj() @ (op @ cols).reshape(d, d, -1))
     return out
 
 
@@ -316,6 +338,13 @@ def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
     return _BandTensor(first.dim, packed)
 
 
+def _kraus_product(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor:
+    """second after first for two Kraus tensors: E2_a E1_b of weight w2_a w1_b."""
+    d = first.dim.size
+    ops = np.matmul(second.ops[:, None], first.ops[None]).reshape(-1, d, d)
+    return _kraus_tensor(first.dim, ops, np.outer(second.weights, first.weights).ravel())
+
+
 def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
     """(q, C_q) per coherence order q, C_q = B_out,q^T M_q B_in,q raveled, for b_out
     and b_in with D^2 rows; they sum to B_out^T E B_in raveled."""
@@ -324,43 +353,32 @@ def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:
-    """S_{n,m} = sum_l E^{n,m}_{l,l}, so that Tr E(rho) = sum_{n,m} S_{n,m} rho_{n,m}.
-
-    Only the order q = 0 meets l = k, so a band tensor's S is the diagonal
-    of the column sums of M_0.
-    """
+    """S_{n,m} = sum_l E^{n,m}_{l,l}, so that Tr E(rho) = sum_{n,m} S_{n,m} rho_{n,m}:
+    the diagonal of M_0's column sums (only q = 0 meets l = k), or
+    sum_i w_i E_i^T conj(E_i)."""
     if isinstance(t, _BandTensor):
         return np.diag(_packed_block(t.packed, t.dim.size, 0).sum(axis=0))
-    return np.trace(t.elements, axis1=0, axis2=1)
+    return np.einsum("i,iln,ilm->nm", t.weights, t.ops, t.ops.conj())
 
 
-def _max_entry_gap(a: ProcessTensor, b: ProcessTensor) -> float:
-    """Max |E_a - E_b| over all entries; two band tensors differ only in their blocks."""
-    if isinstance(a, _BandTensor) and isinstance(b, _BandTensor):
-        return float(np.abs(a.packed - b.packed).max())
-    return float(np.abs(a.elements - b.elements).max())
+def _max_entry_gap(a: _BandTensor, b: _BandTensor) -> float:
+    """Max |E_a - E_b| over all entries of two band tensors: their blocks."""
+    return float(np.abs(a.packed - b.packed).max())
 
 
 def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
-    """The tensor of a single-mode Kraus set: the dense D^4 array, or band
-    storage when every operator E_i lies on one diagonal l - n = s; each
-    then adds a a^dag, a_n = E_i[n + s, n], to the Choi block of shift s."""
+    """The tensor of a single-mode Kraus set: band storage when every operator
+    E_i lies on one diagonal l - n = s, each adding a a^dag, a_n = E_i[n + s, n],
+    to the Choi block of shift s; else the operators, with unit weights."""
     if k.input_modes != 1 or k.output_modes != 1:
         raise ValueError("process tensors are single-mode; apply a "
                          "multi-mode KrausSet with apply_kraus")
     ops = np.stack(k.operators)
-    d = k.dim.size
     shifts = [np.unique(np.subtract(*np.nonzero(op))) for op in ops]
     if all(s.size <= 1 for s in shifts):
         diagonals = [(s[0], np.diagonal(op, -s[0])) for op, s in zip(ops, shifts) if s.size]
         return _band_tensor(k.dim, ((s, np.outer(a, a.conj())) for s, a in diagonals))
-    # E[l, k, n, m] = sum_i E_i[l, n] conj(E_i[k, m]), filled row by row so
-    # that no second full-size array is allocated
-    conj = ops.conj().reshape(len(ops), d * d)
-    arr = np.empty((d, d, d, d), dtype=complex)
-    for l in range(d):
-        arr[l] = (ops[:, l, :].T @ conj).reshape(d, d, d).transpose(1, 0, 2)
-    return ProcessTensor(k.dim, _frozen(arr))
+    return _kraus_tensor(k.dim, ops, np.ones(len(ops)))
 
 
 def identity_tensor(dim: FockDim) -> ProcessTensor:
@@ -379,12 +397,9 @@ def apply_tensor(t: ProcessTensor, rho: DensityOperator) -> DensityOperator:
 
 
 def apply_kraus(k: KrausSet, rho: DensityOperator) -> DensityOperator:
-    """Direct sum_i E_i rho E_i^dag, bypassing tensor storage.
-
-    The only path for a multi-mode set, and preferred at large D where the
-    dense tensor would not fit; for a single-mode set it agrees with
-    apply_tensor(tensor_from_kraus(k), rho) in exact arithmetic.
-    """
+    """Direct sum_i E_i rho E_i^dag: the path for multi-mode sets, which have
+    no process tensor. For a single-mode set it agrees with
+    apply_tensor(tensor_from_kraus(k), rho) in exact arithmetic."""
     if rho.dim != k.dim or rho.modes != k.input_modes:
         raise ValueError("state does not match Kraus input structure")
     side = k.dim.size ** k.output_modes
@@ -403,43 +418,35 @@ def success_probability(t: ProcessTensor, rho: DensityOperator) -> float:
 
 
 def tensor_diagonal(t: ProcessTensor) -> np.ndarray:
-    """F^{m,m}_{k,k}, the map's photon-number transfer, as a read-only D x D view [k, m]."""
-    d = t.dim.size
+    """F^{m,m}_{k,k}, the map's photon-number transfer, as a read-only D x D
+    array [k, m]: a view of M_0, or sum_i w_i |E_i[k, m]|^2 rounded as ``elements``."""
     if isinstance(t, _BandTensor):
-        return _packed_block(t.packed, d, 0)
-    return t.matrix[::d + 1, ::d + 1]
+        return _packed_block(t.packed, t.dim.size, 0)
+    return _frozen(np.einsum("ikm,ikm,i->km", t.ops, t.ops.conj(), t.weights))
 
 
 def compose_serial(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor:
-    """Tensor of (second after first); contracts the intermediate pair, block
-    by block when both are band tensors."""
+    """Tensor of (second after first): block by block, or operator by operator."""
     if first.dim != second.dim:
         raise ValueError("composed tensors need a common FockDim")
     if isinstance(second, _BandTensor) and isinstance(first, _BandTensor):
         return _band_product(second, first)
-    product = _frozen(_block_product(second, first.matrix))
-    return ProcessTensor(first.dim, product.reshape((first.dim.size,) * 4))
-
-
-def choi(t: ProcessTensor) -> ChoiMatrix:
-    """C_{(l,n),(k,m)} = E^{n,m}_{l,k}."""
-    side = t.dim.size ** 2
-    return ChoiMatrix(t.dim, t.elements.transpose(0, 2, 1, 3).reshape(side, side))
+    return _kraus_product(_as_kraus(second), _as_kraus(first))
 
 
 def cp_defect(t: ProcessTensor) -> float:
     """Most negative Choi eigenvalue (0 if spectrum is non-negative).
 
     A band tensor's permuted Choi matrix is block diagonal, so it takes the
-    minimum over its 2D - 1 shift blocks, gathered from its coherence
-    blocks; a dense tensor runs one eigh, whatever its entries.
+    minimum over its 2D - 1 shift blocks, gathered from its coherence blocks.
+    A Kraus tensor's is A W A^dag, A = QR the vectorized operators: R W R^dag.
     """
     d = t.dim.size
     if isinstance(t, _BandTensor):
-        low = min(ChoiMatrix(t.dim, t.packed[_shift_index(d, s)]).eigenvalues().min()
-                  for s in range(1 - d, d))
+        low = min(_hermitian_eigh(t.packed[_shift_index(d, s)]).min() for s in range(1 - d, d))
     else:
-        low = choi(t).eigenvalues().min()
+        r = np.linalg.qr(t.ops.reshape(len(t.ops), d * d).T, mode="r")
+        low = np.linalg.eigvalsh((r * t.weights) @ r.conj().T).min(initial=0.0)
     return float(min(low, 0.0))
 
 
@@ -457,12 +464,7 @@ def tni_defect(t: ProcessTensor) -> float:
 
     The trace form S_{n,m} = sum_l E^{n,m}_{l,l} equals (sum_i E_i^dag E_i)^T.
     """
-    s = _trace_form(t)
-    gap = np.max(np.abs(s - s.conj().T))
-    if gap > 1e-8:
-        raise ValueError(f"trace form not Hermitian, defect {gap:.3e}")
-    w = np.linalg.eigvalsh((s + s.conj().T) / 2)
-    return float(w.max() - 1.0)
+    return float(_hermitian_eigh(_trace_form(t), name="trace form").max() - 1.0)
 
 
 def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
@@ -475,12 +477,15 @@ def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
 
 
 def require_phase_invariant(t: ProcessTensor) -> _BandTensor:
-    """The phase-invariance gate: t in band storage, or a PhaseSymmetryError
-    naming the defect."""
+    """The phase-invariance gate: t in band storage (a Kraus tensor's Choi block
+    s is sum_i w_i a_i a_i^dag, a_i = E_i[n + s, n]), or a PhaseSymmetryError."""
     defect = phase_invariance_defect(t)
     if defect != 0.0:
         raise PhaseSymmetryError(f"map is not phase invariant (defect {defect:.3e})")
-    return t if isinstance(t, _BandTensor) else _corner_tensor(t.dim, t.elements)
+    if isinstance(t, _BandTensor):
+        return t
+    diagonals = ((s, t.ops.diagonal(-s, 1, 2)) for s in range(1 - t.dim.size, t.dim.size))
+    return _band_tensor(t.dim, ((s, (a.T * t.weights) @ a.conj()) for s, a in diagonals))
 
 
 def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
@@ -489,37 +494,32 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
         raise ValueError("branch tensors need a common FockDim")
     if isinstance(f1, _BandTensor) and isinstance(f2, _BandTensor):
         return _BandTensor(f1.dim, f1.packed + f2.packed)
-    return ProcessTensor(f1.dim, _frozen(f1.elements + f2.elements))
+    f1, f2 = _as_kraus(f1), _as_kraus(f2)
+    return _kraus_tensor(f1.dim, np.concatenate((f1.ops, f2.ops)),
+                         np.concatenate((f1.weights, f2.weights)))
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
     if isinstance(t, _BandTensor):
         return _BandTensor(t.dim, c * t.packed)
-    return ProcessTensor(t.dim, _frozen(c * t.elements))
+    return _kraus_tensor(t.dim, t.ops, c * t.weights)
 
 
 def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
-    A map is phase invariant only when this is exactly 0. The defect is a
-    diagnostic behind require_phase_invariant and the reports; it chooses no
-    code path, which follows the layout. A band tensor holds no off-band
-    entry, so its defect is 0 with no scan. A dense tensor's elements are
-    read-only, so it is scanned on first use only and the defect kept on it.
+    A map is phase invariant only when this is exactly 0. A diagnostic that
+    chooses no code path: 0 for a band tensor, and scanned once for a Kraus tensor.
     """
     return t._phase_defect
 
 
-def _phase_invariance_scan(t: ProcessTensor) -> float:
-    """phase_invariance_defect read from a dense tensor's entries."""
-    return _off_band_max(t.elements)
-
-
-def _off_band_max(e: np.ndarray) -> float:
-    """Max |e[l, k, n, m]| over l - k != n - m for an (a, b, D, D) array, one
-    leading slice (fixed l) at a time."""
-    a, b, d, _ = e.shape
-    order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()  # n - m of (n, m)
-    return max((float(np.max(np.abs(s), where=(l - np.arange(b))[:, None] != order,
-                              initial=0.0))
-                for l, s in enumerate(e.reshape(a, b, d * d))), default=0.0)
+def _off_band_max(rows) -> float:
+    """Max |e[l, k, n, m]| over l - k != n - m, one row e[l] (a, D, D) at a
+    time: the leading slices of an (a, a, D, D) array, or _kraus_slices."""
+    top = 0.0
+    for l, part in enumerate(rows):
+        order = np.subtract.outer(*(np.arange(part.shape[-1]),) * 2)  # n - m of (n, m)
+        top = max(top, float(np.max(np.abs(part), initial=0.0,
+                                    where=(l - np.arange(len(part)))[:, None, None] != order)))
+    return top

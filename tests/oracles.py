@@ -118,7 +118,7 @@ def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
     rp_axis, r_axis = np.asarray(rp_axis, float), np.asarray(r_axis, float)
     d = t.dim.size
     b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
-    half = t.matrix @ np.conj(b_in)
+    half = matrix_reference(t) @ np.conj(b_in)
     vals = np.empty((rp_axis.size, r_axis.size, len(theta_axis)))
     for k, theta in enumerate(theta_axis):
         b_out = _basis_values(t.dim, math.cos(theta) * rp_axis,
@@ -141,62 +141,69 @@ def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
         xs, ps = np.meshgrid(grid.xs, grid.ps, indexing="ij")
         return _basis_values(t.dim, xs.ravel(), ps.ravel()).reshape(d * d, -1)
 
-    flat = 2.0 * math.pi * (table(out_grid).T @ t.matrix @ np.conj(table(in_grid)))
+    flat = 2.0 * math.pi * (table(out_grid).T @ matrix_reference(t) @ np.conj(table(in_grid)))
     return flat.real.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
 
 
 # ---------------------------------------------------------------------------
-# Fock-space references
+# Fock-space references: the dense D^4 array of a tensor and what one dense
+# product or one eigh of it gives
+
+def matrix_reference(t) -> np.ndarray:
+    """E as the D^2 x D^2 matrix with rows (l, k) and columns (n, m)."""
+    side = t.dim.size ** 2
+    return t.elements.reshape(side, side)
+
+
+def choi_reference(t) -> np.ndarray:
+    """The Choi matrix C_{(l,n),(k,m)} = E^{n,m}_{l,k}."""
+    side = t.dim.size ** 2
+    return t.elements.transpose(0, 2, 1, 3).reshape(side, side)
+
 
 def apply_tensor_reference(t, rho) -> np.ndarray:
     """E(rho) as one product with the whole D^2 x D^2 matrix, Hermitian part kept."""
     d = t.dim.size
-    mat = (t.matrix @ rho.matrix.reshape(d * d)).reshape(d, d)
+    mat = (matrix_reference(t) @ rho.matrix.reshape(d * d)).reshape(d, d)
     return (mat + mat.conj().T) / 2
 
 
 def compose_serial_reference(second, first) -> np.ndarray:
     """Entries of (second after first) as one dense D^2 x D^2 matmul."""
-    return (second.matrix @ first.matrix).reshape(first.elements.shape)
+    return (matrix_reference(second) @ matrix_reference(first)).reshape((first.dim.size,) * 4)
 
 
-def tensor_from_kraus_reference(k):
-    """The dense tensor of a single-mode Kraus set, E[l, k, n, m] = sum_i
+def tensor_from_kraus_reference(k) -> np.ndarray:
+    """The dense array of a single-mode Kraus set, E[l, k, n, m] = sum_i
     E_i[l, n] conj(E_i[k, m]), one BLAS product per output row l."""
-    from cvmaps.tensors import ProcessTensor
-
     ops = np.stack(k.operators)
     d = k.dim.size
     conj = ops.conj().reshape(len(ops), d * d)
     arr = np.empty((d, d, d, d), dtype=complex)
     for l in range(d):
         arr[l] = (ops[:, l, :].T @ conj).reshape(d, d, d).transpose(1, 0, 2)
-    arr.flags.writeable = False  # adopted without a copy
-    return ProcessTensor(k.dim, arr)
+    arr.flags.writeable = False
+    return arr
 
 
-def band_tensor_reference(dim, bands):
-    """The dense tensor with Choi block B_s at E[n + s, m + s, n, m] for each (s, B_s)."""
-    from cvmaps.tensors import ProcessTensor
-
+def band_tensor_reference(dim, bands) -> np.ndarray:
+    """The dense array with Choi block B_s at E[n + s, m + s, n, m] for each (s, B_s)."""
     d = dim.size
     out = np.zeros((d,) * 4, dtype=complex)
     for s, block in bands:
         n = np.arange(max(0, -s), d - max(0, s))
         out[(n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]] = block
     out.flags.writeable = False
-    return ProcessTensor(dim, out)
+    return out
 
 
-def corner_tensor_reference(dim, corner):
-    """The dense tensor equal to corner on E[l, k] for l, k < len(corner), else 0."""
-    from cvmaps.tensors import ProcessTensor
-
+def corner_tensor_reference(dim, corner) -> np.ndarray:
+    """The dense array equal to corner on E[l, k] for l, k < len(corner), else 0."""
     d, j = dim.size, len(corner)
     out = np.zeros((d,) * 4, dtype=complex)
     out[:j, :j] = corner
     out.flags.writeable = False
-    return ProcessTensor(dim, out)
+    return out
 
 
 def coherence_blocks_reference(t):
@@ -206,15 +213,20 @@ def coherence_blocks_reference(t):
     order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
     for q in range(1 - d, d):
         rows = np.flatnonzero(order == q)
-        yield q, rows, t.matrix[np.ix_(rows, rows)]
+        yield q, rows, matrix_reference(t)[np.ix_(rows, rows)]
 
 
 def phase_invariance_defect_reference(t) -> float:
-    """Max |E^{n,m}_{l,k}| over l - k - n + m != 0, from a full D^4 mask."""
-    idx = np.arange(t.dim.size, dtype=np.int16)
+    """Max |E^{n,m}_{l,k}| over l - k - n + m != 0 of a tensor's elements."""
+    return off_band_max_reference(t.elements)
+
+
+def off_band_max_reference(arr) -> float:
+    """Max |arr[l, k, n, m]| over l - k - n + m != 0, from a full D^4 mask."""
+    idx = np.arange(len(arr), dtype=np.int16)
     violating = (idx[:, None, None, None] - idx[:, None, None]
                  - idx[:, None] + idx) != 0
-    return float(np.max(np.abs(t.elements), where=violating, initial=0.0))
+    return float(np.max(np.abs(arr), where=violating, initial=0.0))
 
 
 def coherent_amplitudes(alpha: complex, size: int) -> np.ndarray:

@@ -25,8 +25,8 @@ from cvmaps.models import (
 from cvmaps import cli, models, tensors
 from cvmaps.tensors import (
     PhysicalityError,
+    ProcessTensor,
     apply_tensor,
-    choi,
     cp_defect,
     identity_tensor,
     phase_invariance_defect,
@@ -330,7 +330,7 @@ def test_band_defect_matches_dense_eigh():
     assert len(maps) == 8
     for name, t in maps:
         assert phase_invariance_defect(t) == 0.0, name
-        dense = choi(t).eigenvalues().min()
+        dense = np.linalg.eigvalsh(oracles.choi_reference(t)).min()
         d = t.dim.size
         band = min(np.linalg.eigvalsh(t.elements[tensors._shift_block(d, s)]).min()
                    for s in range(1 - d, d))
@@ -347,7 +347,7 @@ def test_band_gate_fires_on_non_cp_map():
     t = tensors._band_tensor(dim, [(0, block)])
     assert isinstance(t, tensors._BandTensor)
     assert abs(cp_defect(t) + 1.0) < 1e-14
-    assert abs(cp_defect(t) - choi(t).eigenvalues().min()) < 1e-14
+    assert abs(cp_defect(t) - np.linalg.eigvalsh(oracles.choi_reference(t)).min()) < 1e-14
     with pytest.raises(PhysicalityError):
         _gate_physical(t, "doubled coherence")
     with pytest.raises(PhysicalityError):
@@ -361,16 +361,22 @@ def test_band_gate_rejects_non_hermitian_band():
     t = tensors._band_tensor(dim, [(0, block)])
     assert isinstance(t, tensors._BandTensor)
     with pytest.raises(ValueError, match="not Hermitian"):
-        choi(t).eigenvalues()
-    with pytest.raises(ValueError, match="not Hermitian"):
         cp_defect(t)
+    # the same check refuses the array as a caller's tensor
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ProcessTensor(dim, t.elements)
 
 
 def test_models_gate_without_dense_choi(monkeypatch):
-    def refuse(t):
+    # the gates read band blocks alone: no D^4 array, and no conversion of
+    # the band tensor to Kraus operators
+    def refuse(*args):
         raise AssertionError("dense Choi matrix built for a phase-invariant map")
 
-    monkeypatch.setattr(tensors, "choi", refuse)
+    monkeypatch.setattr(tensors, "_as_kraus", refuse)
+    monkeypatch.setattr(tensors.ProcessTensor, "__init__", refuse)
+    for layout in (tensors.ProcessTensor, tensors._BandTensor):
+        monkeypatch.setattr(layout, "elements", property(refuse))
     dim = FockDim(32)
     amplifier_model(AmplifierConfig(dim=dim, **_EXPERIMENTAL_AMPLIFIER))
     addition_model(AdditionConfig(dim=dim, **_EXPERIMENTAL_ADDITION))

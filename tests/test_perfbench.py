@@ -37,12 +37,14 @@ def test_benchmark_selftest_passes():
 
 @pytest.fixture
 def no_dense_tensors(monkeypatch):
-    """Fail on any dense tensor and on any build of a band tensor's elements."""
+    """Fail on any D^4 array: a caller's array handed to ProcessTensor, or the
+    elements of a tensor in either layout."""
     def refuse(self, *args):
         raise AssertionError("a D^4 array was built")
 
-    monkeypatch.setattr(tensors.ProcessTensor, "__post_init__", refuse)
-    monkeypatch.setattr(tensors._BandTensor, "elements", property(refuse))
+    monkeypatch.setattr(tensors.ProcessTensor, "__init__", refuse)
+    for layout in (tensors.ProcessTensor, tensors._BandTensor):
+        monkeypatch.setattr(layout, "elements", property(refuse))
 
 
 def test_sweep_rung_builds_no_dense_tensor(no_dense_tensors):
@@ -54,7 +56,8 @@ def test_sweep_rung_builds_no_dense_tensor(no_dense_tensors):
 
 def test_verify_kraus_checks_build_no_dense_tensor(no_dense_tensors):
     for check in (verify.check_cross_representation_attenuation,
-                  verify.check_cross_representation_amplification):
+                  verify.check_cross_representation_amplification,
+                  verify.check_coherent_transport):
         assert check(None)["passed"]
 
 

@@ -5,11 +5,14 @@ The other modules reach a tensor through ``tensor_diagonal``,
 ``success_probability``, ``_block_product`` and ``_harmonics``, write bands
 through ``_band_tensor`` and ``_corner_tensor`` and gate phase symmetry
 through ``require_phase_invariant``, so the choice between the band and the
-dense layout is made in ``tensors.py`` alone. Inside ``tensors``, apply and
-serial composition multiply by E only through ``_block_product`` (two band
-tensors compose block by block), coherence blocks are read only by
+Kraus layout is made in ``tensors.py`` alone. Inside ``tensors``, apply
+multiplies by E only through ``_block_product``, serial composition leaves
+its products to one helper per layout (``_band_product`` block by block,
+``_kraus_product`` operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
+No function but the ``elements`` builders allocates a D^4 array, and the
+dense layout's names stay gone.
 """
 
 import ast
@@ -78,12 +81,14 @@ def test_paths_follow_the_layout_not_the_phase_defect():
     assert "_coherence_blocks" not in _functions_using(tensors_py, "elements")
 
 
-def test_apply_and_compose_contract_through_block_product():
-    # neither multiplies by E's matrix itself: the coherence-block decision
-    # is made in _block_product alone
+def test_apply_and_compose_leave_products_to_the_layout_helpers():
+    # neither multiplies anything itself: apply contracts through
+    # _block_product, and compose_serial picks the product of its layout
     tree = ast.parse((SRC / "tensors.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("apply_tensor", "compose_serial"):
+    helpers = {"apply_tensor": {"_block_product"},
+               "compose_serial": {"_band_product", "_kraus_product"}}
+    for name, needed in helpers.items():
         nodes = list(ast.walk(functions[name]))
         matmuls = [n.lineno for n in nodes
                    if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)]
@@ -92,7 +97,7 @@ def test_apply_and_compose_contract_through_block_product():
                   and isinstance(n.func, (ast.Attribute, ast.Name))}
         assert not matmuls, (name, matmuls)
         assert not called & NUMPY_PRODUCTS, (name, called & NUMPY_PRODUCTS)
-        assert "_block_product" in called, name
+        assert needed <= called, name
 
 
 def test_kernels_apply_tensors_through_block_product():
@@ -121,3 +126,73 @@ def test_block_reader_builds_no_mask():
         used = {n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(functions[name]) if isinstance(n, (ast.Name, ast.Attribute))}
         assert "ix_" not in used, name
+
+
+ALLOCATORS = {"zeros", "empty", "ones", "full", "reshape", "broadcast_to", "ndarray"}
+DENSE_NAMES = {"_MAX_ELEMENTS", "choi", "ChoiMatrix", "_phase_invariance_scan"}
+
+
+def _is_quartic_shape(node):
+    """(x,) * 4, or a tuple of four copies of one expression."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Tuple) and len(node.left.elts) == 1
+            and isinstance(node.right, ast.Constant) and node.right.value == 4):
+        return True
+    return (isinstance(node, ast.Tuple) and len(node.elts) == 4
+            and len({ast.dump(e) for e in node.elts}) == 1)
+
+
+def _quartic_allocations(source):
+    """(function, line) of each call that allocates or reshapes to a (d,) * 4
+    shape, given directly or through a local name bound to one."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shapes = {t.id for n in ast.walk(func) if isinstance(n, ast.Assign)
+                  and _is_quartic_shape(n.value) for t in n.targets if isinstance(t, ast.Name)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, (ast.Attribute, ast.Name))):
+                continue
+            called = call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+            args = list(call.args) + [k.value for k in call.keywords]
+            if called in ALLOCATORS and any(
+                    _is_quartic_shape(a) or (isinstance(a, ast.Name) and a.id in shapes)
+                    for a in args):
+                found.append((func.name, call.lineno))
+    return found
+
+
+def test_the_scan_finds_quartic_allocations():
+    source = """
+def direct(d):
+    return np.zeros((d,) * 4)
+
+def spelled(d):
+    return np.empty((d, d, d, d), dtype=complex)
+
+def named(dim):
+    shape = (dim.size,) * 4
+    return x.reshape(shape)
+
+def fine(d):
+    return np.zeros((d, d)), np.zeros((2, d, d, d))
+"""
+    assert _quartic_allocations(source) == [("direct", 3), ("spelled", 6), ("named", 10)]
+
+
+def test_only_the_elements_views_allocate_a_quartic_array():
+    hits = {path.name: [hit for hit in _quartic_allocations(path.read_text(encoding="utf-8"))
+                        if hit[0] != "elements"]
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_the_dense_layout_is_gone():
+    for path in sorted(SRC.glob("*.py")):
+        names = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                 else n.name for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef, ast.ClassDef,
+                                   ast.alias))}
+        assert not names & DENSE_NAMES, (path.name, names & DENSE_NAMES)

@@ -18,12 +18,10 @@ from cvmaps.kernels import (apply_kernel, input_marginal, kernel_from_tensor,
                             output_marginal, radial_form)
 from cvmaps.wigner import QuadratureGrid, wigner_of
 from cvmaps.tensors import (
-    ChoiMatrix,
     KrausSet,
     ProcessTensor,
     apply_kraus,
     apply_tensor,
-    choi,
     combine_heralding,
     compose_serial,
     cp_defect,
@@ -65,7 +63,7 @@ def test_tensor_from_kraus_matches_definition(rng):
                     for m in range(d):
                         ref[l, kk, n, m] += op[l, n] * np.conj(op[kk, m])
     assert np.max(np.abs(t.elements - ref)) < 1e-14
-    c = choi(t).matrix
+    c = oracles.choi_reference(t)
     assert np.array_equal(c, c.conj().T)
 
 
@@ -125,7 +123,7 @@ def test_choi_spectrum_flags_non_cp():
         for k in range(d):
             arr[l, k, k, l] = 1.0
     t = ProcessTensor(DIM, arr)
-    c = choi(t).matrix
+    c = oracles.choi_reference(t)
     assert np.array_equal(c, c.conj().T)
     assert cp_defect(t) < -0.9
     with pytest.raises(PhysicalityError, match="not completely positive"):
@@ -136,14 +134,18 @@ def test_choi_spectrum_flags_non_cp():
 
 
 def test_choi_matches_elements(rng):
+    # the Choi matrix C_{(l,n),(k,m)} = E^{n,m}_{l,k} of a Kraus tensor is
+    # A W A^dag, A the columns vec(E_i): the form cp_defect reads
     t = tensor_from_kraus(random_kraus(rng, FockDim(2)))
-    c = choi(t)
+    c = oracles.choi_reference(t)
     d = 3
     for l in range(d):
         for k in range(d):
             for n in range(d):
                 for m in range(d):
-                    assert c.matrix[l * d + n, k * d + m] == t.elements[l, k, n, m]
+                    assert c[l * d + n, k * d + m] == t.elements[l, k, n, m]
+    a = t.ops.reshape(len(t.ops), d * d).T
+    assert np.max(np.abs(c - (a * t.weights) @ a.conj().T)) < 1e-14
 
 
 def test_trace_nonincreasing_detection():
@@ -194,8 +196,13 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
     for _ in range(count):
         spot = tuple(rng.integers(0, d, 4))
         arr[spot] = 10.0 ** rng.uniform(scale, 3.0) * np.exp(2j * np.pi * rng.uniform())
+    # a caller's tensor preserves Hermiticity: E[k, l, m, n] = conj(E[l, k, n, m])
+    arr = (arr + arr.transpose(1, 0, 3, 2).conj()) / 2
     t = ProcessTensor(FockDim(n_max), arr)
     assert phase_invariance_defect(t) == oracles.phase_invariance_defect_reference(t)
+    # the conversion moves each entry by a few eps of the largest
+    gap = abs(phase_invariance_defect(t) - oracles.off_band_max_reference(arr))
+    assert gap <= 64 * np.finfo(float).eps * np.abs(arr).max()
 
 
 @pytest.mark.parametrize("n_max", [1, 4, 9])
@@ -244,16 +251,12 @@ def test_hermiticity_gate():
     d = DIM.size
     arr = np.zeros((d, d, d, d), dtype=complex)
     arr[0, 1, 0, 0] = 1.0  # no conjugate partner
-    t = ProcessTensor(DIM, arr)
     with pytest.raises(ValueError, match="not Hermitian"):
-        choi(t).eigenvalues()
-    with pytest.raises(ValueError, match="not Hermitian"):
-        require_cp(t)
+        ProcessTensor(DIM, arr)
 
 
 def test_tensors_are_single_mode():
-    assert [f.name for f in dataclasses.fields(ProcessTensor)] == ["dim", "elements"]
-    assert [f.name for f in dataclasses.fields(ChoiMatrix)] == ["dim", "matrix"]
+    assert [f.name for f in dataclasses.fields(ProcessTensor)] == ["dim", "ops", "weights"]
     assert ProcessTensor.input_modes == ProcessTensor.output_modes == 1
     with pytest.raises(TypeError):
         identity_tensor(DIM, 2)
@@ -271,6 +274,8 @@ def test_tensors_are_single_mode():
 
 
 def test_process_tensor_copies_arrays_the_caller_can_write():
+    # a caller's array is converted, never kept: writing to it later, or
+    # through a read-only view of it, changes no tensor
     d = DIM.size
     arr = np.zeros((d,) * 4, dtype=complex)
     arr[0, 0, 0, 0] = 1.0
@@ -281,11 +286,11 @@ def test_process_tensor_copies_arrays_the_caller_can_write():
     arr[0, 0, 0, 0] = 5.0
     assert t.elements[0, 0, 0, 0] == 1.0 and t_view.elements[0, 0, 0, 0] == 1.0
     for tensor in (t, t_view):
-        assert not tensor.elements.flags.writeable
-        with pytest.raises(ValueError):
-            tensor.elements[0, 0, 0, 0] = 2.0
-    arr.flags.writeable = False
-    assert ProcessTensor(DIM, arr).elements is arr
+        assert not np.shares_memory(tensor.ops, arr)
+        for stored in (tensor.ops, tensor.weights, tensor.elements):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 2.0
 
 
 def test_tensor_from_kraus_keeps_one_copy(rng):
@@ -312,13 +317,19 @@ def _traced_peak(build):
 
 
 def test_fresh_tensors_are_adopted_without_a_copy(rng):
+    # each build stores what it computes, read-only, with no second copy;
+    # scaling a Kraus tensor shares its operators
     dim = FockDim(29)
     t = tensor_from_kraus(random_kraus(rng, dim))
-    for build in (lambda: identity_tensor(dim), lambda: scale_tensor(t, 0.5),
+    band = identity_tensor(dim)
+    for build in (lambda: identity_tensor(dim), lambda: scale_tensor(band, 0.5),
+                  lambda: combine_heralding(band, band), lambda: scale_tensor(t, 0.5),
                   lambda: combine_heralding(t, t)):
         out, peak = _traced_peak(build)
-        assert peak < 1.5 * t.elements.nbytes
-        assert not out.elements.flags.writeable and out.elements.flags.c_contiguous
+        stored = (out.packed,) if isinstance(out, tensors._BandTensor) else (out.ops, out.weights)
+        assert peak < 1.5 * sum(a.nbytes for a in stored)
+        assert all(not a.flags.writeable and a.flags.c_contiguous for a in stored)
+    assert scale_tensor(t, 0.5).ops is t.ops
 
 
 def test_band_defect_matches_dense_eigh_on_indefinite_maps(rng):
@@ -434,7 +445,8 @@ def test_success_probability_builds_no_state_and_applies_nothing(monkeypatch, rn
 
     monkeypatch.setattr(tensors, "apply_tensor", refuse)
     monkeypatch.setattr(tensors, "DensityOperator", refuse)
-    monkeypatch.setattr(ProcessTensor, "matrix", property(refuse))
+    monkeypatch.setattr(tensors, "_block_product", refuse)
+    monkeypatch.setattr(ProcessTensor, "elements", property(refuse))
     assert abs(success_probability(t, rho) - ref) <= 1e-14 * ref
     with pytest.raises(ValueError):
         success_probability(t, coherent_state(0.3, FockDim(4)))
@@ -465,18 +477,19 @@ def test_block_contractions_match_dense_products_property(t, count, banded, seed
 @pytest.mark.parametrize("banded", [True, False])
 def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     # the layout chooses every path, so products, kernels and the CP gate
-    # never scan a dense tensor; the defect and the gate scan it once
-    scanned = []
-    scan = tensors._phase_invariance_scan
-
-    def spy(t):
-        scanned.append(t)
-        return scan(t)
-
-    monkeypatch.setattr(tensors, "_phase_invariance_scan", spy)
-    # a tensor built from an array keeps the dense layout, phase invariant or not
+    # never scan a Kraus tensor; the defect and the gate scan it once
     k = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
+    # a tensor built from an array takes the Kraus layout, phase invariant or not
     t = ProcessTensor(k.dim, np.array(k.elements))
+    assert not isinstance(t, tensors._BandTensor)
+    scanned = []
+    scan = tensors._off_band_max
+
+    def spy(rows):
+        scanned.append(rows)
+        return scan(rows)
+
+    monkeypatch.setattr(tensors, "_off_band_max", spy)
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     rho = _mixed_state(t.dim, 5)
     fk = kernel_from_tensor(t, grid)
@@ -494,7 +507,7 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     else:
         with pytest.raises(ValueError, match="not phase invariant"):
             radial_form(t)
-    assert len(scanned) == 1 and scanned[0] is t
+    assert len(scanned) == 1
 
 
 # band storage of exactly phase-invariant maps
@@ -515,10 +528,10 @@ def _band_builders():
 @pytest.mark.parametrize("case", sorted(_band_builders()))
 def test_band_tensors_are_never_scanned(monkeypatch, case):
     # a band tensor holds no off-band entry, so its phase defect is 0 with no scan
-    scanned = []
-    monkeypatch.setattr(tensors, "_phase_invariance_scan", scanned.append)
     t = _band_builders()[case]()
     assert isinstance(t, tensors._BandTensor)
+    scanned = []
+    monkeypatch.setattr(tensors, "_off_band_max", scanned.append)
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     rho = _mixed_state(t.dim, 5)
     fk = kernel_from_tensor(t, grid)
@@ -543,29 +556,42 @@ def test_band_elements_are_built_on_access_and_not_kept():
     assert t.packed.nbytes == 16 * sum((5 - abs(q)) ** 2 for q in range(-4, 5))
 
 
-def test_corner_tensor_keeps_an_off_band_corner_dense():
+def test_corner_tensor_keeps_an_off_band_corner_as_kraus_operators():
     dim = FockDim(5)
     corner = np.zeros((3, 3, dim.size, dim.size))
     corner[1, 0, 2, 1] = corner[0, 1, 1, 2] = 0.5  # l - k = n - m = +-1
     band = tensors._corner_tensor(dim, corner)
     assert isinstance(band, tensors._BandTensor)
-    assert np.array_equal(band.elements, oracles.corner_tensor_reference(dim, corner).elements)
-    corner[2, 0, 0, 0] = 1e-300  # l - k = 2 but n - m = 0
-    dense = tensors._corner_tensor(dim, corner)
-    assert not isinstance(dense, tensors._BandTensor)
-    assert phase_invariance_defect(dense) == 1e-300
+    assert np.array_equal(band.elements, oracles.corner_tensor_reference(dim, corner))
+    corner[2, 0, 0, 0] = corner[0, 2, 0, 0] = 0.25  # l - k = +-2 but n - m = 0
+    kraus = tensors._corner_tensor(dim, corner)
+    assert not isinstance(kraus, tensors._BandTensor)
+    assert not np.any(kraus.ops[:, 3:])  # the operators reach output rows l < 3 only
+    # the Choi eigh moves entries by a few eps of the largest (0.5)
+    assert _close(kraus.elements, oracles.corner_tensor_reference(dim, corner), rel=1e-15)
+    assert abs(phase_invariance_defect(kraus) - 0.25) <= 1e-15
 
 
-def _dense_builds(mp):
-    """Route every band producer to its dense reference, so that builds made
-    inside the context have the layout and code path of a dense tensor."""
+def _kraus_builds(mp):
+    """Route every band producer through its dense reference array and
+    ProcessTensor, so that builds made inside the context have the layout
+    and code path of a Kraus tensor."""
     from cvmaps import elements, models
 
-    mp.setattr(tensors, "_band_tensor", oracles.band_tensor_reference)
-    mp.setattr(models, "_band_tensor", oracles.band_tensor_reference)
-    mp.setattr(models, "_corner_tensor", oracles.corner_tensor_reference)
+    def band(dim, bands):
+        return ProcessTensor(dim, oracles.band_tensor_reference(dim, bands))
+
+    def corner(dim, c):
+        return ProcessTensor(dim, oracles.corner_tensor_reference(dim, c))
+
+    def kraus(k):
+        return ProcessTensor(k.dim, oracles.tensor_from_kraus_reference(k))
+
+    mp.setattr(tensors, "_band_tensor", band)
+    mp.setattr(models, "_band_tensor", band)
+    mp.setattr(models, "_corner_tensor", corner)
     for module in (tensors, models, elements):
-        mp.setattr(module, "tensor_from_kraus", oracles.tensor_from_kraus_reference)
+        mp.setattr(module, "tensor_from_kraus", kraus)
 
 
 def _single_diagonal_kraus(n_max, count, real, seed):
@@ -585,37 +611,36 @@ def _bit_exact(k):
     return len(shifts) == len(set(shifts))
 
 
-def _check_band_against_dense(build, exact=True):
-    """A band build and the dense build of the same map agree entry for entry
-    (bit for bit when exact), and every reader and product agrees with the
-    dense path to 1e-14 relative."""
+def _check_band_against_kraus(build):
+    """A band build and the build of the same map from the dense reference
+    arrays, in the Kraus layout, agree entry for entry to the rounding of
+    the Choi eigh (1e-14 relative), and so do every reader and product."""
     band = build()
     with pytest.MonkeyPatch.context() as mp:
-        _dense_builds(mp)
-        dense = build()
-    entries = band.elements
-    assert np.array_equal(entries, dense.elements) if exact else _close(entries, dense.elements,
-                                                                         rel=1e-14)
-    del entries
-    _check_layouts_agree(band, dense)
+        _kraus_builds(mp)
+        kraus = build()
+    assert _close(band.elements, kraus.elements, rel=1e-14)
+    _check_layouts_agree(band, kraus)
 
 
-def _check_layouts_agree(band, dense):
-    """Every reader and product of a band tensor agrees with the dense path
-    of a dense tensor of the same map to 1e-14 relative."""
+def _check_layouts_agree(band, kraus):
+    """Every reader and product of a band tensor agrees with the Kraus path
+    of a Kraus tensor of the same map to 1e-14 relative. Compositions are
+    compared through their action on a mixed state: a Kraus composition has
+    rank r^2, too many operators to list its D^4 entries at n_max 48."""
     assert isinstance(band, tensors._BandTensor)
-    assert not isinstance(dense, tensors._BandTensor)
+    assert not isinstance(kraus, tensors._BandTensor)
     rho = _mixed_state(band.dim, 3)
-    assert _close(apply_tensor(band, rho).matrix, apply_tensor(dense, rho).matrix, rel=1e-14)
-    assert _close(compose_serial(band, band).elements, compose_serial(dense, dense).elements,
-                  rel=1e-14)
+    assert _close(apply_tensor(band, rho).matrix, apply_tensor(kraus, rho).matrix, rel=1e-14)
+    assert _close(apply_tensor(compose_serial(band, band), rho).matrix,
+                  apply_tensor(compose_serial(kraus, kraus), rho).matrix, rel=1e-14)
     axis = np.linspace(0.0, 3.0, 7)
     assert _close(radial_form(band, axis, axis, np.linspace(0.0, 3.0, 4)).values,
-                  radial_form(dense, axis, axis, np.linspace(0.0, 3.0, 4)).values, rel=1e-14)
-    assert _close(tensor_diagonal(band), tensor_diagonal(dense), rel=1e-14)
+                  radial_form(kraus, axis, axis, np.linspace(0.0, 3.0, 4)).values, rel=1e-14)
+    assert _close(tensor_diagonal(band), tensor_diagonal(kraus), rel=1e-14)
     for reader in (cp_defect, tni_defect):
-        assert abs(reader(band) - reader(dense)) <= 1e-14 * max(abs(reader(dense)), 1.0)
-    p, ref = success_probability(band, rho), success_probability(dense, rho)
+        assert abs(reader(band) - reader(kraus)) <= 1e-14 * max(abs(reader(kraus)), 1.0)
+    p, ref = success_probability(band, rho), success_probability(kraus, rho)
     assert abs(p - ref) <= 1e-14 * abs(ref)
 
 
@@ -626,23 +651,25 @@ single_diagonal_kraus = st.builds(_single_diagonal_kraus, st.integers(1, 11),
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(case=st.one_of(
-    single_diagonal_kraus.map(lambda k: (lambda: tensors.tensor_from_kraus(k),
-                                         _bit_exact(k))),
+    single_diagonal_kraus.map(lambda k: (lambda: tensors.tensor_from_kraus(k), k)),
     st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(
         lambda name: (lambda: cli.build_model(cli.load_config(str(CONFIG_DIR / f"{name}.json"))),
-                      True))))
+                      None))))
 def test_band_storage_matches_the_dense_build_property(case):
-    build, exact = case
-    _check_band_against_dense(build, exact)
+    build, kraus_set = case
+    _check_band_against_kraus(build)
+    # the band fill is the dense fill, bit for bit where both round alike
+    if kraus_set is not None and _bit_exact(kraus_set):
+        assert np.array_equal(build().elements, oracles.tensor_from_kraus_reference(kraus_set))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(t=st.one_of(
     single_diagonal_kraus.map(tensor_from_kraus),
     st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(_shipped_model)))
-def test_dense_twin_takes_the_dense_path_to_the_same_map_property(t):
-    # the layout, not the entries, chooses the path: a dense copy of a band
-    # tensor takes one full product and one eigh, and agrees with it
+def test_kraus_twin_takes_the_kraus_path_to_the_same_map_property(t):
+    # the layout, not the entries, chooses the path: a band tensor's array
+    # handed to ProcessTensor takes the Kraus layout, and agrees with it
     _check_layouts_agree(t, ProcessTensor(t.dim, np.array(t.elements)))
 
 
@@ -660,7 +687,7 @@ def test_band_storage_matches_the_dense_build_on_sweep_rungs(model, n_max):
     params = {k: v for k, v in spec.items() if k != "model"}
     config, build = ((models.AmplifierConfig, models.amplifier_model) if model == "amplifier"
                      else (models.AdditionConfig, models.addition_model))
-    _check_band_against_dense(lambda: build(config(dim=FockDim(n_max), **params)))
+    _check_band_against_kraus(lambda: build(config(dim=FockDim(n_max), **params)))
 
 
 @pytest.mark.parametrize("element", ["attenuation(0.64)@40", "attenuation(0.3)@63",
@@ -673,15 +700,15 @@ def test_shipped_kraus_blocks_match_the_dense_build(element):
     kraus = getattr(elements, func)(float(arg), FockDim(int(n_max))).kraus
     band = tensor_from_kraus(kraus)
     assert isinstance(band, tensors._BandTensor)
-    dense = oracles.tensor_from_kraus_reference(kraus)
-    assert np.array_equal(band.elements, dense.elements)
+    assert np.array_equal(band.elements, oracles.tensor_from_kraus_reference(kraus))
 
 
-def test_kraus_sets_off_one_diagonal_stay_dense(rng):
+def test_kraus_sets_off_one_diagonal_keep_their_operators(rng):
     k = random_kraus(rng, DIM)
     t = tensor_from_kraus(k)
     assert not isinstance(t, tensors._BandTensor)
-    assert np.array_equal(t.elements, oracles.tensor_from_kraus_reference(k).elements)
+    assert np.array_equal(t.ops, np.stack(k.operators)) and np.array_equal(t.weights, [1, 1, 1])
+    assert _close(t.elements, oracles.tensor_from_kraus_reference(k), rel=1e-15)
 
 
 def test_tensor_from_kraus_at_n_max_63_builds_no_quartic_array():
@@ -690,3 +717,93 @@ def test_tensor_from_kraus_at_n_max_63_builds_no_quartic_array():
     kraus = attenuation(0.3, FockDim(63)).kraus
     _, peak = _traced_peak(lambda: tensor_from_kraus(kraus))
     assert peak < 16 * 64 ** 4 / 8
+
+
+@pytest.mark.parametrize("element", ["displacement", "squeezing"])
+def test_gaussian_unitaries_at_n_max_63_build_no_quartic_array(element):
+    # one Kraus operator each: 65 KB of operators, not a 268 MB D^4 array
+    from cvmaps import elements
+
+    dim = FockDim(63)
+    rho = coherent_state(0.4 - 0.3j, dim)
+    build = {"displacement": lambda: elements.displacement(0.5 + 0.2j, dim),
+             "squeezing": lambda: elements.squeezing(0.3, dim)}[element]
+
+    def run():
+        t = build().tensor()
+        require_cp(t)
+        tensor_diagonal(t)
+        return apply_tensor(t, rho)
+
+    out, peak = _traced_peak(run)
+    assert peak < 16 * 2 ** 20
+    assert abs(out.trace - 1.0) < 1e-6
+
+
+# the Kraus layout against one dense array and what dense products give
+
+def _hermitian_array(n_max, kind, seed):
+    """A random (l, k, n, m) array whose Choi matrix is Hermitian: indefinite,
+    positive semidefinite, or indefinite and exactly phase invariant."""
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+    c = g @ g.conj().T / d if kind == "psd" else g + g.conj().T
+    if kind == "invariant":
+        l, n = np.divmod(np.arange(d * d), d)  # Choi row (l, n)
+        c = np.where((l - n)[:, None] == (l - n)[None, :], c, 0.0)
+    return c.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+
+
+def _from_kraus_set(n_max, count, seed):
+    k = _seeded_kraus(n_max, count, False, seed)
+    return tensor_from_kraus(k), oracles.tensor_from_kraus_reference(k)
+
+
+def _from_array(n_max, kind, seed):
+    arr = _hermitian_array(n_max, kind, seed)
+    return ProcessTensor(FockDim(n_max), arr), arr
+
+
+kraus_layout_maps = st.one_of(
+    st.builds(_from_kraus_set, st.integers(1, 7), st.integers(1, 4), st.integers(0, 2 ** 32 - 1)),
+    st.builds(_from_array, st.integers(1, 6), st.sampled_from(["indefinite", "psd", "invariant"]),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+def _dense(arr):
+    side = len(arr) ** 2
+    return arr.reshape(side, side)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(case=kraus_layout_maps, c=st.floats(-3.0, -0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_kraus_layout_matches_the_dense_array_property(case, c, seed):
+    t, arr = case
+    assert not isinstance(t, tensors._BandTensor)
+    dim, d = t.dim, t.dim.size
+    scale = np.abs(arr).max()
+    # the one rounding step is the Choi eigh of a caller's array
+    assert _close(t.elements, arr)
+    rho = _mixed_state(dim, seed)
+    out = (_dense(arr) @ rho.matrix.ravel()).reshape(d, d)
+    assert _close(apply_tensor(t, rho).matrix, (out + out.conj().T) / 2)
+    assert abs(success_probability(t, rho) - np.trace(out).real) <= 1e-12 * scale
+    assert _close(tensor_diagonal(t), np.einsum("kkmm->km", arr))
+    assert abs(cp_defect(t) - min(np.linalg.eigvalsh(oracles.choi_reference(t)).min(), 0.0)) \
+        <= 1e-12 * scale
+    off = oracles.off_band_max_reference(arr)
+    assert abs(phase_invariance_defect(t) - off) <= 1e-12 * scale
+    assert (phase_invariance_defect(t) == 0.0) == (off == 0.0)
+    assert _close(scale_tensor(t, c).elements, c * arr)
+    band_set = _seeded_kraus(dim.n_max, 2, True, seed)
+    band = tensor_from_kraus(band_set)
+    assert isinstance(band, tensors._BandTensor)
+    band_arr = oracles.tensor_from_kraus_reference(band_set)
+    assert _close(combine_heralding(t, band).elements, arr + band_arr)
+    assert _close(combine_heralding(t, t).elements, 2 * arr)
+    kraus, banded = (t, arr), (band, band_arr)
+    for (second, second_arr), (first, first_arr) in ((kraus, kraus), (kraus, banded),
+                                                     (banded, kraus)):
+        assert _close(compose_serial(second, first).elements,
+                      (_dense(second_arr) @ _dense(first_arr)).reshape((d,) * 4))
