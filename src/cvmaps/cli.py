@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
+from jsonschema import Draft7Validator, validators
 
 from .fock import (DensityOperator, FockDim, coherent_state, fock_state, normalize,
                    thermal_state)
@@ -51,12 +51,14 @@ _APPLY_MIN_POINTS = 81
 _APPLY_MASS_TOL = 1e-9
 
 
+# Draft 7's "integer" admits 6.0: config integers are JSON integers, never booleans
+_ConfigValidator = validators.extend(Draft7Validator, type_checker=Draft7Validator.TYPE_CHECKER
+                                     .redefine("integer", lambda _, v: type(v) is int))
+
+
 def format_float(v: float) -> str:
-    """Shortest decimal that round-trips; -0.0 is folded to 0.0."""
-    v = float(v)
-    if v == 0.0:
-        v = 0.0
-    return repr(v)
+    """Shortest decimal that round-trips; adding 0.0 folds -0.0 to 0.0 alone."""
+    return repr(float(v) + 0.0)
 
 
 def render_csv(header, rows) -> str:
@@ -68,7 +70,9 @@ def render_csv(header, rows) -> str:
 
 
 def render_json_table(header, rows) -> str:
-    records = [dict(zip(header, row)) for row in rows]
+    """JSON records of the rows, with -0.0 folded to 0.0 as format_float does."""
+    records = [{key: c + 0.0 if isinstance(c, float) else c for key, c in zip(header, row)}
+               for row in rows]
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
@@ -158,7 +162,7 @@ def load_config(path: str):
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     with open(_SCHEMA_PATH, "r", encoding="utf-8") as fh:
         schema = json.load(fh)
-    errors = sorted(Draft7Validator(schema).iter_errors(data),
+    errors = sorted(_ConfigValidator(schema).iter_errors(data),
                     key=lambda e: list(e.path))
     if errors:
         first = errors[0]

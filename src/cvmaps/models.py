@@ -24,8 +24,9 @@ most the resource's two, the signal-splitter outputs up to n_max + 2), so no
 interior truncation error enters the stored tensor; numpy's greedy path
 search orders the one einsum per branch. Its (3, 3, D, D) result holds
 every nonzero entry (the output carries at most the resource's two
-photons) and goes to the corner constructor of the tensors module, which
-stores it by coherence block when it is exactly phase invariant.
+photons) and none off l - k = n - m (the circuit conserves photon number
+up to those two), so it goes to the band writer of the tensors module as the
+leading corners of its Choi shift blocks.
 
 Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
 with vacuum idler, heralded by a click on the idler detector. Each idler
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDim, DensityOperator, creation, fidelity, normalize
+from .fock import FockDim, creation, fidelity, normalize
 from .tensors import (
     KrausSet,
     ProcessTensor,
@@ -58,7 +59,6 @@ from .tensors import (
     require_tni,
     tensor_diagonal,
     _band_tensor,
-    _corner_tensor,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
                        photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
@@ -208,7 +208,9 @@ def amplifier_branches(cfg: AmplifierConfig):
         e = np.einsum("obp,desb,sun,vwu,p,d,e,v,w,OBp,deSB,SUm,vwU->oOnm",
                       res, us, um, vh, weights, wso, w_click, wso, w_mismatch,
                       res, us, um, vh, optimize=("greedy", _UNCAPPED))
-        tensors.append(_corner_tensor(cfg.dim, (e + e.transpose(1, 0, 3, 2)) / 2.0))
+        e = (e + e.transpose(1, 0, 3, 2)) / 2.0
+        tensors.append(_band_tensor(cfg.dim, ((s, e.diagonal(-s, 0, 2).diagonal(-s, 0, 1))
+                                              for s in range(1 - d, 3))))
     return tensors[0], tensors[1]
 
 

@@ -15,21 +15,21 @@ code path follows the layout. An exactly phase-invariant map is kept as its
 read-only array of sum_q (D - |q|)^2 entries (2.8 MB instead of 268 MB at
 D = 64). Every other map is kept as read-only operators ``ops`` (r, D, D)
 and real ``weights`` (r,), E(X) = sum_i w_i E_i X E_i^dag; signed weights
-keep scaling by c < 0, sums and maps that are not CP. A caller's array
-(ProcessTensor(dim, elements)) and an off-band corner enter through the eigh
-of their Choi matrix, one shift block at a time when the array is exactly
-phase invariant, and a band operand of a Kraus operation the same way.
-``elements`` is the (l, k, n, m) array in either layout, built on each
-access, read-only, and not kept; no function here reads it.
+keep scaling by c < 0, sums and maps that are not CP. Shift blocks are
+written by _band_tensor alone (else band storage comes only from the band
+algebra) and read by _choi_blocks alone, and _kraus_from_choi alone turns
+Choi eigenpairs into operators: for a caller's array (ProcessTensor(dim,
+elements), by shift block when exactly phase invariant) and for a band
+operand of a Kraus operation. ``elements`` is the (l, k, n, m) array in
+either layout, built on each access, read-only, and not kept.
 
 Only this module reads or writes a tensor's entries or decides phase
-symmetry. Other modules use tensor_diagonal, success_probability, the
-writers _band_tensor and _corner_tensor, the gate require_phase_invariant,
-which returns a band tensor, and the two products with E, _block_product and
-_harmonics; the blocks M_q of a band tensor are read through
-_coherence_blocks alone. phase_invariance_defect is a diagnostic and chooses
-no path: a band tensor's defect is 0 with no scan, and a Kraus tensor's is
-computed once, one output row E[l] at a time, and kept.
+symmetry. Other modules use tensor_diagonal, success_probability, the writer
+_band_tensor, the gate require_phase_invariant, which returns a band tensor,
+and the two products with E, _block_product and _harmonics; the blocks M_q
+of a band tensor are read through _coherence_blocks alone. The diagnostic
+phase_invariance_defect chooses no path: a band tensor's is 0 with no scan,
+and a Kraus tensor's is computed once, one output row E[l] at a time.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -122,10 +122,16 @@ class ProcessTensor:
     def __init__(self, dim: FockDim, elements):
         """The map of a caller's (l, k, n, m) array; the array is not kept."""
         arr = np.asarray(elements, dtype=complex)
-        shape = (dim.size,) * 4
-        if arr.shape != shape:
-            raise ValueError(f"elements shape {arr.shape} != {shape}")
-        vars(self).update(vars(_as_kraus(_corner_tensor(dim, arr))))
+        d = dim.size
+        if arr.shape != (d,) * 4:
+            raise ValueError(f"elements shape {arr.shape} != {(d,) * 4}")
+        if _off_band_max(arr) == 0.0:  # the shift blocks E[n + s, m + s, n, m] as views
+            blocks = ((_shift_rows(d, s), arr.diagonal(-s, 0, 2).diagonal(-s, 0, 1))
+                      for s in range(1 - d, d))
+        else:
+            rows = np.divmod(np.arange(d * d), d)  # (l, n) of each Choi row
+            blocks = [(rows, arr.transpose(0, 2, 1, 3).reshape(d * d, d * d))]
+        vars(self).update(vars(_kraus_from_choi(dim, blocks)))
 
     @property
     def elements(self) -> np.ndarray:
@@ -197,10 +203,10 @@ def _hermitian_eigh(c: np.ndarray, vectors: bool = False, name: str = "Choi matr
     return w[keep], v[:, keep]
 
 
-def _shift_block(d: int, s: int):
-    """Index of the Choi block of photon-number shift s: E[n+s, m+s, n, m]."""
+def _shift_rows(d: int, s: int):
+    """(l, n) = (n_i + s, n_i), n_i = max(0, -s) + i: the Choi rows of the shift-s block."""
     n = np.arange(max(0, -s), d - max(0, s))
-    return (n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]
+    return n + s, n
 
 
 @lru_cache(maxsize=None)
@@ -224,61 +230,55 @@ def _empty_packed(d: int) -> np.ndarray:
 
 
 def _shift_index(d: int, s: int) -> np.ndarray:
-    """Where the entries of _shift_block(d, s) lie in a band tensor's packed array."""
-    _, k, n, m = _shift_block(d, s)
-    q = n - m
+    """Where the Choi block E[n + s, m + s, n, m] lies in a band tensor's packed array."""
+    l, n = _shift_rows(d, s)
+    q = n[:, None] - n[None, :]
     low = np.maximum(-q, 0)
-    return _block_offsets(d)[q + d - 1] + (k - low) * (d - np.abs(q)) + m - low
+    return _block_offsets(d)[q + d - 1] + (l[None, :] - low) * (d - np.abs(q)) + n[None, :] - low
 
 
 def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     """The phase-invariant tensor whose Choi block at shift s is the sum of
     the blocks B_s that bands gives for s, added in order.
 
-    The only writer of shift blocks: B_s[i, j] adds to E[n_i + s, n_j + s,
-    n_i, n_j], n_i = max(0, -s) + i, and every other entry is 0.
+    The only writer of shift blocks: a k x k block B_s is the leading corner
+    of its shift block, B_s[i, j] adds to E[n_i + s, n_j + s, n_i, n_j] with
+    n_i = max(0, -s) + i and i, j < k, and every other entry is 0.
     """
     d = dim.size
     packed = _empty_packed(d)
     for s, block in bands:
-        packed[_shift_index(d, s)] += block
+        k = len(block)
+        packed[_shift_index(d, s)[:k, :k]] += block
     return _BandTensor(dim, packed)
 
 
-def _corner_tensor(dim: FockDim, corner: np.ndarray) -> ProcessTensor:
-    """The tensor equal to corner on E[l, k] for l, k < len(corner), else 0.
+def _choi_blocks(t: _BandTensor):
+    """(_shift_rows(d, s), C_s) per shift s: a band tensor's Choi block C_s[i, j] =
+    E[n_i + s, n_j + s, n_i, n_j], gathered from its coherence blocks."""
+    d = t.dim.size
+    for s in range(1 - d, d):
+        yield _shift_rows(d, s), t.packed[_shift_index(d, s)]
 
-    Band storage when the corner has no entry off l - k = n - m (the rule of
-    phase_invariance_defect), else operators E_v[l, n] = v[(l, n)], l < j, from its Choi eigh.
-    """
-    d, j = dim.size, len(corner)
-    if _off_band_max(corner) == 0.0:
-        packed = _empty_packed(d)
-        for q in range(1 - j, j):
-            # corner[k + q, k, m + q, m] as a view: the leading rows of M_q
-            part = corner.diagonal(-q, 0, 1).diagonal(-q, 0, 1)
-            _packed_block(packed, d, q)[:len(part)] = part
-        return _BandTensor(dim, packed)
-    w, v = _hermitian_eigh(corner.transpose(0, 2, 1, 3).reshape(j * d, j * d), True)
-    ops = np.zeros((len(w), d, d), dtype=complex)
-    ops[:, :j] = v.T.reshape(-1, j, d)
-    return _kraus_tensor(dim, ops, w)
+
+def _kraus_from_choi(dim: FockDim, blocks) -> ProcessTensor:
+    """The Kraus tensor of Hermitian Choi blocks given with their rows (l, n): each
+    eigenpair (w, v) of a block is the operator E_v[l, n] = v, of weight w."""
+    pairs = [(_hermitian_eigh(block, True), rows) for rows, block in blocks]
+    weights = np.concatenate([w for (w, _), _ in pairs])
+    ops = np.zeros((len(weights), dim.size, dim.size), dtype=complex)
+    start = 0
+    for (w, v), (l, n) in pairs:
+        ops[start:start + len(w), l, n] = v.T
+        start += len(w)
+    return _kraus_tensor(dim, ops, weights)
 
 
 def _as_kraus(t: ProcessTensor) -> ProcessTensor:
-    """t in the Kraus layout: E_v[n + s, n] = v[n - max(0, -s)] of weight w per
-    eigenpair (w, v) of a band tensor's Choi block at shift s."""
+    """t in the Kraus layout: a band tensor's Choi blocks through _kraus_from_choi."""
     if not isinstance(t, _BandTensor):
         return t
-    d = t.dim.size
-    ops, weights = [], []
-    for s in range(1 - d, d):
-        w, v = _hermitian_eigh(t.packed[_shift_index(d, s)], True)
-        n = np.arange(max(0, -s), d - max(0, s))
-        ops.append(np.zeros((len(w), d, d), dtype=complex))
-        ops[-1][:, n + s, n] = v.T
-        weights.append(w)
-    return _kraus_tensor(t.dim, np.concatenate(ops), np.concatenate(weights))
+    return _kraus_from_choi(t.dim, _choi_blocks(t))
 
 
 def _kraus_slices(t: ProcessTensor):
@@ -443,7 +443,7 @@ def cp_defect(t: ProcessTensor) -> float:
     """
     d = t.dim.size
     if isinstance(t, _BandTensor):
-        low = min(_hermitian_eigh(t.packed[_shift_index(d, s)]).min() for s in range(1 - d, d))
+        low = min(_hermitian_eigh(block).min() for _, block in _choi_blocks(t))
     else:
         r = np.linalg.qr(t.ops.reshape(len(t.ops), d * d).T, mode="r")
         low = np.linalg.eigvalsh((r * t.weights) @ r.conj().T).min(initial=0.0)
@@ -515,8 +515,8 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
 
 
 def _off_band_max(rows) -> float:
-    """Max |e[l, k, n, m]| over l - k != n - m, one row e[l] (a, D, D) at a
-    time: the leading slices of an (a, a, D, D) array, or _kraus_slices."""
+    """Max |e[l, k, n, m]| over l - k != n - m, one row e[l] (D, D, D) at a
+    time: the rows of a caller's array, or _kraus_slices."""
     top = 0.0
     for l, part in enumerate(rows):
         order = np.subtract.outer(*(np.arange(part.shape[-1]),) * 2)  # n - m of (n, m)

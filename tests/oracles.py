@@ -187,21 +187,13 @@ def tensor_from_kraus_reference(k) -> np.ndarray:
 
 
 def band_tensor_reference(dim, bands) -> np.ndarray:
-    """The dense array with Choi block B_s at E[n + s, m + s, n, m] for each (s, B_s)."""
+    """The dense array with each block B_s on the leading corner of the Choi
+    block at shift s: B_s[i, j] at E[n_i + s, n_j + s, n_i, n_j], n_i = max(0, -s) + i."""
     d = dim.size
     out = np.zeros((d,) * 4, dtype=complex)
     for s, block in bands:
-        n = np.arange(max(0, -s), d - max(0, s))
+        n = np.arange(max(0, -s), d - max(0, s))[:len(block)]
         out[(n + s)[:, None], (n + s)[None, :], n[:, None], n[None, :]] = block
-    out.flags.writeable = False
-    return out
-
-
-def corner_tensor_reference(dim, corner) -> np.ndarray:
-    """The dense array equal to corner on E[l, k] for l, k < len(corner), else 0."""
-    d, j = dim.size, len(corner)
-    out = np.zeros((d,) * 4, dtype=complex)
-    out[:j, :j] = corner
     out.flags.writeable = False
     return out
 

@@ -205,6 +205,28 @@ def test_config_rejection(tmp_path):
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_integral_floats_are_not_config_integers(tmp_path, capsys):
+    # Draft 7 alone admits 6.0 as an integer; FockDim and fock_state would then
+    # fail with a traceback instead of the schema message
+    cases = [({"model": "identity", "n_max": 6.0}, ("tensor", "kernel", "apply"), "n_max: 6.0"),
+             ({"model": "identity", "n_max": 6, "input_state": {"kind": "fock", "n": 2.0}},
+              ("apply",), "input_state/n: 2.0")]
+    for i, (payload, commands, where) in enumerate(cases):
+        cfg = write_config(tmp_path, f"c{i}.json", payload)
+        for command in commands:
+            out = tmp_path / f"{command}{i}"
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+            assert not out.exists()
+            assert (f"config violates schema at {where} is not of type 'integer'"
+                    in capsys.readouterr().err)
+
+
+def test_json_tables_fold_negative_zero():
+    text = cli.render_json_table(("v", "m", "name"), [(-0.0, 0, "x"), (0.5, 1, "y")])
+    assert json.loads(text) == [{"m": 0, "name": "x", "v": 0.0}, {"m": 1, "name": "y", "v": 0.5}]
+    assert "-0.0" not in text and '"v": 0.0' in text
+
+
 def test_apply_identity_coherent(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "model": "identity", "n_max": 8,

@@ -3,12 +3,17 @@ phase symmetry, and inside it the code path follows the storage layout.
 
 The other modules reach a tensor through ``tensor_diagonal``,
 ``success_probability``, ``_block_product`` and ``_harmonics``, write bands
-through ``_band_tensor`` and ``_corner_tensor`` and gate phase symmetry
-through ``require_phase_invariant``, so the choice between the band and the
-Kraus layout is made in ``tensors.py`` alone. Inside ``tensors``, apply
-multiplies by E only through ``_block_product``, serial composition leaves
-its products to one helper per layout (``_band_product`` block by block,
-``_kraus_product`` operator by operator), coherence blocks are read only by
+through ``_band_tensor`` alone and gate phase symmetry through
+``require_phase_invariant``, so the choice between the band and the Kraus
+layout is made in ``tensors.py`` alone. Inside ``tensors``, each layout has
+one way in: band storage is built only by the writer ``_band_tensor`` and the
+band algebra (``_band_product``, ``combine_heralding``, ``scale_tensor``),
+and Kraus operators come from Choi eigenpairs only in ``_kraus_from_choi``.
+Shift blocks are indexed only by the writer and the reader ``_choi_blocks``,
+and the amplifier's former corner writer stays gone. Apply multiplies by E
+only through ``_block_product``, serial composition leaves its products to
+one helper per layout (``_band_product`` block by block, ``_kraus_product``
+operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
 No function but the ``elements`` builders allocates a D^4 array, and the
@@ -27,21 +32,38 @@ def _modules():
     return [path for path in sorted(SRC.glob("*.py")) if path.name != "tensors.py"]
 
 
-def _functions_using(path, name):
-    """The functions that use ``name`` (None for module level); imports do not count."""
-    found = set()
-
+def _nodes_by_function(path):
+    """(function, node) for every node of a module (None for module level)."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Name) and child.id == name)
-                    or (isinstance(child, ast.Attribute) and child.attr == name)):
-                found.add(func)
+            yield func, child
             inner = child.name if isinstance(child, (ast.FunctionDef,
                                                      ast.AsyncFunctionDef)) else func
-            visit(child, inner)
+            yield from visit(child, inner)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return found
+    return visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def _functions_using(path, name):
+    """The functions that use ``name`` (None for module level); imports do not count."""
+    return {func for func, node in _nodes_by_function(path)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)}
+
+
+def _calls_to(path, name):
+    """(function, call) for each call of ``name`` (None for module level)."""
+    return [(func, node) for func, node in _nodes_by_function(path)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def _names(path):
+    """Every name a module uses, defines or imports."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef, ast.ClassDef,
+                              ast.alias))}
 
 
 def test_only_tensors_indexes_tensor_entries():
@@ -66,9 +88,33 @@ def test_only_tensors_constructs_tensors():
 
 
 def test_only_tensors_writes_shift_blocks():
-    for index in ("_shift_block", "_shift_index"):
+    for index in ("_shift_rows", "_shift_index"):
         users = {path.name: _functions_using(path, index) for path in _modules()}
         assert {name: f for name, f in users.items() if f} == {}, index
+
+
+def test_band_storage_has_one_writer_and_the_band_algebra():
+    builders = {func for func, _ in _calls_to(SRC / "tensors.py", "_BandTensor")}
+    assert builders == {"_band_tensor", "_band_product", "combine_heralding", "scale_tensor"}
+    for path in _modules():
+        assert _calls_to(path, "_BandTensor") == [], path.name
+
+
+def test_one_conversion_turns_choi_eigenpairs_into_operators():
+    # _hermitian_eigh(c, True) or vectors=... asks for eigenvectors
+    askers = {func for func, call in _calls_to(SRC / "tensors.py", "_hermitian_eigh")
+              if len(call.args) > 1 or any(k.arg == "vectors" for k in call.keywords)}
+    assert askers == {"_kraus_from_choi"}
+
+
+def test_shift_blocks_are_indexed_by_the_writer_and_the_reader_alone():
+    assert _functions_using(SRC / "tensors.py", "_shift_index") == {"_band_tensor",
+                                                                    "_choi_blocks"}
+
+
+def test_the_corner_writer_is_gone():
+    for path in sorted(SRC.glob("*.py")):
+        assert "_corner_tensor" not in _names(path), path.name
 
 
 def test_paths_follow_the_layout_not_the_phase_defect():
@@ -191,8 +237,4 @@ def test_only_the_elements_views_allocate_a_quartic_array():
 
 def test_the_dense_layout_is_gone():
     for path in sorted(SRC.glob("*.py")):
-        names = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
-                 else n.name for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(n, (ast.Name, ast.Attribute, ast.FunctionDef, ast.ClassDef,
-                                   ast.alias))}
-        assert not names & DENSE_NAMES, (path.name, names & DENSE_NAMES)
+        assert not _names(path) & DENSE_NAMES, (path.name, _names(path) & DENSE_NAMES)

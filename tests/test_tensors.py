@@ -556,19 +556,39 @@ def test_band_elements_are_built_on_access_and_not_kept():
     assert t.packed.nbytes == 16 * sum((5 - abs(q)) ** 2 for q in range(-4, 5))
 
 
-def test_corner_tensor_keeps_an_off_band_corner_as_kraus_operators():
+def _leading_bands(n_max, seed):
+    """Random complex blocks, one per shift s of a D = n_max + 1 space, each a
+    k x k leading corner of its shift block with 1 <= k <= D - |s|; the shift-0
+    block always leaves its last row and column out."""
+    rng = np.random.default_rng(seed)
+    d = n_max + 1
+    bands = []
+    for s in range(1 - d, d):
+        k = int(rng.integers(1, d if s == 0 else d - abs(s) + 1))
+        bands.append((s, rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))))
+    return FockDim(n_max), bands
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n_max=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_writer_fills_leading_corners_property(n_max, seed):
+    # each block fills the leading rows and columns of its shift block, k < D - |s| included
+    dim, bands = _leading_bands(n_max, seed)
+    t = tensors._band_tensor(dim, bands)
+    assert isinstance(t, tensors._BandTensor)
+    assert np.array_equal(t.elements, oracles.band_tensor_reference(dim, bands))
+
+
+def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
     dim = FockDim(5)
-    corner = np.zeros((3, 3, dim.size, dim.size))
-    corner[1, 0, 2, 1] = corner[0, 1, 1, 2] = 0.5  # l - k = n - m = +-1
-    band = tensors._corner_tensor(dim, corner)
-    assert isinstance(band, tensors._BandTensor)
-    assert np.array_equal(band.elements, oracles.corner_tensor_reference(dim, corner))
-    corner[2, 0, 0, 0] = corner[0, 2, 0, 0] = 0.25  # l - k = +-2 but n - m = 0
-    kraus = tensors._corner_tensor(dim, corner)
+    arr = np.zeros((dim.size,) * 4)
+    arr[1, 0, 2, 1] = arr[0, 1, 1, 2] = 0.5  # l - k = n - m = +-1
+    arr[2, 0, 0, 0] = arr[0, 2, 0, 0] = 0.25  # l - k = +-2 but n - m = 0
+    kraus = ProcessTensor(dim, arr)
     assert not isinstance(kraus, tensors._BandTensor)
     assert not np.any(kraus.ops[:, 3:])  # the operators reach output rows l < 3 only
     # the Choi eigh moves entries by a few eps of the largest (0.5)
-    assert _close(kraus.elements, oracles.corner_tensor_reference(dim, corner), rel=1e-15)
+    assert _close(kraus.elements, arr, rel=1e-15)
     assert abs(phase_invariance_defect(kraus) - 0.25) <= 1e-15
 
 
@@ -581,15 +601,11 @@ def _kraus_builds(mp):
     def band(dim, bands):
         return ProcessTensor(dim, oracles.band_tensor_reference(dim, bands))
 
-    def corner(dim, c):
-        return ProcessTensor(dim, oracles.corner_tensor_reference(dim, c))
-
     def kraus(k):
         return ProcessTensor(k.dim, oracles.tensor_from_kraus_reference(k))
 
     mp.setattr(tensors, "_band_tensor", band)
     mp.setattr(models, "_band_tensor", band)
-    mp.setattr(models, "_corner_tensor", corner)
     for module in (tensors, models, elements):
         mp.setattr(module, "tensor_from_kraus", kraus)
 
