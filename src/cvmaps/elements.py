@@ -28,7 +28,8 @@ Conventions fixed here and relied on everywhere else:
   come from one closed form, two_mode_squeeze_amplitudes, exact at
   truncation. Mean amplitudes leave as (c alpha1 + s conj(alpha2),
   c alpha2 + s conj(alpha1)) with c = sqrt(g), s = sqrt(g - 1). The
-  heralded models contract this routine and beam_splitter_amplitudes.
+  heralded models take this routine and the splitter's total-photon blocks,
+  beam_splitter_block, which also fill beam_splitter_amplitudes.
 """
 
 import math
@@ -50,6 +51,7 @@ __all__ = [
     "squeezing",
     "beam_splitter",
     "beam_splitter_amplitudes",
+    "beam_splitter_block",
     "beam_splitter_matrix",
     "parametric_down_conversion",
     "two_mode_squeeze_amplitudes",
@@ -122,23 +124,28 @@ def squeezing(r: float, dim: FockDim) -> Element:
                    _point_map(np.diag([math.exp(-r), math.exp(r)])))
 
 
-def beam_splitter_amplitudes(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
-    """<p, q| U |s, b> of beam_splitter(t) for s <= n1, b <= n2, p, q < n_out.
+def beam_splitter_block(t: float, total: int) -> np.ndarray:
+    """<p, total - p| U |s, total - s> of beam_splitter(t) as block[p, s].
 
-    Each total-photon block exp(phi (G - G^T)) is taken exactly, as
-    V exp(-i phi w) V^dag from eigh of the Hermitian i (G - G^T).
+    The total-photon block exp(phi (G - G^T)), t = cos(phi), is taken
+    exactly, as V exp(-i phi w) V^dag from eigh of the Hermitian i (G - G^T).
     """
     if not -1.0 <= t <= 1.0:
         raise ValueError("beam-splitter amplitude must satisfy |t| <= 1")
-    phi = math.acos(t)
+    j = np.arange(total)
+    gen = np.zeros((total + 1, total + 1))
+    # a1+ a2 |j, total-j> = sqrt((j+1)(total-j)) |j+1, total-j-1>
+    gen[j + 1, j] = np.sqrt((j + 1.0) * (total - j))
+    w, v = np.linalg.eigh(1j * (gen - gen.T))
+    return ((v * np.exp(-1j * math.acos(t) * w)) @ v.conj().T).real
+
+
+def beam_splitter_amplitudes(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
+    """<p, q| U |s, b> of beam_splitter(t) for s <= n1, b <= n2, p, q < n_out,
+    filled one beam_splitter_block at a time."""
     amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
     for tot in range(n1 + n2 + 1):
-        j = np.arange(tot)
-        gen = np.zeros((tot + 1, tot + 1))
-        # a1+ a2 |j, tot-j> = sqrt((j+1)(tot-j)) |j+1, tot-j-1>
-        gen[j + 1, j] = np.sqrt((j + 1.0) * (tot - j))
-        w, v = np.linalg.eigh(1j * (gen - gen.T))
-        block = ((v * np.exp(-1j * phi * w)) @ v.conj().T).real
+        block = beam_splitter_block(t, tot)
         s = np.arange(max(0, tot - n2), min(n1, tot) + 1)
         p = np.arange(max(0, tot - n_out + 1), min(n_out - 1, tot) + 1)[:, None]
         amps[p, tot - p, s, tot - s] = block[p, s]

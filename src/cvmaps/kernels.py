@@ -253,7 +253,8 @@ class GaussianKernel(_Kernel):
                                      in_grid.xs[None, None, :, None],
                                      in_grid.ps[None, None, None, :]))
         shape = (out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
-        return GridKernel(out_grid, in_grid, np.broadcast_to(_frozen(vals), shape))
+        return GridKernel._of_floored(out_grid, in_grid,
+                                      np.broadcast_to(_frozen(vals), shape))
 
 
 class _SampledKernel(_Kernel):
@@ -299,18 +300,33 @@ class GridKernel(_SampledKernel):
     No stored sample is nonzero below _FACTOR_FLOOR in magnitude. A writable
     array is floored in the copy that _adopt makes of it; a read-only one is
     kept as it is unless it holds such entries, and then a floored copy is.
+    Producers hand their freshly floored samples to _of_floored, which keeps
+    them without that scan.
     """
 
     out_grid: QuadratureGrid
     in_grid: QuadratureGrid
     values: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.values)
+    @classmethod
+    def _of_floored(cls, out_grid, in_grid, values):
+        """The kernel of read-only real samples its producer has just floored."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "out_grid", out_grid)
+        object.__setattr__(kernel, "in_grid", in_grid)
+        object.__setattr__(kernel, "values", _adopt(values))
+        kernel._check_shape(values)
+        return kernel
+
+    def _check_shape(self, vals):
         shape = (self.out_grid.n_x, self.out_grid.n_p,
                  self.in_grid.n_x, self.in_grid.n_p)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} != {shape}")
+
+    def __post_init__(self):
+        vals = np.asarray(self.values)
+        self._check_shape(vals)
         if np.iscomplexobj(vals):
             resid = float(np.max(np.abs(vals.imag)))
             scale = max(1.0, float(np.max(np.abs(vals.real))))
@@ -336,7 +352,8 @@ class GridKernel(_SampledKernel):
         return WignerField(self.in_grid, np.tensordot(v, self.values, 2))
 
     def scaled(self, c):
-        return replace(self, values=_frozen(_floored(c * self.values)))
+        return GridKernel._of_floored(self.out_grid, self.in_grid,
+                                      _frozen(_floored(c * self.values)))
 
     def dense(self):
         return self
@@ -438,7 +455,7 @@ class SumKernel(_Kernel):
         for w, term in self.terms:
             part = w * term.sample(out_grid, in_grid).values
             total = part if total is None else total + part
-        return GridKernel(out_grid, in_grid, _frozen(_floored(total)))
+        return GridKernel._of_floored(out_grid, in_grid, _frozen(_floored(total)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -585,7 +602,7 @@ def compose_kernels(f2, f1):
             np.matmul(_floored(left[lo:lo + step] * w), right, out=rows)
             _floored(rows)
         vals = _frozen(flat).reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
-        return GridKernel(out, inp, vals)
+        return GridKernel._of_floored(out, inp, vals)
     raise TypeError(
         f"no composition rule for {type(f2).__name__} after {type(f1).__name__}"
     )

@@ -11,22 +11,25 @@ evaluated on the pair (intended mode, spurious mode) seen by the same
 detector, so the total herald probability is additive by construction and
 equals the probability of the full circuit.
 
-Amplifier circuit, one contraction of catalog splitter amplitudes: the
-resource photon and vacuum pass an asymmetric beam splitter (reflectivity R
-toward the herald arm, gain g = sqrt((1-R)/R)); the input loses (1 - eta_m)
-of its light to a mismatched mode before interfering with the herald arm on
-a symmetric beam splitter; the mismatched light reaches the same pair of
+Amplifier circuit, built from catalog splitter blocks: the resource photon
+and vacuum pass an asymmetric beam splitter (reflectivity R toward the
+herald arm, gain g = sqrt((1-R)/R)); the input loses (1 - eta_m) of its
+light to a mismatched mode before interfering with the herald arm on a
+symmetric beam splitter; the mismatched light reaches the same pair of
 detectors through its own symmetric split. The herald detector sits on the
 second S-BS output, which fixes the sign so a coherent input alpha yields an
-output proportional to |0> + g alpha |1>. Each splitter is an exact
-amplitude table over the photon numbers its ports carry (the herald arm at
-most the resource's two, the signal-splitter outputs up to n_max + 2), so no
-interior truncation error enters the stored tensor; numpy's greedy path
-search orders the one einsum per branch. Its (3, 3, D, D) result holds
-every nonzero entry (the output carries at most the resource's two
-photons) and none off l - k = n - m (the circuit conserves photon number
-up to those two), so it goes to the band writer of the tensors module as the
-leading corners of its Choi shift blocks.
+output proportional to |0> + g alpha |1>. Each splitter is taken one exact
+total-photon block at a time (the herald arm carries at most the resource's
+two photons, the S-BS totals reach n_max + 2), so no interior truncation
+error enters the stored tensor. Every herald weight is diagonal in photon
+number and every splitter conserves it, so the sums collapse: the
+mismatched pair to one weight per lost photon count, the herald pair to at
+most a 3 x 3 form per S-BS total, and the resource to one 3^4 array. The
+assembly then takes O(D^2) work and memory, beside one eigh per splitter
+block, and forms no whole splitter table. The output carries at
+most the resource's two photons and the circuit conserves photon number up
+to those two, so the result is at most a 3 x 3 leading corner of each Choi
+shift block, which goes to the band writer of the tensors module.
 
 Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
 with vacuum idler, heralded by a click on the idler detector. Each idler
@@ -60,8 +63,9 @@ from .tensors import (
     tensor_diagonal,
     _band_tensor,
 )
-from .elements import (apd_click, beam_splitter_amplitudes, experimental_single_photon,
-                       photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
+from .elements import (apd_click, beam_splitter_amplitudes, beam_splitter_block,
+                       experimental_single_photon, photon_counter,
+                       two_mode_squeeze_amplitudes, vacuum_projector)
 
 __all__ = [
     "AmplifierConfig",
@@ -76,9 +80,6 @@ __all__ = [
 ]
 
 _DETECTORS = ("apd", "photon_counter")
-# einsum's greedy path with no intermediate-size cap; the default cap (the
-# largest operand) forces a slow three-operand step in the amplifier
-_UNCAPPED = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -181,17 +182,24 @@ def _click_weights(detector: str, mu: float, count: int):
 def amplifier_branches(cfg: AmplifierConfig):
     """Correct and faulty amplifier tensors before combination."""
     n_max, d = cfg.dim.n_max, cfg.dim.size
-    f = n_max + 3  # interior size; the resource adds at most 2 photons
+    f = n_max + 3  # photon totals at the S-BS; the resource adds at most 2
+    gap = np.abs(np.subtract.outer(np.arange(f), np.arange(f)))
 
-    # resource after the asymmetric splitter: res[o, b, phi], b = herald arm
+    # the resource mixture after the asymmetric splitter, b, B = herald arm:
+    # R[o, O, b, B] = sum_p w_p <o, b|U_R|p, 0> <O, B|U_R|p, 0>
     res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
     weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
-    # S-BS us[d1, d2, s, b]: matched input s <= n_max, herald arm b <= 2
-    us = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 2, f)
-    # mode-matching split of the input um[s, u, n], s + u = n
-    um = beam_splitter_amplitudes(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
-    # symmetric split of the mismatched light toward the two detectors
-    vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
+    resource = np.einsum("obp,p,OBp->oObB", res, weights, res)
+    # S-BS columns cols[N, d, b] = <d, N - d|U|N - b, b> for matched input
+    # N - b <= n_max; cols[u, :, 0] also splits u mismatched photons toward
+    # the same detectors. Matched amplitudes amp[x, n] = <x, n - x|U_m|n, 0>
+    cols = np.zeros((f, f, 3))
+    amp = np.zeros((d, d))
+    for tot in range(f):
+        arm = np.arange(max(0, tot - n_max), min(2, tot) + 1)
+        cols[tot, :tot + 1][:, arm] = beam_splitter_block(math.sqrt(0.5), tot)[:, tot - arm]
+        if tot < d:
+            amp[:tot + 1, tot] = beam_splitter_block(math.sqrt(cfg.eta_m), tot)[:, tot]
 
     (w1_d, w1_u), (w2_d, w2_u) = _click_weights(cfg.detector, cfg.mu, f)
     # the condition on the unmonitored S-BS port
@@ -200,18 +208,39 @@ def amplifier_branches(cfg: AmplifierConfig):
 
     # the click detector sits on the second S-BS port (port 1 carries the
     # vacuum / no-click condition); this is the wiring that makes a coherent
-    # input come out as |0> + g alpha |1> with a plus sign. Each table enters
-    # once on the ket (lower-case letters) and once on the bra (upper-case);
-    # the resource mixture and the herald diagonals tie the two sides.
+    # input come out as |0> + g alpha |1> with a plus sign. Every herald
+    # weight is diagonal and every splitter conserves photon number, so each
+    # detector pair collapses to one weight per photon total; the columns
+    # are zero where d > N, so wso(d) w(|N - d|) weighs only real pairs.
+    x, b = np.arange(d)[:, None, None], np.arange(3)[:, None]
     tensors = []
     for w_click, w_mismatch in ((w1_d, w1_u), (w2_d, w2_u)):
-        e = np.einsum("obp,desb,sun,vwu,p,d,e,v,w,OBp,deSB,SUm,vwU->oOnm",
-                      res, us, um, vh, weights, wso, w_click, wso, w_mismatch,
-                      res, us, um, vh, optimize=("greedy", _UNCAPPED))
-        e = (e + e.transpose(1, 0, 3, 2)) / 2.0
-        tensors.append(_band_tensor(cfg.dim, ((s, e.diagonal(-s, 0, 2).diagonal(-s, 0, 1))
-                                              for s in range(1 - d, 3))))
+        # herald pair H[N, b, B] and mismatch weight lam[u] per lost photon count
+        h = np.einsum("Ndb,Nd,NdB->NbB", cols, wso * w_click[gap], cols)
+        lam = np.einsum("ud,ud->u", cols[:d, :, 0] ** 2, wso * w_mismatch[gap[:d]])
+        # g[o, O, x] = sum_{b, B} R[o, O, b, B] H[x + b, b, B], x matched photons
+        g = np.einsum("oObB,xbB->oOx", resource, h[x + b, b, np.arange(3)])
+        # E[o, O, n, m] = sum_x g[o, O, x] lam(n - x) amp[x, n] amp[x - q, m]
+        # with q = o - O = n - m, kept as e[o, O, n]
+        lam_amp = lam[gap[:d, :d]] * amp
+        padded = np.pad(amp, 2)
+        e = np.zeros((3, 3, d))
+        for q in range(-2, 3):
+            o = np.arange(max(0, q), min(3, 3 + q))
+            e[o, o - q] = g[o, o - q] @ (lam_amp * padded[2 - q:d + 2 - q, 2 - q:d + 2 - q])
+        tensors.append(_band_tensor(cfg.dim, _amplifier_blocks(e)))
     return tensors[0], tensors[1]
+
+
+def _amplifier_blocks(e):
+    """(s, B_s) per shift s = o - n of the amplifier's e[o, O, n]: the leading
+    corner B_s[i, j] = E[o_i, o_j, o_i - s, o_j - s], o_i = max(0, s) + i <= 2,
+    made exactly symmetric."""
+    d = e.shape[2]
+    for s in range(1 - d, 3):
+        o = np.arange(max(0, s), min(3, d + s))
+        block = e[o[:, None], o, o[:, None] - s]
+        yield s, (block + block.T) / 2.0
 
 
 def _gate_physical(t: ProcessTensor, label: str) -> ProcessTensor:

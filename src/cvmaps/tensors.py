@@ -229,9 +229,10 @@ def _empty_packed(d: int) -> np.ndarray:
     return np.zeros(_block_offsets(d)[-1], dtype=complex)
 
 
-def _shift_index(d: int, s: int) -> np.ndarray:
-    """Where the Choi block E[n + s, m + s, n, m] lies in a band tensor's packed array."""
-    l, n = _shift_rows(d, s)
+def _shift_index(d: int, s: int, k: int = None) -> np.ndarray:
+    """Where the Choi block E[n + s, m + s, n, m] lies in a band tensor's packed
+    array; with k, where its leading k x k corner lies."""
+    l, n = (rows[:k] for rows in _shift_rows(d, s))
     q = n[:, None] - n[None, :]
     low = np.maximum(-q, 0)
     return _block_offsets(d)[q + d - 1] + (l[None, :] - low) * (d - np.abs(q)) + n[None, :] - low
@@ -248,8 +249,7 @@ def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     d = dim.size
     packed = _empty_packed(d)
     for s, block in bands:
-        k = len(block)
-        packed[_shift_index(d, s)[:k, :k]] += block
+        packed[_shift_index(d, s, len(block))] += block
     return _BandTensor(dim, packed)
 
 

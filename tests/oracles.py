@@ -5,6 +5,8 @@ Everything here is built from first principles with scipy/numpy primitives
 package's own recurrences and factorizations, so agreement is evidence and
 not circularity. radial_form_reference reuses the package's basis
 evaluator: it checks only the angular bookkeeping of radial_form.
+amplifier_einsum_reference reuses the catalog's splitter amplitudes: it
+checks only how the amplifier model collapses its sums.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, factorial
 
-from cvmaps.elements import experimental_single_photon
+from cvmaps.elements import beam_splitter_amplitudes, experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
 from cvmaps.wigner import _basis_values
 
@@ -333,6 +335,41 @@ def amplifier_oracle(psi_in: np.ndarray, cfg, size: int):
         sigma += wphi * np.einsum("daoeb,dafeb,eb,da->of", state, state.conj(),
                                   click_pair, so)
     return p_total, sigma
+
+
+def amplifier_einsum_reference(cfg):
+    """The amplifier's correct and faulty (3, 3, D, D) arrays E[o, O, n, m], each
+    one 13-operand einsum over whole splitter tables, symmetrized.
+
+    res: resource after the asymmetric splitter; us: signal splitter on the
+    matched input and the herald arm; um: mode-matching split of the input;
+    vh: symmetric split of the mismatched light. Each table enters once on
+    the ket (lower case) and once on the bra (upper case); the resource
+    mixture and the herald diagonals tie the two sides.
+    """
+    n_max, d = cfg.dim.n_max, cfg.dim.size
+    f = n_max + 3
+    res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
+    weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
+    us = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 2, f)
+    um = beam_splitter_amplitudes(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
+    vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
+    occ = np.arange(f, dtype=float)
+    if cfg.detector == "apd":
+        click = 1.0 - (1.0 - cfg.mu) ** occ
+        wso = 1.0 - click
+        branches = ((click, 1.0 - click), (np.ones(f), click))
+    else:
+        click, wso = (occ == 1).astype(float), (occ == 0).astype(float)
+        branches = ((click, wso), (wso, click))
+    out = []
+    for w_click, w_mismatch in branches:
+        # the greedy path with no cap on intermediate size
+        e = np.einsum("obp,desb,sun,vwu,p,d,e,v,w,OBp,deSB,SUm,vwU->oOnm",
+                      res, us, um, vh, weights, wso, w_click, wso, w_mismatch,
+                      res, us, um, vh, optimize=("greedy", 2 ** 62))
+        out.append((e + e.transpose(1, 0, 3, 2)) / 2.0)
+    return out
 
 
 def addition_oracle(psi_in: np.ndarray, chi: float, mu: float, detector: str,

@@ -619,6 +619,27 @@ def test_grid_samples_hold_no_sub_floor_entries():
         assert np.array_equal(k.values, floored(raw))
 
 
+def test_composition_check_scans_no_producer_samples(monkeypatch):
+    # sampled, composed and scaled kernels hand over samples they have just
+    # floored, so only a caller's read-only array is scanned for sub-floor
+    # entries
+    import cvmaps.kernels as kernels
+
+    scans = []
+    scan = kernels._holds_sub_floor
+    monkeypatch.setattr(kernels, "_holds_sub_floor", lambda a: scans.append(a.size) or scan(a))
+    assert verify.check_composition_grid(None)["passed"]
+    grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 7, 7)
+    sampled = attenuation(0.5, FockDim(4)).kernel.sample(grid, grid)
+    scale_kernel(sampled, 0.5)
+    SumKernel(((1.0, attenuation(0.5, FockDim(4)).kernel),)).sample(grid, grid)
+    assert scans == []
+    read_only = np.array(sampled.values)
+    read_only.flags.writeable = False
+    GridKernel(grid, grid, read_only)
+    assert scans == [read_only.size]
+
+
 # verify's composition check: 49^2 x 65^2 samples in each factor and
 # 49^2 x 49^2 in the result, in bytes
 COMPOSITION_FACTOR = 8 * 49 ** 2 * 65 ** 2

@@ -22,7 +22,7 @@ from cvmaps.models import (
     model_report,
     _gate_physical,
 )
-from cvmaps import cli, models, tensors
+from cvmaps import cli, fock, models, tensors
 from cvmaps.tensors import (
     PhysicalityError,
     ProcessTensor,
@@ -262,6 +262,24 @@ def test_amplifier_matches_circuit_property(n_max, gain, reflectivity, mu, delta
     assert abs(success_probability(amplifier_model(cfg), rho) - split_p) < 1e-14
 
 
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(n_max=st.integers(2, 24),
+       reflectivity=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       mu=st.floats(0.0, 1.0, exclude_min=True),
+       delta=st.floats(0.0, 2.0),
+       eta_m=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       detector=st.sampled_from(["apd", "photon_counter"]))
+def test_amplifier_branches_match_the_einsum_property(n_max, reflectivity, mu, delta,
+                                                     eta_m, detector):
+    # the collapsed herald weights reorder the sums of the whole-table einsum
+    cfg = AmplifierConfig(dim=FockDim(n_max), reflectivity=reflectivity, mu=mu,
+                          delta=delta, eta_m=eta_m, detector=detector)
+    for branch, ref in zip(amplifier_branches(cfg), oracles.amplifier_einsum_reference(cfg)):
+        e = branch.elements
+        assert not e[3:].any() and not e[:, 3:].any()
+        assert np.max(np.abs(e[:3, :3] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(n_max=st.integers(2, 8),
        chi=st.floats(0.0, 2.0, exclude_min=True),
@@ -474,10 +492,24 @@ def test_addition_model_at_n_max_48_builds_no_quartic_array():
     assert _traced_peak(lambda: addition_model(cfg)) < 16 * 49 ** 4 / 8
 
 
+def _amplifier_peak_ratio(n_max):
+    """tracemalloc peak of amplifier_model over the packed array it returns."""
+    cfg = AmplifierConfig(dim=FockDim(n_max), **_EXPERIMENTAL_AMPLIFIER)
+    built = []
+    peak = _traced_peak(lambda: built.append(amplifier_model(cfg)))
+    return peak / built[0].packed.nbytes
+
+
 def test_amplifier_model_at_n_max_48_builds_no_quartic_array():
-    # the branch einsum's own intermediates take about a quarter of one D^4
-    # array at D = 49; the stored corner and both tensors take 1/70 of one
+    # both branches, their sum and the CP gate's block work: no (3, 3, D, D, D)
+    # intermediate and no O(D^3) splitter table beside them
+    assert _amplifier_peak_ratio(48) <= 4.0
     cfg = AmplifierConfig(dim=FockDim(48), **_EXPERIMENTAL_AMPLIFIER)
-    assert _traced_peak(lambda: amplifier_model(cfg)) < 0.3 * 16 * 49 ** 4
     correct, faulty = amplifier_branches(cfg)
     assert isinstance(correct, tensors._BandTensor) and isinstance(faulty, tensors._BandTensor)
+
+
+@pytest.mark.parametrize("n_max", [63, 100])
+def test_amplifier_model_peak_stays_within_four_packed_tensors(n_max, monkeypatch):
+    monkeypatch.setattr(fock, "_MAX_SIZE", max(fock._MAX_SIZE, n_max + 1))
+    assert _amplifier_peak_ratio(n_max) <= 4.0

@@ -17,7 +17,10 @@ operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
 No function but the ``elements`` builders allocates a D^4 array, and the
-dense layout's names stay gone.
+dense layout's names stay gone. The amplifier collapses its herald sums
+instead of contracting whole splitter tables: ``models`` holds no einsum of
+more than four operands, and splitter amplitudes come from one
+``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone.
 """
 
 import ast
@@ -238,3 +241,22 @@ def test_only_the_elements_views_allocate_a_quartic_array():
 def test_the_dense_layout_is_gone():
     for path in sorted(SRC.glob("*.py")):
         assert not _names(path) & DENSE_NAMES, (path.name, _names(path) & DENSE_NAMES)
+
+
+def _einsum_operand_counts(path):
+    """(function, operand count) of each einsum call in a module."""
+    return [(func, len(call.args) - 1) for func, call in _nodes_by_function(path)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Attribute, ast.Name))
+            and (call.func.attr if isinstance(call.func, ast.Attribute)
+                 else call.func.id) == "einsum"]
+
+
+def test_the_amplifier_collapses_its_sums():
+    counts = _einsum_operand_counts(SRC / "models.py")
+    assert counts and all(n <= 4 for _, n in counts), counts
+    assert "_UNCAPPED" not in _names(SRC / "models.py")
+
+
+def test_splitter_amplitudes_have_one_eigh():
+    assert _functions_using(SRC / "elements.py", "eigh") == {"beam_splitter_block"}
+    assert _functions_using(SRC / "models.py", "eigh") == set()

@@ -579,6 +579,14 @@ def test_band_writer_fills_leading_corners_property(n_max, seed):
     assert np.array_equal(t.elements, oracles.band_tensor_reference(dim, bands))
 
 
+def test_shift_index_of_a_corner_is_the_corner_of_the_whole_index():
+    for d in range(1, 8):
+        for s in range(1 - d, d):
+            whole = tensors._shift_index(d, s)
+            for k in range(1, d - abs(s) + 1):
+                assert np.array_equal(tensors._shift_index(d, s, k), whole[:k, :k])
+
+
 def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
     dim = FockDim(5)
     arr = np.zeros((dim.size,) * 4)
