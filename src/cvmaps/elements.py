@@ -39,7 +39,6 @@ import numpy as np
 
 from .fock import FockDim, DensityOperator, displacement_matrix, squeeze_matrix
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
-from .wigner import QuadratureGrid, weyl_symbol
 from .kernels import GaussianKernel
 
 __all__ = [
@@ -287,13 +286,6 @@ class DetectorElement:
 
     def matrix(self, dim: FockDim) -> np.ndarray:
         return np.diag(self.diagonal(dim.size))
-
-    def no_click_matrix(self, dim: FockDim) -> np.ndarray:
-        # completeness Pi + (I - Pi) = I is exact by construction
-        return np.eye(dim.size) - self.matrix(dim)
-
-    def weyl(self, dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-        return weyl_symbol(self.matrix(dim), dim, grid).real
 
 
 def apd_click(mu: float) -> DetectorElement:

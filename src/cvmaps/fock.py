@@ -14,7 +14,7 @@ silently absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,14 +23,12 @@ __all__ = [
     "DensityOperator",
     "annihilation",
     "creation",
-    "number_operator",
     "fock_vector",
     "fock_state",
     "coherent_vector",
     "coherent_state",
     "thermal_state",
     "normalize",
-    "validate_state",
     "displacement_matrix",
     "squeeze_matrix",
     "fidelity",
@@ -66,8 +64,8 @@ class DensityOperator:
     The matrix is stored dense with mode-major index flattening: basis
     state |n_1, ..., n_M> maps to row n_1 * D^(M-1) + ... + n_M.
     Heralded outputs are sub-normalized, so the trace may be below one;
-    outputs of deliberately unphysical maps may exceed one. Use
-    ``validate_state`` when a bona fide state is required.
+    outputs of deliberately unphysical maps may exceed one; nothing here
+    checks positivity.
     """
 
     dim: FockDim
@@ -103,10 +101,6 @@ def annihilation(dim: FockDim) -> np.ndarray:
 
 def creation(dim: FockDim) -> np.ndarray:
     return annihilation(dim).conj().T
-
-
-def number_operator(dim: FockDim) -> np.ndarray:
-    return np.diag(np.arange(dim.size, dtype=complex))
 
 
 def fock_vector(n: int, dim: FockDim) -> np.ndarray:
@@ -157,16 +151,6 @@ def normalize(rho: DensityOperator) -> DensityOperator:
     if tr <= 0:
         raise ValueError(f"cannot normalize operator with trace {tr}")
     return DensityOperator(rho.dim, rho.matrix / tr, rho.modes)
-
-
-def validate_state(rho: DensityOperator, psd_tol: float = 1e-10,
-                   trace_tol: float = 1e-12) -> None:
-    """Raise if rho is not a (possibly sub-normalized) physical state."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    if w.min() < -psd_tol:
-        raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
-    if not 0 < rho.trace <= 1 + trace_tol:
-        raise ValueError(f"state trace {rho.trace} outside (0, 1]")
 
 
 def _exp_nilpotent(mat: np.ndarray) -> np.ndarray:

@@ -67,6 +67,8 @@ __all__ = [
     "radial_form",
     "negativity",
     "scale_kernel",
+    "sample_kernel",
+    "band_concentration",
 ]
 
 _MAX_GRID_VALUES = 70_000_000

@@ -49,18 +49,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDim, creation, fidelity, normalize
+from .fock import FockDim, creation
 from .tensors import (
     KrausSet,
     ProcessTensor,
     tensor_from_kraus,
     identity_tensor,
-    apply_tensor,
     combine_heralding,
     scale_tensor,
     require_cp,
     require_tni,
-    tensor_diagonal,
     _band_tensor,
 )
 from .elements import (apd_click, beam_splitter_amplitudes, beam_splitter_block,
@@ -76,7 +74,6 @@ __all__ = [
     "amplifier_model",
     "addition_branches",
     "addition_model",
-    "model_report",
 ]
 
 _DETECTORS = ("apd", "photon_counter")
@@ -286,34 +283,3 @@ def addition_model(cfg: AdditionConfig) -> ProcessTensor:
     total = combine_heralding(correct, faulty) if cfg.include_faulty else correct
     return _gate_physical(total, "addition model")
 
-
-def model_report(t: ProcessTensor, inputs) -> dict:
-    """Tabulate success probabilities, output fidelities and tensor diagonals.
-
-    Each input is applied once: the probability is the output's trace, and
-    normalize divides it out. The diagonal F^{m,m}_{k,k} is listed [m][k].
-    """
-    d = t.dim.size
-    rows = []
-    for rho in inputs:
-        out = apply_tensor(t, rho)
-        p = out.trace
-        if p > 0.0:
-            out_n = normalize(out)
-            fid = fidelity(out_n, rho)
-            out_diag = out_n.diagonal().tolist()
-        else:
-            fid = 0.0
-            out_diag = [0.0] * d
-        rows.append({
-            "probability": float(p),
-            "fidelity_to_input": float(fid),
-            "output_diagonal": out_diag,
-        })
-    return {
-        "n_max": t.dim.n_max,
-        "input_modes": t.input_modes,
-        "output_modes": t.output_modes,
-        "diagonal": tensor_diagonal(t).real.T.tolist(),
-        "rows": rows,
-    }

@@ -18,10 +18,10 @@ and real ``weights`` (r,), E(X) = sum_i w_i E_i X E_i^dag; signed weights
 keep scaling by c < 0, sums and maps that are not CP. Shift blocks are
 written by _band_tensor alone (else band storage comes only from the band
 algebra) and read by _choi_blocks alone, and _kraus_from_choi alone turns
-Choi eigenpairs into operators: for a caller's array (ProcessTensor(dim,
-elements), by shift block when exactly phase invariant) and for a band
-operand of a Kraus operation. ``elements`` is the (l, k, n, m) array in
-either layout, built on each access, read-only, and not kept.
+Choi eigenpairs into operators, for a band operand of a Kraus operation.
+No array of entries is a way in: a Kraus tensor is ProcessTensor(dim, ops,
+weights) of its own fields. ``elements`` is the (l, k, n, m) array in either
+layout, built on each access, read-only, and not kept.
 
 Only this module reads or writes a tensor's entries or decides phase
 symmetry. Other modules use tensor_diagonal, success_probability, the writer
@@ -100,17 +100,11 @@ class KrausSet:
                 )
         object.__setattr__(self, "operators", ops)
 
-    def completeness_defect(self) -> float:
-        """Largest eigenvalue of sum E_i^dag E_i - I; <= 0 for physical maps."""
-        s = sum(op.conj().T @ op for op in self.operators)
-        s = (s + s.conj().T) / 2
-        w = np.linalg.eigvalsh(s)
-        return float(w.max() - 1.0)
 
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProcessTensor:
-    """Single-mode map E^{n,m}_{l,k}, kept as weighted Kraus operators."""
+    """Single-mode map E^{n,m}_{l,k} = sum_i weights[i] ops[i] X ops[i]^dag,
+    kept as its weighted Kraus operators, both made read-only."""
 
     dim: FockDim
     ops: np.ndarray
@@ -119,19 +113,9 @@ class ProcessTensor:
     input_modes = 1
     output_modes = 1
 
-    def __init__(self, dim: FockDim, elements):
-        """The map of a caller's (l, k, n, m) array; the array is not kept."""
-        arr = np.asarray(elements, dtype=complex)
-        d = dim.size
-        if arr.shape != (d,) * 4:
-            raise ValueError(f"elements shape {arr.shape} != {(d,) * 4}")
-        if _off_band_max(arr) == 0.0:  # the shift blocks E[n + s, m + s, n, m] as views
-            blocks = ((_shift_rows(d, s), arr.diagonal(-s, 0, 2).diagonal(-s, 0, 1))
-                      for s in range(1 - d, d))
-        else:
-            rows = np.divmod(np.arange(d * d), d)  # (l, n) of each Choi row
-            blocks = [(rows, arr.transpose(0, 2, 1, 3).reshape(d * d, d * d))]
-        vars(self).update(vars(_kraus_from_choi(dim, blocks)))
+    def __post_init__(self):
+        object.__setattr__(self, "ops", _frozen(self.ops))
+        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, float)))
 
     @property
     def elements(self) -> np.ndarray:
@@ -142,7 +126,7 @@ class ProcessTensor:
 
     @cached_property
     def _phase_defect(self) -> float:
-        return _off_band_max(_kraus_slices(self))
+        return _off_band_max(self)
 
 
 class _BandTensor(ProcessTensor):
@@ -164,13 +148,6 @@ class _BandTensor(ProcessTensor):
         for _, rows, block in _coherence_blocks(self):
             mat[rows, rows] = block
         return _frozen(out)
-
-
-def _kraus_tensor(dim: FockDim, ops: np.ndarray, weights) -> ProcessTensor:
-    """The Kraus-layout tensor sum_i weights[i] ops[i] X ops[i]^dag."""
-    t = object.__new__(ProcessTensor)
-    vars(t).update(dim=dim, ops=_frozen(ops), weights=_frozen(np.asarray(weights, float)))
-    return t
 
 
 def _adopt(arr: np.ndarray) -> np.ndarray:
@@ -271,7 +248,7 @@ def _kraus_from_choi(dim: FockDim, blocks) -> ProcessTensor:
     for (w, v), (l, n) in pairs:
         ops[start:start + len(w), l, n] = v.T
         start += len(w)
-    return _kraus_tensor(dim, ops, weights)
+    return ProcessTensor(dim, ops, weights)
 
 
 def _as_kraus(t: ProcessTensor) -> ProcessTensor:
@@ -342,7 +319,7 @@ def _kraus_product(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor
     """second after first for two Kraus tensors: E2_a E1_b of weight w2_a w1_b."""
     d = first.dim.size
     ops = np.matmul(second.ops[:, None], first.ops[None]).reshape(-1, d, d)
-    return _kraus_tensor(first.dim, ops, np.outer(second.weights, first.weights).ravel())
+    return ProcessTensor(first.dim, ops, np.outer(second.weights, first.weights).ravel())
 
 
 def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
@@ -378,7 +355,7 @@ def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     if all(s.size <= 1 for s in shifts):
         diagonals = [(s[0], np.diagonal(op, -s[0])) for op, s in zip(ops, shifts) if s.size]
         return _band_tensor(k.dim, ((s, np.outer(a, a.conj())) for s, a in diagonals))
-    return _kraus_tensor(k.dim, ops, np.ones(len(ops)))
+    return ProcessTensor(k.dim, ops, np.ones(len(ops)))
 
 
 def identity_tensor(dim: FockDim) -> ProcessTensor:
@@ -495,14 +472,14 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     if isinstance(f1, _BandTensor) and isinstance(f2, _BandTensor):
         return _BandTensor(f1.dim, f1.packed + f2.packed)
     f1, f2 = _as_kraus(f1), _as_kraus(f2)
-    return _kraus_tensor(f1.dim, np.concatenate((f1.ops, f2.ops)),
+    return ProcessTensor(f1.dim, np.concatenate((f1.ops, f2.ops)),
                          np.concatenate((f1.weights, f2.weights)))
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
     if isinstance(t, _BandTensor):
         return _BandTensor(t.dim, c * t.packed)
-    return _kraus_tensor(t.dim, t.ops, c * t.weights)
+    return ProcessTensor(t.dim, t.ops, c * t.weights)
 
 
 def phase_invariance_defect(t: ProcessTensor) -> float:
@@ -514,12 +491,11 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
     return t._phase_defect
 
 
-def _off_band_max(rows) -> float:
-    """Max |e[l, k, n, m]| over l - k != n - m, one row e[l] (D, D, D) at a
-    time: the rows of a caller's array, or _kraus_slices."""
-    top = 0.0
-    for l, part in enumerate(rows):
-        order = np.subtract.outer(*(np.arange(part.shape[-1]),) * 2)  # n - m of (n, m)
-        top = max(top, float(np.max(np.abs(part), initial=0.0,
-                                    where=(l - np.arange(len(part)))[:, None, None] != order)))
-    return top
+def _off_band_max(t: ProcessTensor) -> float:
+    """Max |E[l, k, n, m]| of a Kraus tensor over l - k != n - m, one row
+    E[l] of _kraus_slices at a time."""
+    idx = np.arange(t.dim.size)
+    order = np.subtract.outer(idx, idx)  # n - m of (n, m)
+    return max(float(np.max(np.abs(part), initial=0.0,
+                            where=(l - idx)[:, None, None] != order))
+               for l, part in enumerate(_kraus_slices(t)))

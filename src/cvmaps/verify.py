@@ -13,7 +13,8 @@ whole battery.
 
 ``run_checks(fault=...)`` deliberately corrupts one internal quantity so the
 battery's failure path can be exercised end to end; the CLI exposes it via
-the CVMAPS_FAULT environment variable. This is a test hook, not a feature.
+the CVMAPS_FAULT environment variable. This is a test hook, not a feature;
+a name outside FAULTS is refused.
 """
 
 import math
@@ -35,6 +36,7 @@ from . import elements as el
 from . import models as md
 
 _CHECKS = []
+FAULTS = ("attenuation_kernel_sign",)
 
 
 def _register(fn):
@@ -445,6 +447,8 @@ def check_cli_determinism(fault):
 
 def run_checks(fault: str = None) -> dict:
     """Run the battery; returns the summary dict used by the CLI."""
+    if fault is not None and fault not in FAULTS:
+        raise ValueError(f"unknown fault {fault!r}; known faults: {', '.join(FAULTS)}")
     t0 = time.perf_counter()
     checks = []
     for fn in _CHECKS:

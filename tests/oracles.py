@@ -6,7 +6,9 @@ package's own recurrences and factorizations, so agreement is evidence and
 not circularity. radial_form_reference reuses the package's basis
 evaluator: it checks only the angular bookkeeping of radial_form.
 amplifier_einsum_reference reuses the catalog's splitter amplitudes: it
-checks only how the amplifier model collapses its sums.
+checks only how the amplifier model collapses its sums. tensor_of_elements
+is no reference but the tests' way from a dense array into the Kraus layout,
+through the package's own Choi conversion.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, factorial
 
+from cvmaps import tensors
 from cvmaps.elements import beam_splitter_amplitudes, experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
 from cvmaps.wigner import _basis_values
@@ -221,6 +224,23 @@ def off_band_max_reference(arr) -> float:
     violating = (idx[:, None, None, None] - idx[:, None, None]
                  - idx[:, None] + idx) != 0
     return float(np.max(np.abs(arr), where=violating, initial=0.0))
+
+
+def tensor_of_elements(dim, elements):
+    """The Kraus tensor of an (l, k, n, m) array, which is not kept: the Choi
+    eigenpairs of its shift blocks E[n + s, m + s, n, m] when it has no entry
+    off l - k = n - m, else of its whole D^2 x D^2 Choi matrix."""
+    arr = np.asarray(elements, dtype=complex)
+    d = dim.size
+    if arr.shape != (d,) * 4:
+        raise ValueError(f"elements shape {arr.shape} != {(d,) * 4}")
+    if off_band_max_reference(arr) == 0.0:
+        blocks = ((tensors._shift_rows(d, s), arr.diagonal(-s, 0, 2).diagonal(-s, 0, 1))
+                  for s in range(1 - d, d))
+    else:
+        rows = np.divmod(np.arange(d * d), d)  # (l, n) of each Choi row
+        blocks = [(rows, arr.transpose(0, 2, 1, 3).reshape(d * d, d * d))]
+    return tensors._kraus_from_choi(dim, blocks)
 
 
 def coherent_amplitudes(alpha: complex, size: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from cvmaps.fock import (DensityOperator, FockDim, annihilation,
                          coherent_state, coherent_vector, creation, fidelity,
                          fock_state)
 from cvmaps.wigner import QuadratureGrid, weyl_symbol
-from cvmaps.tensors import (KrausSet, ProcessTensor, apply_kraus, apply_tensor,
+from cvmaps.tensors import (KrausSet, apply_kraus, apply_tensor,
                             compose_serial, cp_defect, phase_invariance_defect,
                             success_probability, tensor_from_kraus, tni_defect)
 from cvmaps.kernels import (band_concentration, compose_kernels,
@@ -277,7 +277,7 @@ def test_09_heralding_additivity():
     ]
     worst = 0.0
     for correct, faulty in branch_sets:
-        total = ProcessTensor(dim, correct.elements + faulty.elements)
+        total = oracles.tensor_of_elements(dim, correct.elements + faulty.elements)
         for _ in range(100):
             vec = rng.normal(size=dim.size) + 1j * rng.normal(size=dim.size)
             vec /= np.linalg.norm(vec)

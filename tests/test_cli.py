@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from cvmaps import cli, models, tensors, verify, wigner
 from cvmaps.fock import FockDim, coherent_state
-from cvmaps.tensors import ProcessTensor, require_cp
+from cvmaps.tensors import require_cp
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -411,7 +412,7 @@ def test_cp_gate_rejects_transpose_map(tmp_path, monkeypatch):
     for l in range(d):
         for k in range(d):
             arr[l, k, k, l] = 1.0
-    transpose = ProcessTensor(dim, arr)
+    transpose = oracles.tensor_of_elements(dim, arr)
     with pytest.raises(ArithmeticError, match="not completely positive"):
         require_cp(transpose)
     monkeypatch.setattr(cli, "build_model", lambda cfg: transpose)
@@ -419,6 +420,20 @@ def test_cp_gate_rejects_transpose_map(tmp_path, monkeypatch):
     code = cli.main(["tensor", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CP
     assert not (tmp_path / "o").exists()
+
+
+def test_verify_refuses_an_unknown_fault(tmp_path, monkeypatch, capsys):
+    # a misspelled fault must not pass the battery silently
+    def refuse(fault):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_CHECKS", [refuse])
+    monkeypatch.setenv("CVMAPS_FAULT", "typo")
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "'typo'" in err and all(name in err for name in verify.FAULTS)
 
 
 def test_verify_summary_times_each_check(monkeypatch):
@@ -440,8 +455,9 @@ def test_only_physicality_errors_exit_cp(tmp_path, monkeypatch):
     dim = FockDim(3)
     arr = np.zeros((dim.size,) * 4, dtype=complex)
     arr[0, 0, 0, 0] = 2.0  # CP but trace-increasing
+    trace_increasing = oracles.tensor_of_elements(dim, arr)
     monkeypatch.setattr(cli, "build_model",
-                        lambda c: models._gate_physical(ProcessTensor(dim, arr), "map"))
+                        lambda c: models._gate_physical(trace_increasing, "map"))
     assert cli.main(argv) == cli.EXIT_CP
 
     def divide(c):

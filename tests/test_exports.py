@@ -1,4 +1,5 @@
-"""Every name a cvmaps module lists in __all__ resolves, and none twice.
+"""Every name a cvmaps module lists in __all__ resolves, and none twice, and
+every name the package re-exports is listed by the module that defines it.
 
 A deletion that leaves a stale export behind fails here instead of at the
 first ``from cvmaps.x import *``.
@@ -23,3 +24,10 @@ def test_all_exports_resolve_once(name):
         n for n in set(exported) if exported.count(n) > 1)
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, missing
+
+
+def test_package_exports_are_exported_by_their_home_modules():
+    homes = {name: getattr(cvmaps, name).__module__ for name in cvmaps.__all__}
+    unlisted = sorted(name for name, home in homes.items()
+                      if name not in importlib.import_module(home).__all__)
+    assert not unlisted, unlisted

@@ -16,10 +16,8 @@ from cvmaps.fock import (
     fock_state,
     fock_vector,
     normalize,
-    number_operator,
     squeeze_matrix,
     thermal_state,
-    validate_state,
 )
 
 
@@ -37,7 +35,7 @@ def test_ladder_algebra():
     dim = FockDim(9)
     a = annihilation(dim)
     ad = creation(dim)
-    n = number_operator(dim)
+    n = np.diag(np.arange(dim.size))
     assert np.max(np.abs(ad @ a - n)) < 1e-14
     # the truncated commutator is the identity except in the last level
     comm = a @ ad - ad @ a
@@ -118,12 +116,8 @@ def test_normalize_and_validate():
     rho = DensityOperator(dim, 0.25 * np.eye(4))
     out = normalize(rho)
     assert abs(out.trace - 1.0) < 1e-15
-    validate_state(out)
     with pytest.raises(ValueError):
         normalize(DensityOperator(dim, np.zeros((4, 4))))
-    bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        validate_state(DensityOperator(dim, bad))
 
 
 def test_fidelity_frozen_values():

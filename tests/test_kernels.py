@@ -39,7 +39,7 @@ from cvmaps.kernels import (
     scale_kernel,
 )
 from cvmaps.models import ideal_photon_addition
-from cvmaps.tensors import (KrausSet, ProcessTensor, apply_kraus, compose_serial,
+from cvmaps.tensors import (KrausSet, apply_kraus, compose_serial,
                             phase_invariance_defect, tensor_from_kraus)
 from cvmaps.wigner import QuadratureGrid, WignerField, wigner_of
 
@@ -509,7 +509,7 @@ def test_kernel_from_tensor_is_linear(a, b, seed):
     dim = FockDim(3)
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     t1, t2 = random_tensor(rng, dim), random_tensor(rng, dim)
-    both = ProcessTensor(dim, a * t1.elements + b * t2.elements)
+    both = oracles.tensor_of_elements(dim, a * t1.elements + b * t2.elements)
     w = wigner_of(coherent_state(complex(*rng.uniform(-0.8, 0.8, 2)), dim), grid)
     one = apply_kernel(kernel_from_tensor(t1, grid), w).values
     two = apply_kernel(kernel_from_tensor(t2, grid), w).values
@@ -806,7 +806,7 @@ def test_radial_form_refuses_any_off_band_entry(tmp_path, monkeypatch):
     arr = attenuation(0.5, dim).tensor().elements.copy()
     # l - k = 0 but n - m = -1, with its Hermitian partner
     arr[0, 0, 0, 1] = arr[0, 0, 1, 0] = 1e-13
-    t = ProcessTensor(dim, arr)
+    t = oracles.tensor_of_elements(dim, arr)
     # the Choi eigh moves entries by a few eps of the largest (1.0)
     assert abs(phase_invariance_defect(t) - 1e-13) <= 1e-15
     with pytest.raises(ValueError, match="not phase invariant"):

@@ -19,13 +19,11 @@ from cvmaps.models import (
     amplifier_model,
     ideal_photon_addition,
     ideal_truncated_amplifier,
-    model_report,
     _gate_physical,
 )
-from cvmaps import cli, fock, models, tensors
+from cvmaps import cli, fock, tensors
 from cvmaps.tensors import (
     PhysicalityError,
-    ProcessTensor,
     apply_tensor,
     cp_defect,
     identity_tensor,
@@ -382,17 +380,17 @@ def test_band_gate_rejects_non_hermitian_band():
         cp_defect(t)
     # the same check refuses the array as a caller's tensor
     with pytest.raises(ValueError, match="not Hermitian"):
-        ProcessTensor(dim, t.elements)
+        oracles.tensor_of_elements(dim, t.elements)
 
 
 def test_models_gate_without_dense_choi(monkeypatch):
     # the gates read band blocks alone: no D^4 array, and no conversion of
-    # the band tensor to Kraus operators
+    # the band tensor, or of any Choi matrix, to Kraus operators
     def refuse(*args):
         raise AssertionError("dense Choi matrix built for a phase-invariant map")
 
     monkeypatch.setattr(tensors, "_as_kraus", refuse)
-    monkeypatch.setattr(tensors.ProcessTensor, "__init__", refuse)
+    monkeypatch.setattr(tensors, "_kraus_from_choi", refuse)
     for layout in (tensors.ProcessTensor, tensors._BandTensor):
         monkeypatch.setattr(layout, "elements", property(refuse))
     dim = FockDim(32)
@@ -409,42 +407,6 @@ def test_amplifier_builds_at_largest_truncations(n_max):
     for s, big in zip(small, large):
         assert big.elements.shape == (n_max + 1,) * 4
         assert np.max(np.abs(big.elements[:9, :9, :9, :9] - s.elements)) < 1e-14
-
-
-def test_model_report_shape():
-    dim = FockDim(6)
-    t = ideal_truncated_amplifier(1.5, dim)
-    report = model_report(t, [fock_state(0, dim), coherent_state(0.3, dim)])
-    assert report["n_max"] == 6
-    assert len(report["diagonal"]) == dim.size
-    assert len(report["rows"]) == 2
-    row = report["rows"][1]
-    assert set(row) == {"probability", "fidelity_to_input", "output_diagonal"}
-    assert row["probability"] > 0.0
-    zero = model_report(t, [fock_state(3, dim)])["rows"][0]
-    assert zero["probability"] == 0.0 and zero["fidelity_to_input"] == 0.0
-
-
-def test_model_report_applies_the_map_once_per_input(monkeypatch):
-    dim = FockDim(6)
-    t = ideal_truncated_amplifier(1.5, dim)
-    inputs = [fock_state(0, dim), coherent_state(0.3, dim), fock_state(3, dim)]
-    calls = []
-    original = tensors.apply_tensor
-
-    def counted(t, rho):
-        calls.append(rho)
-        return original(t, rho)
-
-    monkeypatch.setattr(tensors, "apply_tensor", counted)
-    monkeypatch.setattr(models, "apply_tensor", counted)
-    report = model_report(t, inputs)
-    assert len(calls) == len(inputs)
-    assert [row["probability"] for row in report["rows"]] == [
-        original(t, rho).trace for rho in inputs]
-    d = dim.size
-    assert report["diagonal"] == [[t.elements[k, k, m, m].real for k in range(d)]
-                                  for m in range(d)]
 
 
 def test_config_validation():

@@ -37,12 +37,12 @@ def test_benchmark_selftest_passes():
 
 @pytest.fixture
 def no_dense_tensors(monkeypatch):
-    """Fail on any D^4 array: a caller's array handed to ProcessTensor, or the
-    elements of a tensor in either layout."""
+    """Fail on any D^4 array: the elements of a tensor in either layout. No
+    constructor in the package takes an array of entries, which the source
+    layout scan enforces."""
     def refuse(self, *args):
         raise AssertionError("a D^4 array was built")
 
-    monkeypatch.setattr(tensors.ProcessTensor, "__init__", refuse)
     for layout in (tensors.ProcessTensor, tensors._BandTensor):
         monkeypatch.setattr(layout, "elements", property(refuse))
 

@@ -17,7 +17,10 @@ operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
 No function but the ``elements`` builders allocates a D^4 array, and the
-dense layout's names stay gone. The amplifier collapses its herald sums
+dense layout's names stay gone. No D^2 x D^2 Choi matrix is formed: the
+only D^2 x D^2 reshapes are the ``elements`` builder's view and the two-mode
+unitaries, and a tensor is built from its own fields ``(dim, ops, weights)``,
+never from an array of entries. The amplifier collapses its herald sums
 instead of contracting whole splitter tables: ``models`` holds no einsum of
 more than four operands, and splitter amplitudes come from one
 ``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone.
@@ -37,6 +40,10 @@ def _modules():
 
 def _nodes_by_function(path):
     """(function, node) for every node of a module (None for module level)."""
+    return _source_nodes_by_function(path.read_text(encoding="utf-8"))
+
+
+def _source_nodes_by_function(source):
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             yield func, child
@@ -44,7 +51,7 @@ def _nodes_by_function(path):
                                                      ast.AsyncFunctionDef)) else func
             yield from visit(child, inner)
 
-    return visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return visit(ast.parse(source), None)
 
 
 def _functions_using(path, name):
@@ -260,3 +267,109 @@ def test_the_amplifier_collapses_its_sums():
 def test_splitter_amplitudes_have_one_eigh():
     assert _functions_using(SRC / "elements.py", "eigh") == {"beam_splitter_block"}
     assert _functions_using(SRC / "models.py", "eigh") == set()
+
+
+def _is_square(node):
+    """d * d or d ** 2."""
+    return isinstance(node, ast.BinOp) and (
+        (isinstance(node.op, ast.Mult) and ast.dump(node.left) == ast.dump(node.right))
+        or (isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant)
+            and node.right.value == 2))
+
+
+def _call_args(call):
+    """A call's positional arguments, or the elements of its one tuple argument."""
+    if len(call.args) == 1 and isinstance(call.args[0], ast.Tuple):
+        return call.args[0].elts
+    return call.args
+
+
+def _is_choi_permutation(node):
+    """transpose(0, 2, 1, 3), the axes spelled out or as one tuple."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "transpose"
+            and [a.value if isinstance(a, ast.Constant) else None
+                 for a in _call_args(node)] == [0, 2, 1, 3])
+
+
+def _choi_matrices(source):
+    """(function, line) of each reshape to a D^2 x D^2 shape, two copies of
+    one square given directly or through a local name, and of each reshape of
+    a transpose(0, 2, 1, 3), chained or through a local name."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = [(t.id, n.value) for n in ast.walk(func) if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name)]
+        squares = {name: ast.dump(value) for name, value in bound if _is_square(value)}
+        permuted = {name for name, value in bound if _is_choi_permutation(value)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "reshape"):
+                continue
+            shape = _call_args(call)
+            sides = {squares.get(a.id) if isinstance(a, ast.Name)
+                     else ast.dump(a) if _is_square(a) else None for a in shape}
+            receiver = call.func.value
+            if ((len(shape) == 2 and len(sides) == 1 and None not in sides)
+                    or _is_choi_permutation(receiver)
+                    or (isinstance(receiver, ast.Name) and receiver.id in permuted)):
+                found.add((func.name, call.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def _tensors_not_built_from_fields(source):
+    """(function, line) of each ProcessTensor call that does not pass its
+    three fields (dim, ops, weights)."""
+    return [(func, call.lineno) for func, call in _source_nodes_by_function(source)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "ProcessTensor" and len(call.args) + len(call.keywords) != 3]
+
+
+def test_the_scans_find_choi_matrices_and_tensors_built_from_arrays():
+    source = """
+def chained(arr, d):
+    return arr.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+def named(arr, dim):
+    side = dim.size ** 2
+    return arr.reshape((side, side))
+
+def permuted(arr, n):
+    c = arr.transpose((0, 2, 1, 3))
+    return c.reshape(-1, n)
+
+def fine(x, d):
+    return x.reshape(d * d, -1), x.reshape(d, d), x.transpose(0, 1, 3, 2).reshape(-1)
+
+def from_array(dim, arr):
+    return ProcessTensor(dim, arr)
+
+def from_fields(dim, ops, weights):
+    return ProcessTensor(dim, ops, weights=weights)
+"""
+    assert _choi_matrices(source) == [("chained", 3), ("named", 7), ("permuted", 11)]
+    assert _tensors_not_built_from_fields(source) == [("from_array", 17)]
+
+
+# D^2 x D^2 reshapes that are no Choi matrix: the view the band elements
+# builder writes through, and the two-mode unitaries, which act on states
+NOT_CHOI = {("tensors.py", "elements"), ("elements.py", "beam_splitter_matrix"),
+            ("elements.py", "two_mode_squeeze_matrix")}
+
+
+def test_the_package_forms_no_choi_matrix():
+    hits = {path.name: [hit for hit in _choi_matrices(path.read_text(encoding="utf-8"))
+                        if (path.name, hit[0]) not in NOT_CHOI]
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_tensors_are_built_from_their_fields():
+    hits = {path.name: _tensors_not_built_from_fields(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}
+    tree = ast.parse((SRC / "tensors.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ProcessTensor")
+    assert "__init__" not in {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}

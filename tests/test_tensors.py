@@ -122,7 +122,7 @@ def test_choi_spectrum_flags_non_cp():
     for l in range(d):
         for k in range(d):
             arr[l, k, k, l] = 1.0
-    t = ProcessTensor(DIM, arr)
+    t = oracles.tensor_of_elements(DIM, arr)
     c = oracles.choi_reference(t)
     assert np.array_equal(c, c.conj().T)
     assert cp_defect(t) < -0.9
@@ -158,22 +158,13 @@ def test_trace_nonincreasing_detection():
     assert abs(tni_defect(bad) - 0.21) < 1e-12
 
 
-def test_kraus_completeness_defect():
-    from cvmaps.elements import attenuation_kraus
-
-    k = KrausSet(DIM, attenuation_kraus(0.37, DIM))
-    assert abs(k.completeness_defect()) < 1e-14
-    half = KrausSet(DIM, [np.eye(DIM.size) / np.sqrt(2.0)])
-    assert abs(half.completeness_defect() + 0.5) < 1e-14
-
-
 def test_phase_invariance_defect():
     t = identity_tensor(DIM)
     assert phase_invariance_defect(t) == 0.0
     arr = np.array(t.elements)
     arr[1, 0, 0, 0] = 0.25  # breaks sum(l - k) = sum(n - m)
     arr[0, 1, 0, 0] = 0.25
-    broken = ProcessTensor(DIM, arr)
+    broken = oracles.tensor_of_elements(DIM, arr)
     assert abs(phase_invariance_defect(broken) - 0.25) < 1e-15
     from cvmaps.fock import displacement_matrix
 
@@ -198,7 +189,7 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
         arr[spot] = 10.0 ** rng.uniform(scale, 3.0) * np.exp(2j * np.pi * rng.uniform())
     # a caller's tensor preserves Hermiticity: E[k, l, m, n] = conj(E[l, k, n, m])
     arr = (arr + arr.transpose(1, 0, 3, 2).conj()) / 2
-    t = ProcessTensor(FockDim(n_max), arr)
+    t = oracles.tensor_of_elements(FockDim(n_max), arr)
     assert phase_invariance_defect(t) == oracles.phase_invariance_defect_reference(t)
     # the conversion moves each entry by a few eps of the largest
     gap = abs(phase_invariance_defect(t) - oracles.off_band_max_reference(arr))
@@ -252,7 +243,7 @@ def test_hermiticity_gate():
     arr = np.zeros((d, d, d, d), dtype=complex)
     arr[0, 1, 0, 0] = 1.0  # no conjugate partner
     with pytest.raises(ValueError, match="not Hermitian"):
-        ProcessTensor(DIM, arr)
+        oracles.tensor_of_elements(DIM, arr)
 
 
 def test_tensors_are_single_mode():
@@ -263,7 +254,7 @@ def test_tensors_are_single_mode():
     dim = FockDim(2)
     d = dim.size
     with pytest.raises(ValueError):
-        ProcessTensor(dim, np.zeros((d,) * 8, dtype=complex))
+        oracles.tensor_of_elements(dim, np.zeros((d,) * 8, dtype=complex))
     two_mode = KrausSet(dim, [np.eye(d * d)], input_modes=2, output_modes=2)
     with pytest.raises(ValueError):
         tensor_from_kraus(two_mode)
@@ -279,10 +270,10 @@ def test_process_tensor_copies_arrays_the_caller_can_write():
     d = DIM.size
     arr = np.zeros((d,) * 4, dtype=complex)
     arr[0, 0, 0, 0] = 1.0
-    t = ProcessTensor(DIM, arr)
+    t = oracles.tensor_of_elements(DIM, arr)
     view = arr.view()
     view.flags.writeable = False
-    t_view = ProcessTensor(DIM, view)
+    t_view = oracles.tensor_of_elements(DIM, view)
     arr[0, 0, 0, 0] = 5.0
     assert t.elements[0, 0, 0, 0] == 1.0 and t_view.elements[0, 0, 0, 0] == 1.0
     for tensor in (t, t_view):
@@ -341,7 +332,7 @@ def test_band_defect_matches_dense_eigh_on_indefinite_maps(rng):
     for _ in range(6):
         c = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
         c = np.where(keep, c + c.conj().T, 0.0)
-        t = ProcessTensor(dim, c.reshape(d, d, d, d).transpose(0, 2, 1, 3))
+        t = oracles.tensor_of_elements(dim, c.reshape(d, d, d, d).transpose(0, 2, 1, 3))
         assert phase_invariance_defect(t) == 0.0
         ref = min(np.linalg.eigvalsh(c).min(), 0.0)
         assert ref < 0.0
@@ -382,7 +373,7 @@ def test_tensor_rewrites_match_kraus_property(k, seed):
     psi = random_pure_state(np.random.default_rng(seed), k.dim.size)
     rho = DensityOperator(k.dim, np.outer(psi, psi.conj()))
     assert _close(apply_tensor(t, rho).matrix, apply_kraus(k, rho).matrix)
-    top = k.completeness_defect() + 1.0
+    top = np.linalg.eigvalsh(sum(op.conj().T @ op for op in k.operators)).max()
     assert abs(tni_defect(t) + 1.0 - top) <= 1e-12 * top
     assert cp_defect(t) >= -1e-12
 
@@ -480,7 +471,7 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     # never scan a Kraus tensor; the defect and the gate scan it once
     k = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
     # a tensor built from an array takes the Kraus layout, phase invariant or not
-    t = ProcessTensor(k.dim, np.array(k.elements))
+    t = oracles.tensor_of_elements(k.dim, np.array(k.elements))
     assert not isinstance(t, tensors._BandTensor)
     scanned = []
     scan = tensors._off_band_max
@@ -592,7 +583,7 @@ def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
     arr = np.zeros((dim.size,) * 4)
     arr[1, 0, 2, 1] = arr[0, 1, 1, 2] = 0.5  # l - k = n - m = +-1
     arr[2, 0, 0, 0] = arr[0, 2, 0, 0] = 0.25  # l - k = +-2 but n - m = 0
-    kraus = ProcessTensor(dim, arr)
+    kraus = oracles.tensor_of_elements(dim, arr)
     assert not isinstance(kraus, tensors._BandTensor)
     assert not np.any(kraus.ops[:, 3:])  # the operators reach output rows l < 3 only
     # the Choi eigh moves entries by a few eps of the largest (0.5)
@@ -602,15 +593,15 @@ def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
 
 def _kraus_builds(mp):
     """Route every band producer through its dense reference array and
-    ProcessTensor, so that builds made inside the context have the layout
-    and code path of a Kraus tensor."""
+    oracles.tensor_of_elements, so that builds made inside the context have
+    the layout and code path of a Kraus tensor."""
     from cvmaps import elements, models
 
     def band(dim, bands):
-        return ProcessTensor(dim, oracles.band_tensor_reference(dim, bands))
+        return oracles.tensor_of_elements(dim, oracles.band_tensor_reference(dim, bands))
 
     def kraus(k):
-        return ProcessTensor(k.dim, oracles.tensor_from_kraus_reference(k))
+        return oracles.tensor_of_elements(k.dim, oracles.tensor_from_kraus_reference(k))
 
     mp.setattr(tensors, "_band_tensor", band)
     mp.setattr(models, "_band_tensor", band)
@@ -693,8 +684,9 @@ def test_band_storage_matches_the_dense_build_property(case):
     st.sampled_from(sorted(p.stem for p in CONFIG_DIR.glob("*.json"))).map(_shipped_model)))
 def test_kraus_twin_takes_the_kraus_path_to_the_same_map_property(t):
     # the layout, not the entries, chooses the path: a band tensor's array
-    # handed to ProcessTensor takes the Kraus layout, and agrees with it
-    _check_layouts_agree(t, ProcessTensor(t.dim, np.array(t.elements)))
+    # handed to oracles.tensor_of_elements takes the Kraus layout, and agrees
+    # with it
+    _check_layouts_agree(t, oracles.tensor_of_elements(t.dim, np.array(t.elements)))
 
 
 @pytest.mark.parametrize("n_max", [16, 32, 48])
@@ -786,7 +778,7 @@ def _from_kraus_set(n_max, count, seed):
 
 def _from_array(n_max, kind, seed):
     arr = _hermitian_array(n_max, kind, seed)
-    return ProcessTensor(FockDim(n_max), arr), arr
+    return oracles.tensor_of_elements(FockDim(n_max), arr), arr
 
 
 kraus_layout_maps = st.one_of(
