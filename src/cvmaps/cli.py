@@ -16,6 +16,7 @@ defect into the verify battery (test hook).
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -220,10 +221,8 @@ def build_input_state(cfg, dim: FockDim) -> DensityOperator:
     kind = spec["kind"]
     if kind == "coherent":
         alpha = complex(spec.get("alpha_re", 0.0), spec.get("alpha_im", 0.0))
-        if abs(alpha) ** 2 > dim.n_max / 4:
-            raise ValueError(
-                f"coherent amplitude {abs(alpha):.3f} too large for "
-                f"n_max={dim.n_max}")
+        if math.hypot(alpha.real, alpha.imag) > math.sqrt(dim.n_max) / 2:  # abs() may overflow
+            raise ValueError(f"coherent amplitude {alpha} too large for n_max={dim.n_max}")
         return coherent_state(alpha, dim)
     if kind == "fock":
         n = spec.get("n", 0)

@@ -110,10 +110,9 @@ def phase_rotation(theta: float, dim: FockDim) -> Element:
 
 def displacement(alpha: complex, dim: FockDim) -> Element:
     alpha = complex(alpha)
+    kraus = KrausSet(dim, [displacement_matrix(alpha, dim)])  # refuses an overflowing alpha
     shift = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
-    return Element("displacement", {"alpha": alpha},
-                   KrausSet(dim, [displacement_matrix(alpha, dim)]),
-                   _point_map(np.eye(2), shift))
+    return Element("displacement", {"alpha": alpha}, kraus, _point_map(np.eye(2), shift))
 
 
 def squeezing(r: float, dim: FockDim) -> Element:

@@ -173,12 +173,15 @@ def displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
     D = exp(-|a|^2/2) exp(alpha ad) exp(-conj(alpha) a). Each factor moves
     Fock indices monotonically, so every index chain between basis states
     below the cutoff stays below the cutoff and the truncated elements
-    equal the infinite-dimensional ones exactly.
+    equal the infinite-dimensional ones exactly. ValueError when they overflow
+    (the product holds 1 - |alpha|^2, so |alpha|^2 is finite past that check).
     """
     a = annihilation(dim)
-    up = _exp_nilpotent(alpha * a.conj().T)
-    down = _exp_nilpotent(-np.conj(alpha) * a)
-    return math.exp(-abs(alpha) ** 2 / 2) * (up @ down)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = _exp_nilpotent(alpha * a.conj().T) @ _exp_nilpotent(-np.conj(alpha) * a)
+    if not np.isfinite(prod).all():
+        raise ValueError(f"displacement amplitude {alpha} overflows at n_max={dim.n_max}")
+    return math.exp(-abs(alpha) ** 2 / 2) * prod
 
 
 def squeeze_matrix(r: float, dim: FockDim) -> np.ndarray:

@@ -104,7 +104,9 @@ class AmplifierConfig:
         if self.reflectivity is None:
             if self.gain < 1.0:
                 raise ValueError("gain must satisfy g >= 1")
-            object.__setattr__(self, "reflectivity", 1.0 / (1.0 + self.gain ** 2))
+            # g^-2 once 1 + g^2 rounds to g^2 (g >= 2^27), so g^2 never overflows
+            object.__setattr__(self, "reflectivity", 1.0 / (1.0 + self.gain ** 2)
+                               if self.gain < 2.0 ** 27 else self.gain ** -2.0)
         else:
             if not 0.0 < self.reflectivity < 1.0:
                 raise ValueError("reflectivity must satisfy 0 < R < 1")
@@ -147,8 +149,8 @@ class AdditionConfig:
 
 def ideal_truncated_amplifier(g: float, dim: FockDim) -> ProcessTensor:
     """Reference map g^n truncated to the span of |0> and |1>."""
-    if g < 1.0:
-        raise ValueError("gain must satisfy g >= 1")
+    if g < 1.0 or g * g == math.inf:  # the tensor holds g^2
+        raise ValueError("gain must satisfy g >= 1, with g^2 finite")
     k = np.zeros((dim.size, dim.size))
     k[0, 0] = 1.0
     if dim.size > 1:

@@ -20,8 +20,7 @@ written by _band_tensor alone (else band storage comes only from the band
 algebra) and read by _choi_blocks alone, and _kraus_from_choi alone turns
 Choi eigenpairs into operators, for a band operand of a Kraus operation.
 No array of entries is a way in: a Kraus tensor is ProcessTensor(dim, ops,
-weights) of its own fields. ``elements`` is the (l, k, n, m) array in either
-layout, built on each access, read-only, and not kept.
+weights) of its own fields, checked for shape and real finite weights.
 
 Only this module reads or writes a tensor's entries or decides phase
 symmetry. Other modules use tensor_diagonal, success_probability, the writer
@@ -103,8 +102,8 @@ class KrausSet:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ProcessTensor:
-    """Single-mode map E^{n,m}_{l,k} = sum_i weights[i] ops[i] X ops[i]^dag,
-    kept as its weighted Kraus operators, both made read-only."""
+    """Single-mode map E^{n,m}_{l,k} = sum_i weights[i] ops[i] X ops[i]^dag, kept as
+    ops (r, D, D), r >= 1, and real finite weights (r,), read-only through _adopt."""
 
     dim: FockDim
     ops: np.ndarray
@@ -114,15 +113,13 @@ class ProcessTensor:
     output_modes = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", _frozen(self.ops))
-        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, float)))
-
-    @property
-    def elements(self) -> np.ndarray:
-        out = np.empty((self.dim.size,) * 4, dtype=complex)
-        for l, part in enumerate(_kraus_slices(self)):
-            out[l] = part
-        return _frozen(out)
+        ops, w = np.asarray(self.ops), np.asarray(self.weights)
+        if (ops.ndim != 3 or not len(ops) or ops.shape[1:] != (self.dim.size,) * 2
+                or w.shape != (len(ops),) or np.iscomplexobj(w) or not np.isfinite(w).all()):
+            raise ValueError(f"Kraus ops {ops.shape} and weights {w.shape} {w.dtype} are not "
+                             "(r, D, D), r >= 1, and r real finite numbers")
+        object.__setattr__(self, "ops", _adopt(ops))
+        object.__setattr__(self, "weights", _adopt(w.astype(float, copy=False)))
 
     @cached_property
     def _phase_defect(self) -> float:
@@ -139,15 +136,6 @@ class _BandTensor(ProcessTensor):
     def __init__(self, dim: FockDim, packed: np.ndarray):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "packed", _frozen(packed))
-
-    @property
-    def elements(self) -> np.ndarray:
-        d = self.dim.size
-        out = np.zeros((d,) * 4, dtype=complex)
-        mat = out.reshape(d * d, d * d)
-        for _, rows, block in _coherence_blocks(self):
-            mat[rows, rows] = block
-        return _frozen(out)
 
 
 def _adopt(arr: np.ndarray) -> np.ndarray:
@@ -243,12 +231,13 @@ def _kraus_from_choi(dim: FockDim, blocks) -> ProcessTensor:
     eigenpair (w, v) of a block is the operator E_v[l, n] = v, of weight w."""
     pairs = [(_hermitian_eigh(block, True), rows) for rows, block in blocks]
     weights = np.concatenate([w for (w, _), _ in pairs])
+    weights = weights if weights.size else np.zeros(1)  # the zero map: one zero operator
     ops = np.zeros((len(weights), dim.size, dim.size), dtype=complex)
     start = 0
     for (w, v), (l, n) in pairs:
         ops[start:start + len(w), l, n] = v.T
         start += len(w)
-    return ProcessTensor(dim, ops, weights)
+    return ProcessTensor(dim, _frozen(ops), _frozen(weights))
 
 
 def _as_kraus(t: ProcessTensor) -> ProcessTensor:
@@ -318,8 +307,8 @@ def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
 def _kraus_product(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor:
     """second after first for two Kraus tensors: E2_a E1_b of weight w2_a w1_b."""
     d = first.dim.size
-    ops = np.matmul(second.ops[:, None], first.ops[None]).reshape(-1, d, d)
-    return ProcessTensor(first.dim, ops, np.outer(second.weights, first.weights).ravel())
+    ops = _frozen(np.matmul(second.ops[:, None], first.ops[None])).reshape(-1, d, d)
+    return ProcessTensor(first.dim, ops, _frozen(np.outer(second.weights, first.weights)).ravel())
 
 
 def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
@@ -336,6 +325,11 @@ def _trace_form(t: ProcessTensor) -> np.ndarray:
     if isinstance(t, _BandTensor):
         return np.diag(_packed_block(t.packed, t.dim.size, 0).sum(axis=0))
     return np.einsum("i,iln,ilm->nm", t.weights, t.ops, t.ops.conj())
+
+
+def _is_finite(t: ProcessTensor) -> bool:
+    """Whether every stored entry of t is finite; the gates refuse t otherwise."""
+    return bool(np.isfinite(t.packed if isinstance(t, _BandTensor) else t.ops).all())
 
 
 def _max_entry_gap(a: _BandTensor, b: _BandTensor) -> float:
@@ -355,7 +349,7 @@ def tensor_from_kraus(k: KrausSet) -> ProcessTensor:
     if all(s.size <= 1 for s in shifts):
         diagonals = [(s[0], np.diagonal(op, -s[0])) for op, s in zip(ops, shifts) if s.size]
         return _band_tensor(k.dim, ((s, np.outer(a, a.conj())) for s, a in diagonals))
-    return ProcessTensor(k.dim, ops, np.ones(len(ops)))
+    return ProcessTensor(k.dim, _frozen(ops), _frozen(np.ones(len(ops))))
 
 
 def identity_tensor(dim: FockDim) -> ProcessTensor:
@@ -396,7 +390,7 @@ def success_probability(t: ProcessTensor, rho: DensityOperator) -> float:
 
 def tensor_diagonal(t: ProcessTensor) -> np.ndarray:
     """F^{m,m}_{k,k}, the map's photon-number transfer, as a read-only D x D
-    array [k, m]: a view of M_0, or sum_i w_i |E_i[k, m]|^2 rounded as ``elements``."""
+    array [k, m]: a view of M_0, or sum_i w_i |E_i[k, m]|^2 rounded as _kraus_slices."""
     if isinstance(t, _BandTensor):
         return _packed_block(t.packed, t.dim.size, 0)
     return _frozen(np.einsum("ikm,ikm,i->km", t.ops, t.ops.conj(), t.weights))
@@ -428,9 +422,9 @@ def cp_defect(t: ProcessTensor) -> float:
 
 
 def require_cp(t: ProcessTensor, label: str = "map") -> ProcessTensor:
-    """The complete-positivity gate: t, or a PhysicalityError naming the Choi defect."""
-    defect = cp_defect(t)
-    if defect < -DEFAULT_CP_TOL:
+    """The CP gate: t, or a PhysicalityError naming the Choi defect, nan when t is not finite."""
+    defect = cp_defect(t) if _is_finite(t) else float("nan")
+    if not defect >= -DEFAULT_CP_TOL:
         raise PhysicalityError(f"{label} is not completely positive "
                                f"(Choi defect {defect:.3e})")
     return t
@@ -445,9 +439,9 @@ def tni_defect(t: ProcessTensor) -> float:
 
 
 def require_tni(t: ProcessTensor, label: str = "map") -> ProcessTensor:
-    """The trace-non-increase gate: t, or a PhysicalityError naming the TNI defect."""
-    defect = tni_defect(t)
-    if defect > DEFAULT_TNI_TOL:
+    """The TNI gate: t, or a PhysicalityError naming the TNI defect, nan when t is not finite."""
+    defect = tni_defect(t) if _is_finite(t) else float("nan")
+    if not defect <= DEFAULT_TNI_TOL:
         raise PhysicalityError(f"{label} is trace-increasing "
                                f"(TNI defect {defect:.3e})")
     return t
@@ -472,14 +466,14 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
     if isinstance(f1, _BandTensor) and isinstance(f2, _BandTensor):
         return _BandTensor(f1.dim, f1.packed + f2.packed)
     f1, f2 = _as_kraus(f1), _as_kraus(f2)
-    return ProcessTensor(f1.dim, np.concatenate((f1.ops, f2.ops)),
-                         np.concatenate((f1.weights, f2.weights)))
+    return ProcessTensor(f1.dim, _frozen(np.concatenate((f1.ops, f2.ops))),
+                         _frozen(np.concatenate((f1.weights, f2.weights))))
 
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
     if isinstance(t, _BandTensor):
         return _BandTensor(t.dim, c * t.packed)
-    return ProcessTensor(t.dim, t.ops, c * t.weights)
+    return ProcessTensor(t.dim, t.ops, _frozen(c * t.weights))
 
 
 def phase_invariance_defect(t: ProcessTensor) -> float:

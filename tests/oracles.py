@@ -154,16 +154,34 @@ def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
 # Fock-space references: the dense D^4 array of a tensor and what one dense
 # product or one eigh of it gives
 
+def entries(t) -> np.ndarray:
+    """The read-only (l, k, n, m) array of a tensor in either layout: a band
+    tensor's coherence blocks written through a D^2 x D^2 view, or a Kraus
+    tensor's rows E[l] as tensors._kraus_slices gives them."""
+    d = t.dim.size
+    if isinstance(t, tensors._BandTensor):
+        out = np.zeros((d,) * 4, dtype=complex)
+        mat = out.reshape(d * d, d * d)
+        for _, rows, block in tensors._coherence_blocks(t):
+            mat[rows, rows] = block
+    else:
+        out = np.empty((d,) * 4, dtype=complex)
+        for l, part in enumerate(tensors._kraus_slices(t)):
+            out[l] = part
+    out.flags.writeable = False
+    return out
+
+
 def matrix_reference(t) -> np.ndarray:
     """E as the D^2 x D^2 matrix with rows (l, k) and columns (n, m)."""
     side = t.dim.size ** 2
-    return t.elements.reshape(side, side)
+    return entries(t).reshape(side, side)
 
 
 def choi_reference(t) -> np.ndarray:
     """The Choi matrix C_{(l,n),(k,m)} = E^{n,m}_{l,k}."""
     side = t.dim.size ** 2
-    return t.elements.transpose(0, 2, 1, 3).reshape(side, side)
+    return entries(t).transpose(0, 2, 1, 3).reshape(side, side)
 
 
 def apply_tensor_reference(t, rho) -> np.ndarray:
@@ -215,7 +233,7 @@ def coherence_blocks_reference(t):
 
 def phase_invariance_defect_reference(t) -> float:
     """Max |E^{n,m}_{l,k}| over l - k - n + m != 0 of a tensor's elements."""
-    return off_band_max_reference(t.elements)
+    return off_band_max_reference(entries(t))
 
 
 def off_band_max_reference(arr) -> float:

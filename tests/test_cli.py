@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cvmaps import cli, models, tensors, verify, wigner
+from cvmaps import cli, fock, models, tensors, verify, wigner
 from cvmaps.fock import FockDim, coherent_state
 from cvmaps.tensors import require_cp
 from cvmaps.wigner import QuadratureGrid, grid_integral, wigner_basis
@@ -183,11 +183,12 @@ def test_kernel_refuses_negative_radii(tmp_path):
 def test_model_defaults_come_from_the_config_classes():
     amp = cli.build_model({"model": "amplifier"})
     assert np.array_equal(
-        amp.elements,
-        models.amplifier_model(models.AmplifierConfig(gain=2.0)).elements)
+        oracles.entries(amp),
+        oracles.entries(models.amplifier_model(models.AmplifierConfig(gain=2.0))))
     add = cli.build_model({"model": "addition"})
     assert np.array_equal(
-        add.elements, models.addition_model(models.AdditionConfig()).elements)
+        oracles.entries(add),
+        oracles.entries(models.addition_model(models.AdditionConfig())))
 
 
 def test_config_rejection(tmp_path):
@@ -492,6 +493,74 @@ def test_non_finite_numbers_exit_config(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gates_exit_cp_on_non_finite_maps(tmp_path, monkeypatch):
+    dim = FockDim(2)
+    cfg = write_config(tmp_path, "c.json", {
+        "model": "identity", "n_max": 2, "input_state": {"kind": "fock", "n": 1}})
+    for i, op in enumerate((np.full((3, 3), np.nan), np.diag([np.nan, 1.0, 1.0]))):
+        t = tensors.tensor_from_kraus(tensors.KrausSet(dim, [op]))
+        monkeypatch.setattr(cli, "build_model", lambda c: t)
+        for command in ("tensor", "apply"):
+            out = tmp_path / f"{command}{i}"
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CP
+            assert not out.exists()
+
+
+def _numbers(path):
+    """Every number in an exported CSV or JSON table."""
+    if path.suffix == ".csv":
+        return [float(v) for row in read_rows(path) for v in row.values()]
+    found, todo = [], [json.loads(path.read_text(encoding="utf-8"))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, list):
+            todo.extend(item)
+        elif isinstance(item, float):
+            found.append(item)
+    return found
+
+
+@pytest.mark.parametrize("command", ["tensor", "kernel", "apply"])
+def test_an_overflowing_gain_exports_finite_tables(tmp_path, command):
+    # g^2 overflows past 1.3e154; R = 1 / (1 + g^2) is then g^-2 to rounding
+    cfg = write_config(tmp_path, "c.json", {
+        "model": "amplifier", "g": 1e160, "n_max": 4,
+        "input_state": {"kind": "coherent", "alpha_re": 0.5}})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    tables = [path for path in out.iterdir() if path.suffix in (".csv", ".json")]
+    assert tables
+    for path in tables:
+        values = _numbers(path)
+        assert values and np.isfinite(values).all(), path.name
+
+
+@pytest.mark.parametrize("payload", [
+    {"model": "displacement", "alpha_re": 1e300},
+    {"model": "displacement", "alpha_re": 1.7e308, "alpha_im": 1.7e308},
+    {"model": "identity", "input_state": {"kind": "coherent", "alpha_re": 1e300}},
+    {"model": "identity", "input_state": {"kind": "coherent", "alpha_re": 1.7e308,
+                                          "alpha_im": 1.7e308}},
+])
+def test_overflowing_amplitudes_exit_config(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "c.json", {
+        "input_state": {"kind": "fock", "n": 0}, **payload})
+    commands = ["apply"] if payload["model"] == "identity" else ["tensor", "kernel", "apply"]
+    for command in commands:
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "amplitude" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_the_schema_n_max_cap_is_the_fock_cap():
+    # one limit held twice: raise both together
+    schema = json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))
+    assert schema["properties"]["n_max"]["maximum"] == fock._MAX_SIZE - 1
+
+
 def test_apply_applies_the_map_once(tmp_path, monkeypatch):
     calls = []
     original = tensors.apply_tensor
@@ -523,4 +592,4 @@ def test_verify_parameters_are_the_shipped_configs(config, build):
     # verify's experimental maps and the shipped configs state the paper's
     # parameters twice; they must build the same tensor
     shipped = cli.build_model(cli.load_config(str(CONFIG_DIR / f"{config}.json")))
-    assert np.array_equal(build().elements, shipped.elements)
+    assert np.array_equal(oracles.entries(build()), oracles.entries(shipped))

@@ -276,7 +276,7 @@ def test_attenuation_kraus_complete():
 
 def test_attenuation_single_photon_loss_element():
     t = tensor_from_kraus(attenuation(0.4, FockDim(5)).kraus)
-    assert abs(t.elements[0, 0, 1, 1].real - oracles.ATTENUATION_DROP_04) < 1e-15
+    assert abs(oracles.entries(t)[0, 0, 1, 1].real - oracles.ATTENUATION_DROP_04) < 1e-15
 
 
 def test_attenuation_kernel_closed_form(rng):

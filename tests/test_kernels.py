@@ -502,14 +502,17 @@ def test_scale_factored_kernel(rng):
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+@given(a=st.floats(-3.0, 3.0, allow_subnormal=False),
+       b=st.floats(-3.0, 3.0, allow_subnormal=False),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_kernel_from_tensor_is_linear(a, b, seed):
+    # a subnormal coefficient holds fewer than 53 significant bits, so no
+    # relative tolerance can hold for it
     rng = np.random.default_rng(seed)
     dim = FockDim(3)
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 25, 25)
     t1, t2 = random_tensor(rng, dim), random_tensor(rng, dim)
-    both = oracles.tensor_of_elements(dim, a * t1.elements + b * t2.elements)
+    both = oracles.tensor_of_elements(dim, a * oracles.entries(t1) + b * oracles.entries(t2))
     w = wigner_of(coherent_state(complex(*rng.uniform(-0.8, 0.8, 2)), dim), grid)
     one = apply_kernel(kernel_from_tensor(t1, grid), w).values
     two = apply_kernel(kernel_from_tensor(t2, grid), w).values
@@ -797,13 +800,13 @@ def test_phase_test_and_radial_form_build_nothing_tensor_sized():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < t.elements.nbytes / 16
+        assert peak < t.dim.size ** 4  # a sixteenth of the dense tensor's 16 D^4 bytes
 
 
 def test_radial_form_refuses_any_off_band_entry(tmp_path, monkeypatch):
     # phase invariance means a defect of exactly 0, as in the CP gate
     dim = FockDim(4)
-    arr = attenuation(0.5, dim).tensor().elements.copy()
+    arr = oracles.entries(attenuation(0.5, dim).tensor()).copy()
     # l - k = 0 but n - m = -1, with its Hermitian partner
     arr[0, 0, 0, 1] = arr[0, 0, 1, 0] = 1e-13
     t = oracles.tensor_of_elements(dim, arr)

@@ -3,19 +3,18 @@
 The benchmark tracer wraps the public layer functions by name, so renaming
 or removing one that it expects fails here rather than in a benchmark run.
 The sweep worker's rungs and verify's Kraus checks are the benchmark's
-tensor-heavy paths; they must run on band tensors without building a D^4
-array.
+tensor-heavy paths; each must peak below one D^4 array of entries, so it
+builds none, by whatever route.
 """
 
 import importlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
-import pytest
-
-from cvmaps import tensors, verify
+from cvmaps import verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,30 +34,38 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.fixture
-def no_dense_tensors(monkeypatch):
-    """Fail on any D^4 array: the elements of a tensor in either layout. No
-    constructor in the package takes an array of entries, which the source
-    layout scan enforces."""
-    def refuse(self, *args):
-        raise AssertionError("a D^4 array was built")
-
-    for layout in (tensors.ProcessTensor, tensors._BandTensor):
-        monkeypatch.setattr(layout, "elements", property(refuse))
+def _traced(run):
+    """run()'s result, and tracemalloc's peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_sweep_rung_builds_no_dense_tensor(no_dense_tensors):
+def _dense_bytes(n_max):
+    """The size of one dense (l, k, n, m) array of entries, 16 D^4 bytes."""
+    return 16 * (n_max + 1) ** 4
+
+
+def test_sweep_rung_builds_no_dense_tensor():
     plan = _bench_module("workloads").sweep_plan(3)
+    rung = _bench_module("worker")._rung
     for spec in plan["models"]:
-        out, _ = _bench_module("worker")._rung(spec, 32, plan, None)
+        (out, _), peak = _traced(lambda: rung(spec, 32, plan, None))
         assert out["phase_invariance_defect"] == 0.0
+        assert peak < _dense_bytes(32), spec["model"]
 
 
-def test_verify_kraus_checks_build_no_dense_tensor(no_dense_tensors):
-    for check in (verify.check_cross_representation_attenuation,
-                  verify.check_cross_representation_amplification,
-                  verify.check_coherent_transport):
-        assert check(None)["passed"]
+def test_verify_kraus_checks_build_no_dense_tensor():
+    # each check against the largest truncation it builds
+    for check, n_max in ((verify.check_cross_representation_attenuation, 63),
+                         (verify.check_cross_representation_amplification, 63),
+                         (verify.check_coherent_transport, 20)):
+        result, peak = _traced(lambda: check(None))
+        assert result["passed"]
+        assert peak < _dense_bytes(n_max), check.__name__
 
 
 def test_tracer_still_counts_band_tensors():
@@ -80,7 +87,7 @@ def test_tracer_still_counts_band_tensors():
         tracer.check_nesting(rec.spans)
         names = {span[0] for span in rec.spans}
         assert {"tensors.cp_defect", "tensors.apply_tensor", "kernels.radial_form"} <= names
-        assert rec.counts["tensors.dense_bytes"] > 0
+        assert rec.counts["tensors.dense_bytes"] == 0  # no call builds a D^4 array
         assert rec.counts["tensors.cp_defect_calls"] > 0
     """)
     env = {"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'perfbench'}", "PATH": "/usr/bin:/bin"}

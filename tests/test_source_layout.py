@@ -16,11 +16,11 @@ one helper per layout (``_band_product`` block by block, ``_kraus_product``
 operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
-No function but the ``elements`` builders allocates a D^4 array, and the
-dense layout's names stay gone. No D^2 x D^2 Choi matrix is formed: the
-only D^2 x D^2 reshapes are the ``elements`` builder's view and the two-mode
-unitaries, and a tensor is built from its own fields ``(dim, ops, weights)``,
-never from an array of entries. The amplifier collapses its herald sums
+No function in the package allocates a D^4 array, ``tensors`` defines no
+``elements`` view of one, and the dense layout's names stay gone. No
+D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshapes are the
+two-mode unitaries, and a tensor is built from its own fields
+``(dim, ops, weights)``, never from an array of entries. The amplifier collapses its herald sums
 instead of contracting whole splitter tables: ``models`` holds no einsum of
 more than four operands, and splitter amplitudes come from one
 ``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone.
@@ -85,9 +85,8 @@ def test_only_tensors_indexes_tensor_entries():
 
 
 def test_only_tensors_constructs_tensors():
-    # a band tensor's layout is chosen by its producer in tensors, and a
-    # band tensor's elements are built on access, so no other module builds
-    # a ProcessTensor or reads a tensor's elements
+    # a band tensor's layout is chosen by its producer in tensors, so no
+    # other module builds a ProcessTensor or reads a tensor's elements
     calls = {path.name: [n.lineno for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                          and n.func.id == "ProcessTensor"]
@@ -134,7 +133,6 @@ def test_paths_follow_the_layout_not_the_phase_defect():
     deciders = {"_block_product", "cp_defect", "compose_serial"}
     assert deciders <= _functions_using(tensors_py, "_BandTensor")
     assert not deciders & _functions_using(tensors_py, "phase_invariance_defect")
-    assert "_coherence_blocks" not in _functions_using(tensors_py, "elements")
 
 
 def test_apply_and_compose_leave_products_to_the_layout_helpers():
@@ -238,11 +236,16 @@ def fine(d):
     assert _quartic_allocations(source) == [("direct", 3), ("spelled", 6), ("named", 10)]
 
 
-def test_only_the_elements_views_allocate_a_quartic_array():
-    hits = {path.name: [hit for hit in _quartic_allocations(path.read_text(encoding="utf-8"))
-                        if hit[0] != "elements"]
+def test_no_function_allocates_a_quartic_array():
+    hits = {path.name: _quartic_allocations(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in hits.items() if found} == {}
+
+
+def test_tensors_define_no_elements_view():
+    # neither layout offers its D^4 array of entries; tests read it through
+    # oracles.entries
+    assert "elements" not in _names(SRC / "tensors.py")
 
 
 def test_the_dense_layout_is_gone():
@@ -353,10 +356,9 @@ def from_fields(dim, ops, weights):
     assert _tensors_not_built_from_fields(source) == [("from_array", 17)]
 
 
-# D^2 x D^2 reshapes that are no Choi matrix: the view the band elements
-# builder writes through, and the two-mode unitaries, which act on states
-NOT_CHOI = {("tensors.py", "elements"), ("elements.py", "beam_splitter_matrix"),
-            ("elements.py", "two_mode_squeeze_matrix")}
+# D^2 x D^2 reshapes that are no Choi matrix: the two-mode unitaries,
+# which act on states
+NOT_CHOI = {("elements.py", "beam_splitter_matrix"), ("elements.py", "two_mode_squeeze_matrix")}
 
 
 def test_the_package_forms_no_choi_matrix():

@@ -3,6 +3,7 @@ import functools
 import importlib
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_tensor_from_kraus_matches_definition(rng):
                 for n in range(d):
                     for m in range(d):
                         ref[l, kk, n, m] += op[l, n] * np.conj(op[kk, m])
-    assert np.max(np.abs(t.elements - ref)) < 1e-14
+    assert np.max(np.abs(oracles.entries(t) - ref)) < 1e-14
     c = oracles.choi_reference(t)
     assert np.array_equal(c, c.conj().T)
 
@@ -94,7 +95,7 @@ def test_identity_and_zero():
 def test_identity_tensor_is_the_einsum_it_replaced():
     for n_max in (1, 2, 6):
         eye = np.eye(n_max + 1, dtype=complex)
-        assert np.array_equal(identity_tensor(FockDim(n_max)).elements,
+        assert np.array_equal(oracles.entries(identity_tensor(FockDim(n_max))),
                               np.einsum("ln,km->lknm", eye, eye))
 
 
@@ -104,7 +105,7 @@ def test_compose_serial_matches_operator_product(rng):
     t = compose_serial(tensor_from_kraus(k2), tensor_from_kraus(k1))
     prods = [b @ a for b in k2.operators for a in k1.operators]
     ref = tensor_from_kraus(KrausSet(DIM, prods))
-    assert np.max(np.abs(t.elements - ref.elements)) < 1e-13
+    assert np.max(np.abs(oracles.entries(t) - oracles.entries(ref))) < 1e-13
 
 
 def test_compose_serial_associative(rng):
@@ -112,7 +113,7 @@ def test_compose_serial_associative(rng):
           for _ in range(3)]
     left = compose_serial(compose_serial(ts[2], ts[1]), ts[0])
     right = compose_serial(ts[2], compose_serial(ts[1], ts[0]))
-    assert np.max(np.abs(left.elements - right.elements)) < 1e-13
+    assert np.max(np.abs(oracles.entries(left) - oracles.entries(right))) < 1e-13
 
 
 def test_choi_spectrum_flags_non_cp():
@@ -137,13 +138,13 @@ def test_choi_matches_elements(rng):
     # the Choi matrix C_{(l,n),(k,m)} = E^{n,m}_{l,k} of a Kraus tensor is
     # A W A^dag, A the columns vec(E_i): the form cp_defect reads
     t = tensor_from_kraus(random_kraus(rng, FockDim(2)))
-    c = oracles.choi_reference(t)
+    c, arr = oracles.choi_reference(t), oracles.entries(t)
     d = 3
     for l in range(d):
         for k in range(d):
             for n in range(d):
                 for m in range(d):
-                    assert c[l * d + n, k * d + m] == t.elements[l, k, n, m]
+                    assert c[l * d + n, k * d + m] == arr[l, k, n, m]
     a = t.ops.reshape(len(t.ops), d * d).T
     assert np.max(np.abs(c - (a * t.weights) @ a.conj().T)) < 1e-14
 
@@ -161,7 +162,7 @@ def test_trace_nonincreasing_detection():
 def test_phase_invariance_defect():
     t = identity_tensor(DIM)
     assert phase_invariance_defect(t) == 0.0
-    arr = np.array(t.elements)
+    arr = np.array(oracles.entries(t))
     arr[1, 0, 0, 0] = 0.25  # breaks sum(l - k) = sum(n - m)
     arr[0, 1, 0, 0] = 0.25
     broken = oracles.tensor_of_elements(DIM, arr)
@@ -275,13 +276,62 @@ def test_process_tensor_copies_arrays_the_caller_can_write():
     view.flags.writeable = False
     t_view = oracles.tensor_of_elements(DIM, view)
     arr[0, 0, 0, 0] = 5.0
-    assert t.elements[0, 0, 0, 0] == 1.0 and t_view.elements[0, 0, 0, 0] == 1.0
+    assert oracles.entries(t)[0, 0, 0, 0] == 1.0
+    assert oracles.entries(t_view)[0, 0, 0, 0] == 1.0
     for tensor in (t, t_view):
         assert not np.shares_memory(tensor.ops, arr)
-        for stored in (tensor.ops, tensor.weights, tensor.elements):
+        for stored in (tensor.ops, tensor.weights):
             assert not stored.flags.writeable
             with pytest.raises(ValueError):
                 stored[0] = 2.0
+
+
+def test_process_tensor_refuses_fields_of_the_wrong_shape():
+    dim = FockDim(2)
+    for ops, weights in ((np.ones((2, 5, 5)), np.ones(3)),  # operators not D x D
+                         (np.ones((2, 3, 3)), np.ones(3)),  # not one weight per operator
+                         (np.ones((0, 3, 3)), np.ones(0)),  # no operator
+                         (np.ones((3, 3)), np.ones(1))):  # one operator, not a stack
+        with pytest.raises(ValueError, match="r >= 1"):
+            ProcessTensor(dim, ops, weights)
+
+
+@pytest.mark.parametrize("weights", [[1.0 + 1.0j], [1.0 + 0.0j], [np.nan], [-np.inf]])
+def test_process_tensor_refuses_weights_that_are_not_real_and_finite(weights):
+    # refused outright: a complex weight is not cast with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="real finite"):
+            ProcessTensor(FockDim(2), np.ones((1, 3, 3)), np.asarray(weights))
+
+
+def test_process_tensor_leaves_the_callers_arrays_writable():
+    ops, weights = np.ones((1, 3, 3), dtype=complex), np.ones(1)
+    t = ProcessTensor(FockDim(2), ops, weights)
+    assert ops.flags.writeable and weights.flags.writeable
+    assert not np.shares_memory(t.ops, ops) and not np.shares_memory(t.weights, weights)
+    assert not t.ops.flags.writeable and not t.weights.flags.writeable
+
+
+def test_process_tensor_is_not_changed_through_the_callers_base_array():
+    base = np.ones((1, 3, 3), dtype=complex)
+    t = ProcessTensor(FockDim(2), base[:], np.ones(1))
+    base[0, 0, 0] = 5.0
+    assert t.ops[0, 0, 0] == 1.0
+
+
+def test_gates_fail_closed_on_non_finite_entries():
+    # a NaN defect compares false against any tolerance; the gates refuse it
+    dim = FockDim(2)
+    kraus = tensor_from_kraus(KrausSet(dim, [np.full((3, 3), np.nan)]))
+    band = tensor_from_kraus(KrausSet(dim, [np.diag([np.nan, 1.0, 1.0])]))
+    assert not isinstance(kraus, tensors._BandTensor)
+    assert isinstance(band, tensors._BandTensor)
+    for t in (kraus, band):
+        with pytest.raises(PhysicalityError, match="nan"):
+            require_cp(t)
+        with pytest.raises(PhysicalityError, match="nan"):
+            require_tni(t)
 
 
 def test_tensor_from_kraus_keeps_one_copy(rng):
@@ -293,8 +343,7 @@ def test_tensor_from_kraus_keeps_one_copy(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * t.elements.nbytes
-    assert not t.elements.flags.writeable and t.elements.flags.c_contiguous
+    assert peak < 1.5 * 16 * dim.size ** 4
 
 
 def _traced_peak(build):
@@ -315,7 +364,7 @@ def test_fresh_tensors_are_adopted_without_a_copy(rng):
     band = identity_tensor(dim)
     for build in (lambda: identity_tensor(dim), lambda: scale_tensor(band, 0.5),
                   lambda: combine_heralding(band, band), lambda: scale_tensor(t, 0.5),
-                  lambda: combine_heralding(t, t)):
+                  lambda: combine_heralding(t, t), lambda: compose_serial(t, t)):
         out, peak = _traced_peak(build)
         stored = (out.packed,) if isinstance(out, tensors._BandTensor) else (out.ops, out.weights)
         assert peak < 1.5 * sum(a.nbytes for a in stored)
@@ -387,7 +436,7 @@ def test_compose_serial_matches_operator_products_property(n_max, counts, banded
     got = compose_serial(tensor_from_kraus(second), tensor_from_kraus(first))
     prods = [b @ a for b in second.operators for a in first.operators]
     ref = tensor_from_kraus(KrausSet(first.dim, prods))
-    assert _close(got.elements, ref.elements)
+    assert _close(oracles.entries(got), oracles.entries(ref))
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,11 +445,11 @@ def _shipped_model(name):
 
 
 def _diagonal_reference(t):
-    d = t.dim.size
-    ref = np.empty((d, d), dtype=t.elements.dtype)
+    d, arr = t.dim.size, oracles.entries(t)
+    ref = np.empty((d, d), dtype=arr.dtype)
     for k in range(d):
         for m in range(d):
-            ref[k, m] = t.elements[k, k, m, m]
+            ref[k, m] = arr[k, k, m, m]
     return ref
 
 
@@ -422,8 +471,9 @@ def test_herald_quantities_match_the_applied_map_property(t, seed):
     assert abs(p - ref) <= 1e-14 * abs(ref)
     assert success_probability(scale_tensor(t, 0.0), rho) == 0.0
     diag = tensor_diagonal(t)
-    assert diag.dtype == t.elements.dtype
-    assert np.array_equal(diag, _diagonal_reference(t))
+    ref = _diagonal_reference(t)
+    assert diag.dtype == ref.dtype
+    assert np.array_equal(diag, ref)
 
 
 def test_success_probability_builds_no_state_and_applies_nothing(monkeypatch, rng):
@@ -437,7 +487,6 @@ def test_success_probability_builds_no_state_and_applies_nothing(monkeypatch, rn
     monkeypatch.setattr(tensors, "apply_tensor", refuse)
     monkeypatch.setattr(tensors, "DensityOperator", refuse)
     monkeypatch.setattr(tensors, "_block_product", refuse)
-    monkeypatch.setattr(ProcessTensor, "elements", property(refuse))
     assert abs(success_probability(t, rho) - ref) <= 1e-14 * ref
     with pytest.raises(ValueError):
         success_probability(t, coherent_state(0.3, FockDim(4)))
@@ -461,7 +510,7 @@ def test_block_contractions_match_dense_products_property(t, count, banded, seed
                   rel=1e-13)
     other = tensor_from_kraus(_seeded_kraus(t.dim.n_max, count, banded, seed))
     for second, first in ((t, other), (other, t), (t, t)):
-        assert _close(compose_serial(second, first).elements,
+        assert _close(oracles.entries(compose_serial(second, first)),
                       oracles.compose_serial_reference(second, first), rel=1e-13)
 
 
@@ -471,7 +520,7 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     # never scan a Kraus tensor; the defect and the gate scan it once
     k = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
     # a tensor built from an array takes the Kraus layout, phase invariant or not
-    t = oracles.tensor_of_elements(k.dim, np.array(k.elements))
+    t = oracles.tensor_of_elements(k.dim, np.array(oracles.entries(k)))
     assert not isinstance(t, tensors._BandTensor)
     scanned = []
     scan = tensors._off_band_max
@@ -538,12 +587,9 @@ def test_band_tensors_are_never_scanned(monkeypatch, case):
     assert scanned == []
 
 
-def test_band_elements_are_built_on_access_and_not_kept():
+def test_band_tensor_keeps_only_its_packed_blocks():
     t = identity_tensor(FockDim(4))
-    first, second = t.elements, t.elements
-    assert first is not second and np.array_equal(first, second)
-    assert not first.flags.writeable and first.flags.c_contiguous
-    assert "elements" not in vars(t)
+    assert set(vars(t)) == {"dim", "packed"}
     assert t.packed.nbytes == 16 * sum((5 - abs(q)) ** 2 for q in range(-4, 5))
 
 
@@ -567,7 +613,7 @@ def test_band_writer_fills_leading_corners_property(n_max, seed):
     dim, bands = _leading_bands(n_max, seed)
     t = tensors._band_tensor(dim, bands)
     assert isinstance(t, tensors._BandTensor)
-    assert np.array_equal(t.elements, oracles.band_tensor_reference(dim, bands))
+    assert np.array_equal(oracles.entries(t), oracles.band_tensor_reference(dim, bands))
 
 
 def test_shift_index_of_a_corner_is_the_corner_of_the_whole_index():
@@ -587,7 +633,7 @@ def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
     assert not isinstance(kraus, tensors._BandTensor)
     assert not np.any(kraus.ops[:, 3:])  # the operators reach output rows l < 3 only
     # the Choi eigh moves entries by a few eps of the largest (0.5)
-    assert _close(kraus.elements, arr, rel=1e-15)
+    assert _close(oracles.entries(kraus), arr, rel=1e-15)
     assert abs(phase_invariance_defect(kraus) - 0.25) <= 1e-15
 
 
@@ -634,7 +680,7 @@ def _check_band_against_kraus(build):
     with pytest.MonkeyPatch.context() as mp:
         _kraus_builds(mp)
         kraus = build()
-    assert _close(band.elements, kraus.elements, rel=1e-14)
+    assert _close(oracles.entries(band), oracles.entries(kraus), rel=1e-14)
     _check_layouts_agree(band, kraus)
 
 
@@ -675,7 +721,8 @@ def test_band_storage_matches_the_dense_build_property(case):
     _check_band_against_kraus(build)
     # the band fill is the dense fill, bit for bit where both round alike
     if kraus_set is not None and _bit_exact(kraus_set):
-        assert np.array_equal(build().elements, oracles.tensor_from_kraus_reference(kraus_set))
+        assert np.array_equal(oracles.entries(build()),
+                              oracles.tensor_from_kraus_reference(kraus_set))
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -686,7 +733,7 @@ def test_kraus_twin_takes_the_kraus_path_to_the_same_map_property(t):
     # the layout, not the entries, chooses the path: a band tensor's array
     # handed to oracles.tensor_of_elements takes the Kraus layout, and agrees
     # with it
-    _check_layouts_agree(t, oracles.tensor_of_elements(t.dim, np.array(t.elements)))
+    _check_layouts_agree(t, oracles.tensor_of_elements(t.dim, np.array(oracles.entries(t))))
 
 
 @pytest.mark.parametrize("n_max", [16, 32, 48])
@@ -716,7 +763,7 @@ def test_shipped_kraus_blocks_match_the_dense_build(element):
     kraus = getattr(elements, func)(float(arg), FockDim(int(n_max))).kraus
     band = tensor_from_kraus(kraus)
     assert isinstance(band, tensors._BandTensor)
-    assert np.array_equal(band.elements, oracles.tensor_from_kraus_reference(kraus))
+    assert np.array_equal(oracles.entries(band), oracles.tensor_from_kraus_reference(kraus))
 
 
 def test_kraus_sets_off_one_diagonal_keep_their_operators(rng):
@@ -724,7 +771,7 @@ def test_kraus_sets_off_one_diagonal_keep_their_operators(rng):
     t = tensor_from_kraus(k)
     assert not isinstance(t, tensors._BandTensor)
     assert np.array_equal(t.ops, np.stack(k.operators)) and np.array_equal(t.weights, [1, 1, 1])
-    assert _close(t.elements, oracles.tensor_from_kraus_reference(k), rel=1e-15)
+    assert _close(oracles.entries(t), oracles.tensor_from_kraus_reference(k), rel=1e-15)
 
 
 def test_tensor_from_kraus_at_n_max_63_builds_no_quartic_array():
@@ -800,7 +847,7 @@ def test_kraus_layout_matches_the_dense_array_property(case, c, seed):
     dim, d = t.dim, t.dim.size
     scale = np.abs(arr).max()
     # the one rounding step is the Choi eigh of a caller's array
-    assert _close(t.elements, arr)
+    assert _close(oracles.entries(t), arr)
     rho = _mixed_state(dim, seed)
     out = (_dense(arr) @ rho.matrix.ravel()).reshape(d, d)
     assert _close(apply_tensor(t, rho).matrix, (out + out.conj().T) / 2)
@@ -811,15 +858,15 @@ def test_kraus_layout_matches_the_dense_array_property(case, c, seed):
     off = oracles.off_band_max_reference(arr)
     assert abs(phase_invariance_defect(t) - off) <= 1e-12 * scale
     assert (phase_invariance_defect(t) == 0.0) == (off == 0.0)
-    assert _close(scale_tensor(t, c).elements, c * arr)
+    assert _close(oracles.entries(scale_tensor(t, c)), c * arr)
     band_set = _seeded_kraus(dim.n_max, 2, True, seed)
     band = tensor_from_kraus(band_set)
     assert isinstance(band, tensors._BandTensor)
     band_arr = oracles.tensor_from_kraus_reference(band_set)
-    assert _close(combine_heralding(t, band).elements, arr + band_arr)
-    assert _close(combine_heralding(t, t).elements, 2 * arr)
+    assert _close(oracles.entries(combine_heralding(t, band)), arr + band_arr)
+    assert _close(oracles.entries(combine_heralding(t, t)), 2 * arr)
     kraus, banded = (t, arr), (band, band_arr)
     for (second, second_arr), (first, first_arr) in ((kraus, kraus), (kraus, banded),
                                                      (banded, kraus)):
-        assert _close(compose_serial(second, first).elements,
+        assert _close(oracles.entries(compose_serial(second, first)),
                       (_dense(second_arr) @ _dense(first_arr)).reshape((d,) * 4))
