@@ -70,7 +70,6 @@ class Element:
     """A named channel carried in both representations."""
 
     name: str
-    params: dict
     kraus: KrausSet
     kernel: GaussianKernel = None
 
@@ -96,29 +95,26 @@ def _phase_insensitive(g: float) -> GaussianKernel:
 
 
 def identity(dim: FockDim) -> Element:
-    return Element("identity", {}, KrausSet(dim, [np.eye(dim.size)]),
-                   _point_map(np.eye(2)))
+    return Element("identity", KrausSet(dim, [np.eye(dim.size)]), _point_map(np.eye(2)))
 
 
 def phase_rotation(theta: float, dim: FockDim) -> Element:
     theta = float(theta)
     u = np.diag(np.exp(-1j * theta * np.arange(dim.size)))
     c, s = math.cos(theta), math.sin(theta)
-    return Element("phase_rotation", {"theta": theta}, KrausSet(dim, [u]),
-                   _point_map([[c, s], [-s, c]]))
+    return Element("phase_rotation", KrausSet(dim, [u]), _point_map([[c, s], [-s, c]]))
 
 
 def displacement(alpha: complex, dim: FockDim) -> Element:
     alpha = complex(alpha)
     kraus = KrausSet(dim, [displacement_matrix(alpha, dim)])  # refuses an overflowing alpha
     shift = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
-    return Element("displacement", {"alpha": alpha}, kraus, _point_map(np.eye(2), shift))
+    return Element("displacement", kraus, _point_map(np.eye(2), shift))
 
 
 def squeezing(r: float, dim: FockDim) -> Element:
     r = float(r)
-    return Element("squeezing", {"r": r},
-                   KrausSet(dim, [squeeze_matrix(r, dim)]),
+    return Element("squeezing", KrausSet(dim, [squeeze_matrix(r, dim)]),
                    _point_map(np.diag([math.exp(-r), math.exp(r)])))
 
 
@@ -167,8 +163,7 @@ def beam_splitter(t: float, dim: FockDim) -> Element:
     r = math.sqrt(max(0.0, 1.0 - t * t))
     # (x1', x2') = (t x1 + r x2, -r x1 + t x2), and the same for p
     x = np.kron(np.array([[t, r], [-r, t]]), np.eye(2))
-    return Element("beam_splitter", {"t": t},
-                   KrausSet(dim, [u], input_modes=2, output_modes=2),
+    return Element("beam_splitter", KrausSet(dim, [u], input_modes=2, output_modes=2),
                    _point_map(x))
 
 
@@ -212,9 +207,8 @@ def parametric_down_conversion(g: float, dim: FockDim) -> Element:
     # x1' = c x1 + s x2 and p1' = c p1 - s p2, symmetric in the two modes
     z = np.diag([1.0, -1.0])
     x = np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]])
-    return Element("parametric_down_conversion", {"g": g},
-                   KrausSet(dim, [u], input_modes=2, output_modes=2),
-                   _point_map(x))
+    return Element("parametric_down_conversion",
+                   KrausSet(dim, [u], input_modes=2, output_modes=2), _point_map(x))
 
 
 def attenuation_kraus(eta: float, dim: FockDim) -> list:
@@ -236,8 +230,7 @@ def attenuation_kraus(eta: float, dim: FockDim) -> list:
 def attenuation(eta: float, dim: FockDim) -> Element:
     eta = float(eta)
     ops = attenuation_kraus(eta, dim)
-    return Element("attenuation", {"eta": eta}, KrausSet(dim, ops),
-                   _phase_insensitive(eta))
+    return Element("attenuation", KrausSet(dim, ops), _phase_insensitive(eta))
 
 
 def parametric_amplification(g: float, dim: FockDim) -> Element:
@@ -247,8 +240,7 @@ def parametric_amplification(g: float, dim: FockDim) -> Element:
         raise ValueError("gain must satisfy g >= 1")
     amps = two_mode_squeeze_amplitudes(math.acosh(math.sqrt(g)), dim.n_max, 0, dim.size)
     ops = [amps[:, j, :, 0] for j in range(dim.size) if np.any(amps[:, j, :, 0])]
-    return Element("parametric_amplification", {"g": g},
-                   KrausSet(dim, ops), _phase_insensitive(g))
+    return Element("parametric_amplification", KrausSet(dim, ops), _phase_insensitive(g))
 
 
 _DETECTOR_KINDS = ("apd_click", "photon_counter", "vacuum_projector")

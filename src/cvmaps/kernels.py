@@ -23,16 +23,16 @@ delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
 through the grid. A GridKernel stores no nonzero sample below
 sqrt(float64 tiny) in magnitude: its producers zero those entries in
-their fresh arrays, and a caller's array with such entries is kept as a
-floored copy. Grid composition multiplies blocks of rows of the weighted
+their fresh arrays, and a caller's array is kept as a floored read-only
+copy. Grid composition multiplies blocks of rows of the weighted
 f2, floored again, by f1's stored samples, so no product is subnormal
 and neither factor is copied whole. Integrals over samples use the
 trapezoid weights of QuadratureGrid.weights and RadialKernel.weights; a radial
 integral needs two or more points on each axis it integrates over.
 Radial forms sum the 2D - 1 angular harmonics that tensors._harmonics
 yields for a map that passes tensors.require_phase_invariant, and are
-refused above the same value cap as dense grid samples. Kernels copy
-writable input arrays.
+refused above the same value cap as dense grid samples. Kernels keep no
+array a caller can write to.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -80,7 +80,7 @@ _MAX_GRID_VALUES = 70_000_000
 # where it is itself floored.
 _FACTOR_FLOOR = math.sqrt(np.finfo(float).tiny)
 # entries per row block of the weighted f2 that composition floors and
-# multiplies at a time (4 MB), and per block that a floor or its scan reads
+# multiplies at a time (4 MB), and per block that _floored reads
 _BLOCK_ENTRIES = 1 << 19
 _COARSE_SPACING = 0.25
 
@@ -299,11 +299,10 @@ class _SampledKernel(_Kernel):
 class GridKernel(_SampledKernel):
     """Dense 4D samples f[out_x, out_p, in_x, in_p] on two grids.
 
-    No stored sample is nonzero below _FACTOR_FLOOR in magnitude. A writable
-    array is floored in the copy that _adopt makes of it; a read-only one is
-    kept as it is unless it holds such entries, and then a floored copy is.
-    Producers hand their freshly floored samples to _of_floored, which keeps
-    them without that scan.
+    No stored sample is nonzero below _FACTOR_FLOOR in magnitude. A caller's
+    array, writable or not, is checked and floored in the one read-only copy
+    the kernel keeps. Producers hand their freshly floored samples to
+    _of_floored, which keeps them without a copy.
     """
 
     out_grid: QuadratureGrid
@@ -338,14 +337,8 @@ class GridKernel(_SampledKernel):
                     "transfer functions are real"
                 )
             vals = vals.real
-        vals = np.asarray(vals, dtype=float)
-        kept = _adopt(vals)
-        if kept is not vals:  # _adopt's own copy, which no one else holds
-            kept.flags.writeable = True
-            kept = _frozen(_floored(kept))
-        elif _holds_sub_floor(kept):
-            kept = _frozen(_floored(kept.copy()))
-        object.__setattr__(self, "values", kept)
+        kept = np.array(vals, dtype=float, order="C")  # no one else holds it
+        object.__setattr__(self, "values", _frozen(_floored(kept)))
 
     def _push(self, v):
         return WignerField(self.out_grid, np.tensordot(self.values, v, 2))
@@ -398,7 +391,7 @@ class FactoredKernel(_SampledKernel):
                 "use coarser grids, the factored operations or radial_form"
             )
         half = _block_product(self.tensor, np.conj(self.b_in))
-        flat = _frozen(2.0 * math.pi * (self.b_out.T @ half))
+        flat = 2.0 * math.pi * (self.b_out.T @ half)
         vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
                             self.in_grid.n_x, self.in_grid.n_p)
         return GridKernel(self.out_grid, self.in_grid, vals)
@@ -557,23 +550,14 @@ def apply_kernel(f, w_in: WignerField) -> WignerField:
     return f.apply(w_in)
 
 
-def _blocks(a: np.ndarray):
-    """Views of C-ordered a's entries, _BLOCK_ENTRIES at a time."""
-    flat = a.reshape(-1)
-    return (flat[lo:lo + _BLOCK_ENTRIES] for lo in range(0, flat.size, _BLOCK_ENTRIES))
-
-
 def _floored(a: np.ndarray) -> np.ndarray:
     """Real C-ordered a with every entry below _FACTOR_FLOOR in magnitude set to
-    0, in place."""
-    for blk in _blocks(a):
+    0, in place, _BLOCK_ENTRIES at a time."""
+    flat = a.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK_ENTRIES):
+        blk = flat[lo:lo + _BLOCK_ENTRIES]
         blk[np.abs(blk) < _FACTOR_FLOOR] = 0.0
     return a
-
-
-def _holds_sub_floor(a: np.ndarray) -> bool:
-    """Whether C-ordered a holds a nonzero entry below _FACTOR_FLOOR in magnitude."""
-    return any(((blk != 0.0) & (np.abs(blk) < _FACTOR_FLOOR)).any() for blk in _blocks(a))
 
 
 def compose_kernels(f2, f1):

@@ -168,7 +168,9 @@ def _click_weights(detector: str, mu: float, count: int):
 
     Branch 1 attributes the click to the intended mode (spurious quiet),
     branch 2 to the spurious mode (intended unconditioned); the two sum to
-    the exact click POVM of the combined pair.
+    the exact click POVM of the combined pair. Every detector weight of both
+    models is read from here, the amplifier's unmonitored port and the
+    addition's idler included.
     """
     if detector == "apd":
         click = apd_click(mu).diagonal(count)
@@ -200,10 +202,9 @@ def amplifier_branches(cfg: AmplifierConfig):
         if tot < d:
             amp[:tot + 1, tot] = beam_splitter_block(math.sqrt(cfg.eta_m), tot)[:, tot]
 
-    (w1_d, w1_u), (w2_d, w2_u) = _click_weights(cfg.detector, cfg.mu, f)
-    # the condition on the unmonitored S-BS port
-    wso = (vacuum_projector().diagonal(f) if cfg.detector == "photon_counter"
-           else 1.0 - apd_click(cfg.mu).diagonal(f))
+    branches = _click_weights(cfg.detector, cfg.mu, f)
+    # the condition on the unmonitored S-BS port is branch 1's quiet weight
+    wso = branches[0][1]
 
     # the click detector sits on the second S-BS port (port 1 carries the
     # vacuum / no-click condition); this is the wiring that makes a coherent
@@ -213,7 +214,7 @@ def amplifier_branches(cfg: AmplifierConfig):
     # are zero where d > N, so wso(d) w(|N - d|) weighs only real pairs.
     x, b = np.arange(d)[:, None, None], np.arange(3)[:, None]
     tensors = []
-    for w_click, w_mismatch in ((w1_d, w1_u), (w2_d, w2_u)):
+    for w_click, w_mismatch in branches:
         # herald pair H[N, b, B] and mismatch weight lam[u] per lost photon count
         h = np.einsum("Ndb,Nd,NdB->NbB", cols, wso * w_click[gap], cols)
         lam = np.einsum("ud,ud->u", cols[:d, :, 0] ** 2, wso * w_mismatch[gap[:d]])
@@ -258,14 +259,13 @@ def addition_branches(cfg: AdditionConfig):
     d = dim.size
     v = two_mode_squeeze_amplitudes(cfg.chi, dim.n_max, 0, d)[..., 0]
     h = math.cosh(cfg.gamma * cfg.chi) ** 2
+    (wc, _), _ = _click_weights(cfg.detector, cfg.mu, d)
     if cfg.detector == "apd":
-        wc = apd_click(cfg.mu).diagonal(d)
         # parasite thermal weights q_i = (1/h)((h-1)/h)^i resummed exactly
         kappa_nc = 1.0 / (cfg.mu * h + 1.0 - cfg.mu)
         scale, weight_faulty = kappa_nc, 1.0 - kappa_nc
     else:
         # q0 = 1/h: no parasite pair, so the click is the single idler photon
-        wc = photon_counter(1).diagonal(d)
         scale, weight_faulty = 1.0 / h, (h - 1.0) / h ** 2
     # the faulty branch first: its unscaled identity is freed before the
     # correct branch is allocated

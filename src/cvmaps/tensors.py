@@ -28,7 +28,7 @@ _band_tensor, the gate require_phase_invariant, which returns a band tensor,
 and the two products with E, _block_product and _harmonics; the blocks M_q
 of a band tensor are read through _coherence_blocks alone. The diagnostic
 phase_invariance_defect chooses no path: a band tensor's is 0 with no scan,
-and a Kraus tensor's is computed once, one output row E[l] at a time.
+and a Kraus tensor's is scanned on each call, one output row E[l] at a time.
 
 A KrausSet may act on several modes (the two-mode catalog elements go
 through apply_kraus); only a single-mode one converts to a tensor.
@@ -37,7 +37,7 @@ through apply_kraus); only a single-mode one converts to a tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,17 +121,11 @@ class ProcessTensor:
         object.__setattr__(self, "ops", _adopt(ops))
         object.__setattr__(self, "weights", _adopt(w.astype(float, copy=False)))
 
-    @cached_property
-    def _phase_defect(self) -> float:
-        return _off_band_max(self)
-
 
 class _BandTensor(ProcessTensor):
     """An exactly phase-invariant map, kept as its coherence blocks alone:
     ``packed`` holds M_q for q = 1 - D .. D - 1 back to back, each in C order
     (_packed_block)."""
-
-    _phase_defect = 0.0  # the blocks hold no entry off l - k = n - m
 
     def __init__(self, dim: FockDim, packed: np.ndarray):
         object.__setattr__(self, "dim", dim)
@@ -480,9 +474,10 @@ def phase_invariance_defect(t: ProcessTensor) -> float:
     """Max |element| outside the selection rule l - k = n - m.
 
     A map is phase invariant only when this is exactly 0. A diagnostic that
-    chooses no code path: 0 for a band tensor, and scanned once for a Kraus tensor.
+    chooses no code path: 0 for a band tensor, whose blocks hold no entry off
+    the rule, and a scan of the operators on each call for a Kraus tensor.
     """
-    return t._phase_defect
+    return 0.0 if isinstance(t, _BandTensor) else _off_band_max(t)
 
 
 def _off_band_max(t: ProcessTensor) -> float:

@@ -624,23 +624,21 @@ def test_grid_samples_hold_no_sub_floor_entries():
 
 def test_composition_check_scans_no_producer_samples(monkeypatch):
     # sampled, composed and scaled kernels hand over samples they have just
-    # floored, so only a caller's read-only array is scanned for sub-floor
-    # entries
-    import cvmaps.kernels as kernels
-
-    scans = []
-    scan = kernels._holds_sub_floor
-    monkeypatch.setattr(kernels, "_holds_sub_floor", lambda a: scans.append(a.size) or scan(a))
+    # floored, so only a caller's array goes through the checking copy
+    checked = []
+    check = GridKernel.__post_init__
+    monkeypatch.setattr(GridKernel, "__post_init__",
+                        lambda k: checked.append(k.values.size) or check(k))
     assert verify.check_composition_grid(None)["passed"]
     grid = QuadratureGrid(-3.0, 3.0, -3.0, 3.0, 7, 7)
     sampled = attenuation(0.5, FockDim(4)).kernel.sample(grid, grid)
     scale_kernel(sampled, 0.5)
     SumKernel(((1.0, attenuation(0.5, FockDim(4)).kernel),)).sample(grid, grid)
-    assert scans == []
+    assert checked == []
     read_only = np.array(sampled.values)
     read_only.flags.writeable = False
     GridKernel(grid, grid, read_only)
-    assert scans == [read_only.size]
+    assert checked == [read_only.size]
 
 
 # verify's composition check: 49^2 x 65^2 samples in each factor and
@@ -836,9 +834,11 @@ def test_kernels_leave_the_callers_arrays_alone():
     for k in kernels:
         assert k.values[0, 0, 0, 0] == 0.0 and not k.values.flags.writeable
     assert not (rk.r_axis.flags.writeable or rk.values.flags.writeable)
-    # an array that no one can write to is kept as it is
+    # an array that no one can write to is copied too: the kernel keeps its own
     samples.flags.writeable = False
-    assert GridKernel(grid, grid, samples).values is samples
+    kept = GridKernel(grid, grid, samples).values
+    assert kept is not samples and kept.base is None and not kept.flags.writeable
+    assert np.array_equal(kept, samples)
 
 
 def test_kernel_producers_hand_over_without_a_copy(monkeypatch, rng):
@@ -855,7 +855,6 @@ def test_kernel_producers_hand_over_without_a_copy(monkeypatch, rng):
     monkeypatch.setattr(kernels, "_adopt", spy)
     grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
     grid_kernel = dense(kernel_from_tensor(random_tensor(rng, FockDim(3)), grid, grid))
-    copied.clear()  # dense() copies the real part out of its complex product
     gauss = attenuation(0.5, FockDim(3)).kernel.sample(grid, grid)
     compose_kernels(gauss, grid_kernel)
     SumKernel(((2.0, gauss),)).sample(grid, grid)

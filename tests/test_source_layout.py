@@ -24,6 +24,9 @@ two-mode unitaries, and a tensor is built from its own fields
 instead of contracting whole splitter tables: ``models`` holds no einsum of
 more than four operands, and splitter amplitudes come from one
 ``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone.
+Paths whose callers moved elsewhere stay gone: ``tensors`` caches no phase
+defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
+``models`` decides every detector weight in ``_click_weights`` alone.
 """
 
 import ast
@@ -124,6 +127,16 @@ def test_shift_blocks_are_indexed_by_the_writer_and_the_reader_alone():
 def test_the_corner_writer_is_gone():
     for path in sorted(SRC.glob("*.py")):
         assert "_corner_tensor" not in _names(path), path.name
+
+
+def test_moved_paths_stay_gone():
+    # the defect is scanned per call, a caller's grid samples are always
+    # copied, and one function reads the detector catalog for the models
+    assert "cached_property" not in _names(SRC / "tensors.py")
+    assert "_holds_sub_floor" not in _names(SRC / "kernels.py")
+    for detector in ("apd_click", "photon_counter", "vacuum_projector"):
+        callers = {func for func, _ in _calls_to(SRC / "models.py", detector)}
+        assert callers == {"_click_weights"}, (detector, callers)
 
 
 def test_paths_follow_the_layout_not_the_phase_defect():

@@ -515,9 +515,9 @@ def test_block_contractions_match_dense_products_property(t, count, banded, seed
 
 
 @pytest.mark.parametrize("banded", [True, False])
-def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
+def test_each_phase_check_scans_a_kraus_tensor_once(monkeypatch, banded):
     # the layout chooses every path, so products, kernels and the CP gate
-    # never scan a Kraus tensor; the defect and the gate scan it once
+    # never scan a Kraus tensor; each defect or gate call scans it once
     k = tensor_from_kraus(_seeded_kraus(4, 3, banded, 11))
     # a tensor built from an array takes the Kraus layout, phase invariant or not
     t = oracles.tensor_of_elements(k.dim, np.array(oracles.entries(k)))
@@ -541,13 +541,15 @@ def test_each_tensor_is_scanned_for_phase_invariance_once(monkeypatch, banded):
     apply_tensor(t, rho)
     compose_serial(t, t)
     assert scanned == []
-    assert (phase_invariance_defect(t) == 0.0) == banded
+    for calls in (1, 2):
+        assert (phase_invariance_defect(t) == 0.0) == banded
+        assert len(scanned) == calls
     if banded:
         radial_form(t, np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 5), np.zeros(2))
     else:
         with pytest.raises(ValueError, match="not phase invariant"):
             radial_form(t)
-    assert len(scanned) == 1
+    assert len(scanned) == 3
 
 
 # band storage of exactly phase-invariant maps
