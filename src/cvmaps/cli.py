@@ -1,9 +1,12 @@
 """Command-line front end: tensor and kernel exports, state transport, checks.
 
 Configs are JSON documents validated against the schema shipped next to this
-module (config_schema.json); unknown keys are rejected. All table outputs go
-through one float formatter (shortest round-trip decimal, negative zero
-folded to zero) so identical configs produce byte-identical files.
+module (config_schema.json); unknown keys are rejected. Tables are rendered
+column by column: each distinct float of a column is formatted once, as the
+shortest round-trip decimal with negative zero folded to zero, and each JSON
+record is written from one template in the layout of
+json.dumps(records, indent=2, sort_keys=True). Identical configs produce
+byte-identical files.
 
 Exit codes: 0 success, 1 check or cross-check failure, 2 config or state
 violation (a radial kernel above the size cap included), 3 physicality gate
@@ -62,28 +65,58 @@ def format_float(v: float) -> str:
     return repr(float(v) + 0.0)
 
 
-def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            format_float(c) if isinstance(c, float) else str(c) for c in row))
-    return "\n".join(lines) + "\n"
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def render_json_table(header, rows) -> str:
-    """JSON records of the rows, with -0.0 folded to 0.0 as format_float does."""
-    records = [{key: c + 0.0 if isinstance(c, float) else c for key, c in zip(header, row)}
-               for row in rows]
-    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+def _column_texts(column, json_table: bool) -> list:
+    """The text of each entry of an array, or a list, of floats, ints or strings.
+
+    Floats are written as format_float writes them, each distinct value
+    formatted once (in JSON, non-finite values as json writes them); other
+    entries go through json.dumps in JSON and str in CSV.
+    """
+    if not isinstance(column, np.ndarray):  # a str array would drop trailing NULs
+        floats = all(isinstance(v, float) for v in column)
+        column = np.array(column, dtype=float if floats else object)
+    if column.dtype.kind != "f":
+        return list(map(json.dumps if json_table else str, column.tolist()))
+    distinct, index = np.unique(column.astype(float) + 0.0, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.tolist()))
+    if json_table and not np.isfinite(distinct).all():
+        texts = [_JSON_NONFINITE.get(text, text) for text in texts]
+    return list(map(texts.__getitem__, index.tolist()))
 
 
-def _diagonal_rows(t: ProcessTensor):
-    return [(m, k, float(v))
-            for m, column in enumerate(tensor_diagonal(t).real.T) for k, v in enumerate(column)]
+def render_csv(header, columns) -> str:
+    """CSV of equal-length columns, one per header name."""
+    texts = [_column_texts(column, False) for column in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n"
+
+
+def render_json_table(header, columns) -> str:
+    """JSON records of the rows of equal-length columns, as
+    json.dumps(records, indent=2, sort_keys=True) writes them, with -0.0
+    folded to 0.0 as format_float does."""
+    by_key = dict(zip(header, columns))
+    keys = sorted(by_key)
+    texts = [_column_texts(by_key[key], True) for key in keys]
+    if not texts or not texts[0]:
+        return "[]\n"
+    fields = ",\n".join("    " + json.dumps(key).replace("{", "{{").replace("}", "}}") + ": {}"
+                        for key in keys)
+    record = "  {{\n" + fields + "\n  }}"
+    return "[\n" + ",\n".join(map(record.format, *texts)) + "\n]\n"
+
+
+def _diagonal_columns(t: ProcessTensor):
+    """(m, k, value) columns of the diagonal slice, m slowest."""
+    diagonal = tensor_diagonal(t).real.T  # [m, k]
+    m, k = np.indices(diagonal.shape)
+    return m.ravel(), k.ravel(), diagonal.ravel()
 
 
 def render_tensor_csv(t: ProcessTensor) -> str:
-    return render_csv(("m", "k", "value"), _diagonal_rows(t))
+    return render_csv(("m", "k", "value"), _diagonal_columns(t))
 
 
 _TENSOR_PLOT = """\
@@ -285,11 +318,11 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
-def _write_table(out_dir: Path, stem: str, header, rows, fmt: str) -> Path:
+def _write_table(out_dir: Path, stem: str, header, columns, fmt: str) -> Path:
     """The table as <stem>.json when fmt is "json", else as <stem>.csv."""
     if fmt == "json":
-        return _write(out_dir, stem + ".json", render_json_table(header, rows))
-    return _write(out_dir, stem + ".csv", render_csv(header, rows))
+        return _write(out_dir, stem + ".json", render_json_table(header, columns))
+    return _write(out_dir, stem + ".csv", render_csv(header, columns))
 
 
 def cmd_tensor(args) -> int:
@@ -297,7 +330,8 @@ def cmd_tensor(args) -> int:
     t = build_model(cfg)
     require_cp(t)
     out = Path(args.out)
-    _write_table(out, "tensor_diagonal", ("m", "k", "value"), _diagonal_rows(t), args.format)
+    _write_table(out, "tensor_diagonal", ("m", "k", "value"), _diagonal_columns(t),
+                 args.format)
     if args.format != "json":
         _write(out, "plot_tensor.py", _TENSOR_PLOT)
     print(f"tensor: wrote diagonal slice for {cfg['model']} "
@@ -318,10 +352,10 @@ def cmd_kernel(args) -> int:
     rk = radial_form(t, r_axis, r_axis, np.asarray(thetas, float))
     out = Path(args.out)
     header = ("r_prime", "r", "theta", "value")
+    axes = (np.repeat(r_axis, n), np.tile(r_axis, n))  # r' slowest
     for i, theta in enumerate(thetas):
-        rows = [(float(rp), float(r), float(theta), float(rk.values[a, b, i]))
-                for a, rp in enumerate(r_axis) for b, r in enumerate(r_axis)]
-        _write_table(out, f"kernel_theta_{_theta_tag(theta)}", header, rows, args.format)
+        columns = (*axes, np.full(n * n, theta), rk.values[:, :, i].ravel())
+        _write_table(out, f"kernel_theta_{_theta_tag(theta)}", header, columns, args.format)
     for total in _PROFILE_SUMS:
         u = np.linspace(-_PROFILE_HALF_RANGE, _PROFILE_HALF_RANGE,
                         _PROFILE_POINTS)
@@ -330,9 +364,8 @@ def cmd_kernel(args) -> int:
         r = (total - u) / 2.0
         prof = radial_form(t, rp, r, np.zeros(1))
         vals = np.diagonal(prof.values[:, :, 0])
-        rows = [(float(ui), float(total), float(v)) for ui, v in zip(u, vals)]
-        _write_table(out, f"profile_sum{int(total)}",
-                     ("r_prime_minus_r", "r_sum", "value"), rows, args.format)
+        _write_table(out, f"profile_sum{int(total)}", ("r_prime_minus_r", "r_sum", "value"),
+                     (u, np.full(u.size, total), vals), args.format)
     if args.format != "json":
         _write(out, "plot_kernel.py", _KERNEL_PLOT)
     print(f"kernel: wrote {len(thetas)} radial slice(s) and "
@@ -381,16 +414,15 @@ def cmd_apply(args) -> int:
         "n_max": t.dim.n_max,
         "path": path,
         "success_probability": prob,
-        "rho_re": [[float(v) for v in row] for row in np.real(rho_out.matrix)],
-        "rho_im": [[float(v) for v in row] for row in np.imag(rho_out.matrix)],
+        "rho_re": np.real(rho_out.matrix).tolist(),
+        "rho_im": np.imag(rho_out.matrix).tolist(),
     }
     if cross is not None:
         state["cross_check_max_diff"] = cross
     _write(out, "output_state.json",
            json.dumps(state, indent=2, sort_keys=True) + "\n")
-    rows = [(float(x), float(p), float(w_out[i, j]))
-            for i, x in enumerate(grid.xs) for j, p in enumerate(grid.ps)]
-    _write_table(out, "output_wigner", ("x", "p", "value"), rows, "csv")
+    columns = (np.repeat(grid.xs, grid.n_p), np.tile(grid.ps, grid.n_x), w_out.ravel())
+    _write_table(out, "output_wigner", ("x", "p", "value"), columns, "csv")
     print(f"apply: P = {prob:.6g}, output written to {out}")
     return EXIT_OK
 

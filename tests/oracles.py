@@ -8,9 +8,12 @@ evaluator: it checks only the angular bookkeeping of radial_form.
 amplifier_einsum_reference reuses the catalog's splitter amplitudes: it
 checks only how the amplifier model collapses its sums. tensor_of_elements
 is no reference but the tests' way from a dense array into the Kraus layout,
-through the package's own Choi conversion.
+through the package's own Choi conversion. render_csv_rows and
+render_json_rows are the CLI's former row-at-a-time table writers, kept as
+the byte reference for its column renderers.
 """
 
+import json
 import math
 
 import numpy as np
@@ -457,6 +460,27 @@ def scissors_probability(alpha: float, reflectivity: float) -> float:
     r2 = reflectivity
     t2 = 1.0 - reflectivity
     return math.exp(-alpha * alpha) * 0.5 * (r2 + t2 * alpha * alpha)
+
+
+# ---------------------------------------------------------------------------
+# table renderers, row at a time, as the CLI wrote its tables before it
+# rendered them by column
+
+def render_csv_rows(header, rows) -> str:
+    """CSV of row tuples: floats as shortest round-trip decimals with -0.0
+    folded to 0.0, everything else through str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            repr(float(c) + 0.0) if isinstance(c, float) else str(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json_rows(header, rows) -> str:
+    """JSON records of row tuples, with -0.0 folded to 0.0."""
+    records = [{key: c + 0.0 if isinstance(c, float) else c for key, c in zip(header, row)}
+               for row in rows]
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
 # frozen small values with their derivations:

@@ -1,4 +1,6 @@
+import collections
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from cvmaps import cli, fock, models, tensors, verify, wigner
@@ -224,9 +228,130 @@ def test_integral_floats_are_not_config_integers(tmp_path, capsys):
 
 
 def test_json_tables_fold_negative_zero():
-    text = cli.render_json_table(("v", "m", "name"), [(-0.0, 0, "x"), (0.5, 1, "y")])
+    text = cli.render_json_table(("v", "m", "name"), ([-0.0, 0.5], [0, 1], ["x", "y"]))
     assert json.loads(text) == [{"m": 0, "name": "x", "v": 0.0}, {"m": 1, "name": "y", "v": 0.5}]
     assert "-0.0" not in text and '"v": 0.0' in text
+
+
+_EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+                2.2250738585072014e-308, 0.1, 1.0 / 3.0, 1e16, -2.5)
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def _tables(draw):
+    """(header, columns, rows): columns as the CLI passes them, rows as the
+    row renderers took them (Python floats, ints and strings)."""
+    header = draw(st.lists(st.text('ab_{}"%,\\\u00e9', min_size=1, max_size=3),
+                           max_size=4, unique=True))
+    n_rows = draw(st.integers(0, 12))
+    columns, values = [], []
+    for _ in header:
+        kind = draw(st.sampled_from(("float", "axis", "int", "str")))
+        if kind == "float":
+            column = draw(st.lists(_FLOATS, min_size=n_rows, max_size=n_rows))
+        elif kind == "axis":  # few distinct values, repeated as in a meshgrid column
+            pool = draw(st.lists(_FLOATS, min_size=1, max_size=3))
+            picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows,
+                                  max_size=n_rows))
+            column = [pool[i] for i in picks]
+        elif kind == "int":
+            column = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n_rows,
+                                   max_size=n_rows))
+        else:
+            column = draw(st.lists(st.text(max_size=4), min_size=n_rows, max_size=n_rows))
+        values.append(column)
+        columns.append(column if kind == "str" else np.array(column))
+    return header, columns, list(zip(*values)) if header else []
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_tables())
+@example((("v", "m", "name"), [np.array([-0.0, math.nan]), np.array([0, 1]), ["x", "y"]],
+          [(-0.0, 0, "x"), (math.nan, 1, "y")]))
+@example((("value", "r", "theta"), [np.zeros(0), np.zeros(0), np.zeros(0)], []))
+def test_column_renderers_match_the_row_renderers(table):
+    header, columns, rows = table
+    assert cli.render_csv(header, columns) == oracles.render_csv_rows(header, rows)
+    assert cli.render_json_table(header, columns) == oracles.render_json_rows(header, rows)
+
+
+def _spy(monkeypatch, seen, name):
+    """Record every (arguments, result) of the cli's reference to name."""
+    fn = getattr(cli, name)
+
+    def recorded(*args):
+        result = fn(*args)
+        seen[name].append((args, result))
+        return result
+    monkeypatch.setattr(cli, name, recorded)
+
+
+@pytest.mark.parametrize("name", ["amplifier_experimental", "addition_counter"])
+def test_exports_equal_the_row_tables_of_the_same_arrays(tmp_path, monkeypatch, name):
+    # each file equals what the former row renderers write for the rows
+    # built, as the commands once built them, from the arrays the command
+    # computed
+    seen = collections.defaultdict(list)
+    for fn in ("tensor_diagonal", "radial_form", "apply_tensor", "normalize",
+               "kernel_from_tensor", "apply_kernel", "wigner_of"):
+        _spy(monkeypatch, seen, fn)
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    payload["input_state"] = {"kind": "coherent", "alpha_re": 0.6, "alpha_im": -0.3}
+    cfg = write_config(tmp_path, "c.json", payload)
+    thetas = (0.0, -0.7)
+    for fmt, render in (("csv", oracles.render_csv_rows), ("json", oracles.render_json_rows)):
+        out = tmp_path / fmt
+        seen.clear()
+        assert cli.main(["tensor", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        (_, diagonal), = seen["tensor_diagonal"]
+        rows = [(m, k, float(v))
+                for m, column in enumerate(diagonal.real.T) for k, v in enumerate(column)]
+        assert (out / f"tensor_diagonal.{fmt}").read_text(encoding="utf-8") == render(
+            ("m", "k", "value"), rows)
+
+        assert cli.main(["kernel", "--config", cfg, "--out", str(out), "--format", fmt,
+                         "--theta", "0,-0.7", "--grid", "0,4.7,61"]) == 0
+        ((_, r_axis, _, _), rk), *profiles = seen["radial_form"]
+        assert r_axis.size == 61
+        for i, (theta, tag) in enumerate(zip(thetas, ("0p0", "m0p7"))):
+            rows = [(float(rp), float(r), float(theta), float(rk.values[a, b, i]))
+                    for a, rp in enumerate(r_axis) for b, r in enumerate(r_axis)]
+            assert (out / f"kernel_theta_{tag}.{fmt}").read_text(encoding="utf-8") == render(
+                ("r_prime", "r", "theta", "value"), rows)
+        assert len(profiles) == len(cli._PROFILE_SUMS)
+        for total, (_, prof) in zip(cli._PROFILE_SUMS, profiles):
+            u = np.linspace(-cli._PROFILE_HALF_RANGE, cli._PROFILE_HALF_RANGE,
+                            cli._PROFILE_POINTS)
+            u = u[np.abs(u) <= total]
+            vals = np.diagonal(prof.values[:, :, 0])
+            rows = [(float(ui), float(total), float(v)) for ui, v in zip(u, vals)]
+            assert (out / f"profile_sum{int(total)}.{fmt}").read_text(
+                encoding="utf-8") == render(("r_prime_minus_r", "r_sum", "value"), rows)
+
+    out = tmp_path / "apply"
+    seen.clear()
+    assert cli.main(["apply", "--config", cfg, "--out", str(out)]) == 0
+    (_, raw), = seen["apply_tensor"]
+    (_, rho_out), = seen["normalize"]
+    ((_, grid, _), _), = seen["kernel_from_tensor"]
+    (_, w_kernel), = seen["apply_kernel"]
+    (_, _), (_, w_tensor) = seen["wigner_of"]
+    prob = raw.trace
+    state = {
+        "model": payload["model"], "n_max": payload["n_max"], "path": "both",
+        "success_probability": prob,
+        "rho_re": [[float(v) for v in row] for row in np.real(rho_out.matrix)],
+        "rho_im": [[float(v) for v in row] for row in np.imag(rho_out.matrix)],
+        "cross_check_max_diff": float(np.abs(w_kernel.values - w_tensor.values).max()),
+    }
+    assert (out / "output_state.json").read_text(encoding="utf-8") == json.dumps(
+        state, indent=2, sort_keys=True) + "\n"
+    w_out = w_kernel.values / prob
+    rows = [(float(x), float(p), float(w_out[i, j]))
+            for i, x in enumerate(grid.xs) for j, p in enumerate(grid.ps)]
+    assert (out / "output_wigner.csv").read_text(encoding="utf-8") == oracles.render_csv_rows(
+        ("x", "p", "value"), rows)
 
 
 def test_apply_identity_coherent(tmp_path):

@@ -27,6 +27,8 @@ more than four operands, and splitter amplitudes come from one
 Paths whose callers moved elsewhere stay gone: ``tensors`` caches no phase
 defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
 ``models`` decides every detector weight in ``_click_weights`` alone.
+The CLI renders tables by column: no cell is formatted by its own
+``format_float`` call, and JSON records are not indented by ``json.dumps``.
 """
 
 import ast
@@ -137,6 +139,19 @@ def test_moved_paths_stay_gone():
     for detector in ("apd_click", "photon_counter", "vacuum_projector"):
         callers = {func for func, _ in _calls_to(SRC / "models.py", detector)}
         assert callers == {"_click_weights"}, (detector, callers)
+
+
+def test_tables_are_rendered_by_column():
+    # each distinct float of a column is formatted once, and each JSON record
+    # comes from one template instead of json's pure-Python indenting encoder
+    cli_py = SRC / "cli.py"
+    assert {func for func, _ in _calls_to(cli_py, "format_float")} == {"_theta_tag"}
+    dumps = [(call.lineno, {k.arg for k in call.keywords})
+             for func, call in _nodes_by_function(cli_py)
+             if func == "render_json_table" and isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Attribute) and call.func.attr == "dumps"]
+    assert dumps, "render_json_table writes its keys through json.dumps"
+    assert [line for line, keywords in dumps if "indent" in keywords] == []
 
 
 def test_paths_follow_the_layout_not_the_phase_defect():
