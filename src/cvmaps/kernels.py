@@ -21,12 +21,17 @@ FactoredKernel (grid samples of a tensor kept as the unevaluated product
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
 (X2 X1, X2 Y1 X2^T + Y2, X2 d1 + d2, w1 w2), and sampled kernels
-through the grid. A GridKernel stores no nonzero sample below
-sqrt(float64 tiny) in magnitude: its producers zero those entries in
-their fresh arrays, and a caller's array is kept as a floored read-only
-copy. Grid composition multiplies blocks of rows of the weighted
-f2, floored again, by f1's stored samples, so no product is subnormal
-and neither factor is copied whole. Integrals over samples use the
+through the grid. Every producer of dense samples builds them real,
+refused by _require_capped above the one value cap before they are
+allocated, zeroes each entry below sqrt(float64 tiny) in magnitude and
+hands them to GridKernel._of_floored; a caller's real array is kept as a
+floored read-only copy. Transfer functions are real, since every tensor
+a caller can build keeps Hermiticity: FactoredKernel.dense writes only
+the real part of its product, and a complex sample array, weight or
+scale factor is refused with ValueError. Grid composition multiplies
+blocks of rows of the weighted f2, floored again, by f1's stored
+samples, so no product is subnormal and neither factor is copied whole.
+Integrals over samples use the
 trapezoid weights of QuadratureGrid.weights and RadialKernel.weights; a radial
 integral needs two or more points on each axis it integrates over.
 Radial forms sum the 2D - 1 angular harmonics that tensors._harmonics
@@ -146,7 +151,7 @@ class GaussianKernel(_Kernel):
             raise ValueError("noise covariance Y must be 0 or positive definite")
         for name, arr in (("X", x), ("Y", y), ("d", d)):
             object.__setattr__(self, name, _frozen(arr))
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", float(_real(self.weight, "weight")))
 
     @property
     def modes(self) -> int:
@@ -250,11 +255,12 @@ class GaussianKernel(_Kernel):
         return {"min_value": float(peak), "negative_volume": math.inf}
 
     def sample(self, out_grid, in_grid):
+        shape = (out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
+        _require_capped(math.prod(shape))
         vals = _floored(self._values(out_grid.xs[:, None, None, None],
                                      out_grid.ps[None, :, None, None],
                                      in_grid.xs[None, None, :, None],
                                      in_grid.ps[None, None, None, :]))
-        shape = (out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
         return GridKernel._of_floored(out_grid, in_grid,
                                       np.broadcast_to(_frozen(vals), shape))
 
@@ -299,10 +305,11 @@ class _SampledKernel(_Kernel):
 class GridKernel(_SampledKernel):
     """Dense 4D samples f[out_x, out_p, in_x, in_p] on two grids.
 
-    No stored sample is nonzero below _FACTOR_FLOOR in magnitude. A caller's
-    array, writable or not, is checked and floored in the one read-only copy
-    the kernel keeps. Producers hand their freshly floored samples to
-    _of_floored, which keeps them without a copy.
+    No stored sample is nonzero below _FACTOR_FLOOR in magnitude, and none
+    is complex. A caller's real array, writable or not, is floored in the
+    one read-only copy the kernel keeps; a complex one is refused. Producers
+    hand their freshly floored real samples to _of_floored, which keeps them
+    without a copy.
     """
 
     out_grid: QuadratureGrid
@@ -328,15 +335,7 @@ class GridKernel(_SampledKernel):
     def __post_init__(self):
         vals = np.asarray(self.values)
         self._check_shape(vals)
-        if np.iscomplexobj(vals):
-            resid = float(np.max(np.abs(vals.imag)))
-            scale = max(1.0, float(np.max(np.abs(vals.real))))
-            if resid > 1e-10 * scale:
-                raise ValueError(
-                    f"kernel has imaginary residue {resid:.3e}; "
-                    "transfer functions are real"
-                )
-            vals = vals.real
+        _real(vals, "grid kernel samples")
         kept = np.array(vals, dtype=float, order="C")  # no one else holds it
         object.__setattr__(self, "values", _frozen(_floored(kept)))
 
@@ -363,7 +362,8 @@ class FactoredKernel(_SampledKernel):
     coherence block at a time for a phase-invariant tensor, so apply,
     marginals and norms cost O(D^2 N) plus the blocks: the quadrature
     weights are contracted into a basis table first. ``values`` evaluates
-    the dense samples as B_out^T (E conj(B_in)) on each access.
+    the dense samples as Re(B_out^T (E conj(B_in))) on each access, one
+    block of output rows at a time, with no complex N_out x N_in array.
     """
 
     out_grid: QuadratureGrid
@@ -384,17 +384,16 @@ class FactoredKernel(_SampledKernel):
 
     def dense(self) -> GridKernel:
         """The evaluated samples as a GridKernel, refused above the dense cap."""
-        n_vals = self.b_out.shape[1] * self.b_in.shape[1]
-        if n_vals > _MAX_GRID_VALUES:
-            raise ValueError(
-                f"grid kernel with {n_vals} samples exceeds the dense cap; "
-                "use coarser grids, the factored operations or radial_form"
-            )
+        _require_capped(self.b_out.shape[1] * self.b_in.shape[1])
         half = _block_product(self.tensor, np.conj(self.b_in))
-        flat = 2.0 * math.pi * (self.b_out.T @ half)
-        vals = flat.reshape(self.out_grid.n_x, self.out_grid.n_p,
-                            self.in_grid.n_x, self.in_grid.n_p)
-        return GridKernel(self.out_grid, self.in_grid, vals)
+        flat = np.empty((self.b_out.shape[1], half.shape[1]))
+        step = max(1, _BLOCK_ENTRIES // flat.shape[1])
+        for lo in range(0, flat.shape[0], step):
+            np.multiply((self.b_out[:, lo:lo + step].T @ half).real, 2.0 * math.pi,
+                        out=flat[lo:lo + step])
+        vals = _frozen(_floored(flat)).reshape(self.out_grid.n_x, self.out_grid.n_p,
+                                               self.in_grid.n_x, self.in_grid.n_p)
+        return GridKernel._of_floored(self.out_grid, self.in_grid, vals)
 
     def _push(self, v):
         # conj(B_in) v = conj(B_in v) for real v
@@ -424,6 +423,8 @@ class SumKernel(_Kernel):
         if not self.terms:
             raise ValueError("SumKernel needs at least one term")
         object.__setattr__(self, "terms", tuple(self.terms))
+        for w, _ in self.terms:
+            _real(w, "term weight")
 
     def _field_sum(self, field_of) -> WignerField:
         acc = None
@@ -464,8 +465,8 @@ class RadialKernel(_Kernel):
 
     def __post_init__(self):
         for name in ("rp_axis", "r_axis", "theta_axis", "values"):
-            object.__setattr__(self, name,
-                               _adopt(np.asarray(getattr(self, name), dtype=float)))
+            arr = _real(getattr(self, name), f"radial {name}")
+            object.__setattr__(self, name, _adopt(np.asarray(arr, dtype=float)))
         if self.values.shape != (self.rp_axis.size, self.r_axis.size, self.theta_axis.size):
             raise ValueError("radial values do not match axes")
 
@@ -576,6 +577,7 @@ def compose_kernels(f2, f1):
         if f1.out_grid != f2.in_grid:
             raise ValueError("intermediate grids do not match")
         out, mid, inp = f2.out_grid, f2.in_grid, f1.in_grid
+        _require_capped(out.n_x * out.n_p * inp.n_x * inp.n_p)
         # one product over the flattened intermediate plane, weights on f2,
         # streamed by blocks of f2's rows against f1's stored samples
         left = f2.values.reshape(out.n_x * out.n_p, -1)
@@ -656,13 +658,23 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
 
 
 def _require_radial_size(d: int, n_rp: int, n_r: int, n_theta: int) -> None:
-    """Refuse a radial form with more than _MAX_GRID_VALUES output or basis values."""
-    n_vals = max(n_rp * n_r * n_theta, d * d * max(n_rp, n_r))
+    """Refuse a radial form whose output or basis tables exceed the dense cap."""
+    _require_capped(max(n_rp * n_r * n_theta, d * d * max(n_rp, n_r)), "radial form",
+                    "use fewer radii or angles")
+
+
+def _require_capped(n_vals: int, what: str = "grid kernel",
+                    hint: str = "use coarser grids, the factored operations or radial_form"):
+    """Refuse more than _MAX_GRID_VALUES dense values before any is allocated."""
     if n_vals > _MAX_GRID_VALUES:
-        raise ValueError(
-            f"radial form with {n_vals} values exceeds the cap {_MAX_GRID_VALUES}; "
-            "use fewer radii or angles"
-        )
+        raise ValueError(f"{what} with {n_vals} values exceeds the dense cap; {hint}")
+
+
+def _real(value, what: str):
+    """value, refused with ValueError when complex: transfer functions are real."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"complex {what}; transfer functions are real")
+    return value
 
 
 def negativity(f) -> dict:
@@ -690,5 +702,5 @@ def band_concentration(rk: RadialKernel, half_width: float = 0.5) -> float:
 
 
 def scale_kernel(f, c: float):
-    """Kernel scaled by a constant; negativity metrics scale by exactly c."""
-    return f.scaled(c)
+    """Kernel scaled by a real constant; negativity metrics scale by exactly c."""
+    return f.scaled(_real(c, "scale factor"))

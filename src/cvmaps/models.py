@@ -102,7 +102,7 @@ class AmplifierConfig:
         if (self.reflectivity is None) == (self.gain is None):
             raise ValueError("give exactly one of reflectivity and gain")
         if self.reflectivity is None:
-            if self.gain < 1.0:
+            if not self.gain >= 1.0:
                 raise ValueError("gain must satisfy g >= 1")
             # g^-2 once 1 + g^2 rounds to g^2 (g >= 2^27), so g^2 never overflows
             object.__setattr__(self, "reflectivity", 1.0 / (1.0 + self.gain ** 2)
@@ -137,9 +137,9 @@ class AdditionConfig:
     include_faulty: bool = True
 
     def __post_init__(self):
-        if self.chi < 0.0:
+        if not self.chi >= 0.0:
             raise ValueError("interaction strength chi must be >= 0")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ValueError("parasite ratio gamma must be >= 0")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("detector efficiency must satisfy 0 < mu <= 1")
@@ -149,7 +149,7 @@ class AdditionConfig:
 
 def ideal_truncated_amplifier(g: float, dim: FockDim) -> ProcessTensor:
     """Reference map g^n truncated to the span of |0> and |1>."""
-    if g < 1.0 or g * g == math.inf:  # the tensor holds g^2
+    if not g >= 1.0 or g * g == math.inf:  # the tensor holds g^2
         raise ValueError("gain must satisfy g >= 1, with g^2 finite")
     k = np.zeros((dim.size, dim.size))
     k[0, 0] = 1.0

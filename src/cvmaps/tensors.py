@@ -21,6 +21,10 @@ algebra) and read by _choi_blocks alone, and _kraus_from_choi alone turns
 Choi eigenpairs into operators, for a band operand of a Kraus operation.
 No array of entries is a way in: a Kraus tensor is ProcessTensor(dim, ops,
 weights) of its own fields, checked for shape and real finite weights.
+Every way in keeps Hermiticity, E(X^dag) = E(X)^dag: weights are real,
+the writers write blocks a a^dag, Choi eigenvalues are real, and
+scale_tensor takes only a real finite c. The kernels module relies on
+this: the sampled transfer function of every tensor is real.
 
 Only this module reads or writes a tensor's entries or decides phase
 symmetry. Other modules use tensor_diagonal, success_probability, the writer
@@ -466,6 +470,8 @@ def combine_heralding(f1: ProcessTensor, f2: ProcessTensor) -> ProcessTensor:
 
 def scale_tensor(t: ProcessTensor, c: float) -> ProcessTensor:
     if isinstance(t, _BandTensor):
+        if np.iscomplexobj(c) or not np.isfinite(c):
+            raise ValueError(f"scale factor {c!r} is not a real finite number")
         return _BandTensor(t.dim, c * t.packed)
     return ProcessTensor(t.dim, t.ops, _frozen(c * t.weights))
 

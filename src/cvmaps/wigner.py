@@ -109,6 +109,8 @@ class WignerField:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("Wigner values are real; got a complex array")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_x, self.grid.n_p):
             raise ValueError(

@@ -143,14 +143,20 @@ def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
     radial_form_reference it reuses the package's basis evaluator, so what
     it checks is the contraction of FactoredKernel.
     """
+    flat = factored_kernel_product(t, out_grid, in_grid)
+    return flat.real.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
+
+
+def factored_kernel_product(t, out_grid, in_grid) -> np.ndarray:
+    """The complex (N_out, N_in) product behind factored_kernel_reference,
+    imaginary part kept: it vanishes when E keeps Hermiticity."""
     d = t.dim.size
 
     def table(grid):
         xs, ps = np.meshgrid(grid.xs, grid.ps, indexing="ij")
         return _basis_values(t.dim, xs.ravel(), ps.ravel()).reshape(d * d, -1)
 
-    flat = 2.0 * math.pi * (table(out_grid).T @ matrix_reference(t) @ np.conj(table(in_grid)))
-    return flat.real.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
+    return 2.0 * math.pi * (table(out_grid).T @ matrix_reference(t) @ np.conj(table(in_grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ from cvmaps.kernels import (
     scale_kernel,
 )
 from cvmaps.models import ideal_photon_addition
-from cvmaps.tensors import (KrausSet, apply_kraus, compose_serial,
-                            phase_invariance_defect, tensor_from_kraus)
+from cvmaps.tensors import (KrausSet, ProcessTensor, apply_kraus, combine_heralding,
+                            compose_serial, phase_invariance_defect,
+                            require_phase_invariant, scale_tensor, tensor_from_kraus)
 from cvmaps.wigner import QuadratureGrid, WignerField, wigner_of
 
 
@@ -86,10 +87,12 @@ def test_grid_kernel_validation():
     grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
     with pytest.raises(ValueError):
         GridKernel(grid, grid, np.zeros((3, 3, 3, 4)))
-    with pytest.raises(ValueError):
-        GridKernel(grid, grid, np.full((3, 3, 3, 3), 1.0 + 1e-5j))
-    ok = GridKernel(grid, grid, np.full((3, 3, 3, 3), 1.0 + 1e-14j))
-    assert ok.values.dtype == float
+    # transfer functions are real: a complex array is refused however small
+    # its imaginary part, and none at all
+    for imag in (1e-5, 1e-14, 0.0):
+        with pytest.raises(ValueError, match="complex"):
+            GridKernel(grid, grid, np.full((3, 3, 3, 3), complex(1.0, imag)))
+    assert GridKernel(grid, grid, np.ones((3, 3, 3, 3), dtype=int)).values.dtype == float
     with pytest.raises(ValueError):
         SumKernel(())
 
@@ -413,6 +416,81 @@ def test_dense_cap():
         sample_kernel(fk, big, huge)
     with pytest.raises(ValueError, match="dense cap"):
         compose_kernels(kernel_from_tensor(t, big, big), fk)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_every_dense_producer_refuses_above_one_cap_before_allocating(monkeypatch):
+    # one cap guards every dense producer and the radial form: lowered, it
+    # refuses each request before the 8 * 41^4 bytes (22.6 MB) of samples
+    import cvmaps.kernels as kernels
+
+    g = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 41, 41)
+    mid = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 5, 5)
+    gauss = attenuation(0.5, FockDim(4)).kernel
+    f1, f2 = sample_kernel(gauss, mid, g), sample_kernel(gauss, g, mid)
+    factored = kernel_from_tensor(attenuation(0.5, FockDim(4)).tensor(), g, g)
+    monkeypatch.setattr(kernels, "_MAX_GRID_VALUES", 41 ** 4 - 1)
+    runs = {"gaussian": lambda: sample_kernel(gauss, g),
+            "sum": lambda: SumKernel(((0.5, gauss), (0.5, gauss))).sample(g, g),
+            "composition": lambda: compose_kernels(f2, f1),
+            "factored": lambda: factored.values,
+            "radial": lambda: radial_form(attenuation(0.5, FockDim(4)).tensor(),
+                                          np.linspace(0.0, 5.0, 41), np.linspace(0.0, 5.0, 41),
+                                          np.linspace(0.0, 6.0, 41 ** 2))}
+
+    def refused(run):
+        with pytest.raises(ValueError, match="dense cap"):
+            run()
+
+    for name, run in runs.items():
+        assert _traced_peak(lambda: refused(run)) < 1 << 20, name
+
+
+def test_factored_samples_hold_no_complex_product():
+    # the real samples are written one block of output rows at a time: at
+    # most the samples, H = E conj(B_in) and one complex row block (the
+    # whole complex product took 3.27 times the samples)
+    out = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 49, 49)
+    inp = QuadratureGrid(-8.0, 8.0, -8.0, 8.0, 65, 65)
+    f = kernel_from_tensor(attenuation(0.5, FockDim(15)).tensor(), inp, out)
+    samples = 8 * 49 ** 2 * 65 ** 2
+    assert _traced_peak(lambda: f.values) <= 1.5 * samples
+    # at D = 64 on 21^2 points H and conj(B_in) dominate: 2.02 times the table
+    g = QuadratureGrid(-2.0, 2.0, -2.0, 2.0, 21, 21)
+    f = kernel_from_tensor(attenuation(0.3, FockDim(63)).tensor(), g, g)
+    assert _traced_peak(lambda: f.values) <= 2.1 * f.b_out.nbytes
+
+
+@pytest.mark.parametrize("case", ["radial_values", "scale_grid", "scale_radial",
+                                  "scale_gaussian", "scale_sum", "scale_factored",
+                                  "sum_weight"])
+def test_complex_values_are_refused_at_every_kernel_boundary(case):
+    # transfer functions are real: a complex array, weight or scale factor
+    # is refused, never cast to its real part or to 0
+    grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    axis = np.linspace(0.0, 1.0, 3)
+    gauss = attenuation(0.5, FockDim(3)).kernel
+    cases = {
+        "radial_values": lambda: RadialKernel(axis, axis, np.zeros(1), 1j * np.ones((3, 3, 1))),
+        "scale_grid": lambda: scale_kernel(GridKernel(grid, grid, np.ones((3, 3, 3, 3))), 1j),
+        "scale_radial": lambda: scale_kernel(
+            RadialKernel(axis, axis, np.zeros(1), np.ones((3, 3, 1))), 1j),
+        "scale_gaussian": lambda: scale_kernel(gauss, np.complex128(1j)),
+        "scale_sum": lambda: scale_kernel(SumKernel(((1.0, gauss),)), 1j),
+        "scale_factored": lambda: scale_kernel(
+            kernel_from_tensor(attenuation(0.5, FockDim(3)).tensor()), 1j),
+        "sum_weight": lambda: SumKernel(((1j, gauss),)),
+    }
+    with pytest.raises(ValueError, match="complex|real"):
+        cases[case]()
 
 
 def test_scale_kernel_types():
@@ -779,6 +857,45 @@ def test_factored_kernel_matches_dense_reference(n_max, count, invariant, c, see
     t = (random_phase_invariant_tensor(rng, dim, count) if invariant
          else random_tensor(rng, dim, count))
     assert (phase_invariance_defect(t) == 0.0) == invariant
+    check_factored_kernel_against_reference(t, c)
+
+
+def _tensor_by_way_in(way, rng, dim, count, c):
+    """A tensor built through one public way in; each keeps Hermiticity."""
+    d = dim.size
+    ops = np.array([0.4 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                    for _ in range(count)])
+    signed = rng.standard_normal(count)
+    kraus = ProcessTensor(dim, ops, signed)
+    band = random_phase_invariant_tensor(rng, dim, count)
+    # photon-raising shifts K = sum_n c_n |n + s><n|: a lowering one leaves a
+    # weak coherent input of apply's check far below the kernel's scale
+    shifts = [np.diag(rng.standard_normal(d - s) + 0j, -s)
+              for s in rng.integers(0, d, size=count)]
+    ways = {"ProcessTensor": lambda: kraus,
+            "tensor_from_kraus": lambda: tensor_from_kraus(KrausSet(dim, list(ops))),
+            "require_phase_invariant": lambda: require_phase_invariant(
+                ProcessTensor(dim, np.array(shifts), signed)),
+            "combine_heralding": lambda: combine_heralding(kraus, band),
+            "compose_serial": lambda: compose_serial(band, kraus),
+            "scale_tensor": lambda: scale_tensor(band if c > 0 else kraus, c)}
+    return ways[way]()
+
+
+@pytest.mark.parametrize("way", ["ProcessTensor", "tensor_from_kraus",
+                                 "require_phase_invariant", "combine_heralding",
+                                 "compose_serial", "scale_tensor"])
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(n_max=st.integers(1, 6), count=st.integers(1, 3),
+       c=st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_way_in_keeps_the_kernel_real(way, n_max, count, c, seed):
+    # the complex product 2 pi B_out^T E conj(B_in) has no imaginary part
+    # beyond rounding for any tensor a caller can build, so the dense
+    # samples may keep only the real part without a residue scan
+    t = _tensor_by_way_in(way, np.random.default_rng(seed), FockDim(n_max), count, c)
+    flat = oracles.factored_kernel_product(t, FACTORED_OUT, FACTORED_IN)
+    assert np.max(np.abs(flat.imag)) <= 1e-12 * np.max(np.abs(flat.real))
     check_factored_kernel_against_reference(t, c)
 
 

@@ -446,6 +446,18 @@ def test_config_validation():
     assert abs(cfg2.gain - 2.0) < 1e-15
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AmplifierConfig(gain=math.nan),
+    lambda: AdditionConfig(chi=math.nan),
+    lambda: AdditionConfig(gamma=math.nan),
+    lambda: ideal_truncated_amplifier(math.nan, FockDim(3)),
+], ids=["amplifier_gain", "addition_chi", "addition_gamma", "ideal_amplifier_gain"])
+def test_nan_parameters_are_refused(build):
+    # each range check refuses NaN, as the checks on mu, delta and eta_m do
+    with pytest.raises(ValueError, match="must"):
+        build()
+
+
 # the models at the top of the sweep ladder build no D^4 array
 
 def _traced_peak(build):

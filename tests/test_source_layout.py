@@ -27,6 +27,9 @@ more than four operands, and splitter amplitudes come from one
 Paths whose callers moved elsewhere stay gone: ``tensors`` caches no phase
 defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
 ``models`` decides every detector weight in ``_click_weights`` alone.
+Dense kernel samples have one route in: no module calls the ``GridKernel``
+constructor, whose caller arrays must be real, one helper reads the dense
+cap, and ``kernels`` scans no imaginary part of a sample array.
 The CLI renders tables by column: no cell is formatted by its own
 ``format_float`` call, and JSON records are not indented by ``json.dumps``.
 """
@@ -139,6 +142,16 @@ def test_moved_paths_stay_gone():
     for detector in ("apd_click", "photon_counter", "vacuum_projector"):
         callers = {func for func, _ in _calls_to(SRC / "models.py", detector)}
         assert callers == {"_click_weights"}, (detector, callers)
+
+
+def test_dense_samples_have_one_route_and_one_cap():
+    # producers hand real samples to GridKernel._of_floored; the only .imag
+    # in kernels splits radial_form's harmonics, not a sample array
+    for path in sorted(SRC.glob("*.py")):
+        assert _calls_to(path, "GridKernel") == [], path.name
+    kernels_py = SRC / "kernels.py"
+    assert _functions_using(kernels_py, "_MAX_GRID_VALUES") == {None, "_require_capped"}
+    assert _functions_using(kernels_py, "imag") == {"radial_form"}
 
 
 def test_tables_are_rendered_by_column():

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib
+import math
 import sys
 import tracemalloc
 import warnings
@@ -237,6 +238,19 @@ def test_combine_and_scale(rng):
     pb = success_probability(b, rho)
     assert abs(success_probability(both, rho) - (pa + pb)) < 1e-14
     assert abs(success_probability(scale_tensor(a, 0.5), rho) - 0.5 * pa) < 1e-15
+
+
+@pytest.mark.parametrize("layout", ["band", "kraus"])
+@pytest.mark.parametrize("c", [1j, np.complex128(2.0), math.nan, -math.inf],
+                         ids=["imaginary", "complex_dtype", "nan", "inf"])
+def test_scale_tensor_takes_only_a_real_finite_factor(layout, c, rng):
+    # c E keeps Hermiticity only for real c; the Kraus layout refuses the
+    # rest through its weight check, the band layout in scale_tensor
+    t = (identity_tensor(DIM) if layout == "band"
+         else tensor_from_kraus(random_kraus(rng, DIM, count=2, scale=0.3)))
+    assert isinstance(t, tensors._BandTensor) == (layout == "band")
+    with pytest.raises(ValueError):
+        scale_tensor(t, c)
 
 
 def test_hermiticity_gate():

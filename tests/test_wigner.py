@@ -133,6 +133,13 @@ def test_grid_and_field_validation():
     assert abs(grid_integral(np.ones((5, 7)), grid) - 4.0) < 1e-12
 
 
+def test_field_refuses_complex_values():
+    # Wigner functions are real: a complex array is refused, not cast to 0
+    grid = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 5, 7)
+    with pytest.raises(ValueError, match="complex"):
+        WignerField(grid, 1j * np.ones((5, 7)))
+
+
 @pytest.mark.parametrize("bounds", [(math.nan, 1.0, -1.0, 1.0), (-1.0, math.inf, -1.0, 1.0),
                                     (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, -1.0, math.nan)])
 def test_grid_refuses_non_finite_bounds(bounds):
