@@ -36,6 +36,7 @@ __all__ = [
 
 _MAX_SIZE = 64
 _HERM_ATOL = 1e-10
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,41 @@ class DensityOperator:
 
     def diagonal(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
+
+
+def _order_rows(d: int):
+    """(q, rows) per coherence order q = 0 .. d - 1: the slice of a real
+    coordinate vector (_coordinates) that holds order q. Order 0 has the d
+    diagonal rows; order q > 0 has 2 (d - q) rows, C_k then S_k for
+    k = 0 .. d - q - 1, which _coordinates reads from X[k, k + q]."""
+    start = 0
+    for q in range(d):
+        size = d if q == 0 else 2 * (d - q)
+        yield q, slice(start, start + size)
+        start += size
+
+
+def _coordinates(mat: np.ndarray) -> np.ndarray:
+    """The real coordinates, (D^2,) + rest, of Hermitian matrices mat, (D, D) + rest,
+    in the orthonormal basis |k><k|, (|k><k+q| + |k+q><k|)/sqrt(2) and
+    i(|k><k+q| - |k+q><k|)/sqrt(2): X[k, k], then sqrt(2) Re and sqrt(2) Im of
+    X[k, k + q] for each q > 0, as _order_rows gives. The lower triangle is not read."""
+    bands = [np.diagonal(mat, q, 0, 1) for q in range(len(mat))]  # (rest..., D - q)
+    parts = [bands[0].real] + [_SQRT2 * p for band in bands[1:] for p in (band.real, band.imag)]
+    return np.moveaxis(np.concatenate(parts, axis=-1), -1, 0)
+
+
+def _hermitian(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices, (D, D) + rest, of real coordinates (D^2,) + rest:
+    the inverse of _coordinates."""
+    d = math.isqrt(len(coords))
+    out = np.zeros((d, d) + coords.shape[1:], dtype=complex)
+    for q, rows in _order_rows(d):
+        k, part = np.arange(d - q), coords[rows]
+        band = part if q == 0 else (part[:d - q] + 1j * part[d - q:]) / _SQRT2
+        out[k, k + q] = band
+        out[k + q, k] = np.conj(band)
+    return out
 
 
 def annihilation(dim: FockDim) -> np.ndarray:

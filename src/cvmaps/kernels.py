@@ -2,21 +2,23 @@
 
 A map E acting on Wigner functions is an integral transform
 
-    W'(x', p') = Int dx dp f(x', p', x, p) W(x, p),
+    W'(x', p') = Int dx dp f(x', p', x, p) W(x, p).
 
-with f built from the process tensor as
-
-    f = 2 pi sum_{l,k,n,m} E^{n,m}_{l,k} conj(W_{|n><m|}(x, p)) W_{|l><k|}(x', p').
-
-The conjugate on the input-side basis function is required for the
-identity tensor to act as the reproducing kernel; with real symmetric
-combinations it is invisible, which makes it easy to drop by accident.
+The Hermitian operators |k><k|, (|k><k+q| + |k+q><k|)/sqrt(2) and
+i(|k><k+q| - |k+q><k|)/sqrt(2) are orthonormal under Tr(A B) =
+2 pi Int W_A W_B; their Wigner functions are the real rows G of
+wigner.wigner_basis_table. On their real coordinates a map that keeps
+Hermiticity is a real D^2 x D^2 transfer matrix R, the phase-space analogue
+of the Pauli transfer matrix, and f = 2 pi G_out^T R G_in. The complex form
+2 pi sum E^{n,m}_{l,k} conj(W_{|n><m|}(x, p)) W_{|l><k|}(x', p') needs the
+conjugate on the input side for the identity to be the reproducing kernel;
+in real coordinates both sides are the same real rows and R = I gives it.
 
 Kernel variants: GaussianKernel (the closed form of a Gaussian map,
 f = weight N(r' - X r - d; Y), with the delta kernel of a point map as
 Y = 0), GridKernel (dense 4D samples, indexed [out_x, out_p, in_x, in_p]),
 FactoredKernel (grid samples of a tensor kept as the unevaluated product
-2 pi B_out^T E conj(B_in)), SumKernel (weighted sums), RadialKernel
+2 pi G_out^T R G_in), SumKernel (weighted sums), RadialKernel
 (f(r', r, theta) samples). Each type carries its own apply, marginal,
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
@@ -26,18 +28,17 @@ refused by _require_capped above the one value cap before they are
 allocated, zeroes each entry below sqrt(float64 tiny) in magnitude and
 hands them to GridKernel._of_floored; a caller's real array is kept as a
 floored read-only copy. Transfer functions are real, since every tensor
-a caller can build keeps Hermiticity: FactoredKernel.dense writes only
-the real part of its product, and a complex sample array, weight or
-scale factor is refused with ValueError. Grid composition multiplies
-blocks of rows of the weighted f2, floored again, by f1's stored
-samples, so no product is subnormal and neither factor is copied whole.
-Integrals over samples use the
-trapezoid weights of QuadratureGrid.weights and RadialKernel.weights; a radial
-integral needs two or more points on each axis it integrates over.
-Radial forms sum the 2D - 1 angular harmonics that tensors._harmonics
-yields for a map that passes tensors.require_phase_invariant, and are
-refused above the same value cap as dense grid samples. Kernels keep no
-array a caller can write to.
+a caller can build keeps Hermiticity: FactoredKernel.dense is one real
+product, and a complex sample array, weight or scale factor is refused
+with ValueError. Grid composition multiplies blocks of rows of the
+weighted f2, floored again, by f1's stored samples, so no product is
+subnormal and neither factor is copied whole. Integrals over samples use
+the trapezoid weights of QuadratureGrid.weights and RadialKernel.weights;
+a radial integral needs two or more points on each axis it integrates
+over. Radial forms sum the angular harmonics q >= 0 of a map that passes
+tensors.require_phase_invariant, their cos and sin parts read from the
+same real product R G_in, and are refused above the same value cap as
+dense grid samples. Kernels keep no array a caller can write to.
 Bookkeeping convention: integrating f over the output plane gives the
 Weyl symbol of E^dag E (identity maps to the constant 1), and
 kernel_norm(f) = (1/2 pi) Int f d^4 = Tr(E^dag E).
@@ -51,10 +52,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _frozen, _harmonics,
+from .fock import _order_rows
+from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _frozen,
                       require_phase_invariant, scale_tensor, tensor_from_kraus)
-from .wigner import (QuadratureGrid, WignerField, _basis_values,
-                     _trapezoid_weights, wigner_basis_table)
+from .wigner import (QuadratureGrid, WignerField, _basis_rows, _trapezoid_weights,
+                     wigner_basis_table)
 
 __all__ = [
     "GaussianKernel",
@@ -355,15 +357,14 @@ class GridKernel(_SampledKernel):
 
 @dataclass(frozen=True, eq=False)
 class FactoredKernel(_SampledKernel):
-    """Grid samples of a tensor's kernel, kept as 2 pi B_out^T E conj(B_in).
+    """Grid samples of a tensor's kernel, kept as 2 pi G_out^T R G_in.
 
-    b_out (D^2, N_out) and b_in (D^2, N_in) are the Wigner basis tables
-    flattened over grid points. E is applied by tensors._block_product, one
-    coherence block at a time for a phase-invariant tensor, so apply,
-    marginals and norms cost O(D^2 N) plus the blocks: the quadrature
-    weights are contracted into a basis table first. ``values`` evaluates
-    the dense samples as Re(B_out^T (E conj(B_in))) on each access, one
-    block of output rows at a time, with no complex N_out x N_in array.
+    b_out (D^2, N_out) and b_in (D^2, N_in) are the real Wigner basis tables.
+    R is applied by tensors._block_product, one order block at a time for a
+    phase-invariant tensor, so apply, marginals and norms cost O(D^2 N) plus
+    the blocks: the quadrature weights are contracted into a basis table
+    first. ``values`` evaluates the dense samples as the real product
+    (b_out^T R) b_in on each access, one block of output rows at a time.
     """
 
     out_grid: QuadratureGrid
@@ -385,27 +386,25 @@ class FactoredKernel(_SampledKernel):
     def dense(self) -> GridKernel:
         """The evaluated samples as a GridKernel, refused above the dense cap."""
         _require_capped(self.b_out.shape[1] * self.b_in.shape[1])
-        half = _block_product(self.tensor, np.conj(self.b_in))
-        flat = np.empty((self.b_out.shape[1], half.shape[1]))
-        step = max(1, _BLOCK_ENTRIES // flat.shape[1])
+        flat = np.empty((self.b_out.shape[1], self.b_in.shape[1]))
+        step = max(1, 2 * _BLOCK_ENTRIES // self.b_out.shape[0])  # 8 MB of B_out^T R
         for lo in range(0, flat.shape[0], step):
-            np.multiply((self.b_out[:, lo:lo + step].T @ half).real, 2.0 * math.pi,
-                        out=flat[lo:lo + step])
+            half = _block_product(self.tensor, self.b_out[:, lo:lo + step].T, left=True)
+            np.matmul(half, self.b_in, out=flat[lo:lo + step])
+        flat *= 2.0 * math.pi
         vals = _frozen(_floored(flat)).reshape(self.out_grid.n_x, self.out_grid.n_p,
                                                self.in_grid.n_x, self.in_grid.n_p)
         return GridKernel._of_floored(self.out_grid, self.in_grid, vals)
 
     def _push(self, v):
-        # conj(B_in) v = conj(B_in v) for real v
-        half = _block_product(self.tensor, np.conj(self.b_in @ v.ravel()))
-        vals = 2.0 * math.pi * np.real(self.b_out.T @ half)
+        half = _block_product(self.tensor, self.b_in @ v.ravel())
+        vals = 2.0 * math.pi * (self.b_out.T @ half)
         return WignerField(self.out_grid,
                            vals.reshape(self.out_grid.n_x, self.out_grid.n_p))
 
     def _pull(self, v):
         row = _block_product(self.tensor, self.b_out @ v.ravel(), left=True)
-        # Re(row conj(B_in)) = Re(conj(row) B_in)
-        vals = 2.0 * math.pi * np.real(np.conj(row) @ self.b_in)
+        vals = 2.0 * math.pi * (row @ self.b_in)
         return WignerField(self.in_grid,
                            vals.reshape(self.in_grid.n_x, self.in_grid.n_p))
 
@@ -524,11 +523,9 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     out_grid = out_grid or in_grid
     _warn_if_coarse(in_grid, "input")
     _warn_if_coarse(out_grid, "output")
-    d = t.dim.size
-    b_in = wigner_basis_table(t.dim, in_grid).reshape(d * d, -1)
+    b_in = wigner_basis_table(t.dim, in_grid)
     # one table for both sides when the grids match, cached or not
-    b_out = (b_in if out_grid == in_grid
-             else wigner_basis_table(t.dim, out_grid).reshape(d * d, -1))
+    b_out = b_in if out_grid == in_grid else wigner_basis_table(t.dim, out_grid)
     return FactoredKernel(out_grid, in_grid, b_out, t, b_in)
 
 
@@ -553,11 +550,11 @@ def apply_kernel(f, w_in: WignerField) -> WignerField:
 
 def _floored(a: np.ndarray) -> np.ndarray:
     """Real C-ordered a with every entry below _FACTOR_FLOOR in magnitude set to
-    0, in place, _BLOCK_ENTRIES at a time."""
+    0, in place, _BLOCK_ENTRIES at a time, through boolean masks alone."""
     flat = a.reshape(-1)
     for lo in range(0, flat.size, _BLOCK_ENTRIES):
         blk = flat[lo:lo + _BLOCK_ENTRIES]
-        blk[np.abs(blk) < _FACTOR_FLOOR] = 0.0
+        np.copyto(blk, 0.0, where=(blk < _FACTOR_FLOOR) & (blk > -_FACTOR_FLOOR))
     return a
 
 
@@ -619,19 +616,18 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     """Sample f(r', r, theta) of a phase-invariant map directly from the tensor.
 
     Points are (x, p) = (r, 0) and (x', p') = (r' cos theta, r' sin theta).
-    The basis is evaluated on the real axis, where it is real, once for r'
-    and once for r. W_{lk} turns with its coherence order q = l - k,
-    W_{lk}(r' e^{i theta}) = W_{lk}(r') e^{-i q theta}, so
-
-        f = 2 pi Re sum_q e^{-i q theta} C_q,
-
-    with C_q = B_out,q^T M_q B_in,q the harmonics of tensors._harmonics. The
-    sum is exact: a map that fails tensors.require_phase_invariant is
-    refused with its PhaseSymmetryError, and the harmonics are read from the
-    band tensor that gate returns. Besides the output, one harmonic
-    and one product of the output's size are held at a time; a form whose
-    output or basis tables would exceed _MAX_GRID_VALUES is refused before
-    either is built.
+    The basis rows are evaluated on the real axis, once for r' and once for
+    r, where their S rows vanish. W_{lk}(r' e^{i theta}) = W_{lk}(r')
+    e^{-i q theta} for q = l - k, so at angle theta the output's C rows of
+    order q are C' cos(q theta) and its S rows -C' sin(q theta), and f is
+    2 pi sum_{q >= 0} [cos(q theta) C'^T (R G)_C - sin(q theta) C'^T (R G)_S]
+    with R G = tensors._block_product of the input rows. The sum is exact: a
+    map that fails tensors.require_phase_invariant is refused with its
+    PhaseSymmetryError, and R is read from the band tensor that gate
+    returns. Besides the output, the basis rows, R G and the per-order parts
+    of one block of output radii (1 MB) are held; a form whose output or
+    basis tables would exceed _MAX_GRID_VALUES is refused before either is
+    built.
     """
     t = require_phase_invariant(t)
     radii = np.linspace(0.0, 5.0, 101)
@@ -642,19 +638,25 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     d = t.dim.size
     _require_radial_size(d, rp_axis.size, r_axis.size, theta_axis.size)
 
-    def basis(axis):
-        return np.ascontiguousarray(_basis_values(t.dim, axis, 0.0).real).reshape(d * d, -1)
-
-    b_in = basis(r_axis)
-    b_out = b_in if np.array_equal(rp_axis, r_axis) else basis(rp_axis)
-    vals = np.zeros((rp_axis.size * r_axis.size, theta_axis.size))
-    for q, c in _harmonics(t, b_out, b_in):
-        # Re(e^{-i q theta} c) = Re c cos(q theta) + Im c sin(q theta)
-        trig = np.stack([np.cos(q * theta_axis), np.sin(q * theta_axis)])
-        vals += np.stack([c.real, c.imag], axis=1) @ trig
+    b_in = _basis_rows(t.dim, r_axis, 0.0)
+    b_out = b_in if np.array_equal(rp_axis, r_axis) else _basis_rows(t.dim, rp_axis, 0.0)
+    half = _block_product(t, b_in)
+    # cos(q theta), q >= 0, then sin(q theta), q > 0, against their radial parts
+    trig = np.concatenate((np.cos(np.multiply.outer(range(d), theta_axis)),
+                           np.sin(np.multiply.outer(range(1, d), theta_axis))))
+    vals = np.empty((rp_axis.size, r_axis.size, theta_axis.size))
+    step = max(1, _BLOCK_ENTRIES // 4 // (r_axis.size * len(trig)))
+    for lo in range(0, rp_axis.size, step):
+        out_rows = b_out[:, lo:lo + step]
+        parts = np.empty((out_rows.shape[1], r_axis.size, len(trig)))
+        for q, rows in _order_rows(d):
+            c = slice(rows.start, rows.start + d - q)  # the C rows; the S rows follow
+            parts[..., q] = out_rows[c].T @ half[c]
+            if q:
+                parts[..., d - 1 + q] = -(out_rows[c].T @ half[c.stop:rows.stop])
+        np.matmul(parts, trig, out=vals[lo:lo + step])
     vals *= 2.0 * math.pi
-    vals = _frozen(vals).reshape(rp_axis.size, r_axis.size, theta_axis.size)
-    return RadialKernel(rp_axis, r_axis, theta_axis, vals)
+    return RadialKernel(rp_axis, r_axis, theta_axis, _frozen(vals))
 
 
 def _require_radial_size(d: int, n_rp: int, n_r: int, n_theta: int) -> None:

@@ -23,14 +23,18 @@ No array of entries is a way in: a Kraus tensor is ProcessTensor(dim, ops,
 weights) of its own fields, checked for shape and real finite weights.
 Every way in keeps Hermiticity, E(X^dag) = E(X)^dag: weights are real,
 the writers write blocks a a^dag, Choi eigenvalues are real, and
-scale_tensor takes only a real finite c. The kernels module relies on
-this: the sampled transfer function of every tensor is real.
+scale_tensor takes only a real finite c. So every tensor is a real
+D^2 x D^2 transfer matrix R on the real coordinates of Hermitian operators
+(fock._coordinates), block diagonal over the orders q >= 0 for a band
+tensor, R_q = [[A, B], [-B, A]] from M_q = A + iB and M_{-q} = conj(M_q),
+and its sampled transfer function is real.
 
 Only this module reads or writes a tensor's entries or decides phase
 symmetry. Other modules use tensor_diagonal, success_probability, the writer
 _band_tensor, the gate require_phase_invariant, which returns a band tensor,
-and the two products with E, _block_product and _harmonics; the blocks M_q
-of a band tensor are read through _coherence_blocks alone. The diagnostic
+and the one product with R, _block_product, behind apply_tensor and every
+kernel; the real blocks R_q of a band tensor are read through
+_coherence_blocks alone. The diagnostic
 phase_invariance_defect chooses no path: a band tensor's is 0 with no scan,
 and a Kraus tensor's is scanned on each call, one output row E[l] at a time.
 
@@ -45,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, FockDim
+from .fock import DensityOperator, FockDim, _coordinates, _hermitian, _order_rows
 
 __all__ = [
     "PhysicalityError",
@@ -254,42 +258,42 @@ def _kraus_slices(t: ProcessTensor):
 
 
 def _coherence_blocks(t: _BandTensor):
-    """(q, rows, M_q) per coherence order q: E on the rows (k + q, k) and the
-    columns (m + q, m) as a view of the packed array, and those rows
-    (k + q) D + k of a D^2 axis as a strided slice. Nothing is kept."""
+    """(q, rows, R_q) per coherence order q >= 0: the slice of the real coordinates
+    (fock._order_rows) that holds order q, and the real block R_q that acts on
+    it, R_0 = M_0 and R_q = [[A, B], [-B, A]] for M_q = A + iB. The orders
+    -q enter through M_{-q} = conj(M_q), which every way in keeps."""
     d = t.dim.size
-    for q in range(1 - d, d):
-        first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
-        rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
-        yield q, rows, _packed_block(t.packed, d, q)
+    for q, rows in _order_rows(d):
+        block = _packed_block(t.packed, d, q)
+        a, b = block.real, block.imag
+        yield q, rows, (a if q == 0 else np.concatenate((np.concatenate((a, b), 1),
+                                                          np.concatenate((-b, a), 1))))
 
 
 def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.ndarray:
-    """E x, or x E when left, for x with D^2 rows (D^2 columns when left).
+    """R x, or x R when left, for real x with D^2 rows (D^2 columns when left)
+    of real coordinates (fock._coordinates); R is the map's real transfer matrix.
 
-    A band tensor is block diagonal over coherence orders, so each block M_q
-    meets only the rows (columns) of its own order q: about 2 D^3 / 3
-    products per column of x instead of D^4. A Kraus tensor takes each column
-    X of x to sum_i w_i E_i X E_i^dag (each row to sum_i w_i E_i^T X conj(E_i)).
+    A band tensor's R is block diagonal over the orders q >= 0, so each block
+    R_q meets only the rows (columns) of its own order: about 4 D^3 / 3
+    products per column of x instead of D^4. A Kraus tensor turns each column
+    into its Hermitian matrix X, takes sum_i w_i E_i X E_i^dag (sum_i w_i
+    E_i^dag X E_i for a row: R^T is the adjoint map's) and reads the
+    coordinates back.
     """
-    out = np.zeros(x.shape, dtype=complex)
+    cols = x.T if left else x  # x R = (R^T x^T)^T
     if isinstance(t, _BandTensor):
+        out = np.empty(cols.shape)
         for _, rows, block in _coherence_blocks(t):
-            if left:
-                out[..., rows] = x[..., rows] @ block
-            else:
-                out[rows] = block @ x[rows]
-        return out
-    d = t.dim.size
-    if left:
-        rows, acc = x.reshape(-1, d, d), out.reshape(-1, d, d)  # [j, l, k]
-        for op, w in zip(t.ops, t.weights):
-            acc += w * (op.T @ (rows @ op.conj()))
+            out[rows] = (block.T if left else block) @ cols[rows]
     else:
-        cols, acc = x.reshape(d, -1), out.reshape(d, d, -1)  # [n, (m, j)], [l, k, j]
-        for op, w in zip(t.ops, t.weights):
-            acc += w * (op.conj() @ (op @ cols).reshape(d, d, -1))
-    return out
+        d = t.dim.size
+        mats = _hermitian(cols).reshape(d, -1)  # [n, (m, j)]
+        acc = np.zeros((d, d, mats.shape[1] // d), dtype=complex)  # [l, k, j]
+        for op, w in zip(t.ops.conj().swapaxes(1, 2) if left else t.ops, t.weights):
+            acc += w * (op.conj() @ (op @ mats).reshape(d, d, -1))
+        out = _coordinates(acc).reshape(cols.shape)
+    return out.T if left else out
 
 
 def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
@@ -307,13 +311,6 @@ def _kraus_product(second: ProcessTensor, first: ProcessTensor) -> ProcessTensor
     d = first.dim.size
     ops = _frozen(np.matmul(second.ops[:, None], first.ops[None])).reshape(-1, d, d)
     return ProcessTensor(first.dim, ops, _frozen(np.outer(second.weights, first.weights)).ravel())
-
-
-def _harmonics(t: _BandTensor, b_out: np.ndarray, b_in: np.ndarray):
-    """(q, C_q) per coherence order q, C_q = B_out,q^T M_q B_in,q raveled, for b_out
-    and b_in with D^2 rows; they sum to B_out^T E B_in raveled."""
-    for q, rows, block in _coherence_blocks(t):
-        yield q, (b_out[rows].T @ (block @ b_in[rows])).ravel()
 
 
 def _trace_form(t: ProcessTensor) -> np.ndarray:
@@ -359,10 +356,7 @@ def apply_tensor(t: ProcessTensor, rho: DensityOperator) -> DensityOperator:
     """Sub-normalized output state; its trace is the branch probability."""
     if rho.dim != t.dim or rho.modes != 1:
         raise ValueError("state does not match tensor input structure")
-    d = t.dim.size
-    mat = _block_product(t, rho.matrix.reshape(d * d)).reshape(d, d)
-    mat = (mat + mat.conj().T) / 2
-    return DensityOperator(t.dim, mat)
+    return DensityOperator(t.dim, _hermitian(_block_product(t, _coordinates(rho.matrix))))
 
 
 def apply_kraus(k: KrausSet, rho: DensityOperator) -> DensityOperator:

@@ -9,10 +9,13 @@ The basis element |n><m| with m >= n has the closed form
     W_{nm}(x, p) = (1/pi) e^{-|z|^2} (-1)^n sqrt(n!/m!)
                    (sqrt(2) z)^{m-n} L_n^{m-n}(2 |z|^2),   z = x + i p,
 
-and W_{mn} = conj(W_{nm}). The generalized Laguerre values come from the
-upward three-term recurrence with the Gaussian envelope folded in from the
-start, which keeps every intermediate bounded (|e^{-xi/2} L_n^d(xi)| is at
-most binom(n+d, n) for xi >= 0).
+and W_{mn} = conj(W_{nm}). An operator enters as its real coordinates
+(fock._coordinates) in the orthonormal Hermitian basis, whose Wigner
+functions are the real rows W_{kk}, C_k and S_k, W_{k+q,k} = (C_k + i S_k)/sqrt(2);
+_band_values alone computes them. The generalized Laguerre values come
+from the upward three-term recurrence with the Gaussian envelope folded in
+from the start, which keeps every intermediate bounded
+(|e^{-xi/2} L_n^d(xi)| is at most binom(n+d, n) for xi >= 0).
 
 Integrals over samples are trapezoid-weighted sums; one helper gives the
 weights of uniform and non-uniform axes alike.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockDim
+from .fock import DensityOperator, FockDim, _coordinates, _order_rows
 
 __all__ = [
     "QuadratureGrid",
@@ -40,12 +43,12 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# cap on a basis table's 16 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 1.21e9
+# cap on a basis table's 8 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 0.61e9
 _MAX_TABLE_BYTES = 2_000_000_000
 # bytes of basis tables kept between calls, least recently used dropped first.
-# It holds verify's largest repeated grid (n_max 20 on 97^2 points, 66 MB) and
-# the n_max-15 apply grid (27 MB); a larger table, such as n_max 40 on the
-# 111^2-point apply grid (331 MB), is returned and not kept
+# It holds verify's largest repeated grid (n_max 20 on 97^2 points, 33 MB) and
+# the n_max-15 apply grid (13 MB); a larger table, such as n_max 40 on the
+# 111^2-point apply grid (166 MB), is returned and not kept
 _TABLE_CACHE_BYTES = 96 * 2 ** 20
 
 
@@ -123,66 +126,62 @@ class WignerField:
         return grid_integral(self.values, self.grid)
 
 
-def _band_values(d: int, count: int, x, p) -> np.ndarray:
-    """W_{|n><n+d|} for n = 0 .. count-1 at the given points, d >= 0.
+def _band_values(counts, x, p):
+    """The real basis rows of each order q = 0, 1, ..., len(counts) - 1 at the
+    given points, counts[q] of them: W_{|k><k|} for q = 0, and for q > 0 C_k
+    then S_k with W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), k < counts[q].
 
-    Returns an array of shape (count,) + broadcast shape. The recurrence
-    runs on T_n = e^{-xi/2} L_n^d(xi), which never overflows; the band
-    prefactor (sqrt(2) z)^d is applied afterwards, with points where the
+    Yields an array (rows,) + broadcast shape per order, None where counts[q]
+    is 0. The recurrence runs on T_k = e^{-xi/2} L_k^q(xi), which never
+    overflows; the band prefactor, (u + i v) = (sqrt(2) conj(z))^q carried
+    from order to order, is applied afterwards, with points where the
     envelope underflowed to zero forced to exactly zero.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    z = x + 1j * p
+    shape = np.broadcast_shapes(x.shape, p.shape)
     xi = 2.0 * (x * x + p * p)
     env = np.exp(-0.5 * xi)
-    zpow = (_SQRT2 * z) ** d if d else np.ones_like(z)
-    dead = env == 0.0
+    u, v = np.ones(shape), np.zeros(shape)
+    for q, count in enumerate(counts):
+        if q:
+            u, v = _SQRT2 * (u * x + v * p), _SQRT2 * (v * x - u * p)
+        if not count:
+            yield None
+            continue
+        ts = np.empty((count,) + shape)
+        ts[0] = env
+        for k in range(1, count):
+            before = ts[k - 2] if k > 1 else 0.0
+            ts[k] = ((2 * k - 1 + q - xi) * ts[k - 1] - (k - 1 + q) * before) / k
+        coeff = [(1.0 if q == 0 else _SQRT2) * ((-1) ** k / math.pi)
+                 * math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + q + 1)))
+                 for k in range(count)]
+        ts *= np.reshape(coeff, (count,) + (1,) * len(shape))
+        rows = ts if q == 0 else np.concatenate((ts * u, ts * v))
+        np.copyto(rows, 0.0, where=env == 0.0)
+        yield rows
 
-    shape = np.broadcast_shapes(x.shape, p.shape)
-    out = np.empty((count,) + shape, dtype=complex)
-    t_prev2 = None
-    t_prev1 = None
-    for n in range(count):
-        if n == 0:
-            t = env * np.ones(shape)
-        elif n == 1:
-            t = env * (1.0 + d - xi)
-        else:
-            t = ((2 * n - 1 + d - xi) * t_prev1 - (n - 1 + d) * t_prev2) / n
-        coeff = ((-1) ** n / math.pi) * math.exp(
-            0.5 * (math.lgamma(n + 1) - math.lgamma(n + d + 1))
-        )
-        val = coeff * zpow * t
-        out[n] = np.where(dead, 0.0, val)
-        t_prev2, t_prev1 = t_prev1, t
-    return out
+
+def _basis_rows(dim: FockDim, x, p) -> np.ndarray:
+    """All D^2 real basis rows at the points (x, p), shape (D^2,) + broadcast
+    shape, grouped by order as fock._order_rows gives."""
+    size = dim.size
+    table = np.empty((size * size,) + np.broadcast_shapes(np.shape(x), np.shape(p)))
+    for (_, rows), band in zip(_order_rows(size), _band_values(range(size, 0, -1), x, p)):
+        table[rows] = band
+    return table
 
 
 def wigner_basis(n: int, m: int, x, p):
-    """Wigner function of |n><m| at the given quadrature points."""
+    """Wigner function of |n><m| at the given quadrature points, complex."""
     if n < 0 or m < 0:
         raise ValueError("Fock indices must be non-negative")
-    if n > m:
-        return np.conj(wigner_basis(m, n, x, p))
-    vals = _band_values(m - n, n + 1, x, p)[n]
-    if vals.ndim == 0:
-        return complex(vals)
-    return vals
-
-
-def _basis_values(dim: FockDim, x, p) -> np.ndarray:
-    """All W_{|n><m|} at the points (x, p); shape (D, D) + broadcast shape."""
-    size = dim.size
-    shape = np.broadcast_shapes(np.shape(x), np.shape(p))
-    table = np.empty((size, size) + shape, dtype=complex)
-    for d in range(size):
-        band = _band_values(d, size - d, x, p)
-        for n in range(size - d):
-            table[n, n + d] = band[n]
-            if d:
-                table[n + d, n] = np.conj(band[n])
-    return table
+    q, k = abs(n - m), min(n, m)
+    *_, rows = _band_values([0] * q + [k + 1], x, p)
+    # W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), and W_{|k><k+q|} is its conjugate
+    vals = (rows[k] + (1j if n > m else -1j) * rows[2 * k + 1]) / _SQRT2 if q else rows[k] + 0j
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes")
@@ -191,8 +190,9 @@ _table_stats = {"hits": 0, "misses": 0}
 
 
 def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-    """All W_{|n><m|} on the grid, shape (D, D, n_x, n_p), read-only; refused
-    above _MAX_TABLE_BYTES before it is allocated.
+    """The D^2 real basis rows of _basis_rows on the grid, shape (D^2, n_x n_p)
+    with points in C order, read-only; refused above _MAX_TABLE_BYTES before it
+    is allocated.
 
     Tables are kept up to _TABLE_CACHE_BYTES in all; ``cache_info()`` counts
     hits and misses as functools.lru_cache does, and ``cache_clear()`` empties
@@ -204,11 +204,11 @@ def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
         _tables.move_to_end(key)
         return _tables[key]
     _table_stats["misses"] += 1
-    size = 16 * dim.size ** 2 * grid.n_x * grid.n_p
+    size = 8 * dim.size ** 2 * grid.n_x * grid.n_p
     if size > _MAX_TABLE_BYTES:
         raise ValueError(f"Wigner basis table of {size:.3e} bytes exceeds the cap "
                          f"{_MAX_TABLE_BYTES:.1e}; use a coarser grid or a smaller n_max")
-    table = _basis_values(dim, grid.xs[:, None], grid.ps[None, :])
+    table = _basis_rows(dim, grid.xs[:, None], grid.ps[None, :]).reshape(dim.size ** 2, -1)
     table.flags.writeable = False
     if table.nbytes <= _TABLE_CACHE_BYTES:
         _tables[key] = table
@@ -232,25 +232,24 @@ wigner_basis_table.cache_clear = _cache_clear
 
 
 def wigner_of(rho: DensityOperator, grid: QuadratureGrid) -> WignerField:
+    """W_rho on the grid: rho's real coordinates times the basis table."""
     if rho.modes != 1:
         raise ValueError("grid Wigner sampling is single-mode only")
-    table = wigner_basis_table(rho.dim, grid)
-    vals = np.einsum("nm,nmxp->xp", rho.matrix, table)
-    return WignerField(grid, vals.real)
+    vals = _coordinates(rho.matrix) @ wigner_basis_table(rho.dim, grid)
+    return WignerField(grid, vals.reshape(grid.n_x, grid.n_p))
 
 
 def weyl_symbol(mat: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-    """Weyl symbol 2 pi W_A of an operator.
+    """Weyl symbol 2 pi W_A of a Hermitian operator, real; any other operator is
+    refused with ValueError.
 
     The untruncated identity resums to 1; at finite n_max the pointwise
     values of slowly-decaying symbols oscillate, only integrals against
     converged Wigner functions are trustworthy.
     """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (dim.size, dim.size):
-        raise ValueError(f"operator shape {mat.shape} does not match {dim.size}")
-    table = wigner_basis_table(dim, grid)
-    return 2.0 * math.pi * np.einsum("nm,nmxp->xp", mat, table)
+    vals = DensityOperator(dim, mat).matrix  # checks the shape and Hermiticity
+    sym = 2.0 * math.pi * (_coordinates(vals) @ wigner_basis_table(dim, grid))
+    return sym.reshape(grid.n_x, grid.n_p)
 
 
 def grid_integral(values: np.ndarray, grid: QuadratureGrid) -> float:

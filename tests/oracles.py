@@ -3,8 +3,12 @@
 Everything here is built from first principles with scipy/numpy primitives
 (direct expm circuits, quadrature integrals, textbook series) and avoids the
 package's own recurrences and factorizations, so agreement is evidence and
-not circularity. radial_form_reference reuses the package's basis
-evaluator: it checks only the angular bookkeeping of radial_form.
+not circularity. The phase-space references build their complex basis
+W_{|n><m|} one element at a time from the public wigner_basis (checked
+against the Laguerre closed form and the chord integral in test_wigner) and
+contract it with the whole D^2 x D^2 matrix in complex arithmetic, so they
+check the real coordinates, the real basis rows and the real transfer
+matrix of the package.
 amplifier_einsum_reference reuses the catalog's splitter amplitudes: it
 checks only how the amplifier model collapses its sums. tensor_of_elements
 is no reference but the tests' way from a dense array into the Kraus layout,
@@ -23,7 +27,7 @@ from scipy.special import eval_genlaguerre, factorial
 from cvmaps import tensors
 from cvmaps.elements import beam_splitter_amplitudes, experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
-from cvmaps.wigner import _basis_values
+from cvmaps.wigner import wigner_basis
 
 # np.trapezoid is numpy 2.0's name for np.trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -114,49 +118,68 @@ def gaussian_evaluate_reference(k, xo, po, xi, pi) -> np.ndarray:
     return np.broadcast_to(peak * np.exp(expo), shape)
 
 
+def basis_reference(dim, x, p) -> np.ndarray:
+    """W_{|n><m|} at the points (x, p), complex, shape (D^2,) + broadcast shape
+    with row n D + m: each element n <= m from the public wigner_basis, and
+    W_{|m><n|} its conjugate."""
+    d = dim.size
+    shape = np.broadcast_shapes(np.shape(x), np.shape(p))
+    out = np.empty((d, d) + shape, dtype=complex)
+    for n in range(d):
+        for m in range(n, d):
+            out[n, m] = wigner_basis(n, m, x, p)
+            out[m, n] = np.conj(out[n, m])
+    return out.reshape((d * d,) + shape)
+
+
 def radial_form_reference(t, rp_axis, r_axis, theta_axis) -> np.ndarray:
     """f(r', r, theta) of a tensor, contracted one sampled angle at a time.
 
     The output basis is evaluated off the real axis, at (r' cos theta,
-    r' sin theta), and contracted with E conj(B_in) for each theta. It
-    reuses the package's basis evaluator (checked against the Laguerre
-    closed form above in test_wigner), so what it checks is the angular
-    bookkeeping of radial_form.
+    r' sin theta), and contracted with E conj(B_in) for each theta, all of
+    it complex, so what it checks is the angular bookkeeping of radial_form
+    and its real per-order products.
     """
     rp_axis, r_axis = np.asarray(rp_axis, float), np.asarray(r_axis, float)
-    d = t.dim.size
-    b_in = _basis_values(t.dim, r_axis, np.zeros_like(r_axis)).reshape(d * d, -1)
-    half = matrix_reference(t) @ np.conj(b_in)
-    vals = np.empty((rp_axis.size, r_axis.size, len(theta_axis)))
-    for k, theta in enumerate(theta_axis):
-        b_out = _basis_values(t.dim, math.cos(theta) * rp_axis,
-                              math.sin(theta) * rp_axis).reshape(d * d, -1)
-        vals[:, :, k] = 2.0 * math.pi * np.real(b_out.T @ half)
+    theta_axis = np.asarray(theta_axis, float)
+    half = matrix_reference(t) @ np.conj(basis_reference(t.dim, r_axis, 0.0))
+    b_out = basis_reference(t.dim, np.cos(theta_axis)[:, None] * rp_axis,
+                            np.sin(theta_axis)[:, None] * rp_axis)
+    vals = np.empty((rp_axis.size, r_axis.size, theta_axis.size))
+    for k in range(theta_axis.size):
+        vals[:, :, k] = 2.0 * math.pi * np.real(b_out[:, k].T @ half)
     return vals
 
 
 def factored_kernel_reference(t, out_grid, in_grid) -> np.ndarray:
     """Real samples f[out_x, out_p, in_x, in_p] = 2 pi B_out^T E conj(B_in).
 
-    The whole D^2 x D^2 matrix E enters one dense product, evaluated as
-    (B_out^T E) conj(B_in), with no coherence blocks. Like
-    radial_form_reference it reuses the package's basis evaluator, so what
-    it checks is the contraction of FactoredKernel.
+    The whole D^2 x D^2 matrix E enters one dense complex product, evaluated
+    as (B_out^T E) conj(B_in), with no coherence blocks, so what it checks
+    is the real contraction of FactoredKernel.
     """
     flat = factored_kernel_product(t, out_grid, in_grid)
     return flat.real.reshape(out_grid.n_x, out_grid.n_p, in_grid.n_x, in_grid.n_p)
 
 
+def grid_basis_reference(dim, grid) -> np.ndarray:
+    """basis_reference on a grid's points in C order: (D^2, n_x n_p)."""
+    xs, ps = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+    return basis_reference(dim, xs.ravel(), ps.ravel())
+
+
 def factored_kernel_product(t, out_grid, in_grid) -> np.ndarray:
     """The complex (N_out, N_in) product behind factored_kernel_reference,
     imaginary part kept: it vanishes when E keeps Hermiticity."""
-    d = t.dim.size
+    return 2.0 * math.pi * (grid_basis_reference(t.dim, out_grid).T @ matrix_reference(t)
+                            @ np.conj(grid_basis_reference(t.dim, in_grid)))
 
-    def table(grid):
-        xs, ps = np.meshgrid(grid.xs, grid.ps, indexing="ij")
-        return _basis_values(t.dim, xs.ravel(), ps.ravel()).reshape(d * d, -1)
 
-    return 2.0 * math.pi * (table(out_grid).T @ matrix_reference(t) @ np.conj(table(in_grid)))
+def wigner_reference(mat, dim, grid) -> np.ndarray:
+    """sum_{n,m} A_nm W_{|n><m|} on the grid, complex, shape (n_x, n_p): the
+    Wigner function of A, and 1/(2 pi) its Weyl symbol."""
+    flat = np.asarray(mat).reshape(-1) @ grid_basis_reference(dim, grid)
+    return flat.reshape(grid.n_x, grid.n_p)
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +187,18 @@ def factored_kernel_product(t, out_grid, in_grid) -> np.ndarray:
 # product or one eigh of it gives
 
 def entries(t) -> np.ndarray:
-    """The read-only (l, k, n, m) array of a tensor in either layout: a band
-    tensor's coherence blocks written through a D^2 x D^2 view, or a Kraus
-    tensor's rows E[l] as tensors._kraus_slices gives them."""
+    """The read-only (l, k, n, m) array of a tensor in either layout: each
+    stored block M_q of a band tensor, q = 1 - D .. D - 1, written through a
+    D^2 x D^2 view on the rows (k + q) D + k, or a Kraus tensor's rows E[l] as
+    tensors._kraus_slices gives them."""
     d = t.dim.size
     if isinstance(t, tensors._BandTensor):
         out = np.zeros((d,) * 4, dtype=complex)
         mat = out.reshape(d * d, d * d)
-        for _, rows, block in tensors._coherence_blocks(t):
-            mat[rows, rows] = block
+        for q in range(1 - d, d):
+            first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
+            rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
+            mat[rows, rows] = tensors._packed_block(t.packed, d, q)
     else:
         out = np.empty((d,) * 4, dtype=complex)
         for l, part in enumerate(tensors._kraus_slices(t)):

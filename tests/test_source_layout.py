@@ -2,7 +2,7 @@
 phase symmetry, and inside it the code path follows the storage layout.
 
 The other modules reach a tensor through ``tensor_diagonal``,
-``success_probability``, ``_block_product`` and ``_harmonics``, write bands
+``success_probability`` and the one real product ``_block_product``, write bands
 through ``_band_tensor`` alone and gate phase symmetry through
 ``require_phase_invariant``, so the choice between the band and the Kraus
 layout is made in ``tensors.py`` alone. Inside ``tensors``, each layout has
@@ -16,6 +16,11 @@ one helper per layout (``_band_product`` block by block, ``_kraus_product``
 operator by operator), coherence blocks are read only by
 ``_coherence_blocks`` and only from band storage, and the products and the
 CP gate choose their path by layout, never by ``phase_invariance_defect``.
+Transfer functions are computed in real Hermitian coordinates: ``kernels`` and
+``wigner`` take no conjugate, real or imaginary part and allocate no complex
+array (the public complex element ``wigner_basis`` aside), the complex
+evaluators ``_basis_values`` and ``_harmonics`` stay gone, and only
+``wigner._band_values`` computes basis rows.
 No function in the package allocates a D^4 array, ``tensors`` defines no
 ``elements`` view of one, and the dense layout's names stay gone. No
 D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshapes are the
@@ -145,13 +150,13 @@ def test_moved_paths_stay_gone():
 
 
 def test_dense_samples_have_one_route_and_one_cap():
-    # producers hand real samples to GridKernel._of_floored; the only .imag
-    # in kernels splits radial_form's harmonics, not a sample array
+    # producers hand real samples to GridKernel._of_floored, and kernels reads
+    # no imaginary part: radial_form's harmonics come from real products
     for path in sorted(SRC.glob("*.py")):
         assert _calls_to(path, "GridKernel") == [], path.name
     kernels_py = SRC / "kernels.py"
     assert _functions_using(kernels_py, "_MAX_GRID_VALUES") == {None, "_require_capped"}
-    assert _functions_using(kernels_py, "imag") == {"radial_form"}
+    assert _functions_using(kernels_py, "imag") == set()
 
 
 def test_tables_are_rendered_by_column():
@@ -217,10 +222,68 @@ def test_kernels_and_cli_leave_the_phase_decision_to_tensors():
 def test_block_reader_builds_no_mask():
     tree = ast.parse((SRC / "tensors.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_coherence_blocks", "_block_product", "_harmonics"):
+    for name in ("_coherence_blocks", "_block_product"):
         used = {n.id if isinstance(n, ast.Name) else n.attr
                 for n in ast.walk(functions[name]) if isinstance(n, (ast.Name, ast.Attribute))}
         assert "ix_" not in used, name
+
+
+def _complex_arithmetic(source):
+    """(function, line, what) of each conjugate, real or imaginary part,
+    complex literal and complex dtype in a module (None for module level)."""
+    found = []
+    for func, node in _source_nodes_by_function(source):
+        if isinstance(node, ast.Attribute) and node.attr in ("conj", "conjugate", "real", "imag"):
+            found.append((func, node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in ("conj", "conjugate", "real", "imag"):
+            found.append((func, node.lineno, node.id))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            found.append((func, node.lineno, "complex literal"))
+        elif (isinstance(node, ast.keyword) and node.arg == "dtype"
+              and "complex" in ast.dump(node.value)):
+            found.append((func, node.lineno, "complex dtype"))
+    return found
+
+
+def test_the_complex_arithmetic_scan_finds_each_form():
+    source = """
+def f(a, b):
+    c = np.conj(a) @ b
+    d = (a @ b).real + a.conj().imag
+    return np.zeros(3, dtype=complex) + 1j * np.empty(2, dtype=np.complex128)
+"""
+    found = {(line, what) for _, line, what in _complex_arithmetic(source)}
+    assert found == {(3, "conj"), (4, "real"), (4, "conj"), (4, "imag"),
+                     (5, "complex dtype"), (5, "complex literal")}
+
+
+def test_kernels_and_wigner_compute_in_real_coordinates():
+    # the real transfer matrix between real basis tables: no conjugate, no
+    # real or imaginary part of a product and no complex allocation, except
+    # in the public complex element wigner_basis
+    hits = {name: [hit for hit in _complex_arithmetic((SRC / name).read_text(encoding="utf-8"))
+                   if hit[0] != "wigner_basis"]
+            for name in ("kernels.py", "wigner.py")}
+    assert hits == {"kernels.py": [], "wigner.py": []}
+
+
+def test_the_complex_evaluators_are_gone():
+    for path in sorted(SRC.glob("*.py")):
+        assert not _names(path) & {"_harmonics", "_basis_values"}, path.name
+
+
+def test_only_band_values_computes_basis_rows():
+    # the Laguerre recurrence and its coefficients live in _band_values alone;
+    # the table, radial_form and the public element read its rows
+    for path in sorted(SRC.glob("*.py")):
+        users = _functions_using(path, "lgamma")
+        assert users == ({"_band_values"} if path.name == "wigner.py" else set()), path.name
+    assert {func for func, _ in _calls_to(SRC / "wigner.py", "_band_values")} == {
+        "_basis_rows", "wigner_basis"}
+    callers = {path.name: {func for func, _ in _calls_to(path, "_basis_rows")}
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in callers.items() if f} == {
+        "kernels.py": {"radial_form"}, "wigner.py": {"wigner_basis_table"}}
 
 
 ALLOCATORS = {"zeros", "empty", "ones", "full", "reshape", "broadcast_to", "ndarray"}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pure_state
-from cvmaps import cli, tensors
+from cvmaps import cli, fock, tensors
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
 from cvmaps.kernels import (apply_kernel, input_marginal, kernel_from_tensor,
                             output_marginal, radial_form)
@@ -200,8 +200,9 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
 
 @pytest.mark.parametrize("n_max", [1, 4, 9])
 def test_coherence_blocks_are_the_masked_blocks(rng, n_max):
-    # the band reader yields the blocks a D^2 row mask selects, in the same
-    # order, and its row slice selects the masked rows
+    # the band reader yields, for each order q >= 0 in turn, the real block
+    # [[A, B], [-B, A]] of the block M_q = A + iB that a D^2 row mask selects,
+    # and the slice of the real coordinates that order q alone fills
     dim = FockDim(n_max)
     d = dim.size
     shapes = [(d - abs(s),) * 2 for s in range(1 - d, d)]
@@ -209,12 +210,17 @@ def test_coherence_blocks_are_the_masked_blocks(rng, n_max):
              for s, shape in zip(range(1 - d, d), shapes)]
     t = tensors._band_tensor(dim, bands)
     got = list(tensors._coherence_blocks(t))
-    ref = list(oracles.coherence_blocks_reference(t))
-    assert [q for q, _, _ in got] == [q for q, _, _ in ref]
-    for (_, rows, block), (_, ref_rows, ref_block) in zip(got, ref):
+    ref = [(q, m) for q, _, m in oracles.coherence_blocks_reference(t) if q >= 0]
+    assert [q for q, _, _ in got] == [q for q, _ in ref]
+    order = np.subtract.outer(np.arange(d), np.arange(d))  # l - k of X[l, k]
+    for (q, rows, block), (_, m) in zip(got, ref):
+        a, b = m.real, m.imag
+        assert np.array_equal(block, a if q == 0 else np.block([[a, b], [-b, a]]))
         assert isinstance(rows, slice)  # no row mask is built
-        assert np.array_equal(np.arange(d * d)[rows], ref_rows)
-        assert np.array_equal(block, ref_block) and block.flags.c_contiguous
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = np.where(np.abs(order) == q, h + h.conj().T, 0.0)  # order +-q alone
+        coords = fock._coordinates(h)
+        assert np.flatnonzero(coords).tolist() == list(range(d * d))[rows]
 
 
 def test_phase_invariance_gate():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cvmaps.fock import FockDim, coherent_state, fock_state, thermal_state
+from cvmaps.fock import FockDim, _order_rows, coherent_state, fock_state, thermal_state
 from cvmaps.kernels import kernel_from_tensor
 from cvmaps.tensors import identity_tensor
 from cvmaps.wigner import (
@@ -21,6 +21,7 @@ from cvmaps.wigner import (
 )
 
 BOX = QuadratureGrid(-6.0, 6.0, -6.0, 6.0, 97, 97)
+EPS = np.finfo(float).eps
 
 
 def test_vacuum_closed_form():
@@ -172,17 +173,46 @@ def test_trapezoid_weights_match_the_trapezoid_rule(rng):
 
 
 def test_basis_table_matches_pointwise():
+    # the real table holds each order's rows: W_{|k><k|} for q = 0, then C_k
+    # and S_k with W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), as the public element
+    # gives them
     dim = FockDim(6)
+    d = dim.size
     grid = QuadratureGrid(-2.0, 2.0, -2.0, 2.0, 9, 9)
     table = wigner_basis_table(dim, grid)
     assert not table.flags.writeable
-    for n, m in ((0, 0), (2, 4), (6, 1)):
-        ref = wigner_basis(n, m, grid.xs[:, None], grid.ps[None, :])
-        assert np.max(np.abs(table[n, m] - ref)) == 0.0
+    assert table.shape == (d * d, 81) and table.dtype == float
+    for q, rows in _order_rows(d):
+        block = table[rows]
+        for k in range(d - q):
+            ref = wigner_basis(k + q, k, grid.xs[:, None], grid.ps[None, :]).ravel()
+            if q == 0:
+                assert np.array_equal(block[k], ref.real)
+            else:
+                got = block[k] + 1j * block[d - q + k]
+                scale = np.abs(ref).max()
+                assert np.max(np.abs(got / math.sqrt(2.0) - ref)) <= 4 * EPS * scale
+
+
+def test_basis_table_holds_eight_bytes_per_row_and_point():
+    # one real row per Hermitian basis operator: D^2 rows of float64
+    grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
+    table = wigner_basis_table(FockDim(40), grid)
+    assert table.dtype == float and table.nbytes == 8 * 41 ** 2 * 81 ** 2
+    wigner_basis_table.cache_clear()
+
+
+def test_weyl_symbol_refuses_an_operator_that_is_not_hermitian():
+    dim = FockDim(3)
+    op = np.zeros((4, 4), dtype=complex)
+    op[0, 1] = 1.0
+    with pytest.raises(ValueError, match="Hermitian"):
+        weyl_symbol(op, dim, BOX)
+    assert weyl_symbol(op + op.T, dim, BOX).dtype == float
 
 
 def test_basis_table_refuses_oversized_grids_before_allocating():
-    # 16^2 * 20001^2 complex values would be 1.49 TiB
+    # 16^2 * 20001^2 real values would be 0.75 TiB
     grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 20001, 20001)
     t = identity_tensor(FockDim(15))
     tracemalloc.start()
@@ -207,7 +237,7 @@ def test_basis_tables_above_the_byte_budget_are_not_kept():
     wigner_basis_table.cache_clear()
     dim = FockDim(40)
     grid = cli._default_apply_grid(dim)
-    assert 16 * dim.size ** 2 * grid.n_x * grid.n_p > wigner._TABLE_CACHE_BYTES
+    assert 8 * dim.size ** 2 * grid.n_x * grid.n_p > wigner._TABLE_CACHE_BYTES
     fk = kernel_from_tensor(attenuation(0.5, dim).tensor(), grid, grid)
     table = weakref.ref(fk.b_in.base)
     assert fk.b_out is fk.b_in  # one table serves both sides
