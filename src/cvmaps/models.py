@@ -11,25 +11,25 @@ evaluated on the pair (intended mode, spurious mode) seen by the same
 detector, so the total herald probability is additive by construction and
 equals the probability of the full circuit.
 
-Amplifier circuit, built from catalog splitter blocks: the resource photon
+Amplifier circuit, built from catalog splitter columns: the resource photon
 and vacuum pass an asymmetric beam splitter (reflectivity R toward the
 herald arm, gain g = sqrt((1-R)/R)); the input loses (1 - eta_m) of its
 light to a mismatched mode before interfering with the herald arm on a
 symmetric beam splitter; the mismatched light reaches the same pair of
 detectors through its own symmetric split. The herald detector sits on the
 second S-BS output, which fixes the sign so a coherent input alpha yields an
-output proportional to |0> + g alpha |1>. Each splitter is taken one exact
-total-photon block at a time (the herald arm carries at most the resource's
-two photons, the S-BS totals reach n_max + 2), so no interior truncation
-error enters the stored tensor. Every herald weight is diagonal in photon
-number and every splitter conserves it, so the sums collapse: the
-mismatched pair to one weight per lost photon count, the herald pair to at
-most a 3 x 3 form per S-BS total, and the resource to one 3^4 array. The
-assembly then takes O(D^2) work and memory, beside one eigh per splitter
-block, and forms no whole splitter table. The output carries at
-most the resource's two photons and the circuit conserves photon number up
-to those two, so the result is at most a 3 x 3 leading corner of each Choi
-shift block, which goes to the band writer of the tensors module.
+output proportional to |0> + g alpha |1>. Each splitter enters only through
+the closed-form columns it needs, exact for every photon total (the herald
+arm carries at most the resource's two photons, the S-BS totals reach
+n_max + 2), so no interior truncation error enters the stored tensor. Every
+herald weight is diagonal in photon number and every splitter conserves it,
+so the sums collapse: the mismatched pair to one weight per lost photon
+count, the herald pair to at most a 3 x 3 form per S-BS total, and the
+resource to one 3^4 array. The whole build, columns included, then takes
+O(D^2) work and memory and forms no whole splitter table. The output
+carries at most the resource's two photons and the circuit conserves photon
+number up to those two, so the result is at most a 3 x 3 leading corner of
+each Choi shift block, which goes to the band writer of the tensors module.
 
 Addition circuit: the catalog two-mode squeezer at gain g = cosh^2(chi)
 with vacuum idler, heralded by a click on the idler detector. Each idler
@@ -61,9 +61,8 @@ from .tensors import (
     require_tni,
     _band_tensor,
 )
-from .elements import (apd_click, beam_splitter_amplitudes, beam_splitter_block,
-                       experimental_single_photon, photon_counter,
-                       two_mode_squeeze_amplitudes, vacuum_projector)
+from .elements import (apd_click, beam_splitter_columns, experimental_single_photon,
+                       photon_counter, two_mode_squeeze_amplitudes, vacuum_projector)
 
 __all__ = [
     "AmplifierConfig",
@@ -187,20 +186,19 @@ def amplifier_branches(cfg: AmplifierConfig):
     gap = np.abs(np.subtract.outer(np.arange(f), np.arange(f)))
 
     # the resource mixture after the asymmetric splitter, b, B = herald arm:
-    # R[o, O, b, B] = sum_p w_p <o, b|U_R|p, 0> <O, B|U_R|p, 0>
-    res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
+    # R[o, O, b, B] = sum_p w_p <o, b|U_R|p, 0> <O, B|U_R|p, 0>, o + b = p
+    split = beam_splitter_columns(math.sqrt(1.0 - cfg.reflectivity), 3, 1)[..., 0]
+    p, o = np.tril_indices(3)
+    res = np.zeros((3, 3, 3))
+    res[o, p - o, p] = split[p, o]
     weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
     resource = np.einsum("obp,p,OBp->oObB", res, weights, res)
-    # S-BS columns cols[N, d, b] = <d, N - d|U|N - b, b> for matched input
-    # N - b <= n_max; cols[u, :, 0] also splits u mismatched photons toward
-    # the same detectors. Matched amplitudes amp[x, n] = <x, n - x|U_m|n, 0>
-    cols = np.zeros((f, f, 3))
-    amp = np.zeros((d, d))
-    for tot in range(f):
-        arm = np.arange(max(0, tot - n_max), min(2, tot) + 1)
-        cols[tot, :tot + 1][:, arm] = beam_splitter_block(math.sqrt(0.5), tot)[:, tot - arm]
-        if tot < d:
-            amp[:tot + 1, tot] = beam_splitter_block(math.sqrt(cfg.eta_m), tot)[:, tot]
+    # S-BS columns cols[N, d, b] = <d, N - d|U|N - b, b>; cols[u, :, 0] also
+    # splits u mismatched photons toward the same detectors. A column with
+    # N - b > n_max meets only the zero padding of amp below. Matched
+    # amplitudes amp[x, n] = <x, n - x|U_m|n, 0>
+    cols = beam_splitter_columns(math.sqrt(0.5), f, 3)
+    amp = beam_splitter_columns(math.sqrt(cfg.eta_m), d, 1)[..., 0].T
 
     branches = _click_weights(cfg.detector, cfg.mu, f)
     # the condition on the unmonitored S-BS port is branch 1's quiet weight

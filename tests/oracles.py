@@ -9,8 +9,9 @@ against the Laguerre closed form and the chord integral in test_wigner) and
 contract it with the whole D^2 x D^2 matrix in complex arithmetic, so they
 check the real coordinates, the real basis rows and the real transfer
 matrix of the package.
-amplifier_einsum_reference reuses the catalog's splitter amplitudes: it
-checks only how the amplifier model collapses its sums. tensor_of_elements
+amplifier_einsum_reference reuses the catalog's splitter columns, spread
+into whole splitter tables: it checks only how the amplifier model collapses
+its sums. tensor_of_elements
 is no reference but the tests' way from a dense array into the Kraus layout,
 through the package's own Choi conversion. render_csv_rows and
 render_json_rows are the CLI's former row-at-a-time table writers, kept as
@@ -19,13 +20,14 @@ the byte reference for its column renderers.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, factorial
 
 from cvmaps import tensors
-from cvmaps.elements import beam_splitter_amplitudes, experimental_single_photon
+from cvmaps.elements import beam_splitter_columns, experimental_single_photon
 from cvmaps.fock import FockDim, annihilation
 from cvmaps.wigner import wigner_basis
 
@@ -348,6 +350,49 @@ def bs2(t: float, size: int) -> np.ndarray:
     return expm(math.acos(t) * gen)
 
 
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) of non-negative integers, from an integer square root
+    carried 64 bits past the result's leading bit."""
+    shift = max(0, (den.bit_length() - num.bit_length()) // 2) + 64
+    return math.ldexp(float(math.isqrt((num << 2 * shift) // den)), -shift)
+
+
+def splitter_columns_exact(t: float, totals: range, count: int) -> np.ndarray:
+    """<p, N - p| U |N - b, b> of beam_splitter(t) for N in totals, p < totals.stop
+    and b < count, in exact integer arithmetic.
+
+    U|N - b, b> = (t a1+ - r a2+)^(N - b) (r a1+ + t a2+)^b |0> / sqrt((N - b)! b!)
+    expands to one binomial sum per amplitude. With the float t's own square
+    t^2 = a / c and r^2 = (c - a) / c, each amplitude is a sign times the
+    square root of an exact rational, rounded once at the end.
+    """
+    sq = Fraction(float(t)) ** 2
+    a, c = sq.numerator, sq.denominator
+    top = totals.stop
+    fact = [math.factorial(n) for n in range(top)]
+    pow_a = [a ** k for k in range(top)]
+    pow_r = [(c - a) ** k for k in range(top)]
+    pow_c = [c ** k for k in range(top)]
+    out = np.zeros((len(totals), top, count))
+    for i, n in enumerate(totals):
+        for b in range(min(count, n + 1)):
+            for p in range(n + 1):
+                # t^(b + p - 2j) r^(n - b - p + 2j) from a1+^j of the second factor
+                sum_ = 0
+                for j in range(max(0, p - n + b), min(b, p) + 1):
+                    term = (math.comb(b, j) * math.comb(n - b, p - j)
+                            * pow_a[(b + p) // 2 - j] * pow_r[(n - b - p) // 2 + j])
+                    sum_ += -term if (n - b - p + j) % 2 else term
+                if sum_ == 0:
+                    continue
+                odd_t, odd_r = (b + p) % 2, (n - b - p) % 2
+                num = sum_ * sum_ * pow_a[odd_t] * pow_r[odd_r] * fact[p] * fact[n - p]
+                den = pow_c[n] * fact[n - b] * fact[b]
+                sign = (-1 if t < 0 and odd_t else 1) * (1 if sum_ > 0 else -1)
+                out[i, p, b] = sign * _sqrt_ratio(num, den)
+    return out
+
+
 def tms2(chi: float, size: int) -> np.ndarray:
     """Two-mode squeezer exp[chi (a1d a2d - a1 a2)]."""
     a = annihilation(FockDim(size - 1))
@@ -410,6 +455,19 @@ def amplifier_oracle(psi_in: np.ndarray, cfg, size: int):
     return p_total, sigma
 
 
+def splitter_table(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
+    """<p, q| U |s, b> of beam_splitter(t) for s <= n1, b <= n2 <= 2,
+    p, q < n_out, spread from the closed-form columns <p, N - p|U|N - b, b>."""
+    cols = beam_splitter_columns(t, max(n_out, n1 + n2 + 1), n2 + 1)
+    s, b, p = np.broadcast_arrays(*np.ogrid[:n1 + 1, :n2 + 1, :n_out])
+    q = s + b - p
+    keep = (q >= 0) & (q < n_out)
+    s, b, p, q = s[keep], b[keep], p[keep], q[keep]
+    amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
+    amps[p, q, s, b] = cols[s + b, p, b]
+    return amps
+
+
 def amplifier_einsum_reference(cfg):
     """The amplifier's correct and faulty (3, 3, D, D) arrays E[o, O, n, m], each
     one 13-operand einsum over whole splitter tables, symmetrized.
@@ -422,11 +480,11 @@ def amplifier_einsum_reference(cfg):
     """
     n_max, d = cfg.dim.n_max, cfg.dim.size
     f = n_max + 3
-    res = beam_splitter_amplitudes(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
+    res = splitter_table(math.sqrt(1.0 - cfg.reflectivity), 2, 0, 3)[..., 0]
     weights = np.real(np.diag(experimental_single_photon(cfg.delta, FockDim(2)).matrix))
-    us = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 2, f)
-    um = beam_splitter_amplitudes(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
-    vh = beam_splitter_amplitudes(math.sqrt(0.5), n_max, 0, f)[..., 0]
+    us = splitter_table(math.sqrt(0.5), n_max, 2, f)
+    um = splitter_table(math.sqrt(cfg.eta_m), n_max, 0, d)[..., 0]
+    vh = splitter_table(math.sqrt(0.5), n_max, 0, f)[..., 0]
     occ = np.arange(f, dtype=float)
     if cfg.detector == "apd":
         click = 1.0 - (1.0 - cfg.mu) ** occ

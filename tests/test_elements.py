@@ -13,6 +13,8 @@ from cvmaps.elements import (
     attenuation_kraus,
     beam_splitter,
     beam_splitter_amplitudes,
+    beam_splitter_block,
+    beam_splitter_columns,
     beam_splitter_matrix,
     displacement,
     experimental_single_photon,
@@ -155,6 +157,43 @@ def test_beam_splitter_amplitudes_against_expm(t, n1, n2, n_out):
     size = n1 + n2 + 1
     ref = oracles.bs2(t, size).reshape((size,) * 4)
     assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
+
+
+SPLITTER_AMPLITUDES = pytest.mark.parametrize("t", [
+    math.sqrt(0.5), math.sqrt(0.9), math.sqrt(0.2), -math.sqrt(0.5), 0.0, 1.0, -1.0,
+], ids=["t2_half", "t2_0.9", "t2_0.2", "negative", "zero", "one", "minus_one"])
+
+
+@SPLITTER_AMPLITUDES
+@pytest.mark.parametrize("totals", [range(67), range(140, 151)], ids=["to_66", "to_150"])
+def test_beam_splitter_columns_match_exact_amplitudes(t, totals):
+    cols = beam_splitter_columns(t, totals.stop, 3)[totals.start:]
+    exact = oracles.splitter_columns_exact(t, totals, 3)
+    # no amplitude where p or b exceeds the total
+    n, p, b = np.ogrid[totals.start:totals.stop, :totals.stop, :3]
+    assert not cols[(p > n) | (b > n)].any()
+    # the exact eigh blocks of the whole matrices read these columns no closer
+    eigh = max(np.max(np.abs(beam_splitter_block(t, tot)[:, tot - np.arange(k)]
+                             - exact[i, :tot + 1, :k]))
+               for i, tot in enumerate(totals) for k in [min(3, tot + 1)])
+    err = np.max(np.abs(cols - exact))
+    assert err <= min(eigh, 4e-15), (err, eigh)
+
+
+@SPLITTER_AMPLITUDES
+def test_beam_splitter_columns_are_orthonormal(t):
+    cols = beam_splitter_columns(t, 151, 3)
+    for tot in range(151):
+        c = cols[tot, :tot + 1, :min(3, tot + 1)]
+        assert np.max(np.abs(c.T @ c - np.eye(c.shape[1]))) <= 4e-15, tot
+
+
+def test_beam_splitter_columns_refuse_bad_arguments():
+    for count in (0, 4):
+        with pytest.raises(ValueError, match="count"):
+            beam_splitter_columns(0.5, 5, count)
+    with pytest.raises(ValueError, match="amplitude"):
+        beam_splitter_columns(1.5, 5, 1)
 
 
 @pytest.mark.parametrize("zeta, n1, n2, n_out", [

@@ -491,7 +491,7 @@ def test_amplifier_model_at_n_max_48_builds_no_quartic_array():
     assert isinstance(correct, tensors._BandTensor) and isinstance(faulty, tensors._BandTensor)
 
 
-@pytest.mark.parametrize("n_max", [63, 100])
+@pytest.mark.parametrize("n_max", [63, 100, 150])
 def test_amplifier_model_peak_stays_within_four_packed_tensors(n_max, monkeypatch):
     monkeypatch.setattr(fock, "_MAX_SIZE", max(fock._MAX_SIZE, n_max + 1))
     assert _amplifier_peak_ratio(n_max) <= 4.0

@@ -27,8 +27,10 @@ D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshapes are the
 two-mode unitaries, and a tensor is built from its own fields
 ``(dim, ops, weights)``, never from an array of entries. The amplifier collapses its herald sums
 instead of contracting whole splitter tables: ``models`` holds no einsum of
-more than four operands, and splitter amplitudes come from one
-``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone.
+more than four operands, splitter amplitudes come from one
+``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone,
+and ``models`` reads its splitters through the closed-form
+``beam_splitter_columns``, never a block or a whole table.
 Paths whose callers moved elsewhere stay gone: ``tensors`` caches no phase
 defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
 ``models`` decides every detector weight in ``_click_weights`` alone.
@@ -374,6 +376,12 @@ def test_the_amplifier_collapses_its_sums():
 def test_splitter_amplitudes_have_one_eigh():
     assert _functions_using(SRC / "elements.py", "eigh") == {"beam_splitter_block"}
     assert _functions_using(SRC / "models.py", "eigh") == set()
+
+
+def test_models_read_splitters_by_columns():
+    # the amplifier's few columns per photon total come in closed form; no
+    # total-photon block or whole splitter table is built for them
+    assert not _names(SRC / "models.py") & {"beam_splitter_block", "beam_splitter_amplitudes"}
 
 
 def _is_square(node):
