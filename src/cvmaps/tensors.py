@@ -11,8 +11,8 @@ probability of the branch.
 
 A tensor has one of two layouts, neither holding the D^4 array, and every
 code path follows the layout. An exactly phase-invariant map is kept as its
-2D - 1 coherence blocks M_q alone, q = l - k = n - m, packed into one
-read-only array of sum_q (D - |q|)^2 entries (2.8 MB instead of 268 MB at
+coherence blocks M_q alone, q = l - k = n - m = 0 .. D - 1, packed into one
+read-only array of sum_{q>=0} (D - q)^2 entries (1.43 MB instead of 268 MB at
 D = 64). Every other map is kept as read-only operators ``ops`` (r, D, D)
 and real ``weights`` (r,), E(X) = sum_i w_i E_i X E_i^dag; signed weights
 keep scaling by c < 0, sums and maps that are not CP. Shift blocks are
@@ -21,12 +21,12 @@ algebra) and read by _choi_blocks alone, and _kraus_from_choi alone turns
 Choi eigenpairs into operators, for a band operand of a Kraus operation.
 No array of entries is a way in: a Kraus tensor is ProcessTensor(dim, ops,
 weights) of its own fields, checked for shape and real finite weights.
-Every way in keeps Hermiticity, E(X^dag) = E(X)^dag: weights are real,
-the writers write blocks a a^dag, Choi eigenvalues are real, and
-scale_tensor takes only a real finite c. So every tensor is a real
-D^2 x D^2 transfer matrix R on the real coordinates of Hermitian operators
-(fock._coordinates), block diagonal over the orders q >= 0 for a band
-tensor, R_q = [[A, B], [-B, A]] from M_q = A + iB and M_{-q} = conj(M_q),
+Every tensor keeps Hermiticity, E(X^dag) = E(X)^dag: Kraus weights are
+real, and band storage holds M_0 real and no M_{-q} = conj(M_q), so each
+Choi block read from it is exactly Hermitian; scale_tensor takes only a real
+finite c. So every tensor is a real D^2 x D^2 transfer matrix R on the real
+coordinates of Hermitian operators (fock._coordinates), block diagonal over
+the orders q >= 0 for a band tensor, R_q = [[A, B], [-B, A]] from M_q = A + iB,
 and its sampled transfer function is real.
 
 Only this module reads or writes a tensor's entries or decides phase
@@ -132,8 +132,8 @@ class ProcessTensor:
 
 class _BandTensor(ProcessTensor):
     """An exactly phase-invariant map, kept as its coherence blocks alone:
-    ``packed`` holds M_q for q = 1 - D .. D - 1 back to back, each in C order
-    (_packed_block)."""
+    ``packed`` holds M_q for q = 0 .. D - 1 back to back, each in C order
+    (_packed_block), M_0 real; M_{-q} = conj(M_q) is not stored."""
 
     def __init__(self, dim: FockDim, packed: np.ndarray):
         object.__setattr__(self, "dim", dim)
@@ -178,54 +178,53 @@ def _shift_rows(d: int, s: int):
 
 @lru_cache(maxsize=None)
 def _block_offsets(d: int) -> np.ndarray:
-    """Start of each block M_q, q = 1 - D .. D - 1, in a band tensor's packed
-    array, and the packed length as a last entry."""
-    sizes = (d - np.abs(np.arange(1 - d, d))) ** 2
-    return _frozen(np.concatenate(([0], np.cumsum(sizes))))
+    """Start of each M_q, q = 0 .. D - 1, in a band tensor's packed array; its length last."""
+    return _frozen(np.concatenate(([0], np.cumsum(np.arange(d, 0, -1) ** 2))))
 
 
 def _packed_block(packed: np.ndarray, d: int, q: int) -> np.ndarray:
-    """M_q of a packed array as a C-ordered view: M_q[i, j] = E[k_i + q, k_i,
-    m_j + q, m_j], with k_i = max(-q, 0) + i and m_j = max(-q, 0) + j."""
+    """M_q, q >= 0, of a packed array as a C-ordered view: M_q[i, j] = E[i + q, i, j + q, j]."""
     off = _block_offsets(d)
-    n = d - abs(q)
-    return packed[off[q + d - 1]:off[q + d]].reshape(n, n)
-
-
-def _empty_packed(d: int) -> np.ndarray:
-    return np.zeros(_block_offsets(d)[-1], dtype=complex)
+    return packed[off[q]:off[q + 1]].reshape(d - q, d - q)
 
 
 def _shift_index(d: int, s: int, k: int = None) -> np.ndarray:
-    """Where the Choi block E[n + s, m + s, n, m] lies in a band tensor's packed
-    array; with k, where its leading k x k corner lies."""
-    l, n = (rows[:k] for rows in _shift_rows(d, s))
-    q = n[:, None] - n[None, :]
-    low = np.maximum(-q, 0)
-    return _block_offsets(d)[q + d - 1] + (l[None, :] - low) * (d - np.abs(q)) + n[None, :] - low
+    """Where C_s[i, j] = E[n_i + s, n_j + s, n_i, n_j] lies in a band tensor's packed array
+    (with k, its leading k x k corner): (i, j) and (j, i) share M_q[n_j + s, n_j],
+    q = n_i - n_j >= 0 for i >= j, since C_s[j, i] = conj(C_s[i, j])."""
+    n = _shift_rows(d, s)[1][:k]
+    low = np.minimum.outer(n, n)
+    q = np.abs(np.subtract.outer(n, n))
+    return _block_offsets(d)[q] + (low + s) * (d - q) + low
 
 
 def _band_tensor(dim: FockDim, bands) -> ProcessTensor:
     """The phase-invariant tensor whose Choi block at shift s is the sum of
     the blocks B_s that bands gives for s, added in order.
 
-    The only writer of shift blocks: a k x k block B_s is the leading corner
-    of its shift block, B_s[i, j] adds to E[n_i + s, n_j + s, n_i, n_j] with
-    n_i = max(0, -s) + i and i, j < k, and every other entry is 0.
+    The only writer of shift blocks: a k x k Hermitian block B_s is the leading
+    corner of its shift block, B_s[i, j], i >= j, adds to E[n_i + s, n_j + s, n_i,
+    n_j] with n_i = max(0, -s) + i, and every other entry is 0 or a conjugate;
+    M_0, which holds the blocks' diagonals, keeps its real part alone.
     """
     d = dim.size
-    packed = _empty_packed(d)
+    packed = np.zeros(_block_offsets(d)[-1], dtype=complex)
     for s, block in bands:
-        packed[_shift_index(d, s, len(block))] += block
+        low = np.tri(len(block), dtype=bool)
+        packed[_shift_index(d, s, len(block))[low]] += block[low]
+    _packed_block(packed, d, 0).imag = 0.0
     return _BandTensor(dim, packed)
 
 
 def _choi_blocks(t: _BandTensor):
     """(_shift_rows(d, s), C_s) per shift s: a band tensor's Choi block C_s[i, j] =
-    E[n_i + s, n_j + s, n_i, n_j], gathered from its coherence blocks."""
+    E[n_i + s, n_j + s, n_i, n_j], gathered from its coherence blocks, its strict
+    upper triangle conjugated in place, so that C_s is exactly Hermitian."""
     d = t.dim.size
     for s in range(1 - d, d):
-        yield _shift_rows(d, s), t.packed[_shift_index(d, s)]
+        block = t.packed[_shift_index(d, s)]
+        yield _shift_rows(d, s), np.conjugate(block, out=block,
+                                              where=~np.tri(len(block), dtype=bool))
 
 
 def _kraus_from_choi(dim: FockDim, blocks) -> ProcessTensor:
@@ -261,7 +260,7 @@ def _coherence_blocks(t: _BandTensor):
     """(q, rows, R_q) per coherence order q >= 0: the slice of the real coordinates
     (fock._order_rows) that holds order q, and the real block R_q that acts on
     it, R_0 = M_0 and R_q = [[A, B], [-B, A]] for M_q = A + iB. The orders
-    -q enter through M_{-q} = conj(M_q), which every way in keeps."""
+    -q enter through M_{-q} = conj(M_q), which is not stored."""
     d = t.dim.size
     for q, rows in _order_rows(d):
         block = _packed_block(t.packed, d, q)
@@ -297,10 +296,10 @@ def _block_product(t: ProcessTensor, x: np.ndarray, left: bool = False) -> np.nd
 
 
 def _band_product(second: _BandTensor, first: _BandTensor) -> _BandTensor:
-    """second after first for two band tensors: M_q = M2_q M1_q per order q."""
+    """second after first for two band tensors: M_q = M2_q M1_q per order q >= 0."""
     d = first.dim.size
-    packed = _empty_packed(d)
-    for q in range(1 - d, d):
+    packed = np.zeros(_block_offsets(d)[-1], dtype=complex)
+    for q in range(d):
         np.matmul(_packed_block(second.packed, d, q), _packed_block(first.packed, d, q),
                   out=_packed_block(packed, d, q))
     return _BandTensor(first.dim, packed)
@@ -328,7 +327,8 @@ def _is_finite(t: ProcessTensor) -> bool:
 
 
 def _max_entry_gap(a: _BandTensor, b: _BandTensor) -> float:
-    """Max |E_a - E_b| over all entries of two band tensors: their blocks."""
+    """Max |E_a - E_b| over all entries of two band tensors: over their stored M_q,
+    q >= 0, which fix every other entry (0, or the conjugate of a stored one)."""
     return float(np.abs(a.packed - b.packed).max())
 
 
@@ -401,12 +401,12 @@ def cp_defect(t: ProcessTensor) -> float:
     """Most negative Choi eigenvalue (0 if spectrum is non-negative).
 
     A band tensor's permuted Choi matrix is block diagonal, so it takes the
-    minimum over its 2D - 1 shift blocks, gathered from its coherence blocks.
+    minimum over its 2D - 1 shift blocks, each exactly Hermitian as gathered.
     A Kraus tensor's is A W A^dag, A = QR the vectorized operators: R W R^dag.
     """
     d = t.dim.size
     if isinstance(t, _BandTensor):
-        low = min(_hermitian_eigh(block).min() for _, block in _choi_blocks(t))
+        low = min(np.linalg.eigvalsh(block).min() for _, block in _choi_blocks(t))
     else:
         r = np.linalg.qr(t.ops.reshape(len(t.ops), d * d).T, mode="r")
         low = np.linalg.eigvalsh((r * t.weights) @ r.conj().T).min(initial=0.0)

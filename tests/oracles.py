@@ -190,8 +190,9 @@ def wigner_reference(mat, dim, grid) -> np.ndarray:
 
 def entries(t) -> np.ndarray:
     """The read-only (l, k, n, m) array of a tensor in either layout: each
-    stored block M_q of a band tensor, q = 1 - D .. D - 1, written through a
-    D^2 x D^2 view on the rows (k + q) D + k, or a Kraus tensor's rows E[l] as
+    block M_q of a band tensor, q = 1 - D .. D - 1, written through a D^2 x D^2
+    view on the rows (k + q) D + k, the stored M_q for q >= 0 and its conjugate
+    M_{-q} = conj(M_q) for q < 0; or a Kraus tensor's rows E[l] as
     tensors._kraus_slices gives them."""
     d = t.dim.size
     if isinstance(t, tensors._BandTensor):
@@ -200,7 +201,8 @@ def entries(t) -> np.ndarray:
         for q in range(1 - d, d):
             first = max(q, 0) * d + max(-q, 0)  # the row (k + q, k) of least k
             rows = slice(first, first + (d - abs(q)) * (d + 1), d + 1)
-            mat[rows, rows] = tensors._packed_block(t.packed, d, q)
+            block = tensors._packed_block(t.packed, d, abs(q))
+            mat[rows, rows] = block if q >= 0 else block.conj()
     else:
         out = np.empty((d,) * 4, dtype=complex)
         for l, part in enumerate(tensors._kraus_slices(t)):

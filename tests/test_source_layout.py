@@ -10,12 +10,16 @@ one way in: band storage is built only by the writer ``_band_tensor`` and the
 band algebra (``_band_product``, ``combine_heralding``, ``scale_tensor``),
 and Kraus operators come from Choi eigenpairs only in ``_kraus_from_choi``.
 Shift blocks are indexed only by the writer and the reader ``_choi_blocks``,
-and the amplifier's former corner writer stays gone. Apply multiplies by E
-only through ``_block_product``, serial composition leaves its products to
-one helper per layout (``_band_product`` block by block, ``_kraus_product``
-operator by operator), coherence blocks are read only by
-``_coherence_blocks`` and only from band storage, and the products and the
-CP gate choose their path by layout, never by ``phase_invariance_defect``.
+and the amplifier's former corner writer stays gone. Band storage holds the
+orders q >= 0 alone: no offset of an order -q is computed, only ``_choi_blocks``
+and ``require_phase_invariant`` loop over all 2D - 1 shifts, and the band CP
+gate leaves the Hermiticity check ``_hermitian_eigh`` to the Kraus conversion
+and the trace form. Apply multiplies by E only through ``_block_product``,
+serial composition leaves its products to one helper per layout
+(``_band_product`` block by block, ``_kraus_product`` operator by operator),
+coherence blocks are read only by ``_coherence_blocks`` and only from band
+storage, and the products and the CP gate choose their path by layout, never
+by ``phase_invariance_defect``.
 Transfer functions are computed in real Hermitian coordinates: ``kernels`` and
 ``wigner`` take no conjugate, real or imaginary part and allocate no complex
 array (the public complex element ``wigner_basis`` aside), the complex
@@ -129,6 +133,39 @@ def test_one_conversion_turns_choi_eigenpairs_into_operators():
     askers = {func for func, call in _calls_to(SRC / "tensors.py", "_hermitian_eigh")
               if len(call.args) > 1 or any(k.arg == "vectors" for k in call.keywords)}
     assert askers == {"_kraus_from_choi"}
+
+
+def test_hermiticity_is_checked_only_for_caller_arrays_and_the_trace_form():
+    # Choi blocks read from band storage are Hermitian by construction
+    callers = {func for func, _ in _calls_to(SRC / "tensors.py", "_hermitian_eigh")}
+    assert callers == {"_kraus_from_choi", "tni_defect"}
+
+
+def _shift_loops(source):
+    """The functions that call range(1 - x, x): a loop over every shift s."""
+    return {func for func, node in _source_nodes_by_function(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "range" and len(node.args) == 2
+            and ast.unparse(node.args[0]) == f"1 - {ast.unparse(node.args[1])}"}
+
+
+def test_the_shift_loop_scan_finds_each_spelling():
+    assert _shift_loops("""
+def plain(d):
+    return range(1 - d, d)
+
+def attribute(t):
+    return range(1 - t.dim.size, t.dim.size)
+
+def fine(d):
+    return range(d), range(1 - d, 3)
+""") == {"plain", "attribute"}
+
+
+def test_band_storage_holds_orders_q_ge_0_alone():
+    source = (SRC / "tensors.py").read_text(encoding="utf-8")
+    assert "q + d - 1" not in source  # the offset of a stored order -q
+    assert _shift_loops(source) == {"_choi_blocks", "require_phase_invariant"}
 
 
 def test_shift_blocks_are_indexed_by_the_writer_and_the_reader_alone():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_pure_state
-from cvmaps import cli, fock, tensors
+from cvmaps import cli, fock, models, tensors
 from cvmaps.fock import DensityOperator, FockDim, coherent_state, fock_state
 from cvmaps.kernels import (apply_kernel, input_marginal, kernel_from_tensor,
                             output_marginal, radial_form)
@@ -612,19 +612,21 @@ def test_band_tensors_are_never_scanned(monkeypatch, case):
 def test_band_tensor_keeps_only_its_packed_blocks():
     t = identity_tensor(FockDim(4))
     assert set(vars(t)) == {"dim", "packed"}
-    assert t.packed.nbytes == 16 * sum((5 - abs(q)) ** 2 for q in range(-4, 5))
+    # M_q for q = 0 .. D - 1 alone: M_{-q} = conj(M_q) is not stored
+    assert t.packed.nbytes == 16 * sum((5 - q) ** 2 for q in range(5))
 
 
 def _leading_bands(n_max, seed):
-    """Random complex blocks, one per shift s of a D = n_max + 1 space, each a
-    k x k leading corner of its shift block with 1 <= k <= D - |s|; the shift-0
-    block always leaves its last row and column out."""
+    """Random Hermitian blocks B + B^dag, one per shift s of a D = n_max + 1
+    space, each a k x k leading corner of its shift block with 1 <= k <= D - |s|;
+    the shift-0 block always leaves its last row and column out."""
     rng = np.random.default_rng(seed)
     d = n_max + 1
     bands = []
     for s in range(1 - d, d):
         k = int(rng.integers(1, d if s == 0 else d - abs(s) + 1))
-        bands.append((s, rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))))
+        b = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        bands.append((s, b + b.conj().T))
     return FockDim(n_max), bands
 
 
@@ -644,6 +646,55 @@ def test_shift_index_of_a_corner_is_the_corner_of_the_whole_index():
             whole = tensors._shift_index(d, s)
             for k in range(1, d - abs(s) + 1):
                 assert np.array_equal(tensors._shift_index(d, s, k), whole[:k, :k])
+
+
+def test_shift_index_lower_triangles_partition_the_packed_array():
+    # each stored entry is the lower entry (i >= j) of exactly one Choi block,
+    # and entry (j, i) reads the same stored entry
+    for d in range(1, 13):
+        lows = []
+        for s in range(1 - d, d):
+            index = tensors._shift_index(d, s)
+            assert np.array_equal(index, index.T)
+            lows.append(index[np.tri(len(index), dtype=bool)])
+        assert np.array_equal(np.sort(np.concatenate(lows)),
+                              np.arange(tensors._block_offsets(d)[-1]))
+
+
+def _band_producers(n_max, seed):
+    """(name, t) for each way a band tensor is built, on random Hermitian blocks,
+    random one-diagonal operators and real weights of both signs."""
+    rng = np.random.default_rng(seed)
+    dim, bands = _leading_bands(n_max, seed)
+    d = dim.size
+    shifts = rng.integers(1 - d, d, size=3)
+    ops = [np.diag(rng.normal(size=d - abs(s)) + 1j * rng.normal(size=d - abs(s)), -s)
+           for s in shifts]
+    written = tensors._band_tensor(dim, bands)
+    from_kraus = tensor_from_kraus(KrausSet(dim, ops))
+    yield "writer", written
+    yield "tensor_from_kraus", from_kraus
+    yield "require_phase_invariant", require_phase_invariant(
+        ProcessTensor(dim, np.stack(ops), rng.normal(size=3)))
+    yield "compose_serial", compose_serial(from_kraus, written)
+    yield "combine_heralding", combine_heralding(written, from_kraus)
+    yield "scale_tensor", scale_tensor(written, float(rng.normal()))
+    yield "amplifier_model", models.amplifier_model(models.AmplifierConfig(
+        dim=dim, gain=2.0, mu=0.11, delta=1.089, eta_m=0.9, detector="apd"))
+    yield "addition_model", models.addition_model(models.AdditionConfig(
+        dim=dim, chi=0.105, gamma=0.425, mu=0.11, detector="apd"))
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(n_max=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_producers_store_orders_q_ge_0_and_stay_hermitian_property(n_max, seed):
+    # E[k, l, m, n] = conj(E[l, k, n, m]) bit for bit, M_0 real included
+    for name, t in _band_producers(n_max, seed):
+        d = t.dim.size
+        assert isinstance(t, tensors._BandTensor), name
+        assert t.packed.size == sum((d - q) ** 2 for q in range(d)), name
+        e = oracles.entries(t)
+        assert np.array_equal(e.transpose(1, 0, 3, 2), e.conj()), name
 
 
 def test_caller_array_with_an_off_band_corner_takes_kraus_operators():
