@@ -518,15 +518,15 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     The samples stay factored, so the dense cap applies only where
     ``FactoredKernel.dense`` evaluates them; a grid whose basis table would
     exceed wigner._MAX_TABLE_BYTES (2e9 bytes) is refused with ValueError.
+    The kernel holds its basis tables, so equal grids share one table, and
+    ``wigner_of`` on either grid reuses it while the kernel lives.
     """
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
     _warn_if_coarse(in_grid, "input")
     _warn_if_coarse(out_grid, "output")
     b_in = wigner_basis_table(t.dim, in_grid)
-    # one table for both sides when the grids match, cached or not
-    b_out = b_in if out_grid == in_grid else wigner_basis_table(t.dim, out_grid)
-    return FactoredKernel(out_grid, in_grid, b_out, t, b_in)
+    return FactoredKernel(out_grid, in_grid, wigner_basis_table(t.dim, out_grid), t, b_in)
 
 
 def kernel_from_kraus(k: KrausSet, in_grid: QuadratureGrid = None,

@@ -24,7 +24,8 @@ weights of uniform and non-uniform axes alike.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # cap on a basis table's 8 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 0.61e9
 _MAX_TABLE_BYTES = 2_000_000_000
-# bytes of basis tables kept between calls, least recently used dropped first.
-# It holds verify's largest repeated grid (n_max 20 on 97^2 points, 33 MB) and
-# the n_max-15 apply grid (13 MB); a larger table, such as n_max 40 on the
-# 111^2-point apply grid (166 MB), is returned and not kept
-_TABLE_CACHE_BYTES = 96 * 2 ** 20
 
 
 def _trapezoid_weights(steps) -> np.ndarray:
@@ -185,7 +181,7 @@ def wigner_basis(n: int, m: int, x, p):
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes")
-_tables = OrderedDict()  # (dim, grid) -> table, least recently used first
+_tables = weakref.WeakValueDictionary()  # (dim, grid) -> table, while a caller holds it
 _table_stats = {"hits": 0, "misses": 0}
 
 
@@ -194,15 +190,16 @@ def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
     with points in C order, read-only; refused above _MAX_TABLE_BYTES before it
     is allocated.
 
-    Tables are kept up to _TABLE_CACHE_BYTES in all; ``cache_info()`` counts
-    hits and misses as functools.lru_cache does, and ``cache_clear()`` empties
-    the cache.
+    A table is shared while any caller holds it, such as a FactoredKernel's
+    b_in and b_out, and freed with its last holder. ``cache_info()`` counts
+    hits and misses as functools.lru_cache does, and the entries and bytes of
+    the live tables; ``cache_clear()`` forgets them all.
     """
     key = (dim, grid)
-    if key in _tables:
+    table = _tables.get(key)
+    if table is not None:
         _table_stats["hits"] += 1
-        _tables.move_to_end(key)
-        return _tables[key]
+        return table
     _table_stats["misses"] += 1
     size = 8 * dim.size ** 2 * grid.n_x * grid.n_p
     if size > _MAX_TABLE_BYTES:
@@ -210,10 +207,7 @@ def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
                          f"{_MAX_TABLE_BYTES:.1e}; use a coarser grid or a smaller n_max")
     table = _basis_rows(dim, grid.xs[:, None], grid.ps[None, :]).reshape(dim.size ** 2, -1)
     table.flags.writeable = False
-    if table.nbytes <= _TABLE_CACHE_BYTES:
-        _tables[key] = table
-        while sum(t.nbytes for t in _tables.values()) > _TABLE_CACHE_BYTES:
-            _tables.popitem(last=False)
+    _tables[key] = table
     return table
 
 

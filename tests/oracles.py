@@ -260,16 +260,6 @@ def band_tensor_reference(dim, bands) -> np.ndarray:
     return out
 
 
-def coherence_blocks_reference(t):
-    """(q, rows, M_q) per coherence order q, from a row mask over the D^2 rows
-    (l, k) with l - k = q and an np.ix_ copy of E on it."""
-    d = t.dim.size
-    order = np.subtract.outer(np.arange(d), np.arange(d)).ravel()
-    for q in range(1 - d, d):
-        rows = np.flatnonzero(order == q)
-        yield q, rows, matrix_reference(t)[np.ix_(rows, rows)]
-
-
 def phase_invariance_defect_reference(t) -> float:
     """Max |E^{n,m}_{l,k}| over l - k - n + m != 0 of a tensor's elements."""
     return off_band_max_reference(entries(t))

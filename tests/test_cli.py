@@ -517,8 +517,11 @@ def test_subprocess_matches_in_process(tmp_path):
 
 def test_verify_fault_injection(tmp_path, monkeypatch):
     monkeypatch.setenv("CVMAPS_FAULT", "attenuation_kernel_sign")
+    tables = wigner.wigner_basis_table.cache_info().entries
     code = cli.main(["verify", "--out", str(tmp_path)])
     assert code == cli.EXIT_CHECK
+    # each table the battery builds is freed with the kernels and fields that held it
+    assert wigner.wigner_basis_table.cache_info().entries == tables
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["fault"] == "attenuation_kernel_sign"
     assert not summary["all_passed"]

@@ -74,7 +74,7 @@ def test_tracer_still_counts_band_tensors():
     script = textwrap.dedent("""
         import numpy as np
         import tracer
-        from cvmaps import fock, kernels, models, tensors
+        from cvmaps import fock, kernels, models, tensors, wigner
 
         rec = tracer.Recorder()
         tracer.install(rec)
@@ -84,6 +84,12 @@ def test_tracer_still_counts_band_tensors():
         tensors.apply_tensor(t, fock.fock_state(1, t.dim))
         axis = np.linspace(0.0, 2.0, 5)
         kernels.radial_form(t, axis, axis, np.zeros(2))
+        # a held kernel's table serves wigner_of on its grid: one build
+        grid = wigner.QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        fk = kernels.kernel_from_tensor(t, grid)
+        wigner.wigner_of(fock.fock_state(1, t.dim), grid)
+        assert rec.counts["wigner.basis_table_misses"] == 1
+        assert rec.counts["wigner.basis_table_hits"] >= 1
         tracer.check_nesting(rec.spans)
         names = {span[0] for span in rec.spans}
         assert {"tensors.cp_defect", "tensors.apply_tensor", "kernels.radial_form"} <= names

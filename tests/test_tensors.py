@@ -201,19 +201,23 @@ def test_phase_invariance_defect_matches_full_mask_property(n_max, count, scale,
 @pytest.mark.parametrize("n_max", [1, 4, 9])
 def test_coherence_blocks_are_the_masked_blocks(rng, n_max):
     # the band reader yields, for each order q >= 0 in turn, the real block
-    # [[A, B], [-B, A]] of the block M_q = A + iB that a D^2 row mask selects,
-    # and the slice of the real coordinates that order q alone fills
+    # [[A, B], [-B, A]] of M_q = A + iB, M_q[a, b] = E[a + q, a, b + q, b], in
+    # the dense array of the drawn Hermitian shift blocks, and the slice of the
+    # real coordinates that order q alone fills
     dim = FockDim(n_max)
     d = dim.size
-    shapes = [(d - abs(s),) * 2 for s in range(1 - d, d)]
-    bands = [(s, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-             for s, shape in zip(range(1 - d, d), shapes)]
-    t = tensors._band_tensor(dim, bands)
+    bands = {}
+    for s in range(1 - d, d):
+        b = rng.standard_normal((d - abs(s),) * 2) + 1j * rng.standard_normal((d - abs(s),) * 2)
+        bands[s] = b + b.conj().T
+    t = tensors._band_tensor(dim, bands.items())
+    e = oracles.band_tensor_reference(dim, bands.items())
     got = list(tensors._coherence_blocks(t))
-    ref = [(q, m) for q, _, m in oracles.coherence_blocks_reference(t) if q >= 0]
-    assert [q for q, _, _ in got] == [q for q, _ in ref]
+    assert [q for q, _, _ in got] == list(range(d))
     order = np.subtract.outer(np.arange(d), np.arange(d))  # l - k of X[l, k]
-    for (q, rows, block), (_, m) in zip(got, ref):
+    for q, rows, block in got:
+        i = np.arange(d - q)
+        m = e[i[:, None] + q, i[:, None], i + q, i]
         a, b = m.real, m.imag
         assert np.array_equal(block, a if q == 0 else np.block([[a, b], [-b, a]]))
         assert isinstance(rows, slice)  # no row mask is built

@@ -199,7 +199,6 @@ def test_basis_table_holds_eight_bytes_per_row_and_point():
     grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
     table = wigner_basis_table(FockDim(40), grid)
     assert table.dtype == float and table.nbytes == 8 * 41 ** 2 * 81 ** 2
-    wigner_basis_table.cache_clear()
 
 
 def test_weyl_symbol_refuses_an_operator_that_is_not_hermitian():
@@ -227,40 +226,44 @@ def test_basis_table_refuses_oversized_grids_before_allocating():
     assert peak < 100_000
 
 
-def test_basis_tables_above_the_byte_budget_are_not_kept():
+def test_a_basis_table_is_shared_while_held_and_freed_with_its_kernel():
+    # apply's sequence at n_max 40 on the default apply grid (166 MB): the
+    # kernel builds one table for both sides, and the two wigner_of calls read it
     import gc
     import weakref
 
-    from cvmaps import cli, wigner
+    from cvmaps import cli
     from cvmaps.elements import attenuation
 
     wigner_basis_table.cache_clear()
     dim = FockDim(40)
     grid = cli._default_apply_grid(dim)
-    assert 8 * dim.size ** 2 * grid.n_x * grid.n_p > wigner._TABLE_CACHE_BYTES
     fk = kernel_from_tensor(attenuation(0.5, dim).tensor(), grid, grid)
     table = weakref.ref(fk.b_in.base)
     assert fk.b_out is fk.b_in  # one table serves both sides
     info = wigner_basis_table.cache_info()
-    assert (info.misses, info.entries, info.nbytes) == (1, 0, 0)
+    assert (info.misses, info.entries, info.nbytes) == (1, 1, fk.b_in.nbytes)
+    rho = coherent_state(1.5, dim)
+    wigner_of(rho, grid)
+    wigner_of(rho, grid)
+    after = wigner_basis_table.cache_info()
+    assert (after.misses, after.hits - info.hits) == (1, 2)
     del fk
     gc.collect()
     assert table() is None
+    assert wigner_basis_table.cache_info()[2:] == (0, 0)
 
 
-def test_cache_keeps_tables_by_bytes_and_counts_hits():
-    from cvmaps import verify, wigner
+def test_cache_counts_hits_while_a_table_is_held():
+    from cvmaps import verify
 
     wigner_basis_table.cache_clear()
+    verify.check_trace_rule(None)  # one grid sampled twice, no table held between
+    assert tuple(wigner_basis_table.cache_info()) == (0, 2, 0, 0)
+    table = wigner_basis_table(FockDim(20), BOX)  # the grid of both checks, held
     verify.check_wigner_normalization(None)
-    verify.check_trace_rule(None)  # the same grid, sampled twice
+    verify.check_trace_rule(None)
     info = wigner_basis_table.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
-    verify.check_cross_representation_attenuation(None)
-    misses = wigner_basis_table.cache_info().misses
-    verify.check_cross_representation_amplification(None)  # the n_max-63 grid again
-    info = wigner_basis_table.cache_info()
-    assert info.misses == misses and info.hits == 3
-    assert 0 < info.nbytes <= wigner._TABLE_CACHE_BYTES
+    assert tuple(info) == (3, 3, 1, table.nbytes)
     wigner_basis_table.cache_clear()
     assert tuple(wigner_basis_table.cache_info()) == (0, 0, 0, 0)
