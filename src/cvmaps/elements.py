@@ -111,7 +111,7 @@ def phase_rotation(theta: float, dim: FockDim) -> Element:
 
 def displacement(alpha: complex, dim: FockDim) -> Element:
     alpha = complex(alpha)
-    kraus = KrausSet(dim, [displacement_matrix(alpha, dim)])  # refuses an overflowing alpha
+    kraus = KrausSet(dim, [displacement_matrix(alpha, dim)])  # refuses an overflowing |alpha|^2
     shift = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
     return Element("displacement", kraus, _point_map(np.eye(2), shift))
 

@@ -189,6 +189,74 @@ def normalize(rho: DensityOperator) -> DensityOperator:
     return DensityOperator(rho.dim, rho.matrix / tr, rho.modes)
 
 
+def _band_values(counts, x, p):
+    """Per coherence order q < len(counts) at the points (x, p), None where
+    counts[q] is 0, else (ts, coeff, u, v, at): the unscaled rows
+    T_k = e^{-xi/2} L_k^q(xi), k < counts[q], on the U distinct values of
+    xi = 2 (x^2 + p^2), shape (counts[q], U), with at the column of each point;
+    c_k = (-1)^k sqrt(k!/(k+q)!) / pi, times sqrt(2) for q > 0; and
+    u + i v = (sqrt(2) (x - i p))^q, zeroed where the envelope underflowed.
+    The real Wigner basis rows are W_{|k><k|} = c_k T_k and, for q > 0,
+    C_k = c_k T_k u, S_k = c_k T_k v, W_{|k+q><k|} = (C_k + i S_k)/sqrt(2).
+    T_k never overflows (|T_k| <= binom(k+q, k)), and is exactly 0 where the
+    envelope underflowed, since xi is set to 0 there.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    shape = np.broadcast_shapes(x.shape, p.shape)
+    xi, at = np.unique(2.0 * (x * x + p * p), return_inverse=True)
+    at = at.reshape(shape)
+    env = np.exp(-0.5 * xi)
+    xi = np.where(env == 0.0, 0.0, xi)
+    # u and v start at 0 where the envelope underflowed and stay there, so no
+    # power of a large z is formed
+    u, v = np.where(env[at] == 0.0, 0.0, 1.0), np.zeros(shape)
+    for q, count in enumerate(counts):
+        if q:
+            u, v = _SQRT2 * (u * x + v * p), _SQRT2 * (v * x - u * p)
+        if not count:
+            yield None
+            continue
+        ts = np.empty((count, xi.size))
+        ts[0] = env
+        for k in range(1, count):
+            # ((2k - 1 + q - xi) T_{k-1} - (k - 1 + q) T_{k-2}) / k, in place
+            row = np.subtract(2 * k - 1 + q, xi, out=ts[k])
+            row *= ts[k - 1]
+            if k > 1:
+                row -= (k - 1 + q) * ts[k - 2]
+            row /= k
+        coeff = np.array([(1.0 if q == 0 else _SQRT2) * ((-1) ** k / math.pi)
+                          * math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + q + 1)))
+                          for k in range(count)])
+        yield ts, coeff, u, v, at
+
+
+def displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
+    """Matrix of the displacement operator D(alpha) on the truncated space.
+
+    Its amplitudes are Wigner basis values, <l|D(alpha)|n> = pi (-1)^n
+    W_{|n><l|} at x + i p = alpha / sqrt(2): <k+q|D|k> = sqrt(k!/(k+q)!)
+    alpha^q T_k from the bounded recurrence of _band_values, with no
+    alternating sum, and <k|D|k+q> = (-1)^q conj(<k+q|D|k>). Against expm on
+    a padded space the largest error at n_max 20 to 63 is 7.1e-15 for |alpha|
+    from 0.5 to 5, and up to 9.9e-14 below 0.5, where the upward recurrence
+    at small xi gathers error with k. ValueError when |alpha|^2 overflows.
+    """
+    if not math.isfinite(alpha.real * alpha.real + alpha.imag * alpha.imag):
+        raise ValueError(f"displacement amplitude {alpha} overflows: |alpha|^2 is not finite")
+    d = dim.size
+    out = np.empty((d, d), dtype=complex)
+    bands = _band_values(range(d, 0, -1), alpha.real / _SQRT2, alpha.imag / _SQRT2)
+    for q, (ts, _, u, v, at) in enumerate(bands):
+        k = np.arange(d - q)
+        # one rounding for sqrt(k!/(k+q)!): the rows' lgamma c_k err by 4e-14 at D = 64
+        amp = ts[:, at] * [math.sqrt(math.factorial(j) / math.factorial(j + q)) for j in k]
+        out[k + q, k] = amp * (u - 1j * v)
+        out[k, k + q] = (-1) ** q * np.conj(out[k + q, k])
+    return out
+
+
 def _exp_nilpotent(mat: np.ndarray) -> np.ndarray:
     """exp(mat) for nilpotent mat via the terminating power series."""
     d = mat.shape[0]
@@ -202,31 +270,16 @@ def _exp_nilpotent(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
-    """Matrix of the displacement operator D(alpha) on the truncated space.
-
-    Uses the normal-ordered factorization
-    D = exp(-|a|^2/2) exp(alpha ad) exp(-conj(alpha) a). Each factor moves
-    Fock indices monotonically, so every index chain between basis states
-    below the cutoff stays below the cutoff and the truncated elements
-    equal the infinite-dimensional ones exactly. ValueError when they overflow
-    (the product holds 1 - |alpha|^2, so |alpha|^2 is finite past that check).
-    """
-    a = annihilation(dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = _exp_nilpotent(alpha * a.conj().T) @ _exp_nilpotent(-np.conj(alpha) * a)
-    if not np.isfinite(prod).all():
-        raise ValueError(f"displacement amplitude {alpha} overflows at n_max={dim.n_max}")
-    return math.exp(-abs(alpha) ** 2 / 2) * prod
-
-
 def squeeze_matrix(r: float, dim: FockDim) -> np.ndarray:
     """Matrix of S(r) = exp[(r/2)(a^2 - ad^2)] on the truncated space.
 
     S(r) squeezes the x quadrature for r > 0. Built from the normal-ordered
     factorization S = exp(-(t/2) ad^2) sech^(n+1/2) exp((t/2) a^2) with
-    t = tanh(r); as with the displacement, the factorized elements are
-    exact, no generator truncation is involved.
+    t = tanh(r). No generator truncation is involved, but the product of the
+    two nilpotent series is an alternating sum that cancels: against expm on
+    900 levels the largest amplitude error is 7.0e-10 at n_max 63 and r 0.5,
+    1.1e-8 at n_max 63 and r = +-1, and, with the cap raised, 3.6e-3 at
+    n_max 100 and r 1 and 1.7e5 at n_max 150 and r 0.8.
     """
     a = annihilation(dim)
     t = math.tanh(r)

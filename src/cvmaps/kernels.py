@@ -7,7 +7,7 @@ A map E acting on Wigner functions is an integral transform
 The Hermitian operators |k><k|, (|k><k+q| + |k+q><k|)/sqrt(2) and
 i(|k><k+q| - |k+q><k|)/sqrt(2) are orthonormal under Tr(A B) =
 2 pi Int W_A W_B; their Wigner functions are the real rows G of
-wigner.wigner_basis_table. On their real coordinates a map that keeps
+fock._band_values. On their real coordinates a map that keeps
 Hermiticity is a real D^2 x D^2 transfer matrix R, the phase-space analogue
 of the Pauli transfer matrix, and f = 2 pi G_out^T R G_in. The complex form
 2 pi sum E^{n,m}_{l,k} conj(W_{|n><m|}(x, p)) W_{|l><k|}(x', p') needs the
@@ -18,7 +18,7 @@ Kernel variants: GaussianKernel (the closed form of a Gaussian map,
 f = weight N(r' - X r - d; Y), with the delta kernel of a point map as
 Y = 0), GridKernel (dense 4D samples, indexed [out_x, out_p, in_x, in_p]),
 FactoredKernel (grid samples of a tensor kept as the unevaluated product
-2 pi G_out^T R G_in), SumKernel (weighted sums), RadialKernel
+2 pi G_out^T R G_in, G streamed by order), SumKernel (weighted sums), RadialKernel
 (f(r', r, theta) samples). Each type carries its own apply, marginal,
 norm, scaling, negativity and sampling rules; the module functions below
 delegate to them. Closed-form kernels compose by one rule,
@@ -55,8 +55,8 @@ import numpy as np
 from .fock import _order_rows
 from .tensors import (KrausSet, ProcessTensor, _adopt, _block_product, _frozen,
                       require_phase_invariant, scale_tensor, tensor_from_kraus)
-from .wigner import (QuadratureGrid, WignerField, _basis_rows, _trapezoid_weights,
-                     wigner_basis_table)
+from .wigner import (QuadratureGrid, WignerField, _analyze, _basis_rows, _require_capped,
+                     _require_streamable, _synthesize, _trapezoid_weights)
 
 __all__ = [
     "GaussianKernel",
@@ -78,7 +78,6 @@ __all__ = [
     "band_concentration",
 ]
 
-_MAX_GRID_VALUES = 70_000_000
 # Stored samples and composition's weighted f2 hold no nonzero entry below
 # sqrt(float64 tiny), about 1.49e-154, so that no product of two factor
 # entries is subnormal: subnormal operands and results slow the matmul
@@ -204,28 +203,12 @@ class GaussianKernel(_Kernel):
     def apply(self, w_in):
         self._single_mode()
         grid = w_in.grid
-        if self.is_delta:
-            from scipy.interpolate import RegularGridInterpolator
-
-            interp = RegularGridInterpolator(
-                (grid.xs, grid.ps), w_in.values, bounds_error=False, fill_value=0.0
-            )
-            pts = np.stack(np.meshgrid(grid.xs, grid.ps, indexing="ij"), axis=-1)
-            # W'(r') = W(X^-1 (r' - d))
-            src = (pts.reshape(-1, 2) - self.d) @ np.linalg.inv(self.X).T
-            # a node mapped onto the box edge can round just outside it
-            lo = np.array([grid.xs[0], grid.ps[0]])
-            hi = np.array([grid.xs[-1], grid.ps[-1]])
-            tol = 1e-12 * max(np.abs(lo).max(), np.abs(hi).max())
-            src = np.where((src > lo - tol) & (src < hi + tol), np.clip(src, lo, hi), src)
-            vals = interp(src).reshape(grid.n_x, grid.n_p)
-            return WignerField(grid, self.weight * vals)
+        q, peak = self._gaussian()
         if self.X[0, 1] != 0.0 or self.X[1, 0] != 0.0 or self.Y[0, 1] != 0.0:
             raise TypeError(
                 "closed-form apply needs X and Y that keep x and p apart; "
                 "sample the kernel first (sample_kernel) and apply the samples"
             )
-        q, peak = self._gaussian()
         gx = np.exp(q[0, 0] * (grid.xs[:, None] - self.X[0, 0] * grid.xs[None, :]
                                - self.d[0]) ** 2)
         gp = np.exp(q[1, 1] * (grid.ps[:, None] - self.X[1, 1] * grid.ps[None, :]
@@ -359,54 +342,49 @@ class GridKernel(_SampledKernel):
 class FactoredKernel(_SampledKernel):
     """Grid samples of a tensor's kernel, kept as 2 pi G_out^T R G_in.
 
-    b_out (D^2, N_out) and b_in (D^2, N_in) are the real Wigner basis tables.
-    R is applied by tensors._block_product, one order block at a time for a
-    phase-invariant tensor, so apply, marginals and norms cost O(D^2 N) plus
-    the blocks: the quadrature weights are contracted into a basis table
-    first. ``values`` evaluates the dense samples as the real product
-    (b_out^T R) b_in on each access, one block of output rows at a time.
+    The kernel holds neither basis G: apply, marginals and norms stream it
+    by order, G_in v (wigner._analyze), then R (tensors._block_product), then
+    G_out^T (wigner._synthesize). ``values`` evaluates the real product
+    (G_out^T R) G_in on each access, G_in a local table, and G_out read from
+    it on equal grids, else built for one block of output points at a time.
     """
 
     out_grid: QuadratureGrid
     in_grid: QuadratureGrid
-    b_out: np.ndarray
     tensor: ProcessTensor
-    b_in: np.ndarray
-
-    def __post_init__(self):
-        side = self.tensor.dim.size ** 2
-        if (self.b_out.shape != (side, self.out_grid.n_x * self.out_grid.n_p)
-                or self.b_in.shape != (side, self.in_grid.n_x * self.in_grid.n_p)):
-            raise ValueError("factors do not match each other or the grids")
 
     @property
     def values(self) -> np.ndarray:
         return self.dense().values
 
     def dense(self) -> GridKernel:
-        """The evaluated samples as a GridKernel, refused above the dense cap."""
-        _require_capped(self.b_out.shape[1] * self.b_in.shape[1])
-        flat = np.empty((self.b_out.shape[1], self.b_in.shape[1]))
-        step = max(1, 2 * _BLOCK_ENTRIES // self.b_out.shape[0])  # 8 MB of B_out^T R
-        for lo in range(0, flat.shape[0], step):
-            half = _block_product(self.tensor, self.b_out[:, lo:lo + step].T, left=True)
-            np.matmul(half, self.b_in, out=flat[lo:lo + step])
+        """The samples as a GridKernel; they and G_in are refused above the cap."""
+        dim, out, inp = self.tensor.dim, self.out_grid, self.in_grid
+        side, n_out, n_in = dim.size ** 2, out.n_x * out.n_p, inp.n_x * inp.n_p
+        _require_capped(n_out * n_in)
+        _require_capped(side * n_in, "Wigner basis table", "use a coarser input grid")
+        b_in = _basis_rows(dim, inp.xs[:, None], inp.ps[None, :]).reshape(side, n_in)
+        flat = np.empty((n_out, n_in))
+        step = max(1, 2 * _BLOCK_ENTRIES // side)  # 8 MB of G_out^T R, one block alive
+        for lo in range(0, n_out, step):
+            points = np.arange(lo, min(lo + step, n_out))
+            b_out = (b_in[:, lo:lo + step] if out == inp else
+                     _basis_rows(dim, out.xs[points // out.n_p], out.ps[points % out.n_p]))
+            np.matmul(_block_product(self.tensor, b_out.T, left=True), b_in,
+                      out=flat[lo:lo + step])
         flat *= 2.0 * math.pi
-        vals = _frozen(_floored(flat)).reshape(self.out_grid.n_x, self.out_grid.n_p,
-                                               self.in_grid.n_x, self.in_grid.n_p)
-        return GridKernel._of_floored(self.out_grid, self.in_grid, vals)
+        vals = _frozen(_floored(flat)).reshape(out.n_x, out.n_p, inp.n_x, inp.n_p)
+        return GridKernel._of_floored(out, inp, vals)
 
     def _push(self, v):
-        half = _block_product(self.tensor, self.b_in @ v.ravel())
-        vals = 2.0 * math.pi * (self.b_out.T @ half)
-        return WignerField(self.out_grid,
-                           vals.reshape(self.out_grid.n_x, self.out_grid.n_p))
+        t, grid = self.tensor, self.out_grid
+        coords = _block_product(t, _analyze(v, t.dim, self.in_grid))
+        return WignerField(grid, 2.0 * math.pi * _synthesize(coords, t.dim, grid))
 
     def _pull(self, v):
-        row = _block_product(self.tensor, self.b_out @ v.ravel(), left=True)
-        vals = 2.0 * math.pi * (row @ self.b_in)
-        return WignerField(self.in_grid,
-                           vals.reshape(self.in_grid.n_x, self.in_grid.n_p))
+        t, grid = self.tensor, self.in_grid
+        coords = _block_product(t, _analyze(v, t.dim, self.out_grid), left=True)
+        return WignerField(grid, 2.0 * math.pi * _synthesize(coords, t.dim, grid))
 
     def scaled(self, c):
         return replace(self, tensor=scale_tensor(self.tensor, c))
@@ -516,17 +494,16 @@ def kernel_from_tensor(t: ProcessTensor, in_grid: QuadratureGrid = None,
     """Sample the transfer function of a process tensor on grids.
 
     The samples stay factored, so the dense cap applies only where
-    ``FactoredKernel.dense`` evaluates them; a grid whose basis table would
-    exceed wigner._MAX_TABLE_BYTES (2e9 bytes) is refused with ValueError.
-    The kernel holds its basis tables, so equal grids share one table, and
-    ``wigner_of`` on either grid reuses it while the kernel lives.
+    ``FactoredKernel.dense`` evaluates them. A grid on which one order of the
+    basis stream, D x N values, exceeds the cap is refused with ValueError.
     """
     in_grid = in_grid or _DEFAULT_KERNEL_GRID
     out_grid = out_grid or in_grid
     _warn_if_coarse(in_grid, "input")
     _warn_if_coarse(out_grid, "output")
-    b_in = wigner_basis_table(t.dim, in_grid)
-    return FactoredKernel(out_grid, in_grid, wigner_basis_table(t.dim, out_grid), t, b_in)
+    for grid in (in_grid, out_grid):
+        _require_streamable(t.dim, grid)
+    return FactoredKernel(out_grid, in_grid, t)
 
 
 def kernel_from_kraus(k: KrausSet, in_grid: QuadratureGrid = None,
@@ -626,8 +603,8 @@ def radial_form(t: ProcessTensor, rp_axis=None, r_axis=None,
     PhaseSymmetryError, and R is read from the band tensor that gate
     returns. Besides the output, the basis rows, R G and the per-order parts
     of one block of output radii (1 MB) are held; a form whose output or
-    basis tables would exceed _MAX_GRID_VALUES is refused before either is
-    built.
+    basis tables would exceed wigner._MAX_GRID_VALUES is refused before either
+    is built.
     """
     t = require_phase_invariant(t)
     radii = np.linspace(0.0, 5.0, 101)
@@ -663,13 +640,6 @@ def _require_radial_size(d: int, n_rp: int, n_r: int, n_theta: int) -> None:
     """Refuse a radial form whose output or basis tables exceed the dense cap."""
     _require_capped(max(n_rp * n_r * n_theta, d * d * max(n_rp, n_r)), "radial form",
                     "use fewer radii or angles")
-
-
-def _require_capped(n_vals: int, what: str = "grid kernel",
-                    hint: str = "use coarser grids, the factored operations or radial_form"):
-    """Refuse more than _MAX_GRID_VALUES dense values before any is allocated."""
-    if n_vals > _MAX_GRID_VALUES:
-        raise ValueError(f"{what} with {n_vals} values exceeds the dense cap; {hint}")
 
 
 def _real(value, what: str):

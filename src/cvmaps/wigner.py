@@ -12,10 +12,14 @@ The basis element |n><m| with m >= n has the closed form
 and W_{mn} = conj(W_{nm}). An operator enters as its real coordinates
 (fock._coordinates) in the orthonormal Hermitian basis, whose Wigner
 functions are the real rows W_{kk}, C_k and S_k, W_{k+q,k} = (C_k + i S_k)/sqrt(2);
-_band_values alone computes them. The generalized Laguerre values come
-from the upward three-term recurrence with the Gaussian envelope folded in
-from the start, which keeps every intermediate bounded
+fock._band_values alone computes them, order by order. The generalized
+Laguerre values come from the upward three-term recurrence with the Gaussian
+envelope folded in from the start, which keeps every intermediate bounded
 (|e^{-xi/2} L_n^d(xi)| is at most binom(n+d, n) for xi >= 0).
+
+Grid products stream the basis by order (_synthesize, _analyze) and never
+build the D^2 x N table that _basis_rows gives for dense samples and radial
+forms; one cap, _MAX_GRID_VALUES, refuses each before anything is allocated.
 
 Integrals over samples are trapezoid-weighted sums; one helper gives the
 weights of uniform and non-uniform axes alike.
@@ -24,19 +28,16 @@ weights of uniform and non-uniform axes alike.
 from __future__ import annotations
 
 import math
-import weakref
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockDim, _coordinates, _order_rows
+from .fock import DensityOperator, FockDim, _band_values, _coordinates, _order_rows
 
 __all__ = [
     "QuadratureGrid",
     "WignerField",
     "wigner_basis",
-    "wigner_basis_table",
     "wigner_of",
     "weyl_symbol",
     "grid_integral",
@@ -44,8 +45,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# cap on a basis table's 8 D^2 n_x n_p bytes; n_max 63 at 136^2 points needs 0.61e9
-_MAX_TABLE_BYTES = 2_000_000_000
+# The one cap on dense values, each refused before it is allocated: grid kernel
+# samples, a basis table, and one order (D x N) of a basis stream
+_MAX_GRID_VALUES = 70_000_000
 
 
 def _trapezoid_weights(steps) -> np.ndarray:
@@ -122,49 +124,68 @@ class WignerField:
         return grid_integral(self.values, self.grid)
 
 
-def _band_values(counts, x, p):
-    """The real basis rows of each order q = 0, 1, ..., len(counts) - 1 at the
-    given points, counts[q] of them: W_{|k><k|} for q = 0, and for q > 0 C_k
-    then S_k with W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), k < counts[q].
+def _require_capped(n_vals: int, what: str = "grid kernel",
+                    hint: str = "use coarser grids, the factored operations or radial_form"):
+    """Refuse more than _MAX_GRID_VALUES dense values before any is allocated."""
+    if n_vals > _MAX_GRID_VALUES:
+        raise ValueError(f"{what} with {n_vals} values exceeds the dense cap; {hint}")
 
-    Yields an array (rows,) + broadcast shape per order, None where counts[q]
-    is 0. The recurrence runs on T_k = e^{-xi/2} L_k^q(xi), which never
-    overflows; the band prefactor, (u + i v) = (sqrt(2) conj(z))^q carried
-    from order to order, is applied afterwards, with points where the
-    envelope underflowed to zero forced to exactly zero.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    shape = np.broadcast_shapes(x.shape, p.shape)
-    xi = 2.0 * (x * x + p * p)
-    env = np.exp(-0.5 * xi)
-    u, v = np.ones(shape), np.zeros(shape)
-    for q, count in enumerate(counts):
+
+def _require_streamable(dim: FockDim, grid: QuadratureGrid) -> None:
+    """Refuse a basis stream whose one order, D x N values, exceeds the cap."""
+    _require_capped(dim.size * grid.n_x * grid.n_p, "Wigner basis stream",
+                    "use a coarser grid or a smaller n_max")
+
+
+def _grid_bands(dim: FockDim, grid: QuadratureGrid):
+    """(fock._order_rows' (q, rows), fock._band_values' tuple) per order on
+    the grid's points in C order; refused before it starts above the cap."""
+    _require_streamable(dim, grid)
+    x, p = (axis.ravel() for axis in np.meshgrid(grid.xs, grid.ps, indexing="ij"))
+    return zip(_order_rows(dim.size), _band_values(range(dim.size, 0, -1), x, p))
+
+
+def _synthesize(coords: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
+    """sum_j coords[j] G_j on the grid, shape (n_x, n_p): the field of real
+    coordinates (fock._coordinates). The coefficients fold into the
+    coordinates, so no row is scaled: order q adds [(c a)^T T] u + [(c b)^T T] v
+    for its C and S coordinates a and b (order 0 has no S rows, and u = 1),
+    each product taken on the distinct radii."""
+    bands = _grid_bands(dim, grid)  # refused here, before acc is allocated
+    acc = np.zeros(grid.n_x * grid.n_p)
+    for (q, rows), (ts, coeff, u, v, at) in bands:
+        sums = (coeff * coords[rows].reshape(-1, len(coeff))) @ ts
+        acc += sums[0][at] * u
         if q:
-            u, v = _SQRT2 * (u * x + v * p), _SQRT2 * (v * x - u * p)
-        if not count:
-            yield None
-            continue
-        ts = np.empty((count,) + shape)
-        ts[0] = env
-        for k in range(1, count):
-            before = ts[k - 2] if k > 1 else 0.0
-            ts[k] = ((2 * k - 1 + q - xi) * ts[k - 1] - (k - 1 + q) * before) / k
-        coeff = [(1.0 if q == 0 else _SQRT2) * ((-1) ** k / math.pi)
-                 * math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(k + q + 1)))
-                 for k in range(count)]
-        ts *= np.reshape(coeff, (count,) + (1,) * len(shape))
-        rows = ts if q == 0 else np.concatenate((ts * u, ts * v))
-        np.copyto(rows, 0.0, where=env == 0.0)
-        yield rows
+            acc += sums[1][at] * v
+    return acc.reshape(grid.n_x, grid.n_p)
+
+
+def _analyze(values: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
+    """G v: the real coordinates, (D^2,), of a weighted field v, (n_x, n_p),
+    i.e. its sum against each basis row on the grid."""
+    flat = np.ravel(values)
+    out = np.empty(dim.size ** 2)
+    for (q, rows), (ts, coeff, u, v, at) in _grid_bands(dim, grid):
+        # the field times u (and v), summed over the points of each distinct radius
+        sums = np.stack([np.bincount(at, w * flat, ts.shape[1]) for w in (u, v)[:1 + (q > 0)]])
+        out[rows] = (coeff * (sums @ ts.T)).ravel()
+    return out
 
 
 def _basis_rows(dim: FockDim, x, p) -> np.ndarray:
     """All D^2 real basis rows at the points (x, p), shape (D^2,) + broadcast
-    shape, grouped by order as fock._order_rows gives."""
+    shape, grouped by order as fock._order_rows gives, zero where the envelope
+    underflowed."""
     size = dim.size
     table = np.empty((size * size,) + np.broadcast_shapes(np.shape(x), np.shape(p)))
-    for (_, rows), band in zip(_order_rows(size), _band_values(range(size, 0, -1), x, p)):
+    bands = _band_values(range(size, 0, -1), x, p)
+    for (q, rows), (ts, coeff, u, v, at) in zip(_order_rows(size), bands):
+        if q == 0:
+            dead = u == 0.0  # order 0's prefactor is 1 wherever the envelope is not 0
+        ts = np.take(ts * coeff[:, None], at, axis=1)
+        band = ts if q == 0 else np.concatenate((ts * u, ts * v))
+        np.copyto(band, 0.0, where=dead)
         table[rows] = band
     return table
 
@@ -174,63 +195,18 @@ def wigner_basis(n: int, m: int, x, p):
     if n < 0 or m < 0:
         raise ValueError("Fock indices must be non-negative")
     q, k = abs(n - m), min(n, m)
-    *_, rows = _band_values([0] * q + [k + 1], x, p)
+    *_, (ts, coeff, u, v, at) = _band_values([0] * q + [k + 1], x, p)
+    row = ts[k, at] * coeff[k]
     # W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), and W_{|k><k+q|} is its conjugate
-    vals = (rows[k] + (1j if n > m else -1j) * rows[2 * k + 1]) / _SQRT2 if q else rows[k] + 0j
+    vals = (row * u + (1j if n > m else -1j) * (row * v)) / _SQRT2 if q else row + 0j
     return complex(vals) if vals.ndim == 0 else vals
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses entries nbytes")
-_tables = weakref.WeakValueDictionary()  # (dim, grid) -> table, while a caller holds it
-_table_stats = {"hits": 0, "misses": 0}
-
-
-def wigner_basis_table(dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
-    """The D^2 real basis rows of _basis_rows on the grid, shape (D^2, n_x n_p)
-    with points in C order, read-only; refused above _MAX_TABLE_BYTES before it
-    is allocated.
-
-    A table is shared while any caller holds it, such as a FactoredKernel's
-    b_in and b_out, and freed with its last holder. ``cache_info()`` counts
-    hits and misses as functools.lru_cache does, and the entries and bytes of
-    the live tables; ``cache_clear()`` forgets them all.
-    """
-    key = (dim, grid)
-    table = _tables.get(key)
-    if table is not None:
-        _table_stats["hits"] += 1
-        return table
-    _table_stats["misses"] += 1
-    size = 8 * dim.size ** 2 * grid.n_x * grid.n_p
-    if size > _MAX_TABLE_BYTES:
-        raise ValueError(f"Wigner basis table of {size:.3e} bytes exceeds the cap "
-                         f"{_MAX_TABLE_BYTES:.1e}; use a coarser grid or a smaller n_max")
-    table = _basis_rows(dim, grid.xs[:, None], grid.ps[None, :]).reshape(dim.size ** 2, -1)
-    table.flags.writeable = False
-    _tables[key] = table
-    return table
-
-
-def _cache_info() -> _CacheInfo:
-    return _CacheInfo(_table_stats["hits"], _table_stats["misses"], len(_tables),
-                     sum(t.nbytes for t in _tables.values()))
-
-
-def _cache_clear() -> None:
-    _tables.clear()
-    _table_stats.update(hits=0, misses=0)
-
-
-wigner_basis_table.cache_info = _cache_info
-wigner_basis_table.cache_clear = _cache_clear
-
-
 def wigner_of(rho: DensityOperator, grid: QuadratureGrid) -> WignerField:
-    """W_rho on the grid: rho's real coordinates times the basis table."""
+    """W_rho on the grid, synthesized from rho's real coordinates order by order."""
     if rho.modes != 1:
         raise ValueError("grid Wigner sampling is single-mode only")
-    vals = _coordinates(rho.matrix) @ wigner_basis_table(rho.dim, grid)
-    return WignerField(grid, vals.reshape(grid.n_x, grid.n_p))
+    return WignerField(grid, _synthesize(_coordinates(rho.matrix), rho.dim, grid))
 
 
 def weyl_symbol(mat: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarray:
@@ -242,8 +218,7 @@ def weyl_symbol(mat: np.ndarray, dim: FockDim, grid: QuadratureGrid) -> np.ndarr
     converged Wigner functions are trustworthy.
     """
     vals = DensityOperator(dim, mat).matrix  # checks the shape and Hermiticity
-    sym = 2.0 * math.pi * (_coordinates(vals) @ wigner_basis_table(dim, grid))
-    return sym.reshape(grid.n_x, grid.n_p)
+    return 2.0 * math.pi * _synthesize(_coordinates(vals), dim, grid)
 
 
 def grid_integral(values: np.ndarray, grid: QuadratureGrid) -> float:

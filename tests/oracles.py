@@ -184,6 +184,29 @@ def wigner_reference(mat, dim, grid) -> np.ndarray:
     return flat.reshape(grid.n_x, grid.n_p)
 
 
+def map_reference(t, a, adjoint=False) -> np.ndarray:
+    """E(A)_{l,k} = sum_{n,m} E^{n,m}_{l,k} A_{n,m} of a (D, D) matrix, or, when
+    adjoint, Z_{n,m} = sum_{l,k} E^{n,m}_{l,k} A_{l,k}, without the D^4 array:
+    from a Kraus tensor's operators, E^{n,m}_{l,k} = sum_i w_i E_i[l, n]
+    conj(E_i[k, m]), or from a band tensor's stored blocks
+    M_q[i, j] = E^{j+q,j}_{i+q,i} and M_{-q} = conj(M_q)."""
+    d = t.dim.size
+    a = np.asarray(a, dtype=complex)
+    if isinstance(t, tensors._BandTensor):
+        out = np.zeros((d, d), dtype=complex)
+        for q in range(d):
+            block = tensors._packed_block(t.packed, d, q)
+            block = block.T if adjoint else block
+            k = np.arange(d - q)
+            out[k + q, k] = block @ a[k + q, k]
+            if q:
+                out[k, k + q] = block.conj() @ a[k, k + q]
+        return out
+    if adjoint:
+        return sum(w * (op.T @ a @ op.conj()) for op, w in zip(t.ops, t.weights))
+    return sum(w * (op @ a @ op.conj().T) for op, w in zip(t.ops, t.weights))
+
+
 # ---------------------------------------------------------------------------
 # Fock-space references: the dense D^4 array of a tensor and what one dense
 # product or one eigh of it gives
@@ -318,11 +341,17 @@ def squeezed_coherent_amplitudes(r: float, alpha: complex, size: int) -> np.ndar
                   / math.sqrt(math.cosh(r)))
     # D(beta) via expm of the (truncated) generator on a buffered space
     buf = size + 25
-    a = np.diag(np.sqrt(np.arange(1.0, buf)), 1)
-    d_op = expm(beta * a.conj().T - np.conj(beta) * a)
     vac_buf = np.zeros(buf, dtype=complex)
     vac_buf[:size] = vac
-    return (d_op @ vac_buf)[:size]
+    return (displacement_reference(beta, buf) @ vac_buf)[:size]
+
+
+def displacement_reference(alpha: complex, levels: int) -> np.ndarray:
+    """expm of the generator alpha ad - conj(alpha) a truncated to ``levels``
+    levels: D(alpha) on the leading block, once ``levels`` is large enough
+    that a larger space no longer changes that block."""
+    a = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def thermal_diagonal(mean_n: float, size: int) -> np.ndarray:

@@ -392,7 +392,7 @@ def test_apply_refuses_trace_increasing_maps(tmp_path, model, state):
 
 
 def test_apply_refuses_an_oversized_grid_with_exit_config(tmp_path):
-    # its basis table would hold 16^2 * 20001^2 complex values, 1.49 TiB
+    # one order of its basis stream would hold 16 * 20001^2 values, 51 GB
     tracemalloc.start()
     try:
         for path in ("both", "tensor"):
@@ -410,12 +410,13 @@ def test_apply_refuses_an_oversized_grid_with_exit_config(tmp_path):
 
 
 def test_every_default_apply_grid_fits_the_basis_table_cap():
-    # the widest default box is the one at the largest n_max
+    # the widest default box is the one at the largest n_max; apply streams
+    # the basis on it, one order of D x N values at a time
     dim = FockDim(63)
     grid = cli._default_apply_grid(dim)
     assert (grid.n_x, grid.n_p) == (136, 136)
-    table_bytes = dim.size ** 2 * grid.n_x * grid.n_p * np.dtype(complex).itemsize
-    assert table_bytes <= wigner._MAX_TABLE_BYTES
+    assert dim.size * grid.n_x * grid.n_p <= wigner._MAX_GRID_VALUES
+    wigner._require_streamable(dim, grid)
 
 
 def test_default_apply_grid_holds_widest_fock_state():
@@ -517,11 +518,8 @@ def test_subprocess_matches_in_process(tmp_path):
 
 def test_verify_fault_injection(tmp_path, monkeypatch):
     monkeypatch.setenv("CVMAPS_FAULT", "attenuation_kernel_sign")
-    tables = wigner.wigner_basis_table.cache_info().entries
     code = cli.main(["verify", "--out", str(tmp_path)])
     assert code == cli.EXIT_CHECK
-    # each table the battery builds is freed with the kernels and fields that held it
-    assert wigner.wigner_basis_table.cache_info().entries == tables
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert summary["fault"] == "attenuation_kernel_sign"
     assert not summary["all_passed"]
@@ -681,6 +679,19 @@ def test_overflowing_amplitudes_exit_config(tmp_path, capsys, payload):
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         assert "amplitude" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_apply_transports_a_displaced_coherent_state_at_the_fock_cap(tmp_path):
+    # the nilpotent product behind the displacement erred by 6.0e-6 here, and
+    # the TNI gate refused the unitary (exit 3, TNI defect 6.296e-06)
+    cfg = write_config(tmp_path, "c.json", {
+        "model": "displacement", "alpha_re": 2, "n_max": 63,
+        "input_state": {"kind": "coherent", "alpha_re": 1}})
+    out = tmp_path / "o"
+    assert cli.main(["apply", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "output_state.json").read_text())
+    assert result["cross_check_max_diff"] <= 1e-9
+    assert abs(result["success_probability"] - 1.0) <= 1e-9
 
 
 def test_the_schema_n_max_cap_is_the_fock_cap():

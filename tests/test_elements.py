@@ -1,6 +1,8 @@
+import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from cvmaps.fock import (
     normalize,
     thermal_state,
 )
-from cvmaps.kernels import GaussianKernel, apply_kernel, compose_kernels
+from cvmaps.kernels import GaussianKernel, compose_kernels
 from cvmaps.tensors import apply_kraus, apply_tensor, tensor_from_kraus
 from cvmaps.wigner import QuadratureGrid, grid_integral, weyl_symbol, wigner_of
 
@@ -81,19 +83,6 @@ def test_phase_rotation_element():
     out = apply_kraus(el2.kraus, coherent_state(0.5, dim))
     ref = coherent_state(0.5 * np.exp(-0.9j), dim)
     assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-12
-
-
-def test_phase_quarter_turn_exact_on_grid():
-    # theta = pi/2 sends grid nodes to grid nodes, so the delta kernel
-    # application involves no interpolation error at all
-    dim = FockDim(12)
-    grid = QuadratureGrid(-4.0, 4.0, -4.0, 4.0, 41, 41)
-    el = phase_rotation(math.pi / 2.0, dim)
-    rho = coherent_state(0.4 + 0.5j, dim)
-    w_in = wigner_of(rho, grid)
-    w_out = apply_kernel(el.kernel, w_in)
-    ref = wigner_of(apply_kraus(el.kraus, rho), grid)
-    assert np.max(np.abs(w_out.values - ref.values)) < 1e-12
 
 
 def test_displacement_element():
@@ -214,9 +203,23 @@ def test_two_mode_squeeze_amplitudes_against_expm(zeta, n1, n2, n_out):
     assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
 
 
-def test_import_leaves_scipy_linalg_unloaded():
-    # no scipy module at all: scipy.linalg, and the delta kernel's
-    # scipy.interpolate, load only when a call needs them
+SCIPY_BLOCKER = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # no scipy module at all: importing cvmaps loads none, and tensor,
+    # kernel and apply run on a shipped config where scipy cannot be imported
     run = subprocess.run(
         [sys.executable, "-c",
          "import sys, cvmaps; print(sorted(m for m in sys.modules"
@@ -224,6 +227,25 @@ def test_import_leaves_scipy_linalg_unloaded():
         capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "amplifier_experimental.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads(shipped.read_text()),
+                                  "input_state": {"kind": "coherent", "alpha_re": 0.7}}))
+    script = SCIPY_BLOCKER + (
+        "from cvmaps import cli\n"
+        "for command in ('tensor', 'kernel', 'apply'):\n"
+        "    code = cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2] + command])\n"
+        "    assert code == 0, (command, code)\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    print('blocked')\n")
+    run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out_")],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().endswith("blocked")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "config.json", "out_apply", "out_kernel", "out_tensor"]
 
 
 def test_beam_splitter_element_structure():

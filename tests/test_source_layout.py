@@ -24,7 +24,8 @@ Transfer functions are computed in real Hermitian coordinates: ``kernels`` and
 ``wigner`` take no conjugate, real or imaginary part and allocate no complex
 array (the public complex element ``wigner_basis`` aside), the complex
 evaluators ``_basis_values`` and ``_harmonics`` stay gone, and only
-``wigner._band_values`` computes basis rows.
+``fock._band_values`` computes basis rows; ``wigner`` keeps no basis table
+and no cache of one.
 No function in the package allocates a D^4 array, ``tensors`` defines no
 ``elements`` view of one, and the dense layout's names stay gone. No
 D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshapes are the
@@ -40,7 +41,8 @@ defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
 ``models`` decides every detector weight in ``_click_weights`` alone.
 Dense kernel samples have one route in: no module calls the ``GridKernel``
 constructor, whose caller arrays must be real, one helper reads the dense
-cap, and ``kernels`` scans no imaginary part of a sample array.
+cap (in ``wigner``, which streams the basis under it), and ``kernels`` scans
+no imaginary part of a sample array.
 The CLI renders tables by column: no cell is formatted by its own
 ``format_float`` call, and JSON records are not indented by ``json.dumps``.
 """
@@ -194,7 +196,8 @@ def test_dense_samples_have_one_route_and_one_cap():
     for path in sorted(SRC.glob("*.py")):
         assert _calls_to(path, "GridKernel") == [], path.name
     kernels_py = SRC / "kernels.py"
-    assert _functions_using(kernels_py, "_MAX_GRID_VALUES") == {None, "_require_capped"}
+    assert _functions_using(SRC / "wigner.py", "_MAX_GRID_VALUES") == {None, "_require_capped"}
+    assert _functions_using(kernels_py, "_MAX_GRID_VALUES") == set()
     assert _functions_using(kernels_py, "imag") == set()
 
 
@@ -313,16 +316,30 @@ def test_the_complex_evaluators_are_gone():
 
 def test_only_band_values_computes_basis_rows():
     # the Laguerre recurrence and its coefficients live in _band_values alone;
-    # the table, radial_form and the public element read its rows
+    # the grid stream, the local tables of dense samples and radial forms,
+    # the public element and the displacement read its rows
     for path in sorted(SRC.glob("*.py")):
         users = _functions_using(path, "lgamma")
-        assert users == ({"_band_values"} if path.name == "wigner.py" else set()), path.name
-    assert {func for func, _ in _calls_to(SRC / "wigner.py", "_band_values")} == {
-        "_basis_rows", "wigner_basis"}
+        assert users == ({"_band_values"} if path.name == "fock.py" else set()), path.name
+    callers = {path.name: {func for func, _ in _calls_to(path, "_band_values")}
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in callers.items() if f} == {
+        "fock.py": {"displacement_matrix"},
+        "wigner.py": {"_grid_bands", "_basis_rows", "wigner_basis"}}
     callers = {path.name: {func for func, _ in _calls_to(path, "_basis_rows")}
                for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in callers.items() if f} == {
-        "kernels.py": {"radial_form"}, "wigner.py": {"wigner_basis_table"}}
+        "kernels.py": {"radial_form", "dense"}}
+    # the grid products stream the basis and never build a whole table
+    for name, expected in (("_synthesize", {"kernels.py": {"_push", "_pull"},
+                                            "wigner.py": {"wigner_of", "weyl_symbol"}}),
+                           ("_analyze", {"kernels.py": {"_push", "_pull"}})):
+        callers = {path.name: {func for func, _ in _calls_to(path, name)}
+                   for path in sorted(SRC.glob("*.py"))}
+        assert {path: f for path, f in callers.items() if f} == expected, name
+    for path in sorted(SRC.glob("*.py")):
+        assert not _names(path) & {"wigner_basis_table", "_tables", "_table_stats",
+                                   "_MAX_TABLE_BYTES", "weakref"}, path.name
 
 
 ALLOCATORS = {"zeros", "empty", "ones", "full", "reshape", "broadcast_to", "ndarray"}

@@ -11,12 +11,12 @@ from cvmaps.tensors import identity_tensor
 from cvmaps.wigner import (
     QuadratureGrid,
     WignerField,
+    _basis_rows,
     _trapezoid_weights,
     grid_integral,
     overlap,
     weyl_symbol,
     wigner_basis,
-    wigner_basis_table,
     wigner_of,
 )
 
@@ -64,8 +64,6 @@ def test_basis_against_quadrature_integral():
     rho = np.outer(oracles.coherent_amplitudes(0.5 + 0.3j, 11),
                    oracles.coherent_amplitudes(0.5 + 0.3j, 11).conj())
     pts = [(0.0, 0.0), (0.7, -0.4), (-1.3, 0.9), (2.0, 1.5)]
-    table = wigner_basis_table(FockDim(10), QuadratureGrid(-3, 3, -3, 3, 4, 4))
-    del table  # separate sanity that caching does not interfere
     for x, p in pts:
         ref = oracles.wigner_quadrature(rho, x, p)
         val = sum(rho[n, m] * wigner_basis(n, m, x, p)
@@ -173,14 +171,13 @@ def test_trapezoid_weights_match_the_trapezoid_rule(rng):
 
 
 def test_basis_table_matches_pointwise():
-    # the real table holds each order's rows: W_{|k><k|} for q = 0, then C_k
-    # and S_k with W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), as the public element
-    # gives them
+    # the real table of _basis_rows holds each order's rows: W_{|k><k|} for
+    # q = 0, then C_k and S_k with W_{|k+q><k|} = (C_k + i S_k)/sqrt(2), as the
+    # public element gives them
     dim = FockDim(6)
     d = dim.size
     grid = QuadratureGrid(-2.0, 2.0, -2.0, 2.0, 9, 9)
-    table = wigner_basis_table(dim, grid)
-    assert not table.flags.writeable
+    table = _basis_rows(dim, grid.xs[:, None], grid.ps[None, :]).reshape(d * d, -1)
     assert table.shape == (d * d, 81) and table.dtype == float
     for q, rows in _order_rows(d):
         block = table[rows]
@@ -197,7 +194,7 @@ def test_basis_table_matches_pointwise():
 def test_basis_table_holds_eight_bytes_per_row_and_point():
     # one real row per Hermitian basis operator: D^2 rows of float64
     grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 81, 81)
-    table = wigner_basis_table(FockDim(40), grid)
+    table = _basis_rows(FockDim(40), grid.xs[:, None], grid.ps[None, :])
     assert table.dtype == float and table.nbytes == 8 * 41 ** 2 * 81 ** 2
 
 
@@ -210,60 +207,55 @@ def test_weyl_symbol_refuses_an_operator_that_is_not_hermitian():
     assert weyl_symbol(op + op.T, dim, BOX).dtype == float
 
 
+@pytest.mark.filterwarnings("ignore:.*grid spacing")
 def test_basis_table_refuses_oversized_grids_before_allocating():
-    # 16^2 * 20001^2 real values would be 0.75 TiB
+    # one cap: a basis stream of 16 x 20001^2 values per order (51 GB) is
+    # refused by every product and by the kernel that would stream it, and a
+    # dense kernel's input table of 64^2 x 150^2 values (0.74 GB) by dense
+    from cvmaps import wigner
+
     grid = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 20001, 20001)
-    t = identity_tensor(FockDim(15))
+    dim = FockDim(15)
+    wide = QuadratureGrid(-5.0, 5.0, -5.0, 5.0, 150, 150)
+    corner = QuadratureGrid(-1.0, 1.0, -1.0, 1.0, 2, 2)
+    fk = kernel_from_tensor(identity_tensor(FockDim(63)), wide, corner)
+    assert 64 * 150 ** 2 <= wigner._MAX_GRID_VALUES < 64 ** 2 * 150 ** 2
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="basis table"):
-            wigner_basis_table(FockDim(15), grid)
-        with pytest.raises(ValueError, match="basis table"):
-            kernel_from_tensor(t, grid, grid)
+        for run in (lambda: wigner_of(fock_state(1, dim), grid),
+                    lambda: weyl_symbol(np.eye(16), dim, grid),
+                    lambda: kernel_from_tensor(identity_tensor(dim), grid, grid)):
+            with pytest.raises(ValueError, match="basis stream .* exceeds the dense cap"):
+                run()
+        with pytest.raises(ValueError, match="basis table .* exceeds the dense cap"):
+            fk.values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
 
 
-def test_a_basis_table_is_shared_while_held_and_freed_with_its_kernel():
-    # apply's sequence at n_max 40 on the default apply grid (166 MB): the
-    # kernel builds one table for both sides, and the two wigner_of calls read it
-    import gc
-    import weakref
-
+def test_apply_kernel_path_streams_the_basis_in_bounded_memory():
+    # apply's kernel path at n_max 40 on its default grid (111^2 points): the
+    # D^2 x N basis table it held took 166 MB and the path peaked at 184 MiB;
+    # streamed, one order's rows on the 3,322 distinct radii (1.1 MB) are
+    # held at a time
     from cvmaps import cli
     from cvmaps.elements import attenuation
+    from cvmaps.kernels import apply_kernel
 
-    wigner_basis_table.cache_clear()
     dim = FockDim(40)
     grid = cli._default_apply_grid(dim)
-    fk = kernel_from_tensor(attenuation(0.5, dim).tensor(), grid, grid)
-    table = weakref.ref(fk.b_in.base)
-    assert fk.b_out is fk.b_in  # one table serves both sides
-    info = wigner_basis_table.cache_info()
-    assert (info.misses, info.entries, info.nbytes) == (1, 1, fk.b_in.nbytes)
+    assert (grid.n_x, grid.n_p) == (111, 111)
+    t = attenuation(0.5, dim).tensor()
     rho = coherent_state(1.5, dim)
-    wigner_of(rho, grid)
-    wigner_of(rho, grid)
-    after = wigner_basis_table.cache_info()
-    assert (after.misses, after.hits - info.hits) == (1, 2)
-    del fk
-    gc.collect()
-    assert table() is None
-    assert wigner_basis_table.cache_info()[2:] == (0, 0)
-
-
-def test_cache_counts_hits_while_a_table_is_held():
-    from cvmaps import verify
-
-    wigner_basis_table.cache_clear()
-    verify.check_trace_rule(None)  # one grid sampled twice, no table held between
-    assert tuple(wigner_basis_table.cache_info()) == (0, 2, 0, 0)
-    table = wigner_basis_table(FockDim(20), BOX)  # the grid of both checks, held
-    verify.check_wigner_normalization(None)
-    verify.check_trace_rule(None)
-    info = wigner_basis_table.cache_info()
-    assert tuple(info) == (3, 3, 1, table.nbytes)
-    wigner_basis_table.cache_clear()
-    assert tuple(wigner_basis_table.cache_info()) == (0, 0, 0, 0)
+    tracemalloc.start()
+    try:
+        fk = kernel_from_tensor(t, grid, grid)
+        out = apply_kernel(fk, wigner_of(rho, grid))
+        raw = wigner_of(rho, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.isfinite(out.values).all() and np.isfinite(raw.values).all()
