@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator, validators
 
 from .fock import (DensityOperator, FockDim, coherent_state, fock_state, normalize,
                    thermal_state)
@@ -53,11 +52,6 @@ _APPLY_HALF_MAX = 30.0
 _APPLY_SPACING = 0.2
 _APPLY_MIN_POINTS = 81
 _APPLY_MASS_TOL = 1e-9
-
-
-# Draft 7's "integer" admits 6.0: config integers are JSON integers, never booleans
-_ConfigValidator = validators.extend(Draft7Validator, type_checker=Draft7Validator.TYPE_CHECKER
-                                     .redefine("integer", lambda _, v: type(v) is int))
 
 
 def format_float(v: float) -> str:
@@ -196,8 +190,12 @@ def load_config(path: str):
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     with open(_SCHEMA_PATH, "r", encoding="utf-8") as fh:
         schema = json.load(fh)
-    errors = sorted(_ConfigValidator(schema).iter_errors(data),
-                    key=lambda e: list(e.path))
+    # imported here, not at module load, so that verify, which reads no config, skips its 50-70 ms
+    from jsonschema import Draft7Validator, validators
+    # Draft 7's "integer" admits 6.0: config integers are JSON integers, never booleans
+    checker = Draft7Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    validator = validators.extend(Draft7Validator, type_checker=checker)(schema)
+    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.path))
     if errors:
         first = errors[0]
         where = "/".join(str(p) for p in first.path) or "<root>"

@@ -23,16 +23,16 @@ Conventions fixed here and relied on everywhere else:
   4 x 4 X reproduces on the coordinates (x_1, p_1, x_2, p_2).
 
   parametric_down_conversion(g) is the two-mode squeezer
-  exp(zeta (a1+ a2+ - a1 a2)) with cosh(zeta) = sqrt(g); it and
-  parametric_amplification(g), the squeezer on a traced-out vacuum idler,
-  come from one closed form, two_mode_squeeze_amplitudes, exact at
-  truncation. Mean amplitudes leave as (c alpha1 + s conj(alpha2),
-  c alpha2 + s conj(alpha1)) with c = sqrt(g), s = sqrt(g - 1). The
-  heralded models take this routine and the splitter's closed-form columns,
-  beam_splitter_columns: every amplitude with at most two photons in the
-  second input port, for all photon totals at once and with no eigh. The
-  whole two-mode matrix is filled one exact total-photon block at a time,
-  beam_splitter_block, through beam_splitter_amplitudes.
+  exp(zeta (a1+ a2+ - a1 a2)) with cosh(zeta) = sqrt(g), built as the 50:50
+  splitter around S(zeta) x S(-zeta); parametric_amplification(g), the
+  squeezer on a traced-out vacuum idler, reads its vacuum-idler columns,
+  two_mode_squeeze_amplitudes, a single closed-form term. Mean amplitudes
+  leave as (c alpha1 + s conj(alpha2), c alpha2 + s conj(alpha1)) with
+  c = sqrt(g), s = sqrt(g - 1). The heralded models take those columns and
+  the splitter's closed-form columns, beam_splitter_columns: every amplitude
+  with at most two photons in the second input port, for all photon totals
+  at once and with no eigh. The whole two-mode matrices are filled one exact
+  total-photon block at a time from beam_splitter_block.
 """
 
 import math
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockDim, DensityOperator, displacement_matrix, squeeze_matrix
+from .fock import FockDim, DensityOperator, _squeeze_amplitudes, displacement_matrix, squeeze_matrix
 from .tensors import KrausSet, ProcessTensor, tensor_from_kraus
 from .kernels import GaussianKernel
 
@@ -220,37 +220,41 @@ def beam_splitter(t: float, dim: FockDim) -> Element:
                    _point_map(x))
 
 
-def two_mode_squeeze_amplitudes(zeta: float, n1: int, n2: int, n_out: int) -> np.ndarray:
-    """<p, q| S |s, b> of exp(zeta (a1+ a2+ - a1 a2)) for s <= n1, b <= n2, p, q < n_out.
-
-    The normal order exp(G a1+ a2+) sech^(n1+n2+1) exp(-G a1 a2), G = tanh
-    zeta, removes k pairs and adds j = p - s + k: the amplitude is the sum
-    over k of (-G)^k G^j sqrt(C(s,k) C(b,k) C(p,j) C(q,j)) sech^(s+b-2k+1).
+def two_mode_squeeze_amplitudes(zeta: float, n1: int, n_out: int) -> np.ndarray:
+    """<p, q| S |s, 0> of exp(zeta (a1+ a2+ - a1 a2)) as amps[p, q, s], s <= n1,
+    p, q < n_out: the columns with the idler in vacuum. There the normal order
+    exp(G a1+ a2+) sech^(N+1) exp(-G a1 a2), G = tanh zeta, N the photon total, leaves
+    one term: S|s, 0> adds j = q pairs with amplitude G^j sqrt(C(s + j, j)) sech^(s+1).
     """
     gam, sech = math.tanh(zeta), 1.0 / math.cosh(zeta)
-    top = max(n_out, n1 + 1, n2 + 1)
-    comb = np.array([[float(math.comb(n, k)) for k in range(top)] for n in range(top)])
     gam_pow = np.array([gam ** j for j in range(n_out)])
-    amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
+    amps = np.zeros((n_out, n_out, n1 + 1))
     for s in range(n1 + 1):
-        for b in range(n2 + 1):
-            for k in range(min(s, b) + 1):
-                j = np.arange(n_out - max(s, b) + k)
-                p, q = s - k + j, b - k + j
-                amps[p, q, s, b] += (
-                    ((-gam) ** k * gam_pow[j])
-                    * np.sqrt(comb[s, k] * comb[b, k] * comb[p, j] * comb[q, j])
-                    * sech ** (s + b - 2 * k + 1))
+        j = np.arange(n_out - s)
+        comb = np.array([math.comb(s + i, i) for i in j.tolist()], dtype=float)
+        amps[s + j, j, s] += gam_pow[j] * np.sqrt(comb) * sech ** (s + 1)
     return amps
 
 
 def two_mode_squeeze_matrix(g: float, dim: FockDim) -> np.ndarray:
-    """Two-mode squeezer with cosh(zeta) = sqrt(g), index n1 * D + n2."""
+    """Two-mode squeezer with cosh(zeta) = sqrt(g), index n1 * D + n2: B (S(zeta) x
+    S(-zeta)) B^dag with B the 50:50 beam_splitter. B keeps the output's photon total
+    N and B^dag the input's total M, so block (N, M), N = M mod 2, is the exact product
+    block_N K block_M^T, K[p, s] = <p|S(zeta)|s> <N - p|S(-zeta)|M - s>, N, M <= 2 n_max."""
     if g < 1.0:
         raise ValueError("parametric gain must satisfy g >= 1")
-    side = dim.size ** 2
-    return two_mode_squeeze_amplitudes(
-        math.acosh(math.sqrt(g)), dim.n_max, dim.n_max, dim.size).reshape(side, side)
+    zeta, n_max, d = math.acosh(math.sqrt(g)), dim.n_max, dim.size
+    plus, minus = (_squeeze_amplitudes(r, 2 * d - 1) for r in (zeta, -zeta))
+    # total n keeps p = lo .. hi - 1, at index p * D + n - p = n + p * n_max
+    ends = [(max(0, n - n_max), min(n, n_max) + 1) for n in range(2 * d - 1)]
+    at = [slice(n + lo * n_max, n + hi * n_max, n_max) for n, (lo, hi) in enumerate(ends)]
+    blocks = [beam_splitter_block(math.sqrt(0.5), n)[lo:hi] for n, (lo, hi) in enumerate(ends)]
+    out = np.zeros((d * d, d * d))
+    for n in range(2 * d - 1):
+        for m in range(n % 2, 2 * d - 1, 2):
+            mid = plus[:n + 1, :m + 1] * minus[n::-1, m::-1]
+            out[at[n], at[m]] = blocks[n] @ mid @ blocks[m].T
+    return out
 
 
 def parametric_down_conversion(g: float, dim: FockDim) -> Element:
@@ -291,8 +295,8 @@ def parametric_amplification(g: float, dim: FockDim) -> Element:
     g = float(g)
     if g < 1.0:
         raise ValueError("gain must satisfy g >= 1")
-    amps = two_mode_squeeze_amplitudes(math.acosh(math.sqrt(g)), dim.n_max, 0, dim.size)
-    ops = [amps[:, j, :, 0] for j in range(dim.size) if np.any(amps[:, j, :, 0])]
+    amps = two_mode_squeeze_amplitudes(math.acosh(math.sqrt(g)), dim.n_max, dim.size)
+    ops = [amps[:, j] for j in range(dim.size) if np.any(amps[:, j])]
     return Element("parametric_amplification", KrausSet(dim, ops), _phase_insensitive(g))
 
 

@@ -255,7 +255,7 @@ def addition_branches(cfg: AdditionConfig):
     """Correct and faulty photon-addition tensors before combination."""
     dim = cfg.dim
     d = dim.size
-    v = two_mode_squeeze_amplitudes(cfg.chi, dim.n_max, 0, d)[..., 0]
+    v = two_mode_squeeze_amplitudes(cfg.chi, dim.n_max, d)
     h = math.cosh(cfg.gamma * cfg.chi) ** 2
     (wc, _), _ = _click_weights(cfg.detector, cfg.mu, d)
     if cfg.detector == "apd":

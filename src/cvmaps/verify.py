@@ -229,12 +229,9 @@ def _squeezed_coherent(r, alpha, dim):
     beta = alpha * math.cosh(r) - np.conj(alpha) * math.sinh(r)
     vac = np.zeros(dim.size, dtype=complex)
     t = math.tanh(r)
-    for m in range(dim.size // 2 + 1):
-        n = 2 * m
-        if n >= dim.size:
-            break
-        vac[n] = ((-t / 2) ** m * math.sqrt(math.factorial(n))
-                  / math.factorial(m) / math.sqrt(math.cosh(r)))
+    for n in range(0, dim.size, 2):
+        vac[n] = ((-t / 2) ** (n // 2) * math.sqrt(math.factorial(n))
+                  / math.factorial(n // 2) / math.sqrt(math.cosh(r)))
     vec = displacement_matrix(beta, dim) @ vac
     vec = vec / np.linalg.norm(vec)
     return DensityOperator(dim, np.outer(vec, vec.conj()))

@@ -20,6 +20,7 @@ the byte reference for its column renderers.
 
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -419,6 +420,61 @@ def tms2(chi: float, size: int) -> np.ndarray:
     a = annihilation(FockDim(size - 1))
     gen = np.kron(a.conj().T, a.conj().T) - np.kron(a, a)
     return expm(chi * gen)
+
+
+# squeezer amplitudes from their normal-ordered sums in 60-digit decimal
+# arithmetic, which carries the cancellation of the alternating terms
+
+def _decimal_hyperbolic(x: float):
+    """(tanh x, sech x) of a float as Decimals at the context's precision."""
+    e = Decimal(x).exp()
+    return (e - 1 / e) / (e + 1 / e), 2 / (e + 1 / e)
+
+
+def _decimal_power(x: Decimal, k: int) -> Decimal:
+    """x^k with 0^0 = 1, which Decimal refuses."""
+    return x ** k if k else Decimal(1)
+
+
+def squeeze_reference(r: float, m: int, n: int) -> float:
+    """<m|S(r)|n> of S(r) = exp[(r/2)(a^2 - ad^2)] from the normal order
+    exp(-(t/2) ad^2) sech^(ad a + 1/2) exp((t/2) a^2), t = tanh r: the sum over
+    k of (t/2)^k (-t/2)^j sqrt(n! m!) sech^(l + 1/2) / (k! j! l!), with
+    l = n - 2k and m = l + 2j, in 60-digit decimal arithmetic."""
+    if (m - n) % 2:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, sech = _decimal_hyperbolic(r)
+        total = Decimal(0)
+        for k in range(n // 2 + 1):
+            low, j = n - 2 * k, (m - n) // 2 + k
+            if j < 0:
+                continue
+            num = Decimal(math.factorial(n) * math.factorial(m)).sqrt()
+            den = math.factorial(k) * math.factorial(j) * math.factorial(low)
+            total += (_decimal_power(t / 2, k) * _decimal_power(-t / 2, j) * num / den
+                      * _decimal_power(sech, low) * sech.sqrt())
+        return float(total)
+
+
+def two_mode_squeeze_reference(zeta: float, p: int, q: int, s: int, b: int) -> float:
+    """<p, q| S |s, b> of S = exp(zeta (a1d a2d - a1 a2)) from the normal order
+    exp(G a1d a2d) sech^(n1 + n2 + 1) exp(-G a1 a2), G = tanh zeta: the sum over
+    k of (-G)^k G^j sqrt(C(s,k) C(b,k) C(p,j) C(q,j)) sech^(s + b - 2k + 1),
+    j = p - s + k, in 60-digit decimal arithmetic."""
+    if p - s != q - b:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        gam, sech = _decimal_hyperbolic(zeta)
+        total = Decimal(0)
+        for k in range(max(0, s - p), min(s, b) + 1):
+            j = p - s + k
+            weight = math.comb(s, k) * math.comb(b, k) * math.comb(p, j) * math.comb(q, j)
+            total += (_decimal_power(-gam, k) * _decimal_power(gam, j) * Decimal(weight).sqrt()
+                      * _decimal_power(sech, s + b - 2 * k + 1))
+        return float(total)
 
 
 def apply_pair(state: np.ndarray, u2: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:

@@ -211,6 +211,17 @@ def test_config_rejection(tmp_path):
                      "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def test_importing_the_cli_loads_no_jsonschema():
+    # the validator is built where a config is read, so verify, which reads
+    # none, does not import jsonschema
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, cvmaps.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'jsonschema'))"],
+        capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_integral_floats_are_not_config_integers(tmp_path, capsys):
     # Draft 7 alone admits 6.0 as an integer; FockDim and fock_state would then
     # fail with a traceback instead of the schema message

@@ -9,6 +9,7 @@ import oracles
 from cvmaps.fock import (
     DensityOperator,
     FockDim,
+    _squeeze_amplitudes,
     annihilation,
     coherent_state,
     coherent_vector,
@@ -139,6 +140,20 @@ def test_squeeze_matches_series():
     col = s @ coherent_vector(alpha, dim)
     ref2 = oracles.squeezed_coherent_amplitudes(r, alpha, dim.size)
     assert np.max(np.abs(col[:20] - ref2[:20])) < 1e-10
+
+
+@settings(derandomize=True, database=None, max_examples=13, deadline=None)
+@given(r=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_squeeze_amplitudes_match_the_decimal_sum_property(r, seed):
+    # the product of two nilpotent series it replaces erred by 3e-9 at size 64
+    # on such entries; sizes past the n_max cap go through the size argument
+    rng = np.random.default_rng(seed)
+    for size in (21, 64, 151):
+        amps = _squeeze_amplitudes(r, size)
+        m, n = rng.integers(size, size=(2, 40))
+        n = np.abs(n - (m - n) % 2)  # one down, or up from 0, to the parity S keeps
+        errors = [abs(amps[i, j] - oracles.squeeze_reference(r, i, j)) for i, j in zip(m, n)]
+        assert max(errors) <= 2e-14, (size, max(errors))
 
 
 def test_thermal_diagonal():

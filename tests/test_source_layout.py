@@ -28,14 +28,18 @@ evaluators ``_basis_values`` and ``_harmonics`` stay gone, and only
 and no cache of one.
 No function in the package allocates a D^4 array, ``tensors`` defines no
 ``elements`` view of one, and the dense layout's names stay gone. No
-D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshapes are the
-two-mode unitaries, and a tensor is built from its own fields
+D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshape is the
+splitter unitary, and a tensor is built from its own fields
 ``(dim, ops, weights)``, never from an array of entries. The amplifier collapses its herald sums
 instead of contracting whole splitter tables: ``models`` holds no einsum of
 more than four operands, splitter amplitudes come from one
 ``eigh`` per total-photon block, in ``elements.beam_splitter_block`` alone,
 and ``models`` reads its splitters through the closed-form
 ``beam_splitter_columns``, never a block or a whole table.
+No alternating series builds a squeezer: ``fock._squeeze_amplitudes`` is one
+Hermite-function overlap, ``two_mode_squeeze_matrix`` a 50:50
+``beam_splitter_block`` around two of them, and ``two_mode_squeeze_amplitudes``
+keeps the vacuum-idler columns, one closed-form term each.
 Paths whose callers moved elsewhere stay gone: ``tensors`` caches no phase
 defect, ``GridKernel`` copies every caller array with no sub-floor scan, and
 ``models`` decides every detector weight in ``_click_weights`` alone.
@@ -432,6 +436,28 @@ def test_splitter_amplitudes_have_one_eigh():
     assert _functions_using(SRC / "models.py", "eigh") == set()
 
 
+def _function(path, name):
+    return next(n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_the_squeezers_are_built_from_catalog_pieces():
+    # no alternating series is left: S(r) is one Hermite-function overlap, the
+    # two-mode matrix a 50:50 splitter around S(zeta) x S(-zeta), and the
+    # vacuum-idler columns one closed-form term per signal count s
+    for path in sorted(SRC.glob("*.py")):
+        assert "_exp_nilpotent" not in _names(path), path.name
+    assert {f for f, _ in _calls_to(SRC / "fock.py", "_squeeze_amplitudes")} == {"squeeze_matrix"}
+    for name in ("beam_splitter_block", "_squeeze_amplitudes"):
+        assert "two_mode_squeeze_matrix" in {f for f, _ in _calls_to(SRC / "elements.py", name)}
+    columns = _function(SRC / "elements.py", "two_mode_squeeze_amplitudes")
+    assert [a.arg for a in columns.args.args] == ["zeta", "n1", "n_out"]
+    loops = [n for n in ast.walk(columns) if isinstance(n, (ast.For, ast.comprehension))]
+    assert not {t.id for n in loops for t in ast.walk(n.target)
+                if isinstance(t, ast.Name)} & {"b", "k"}
+    assert [n.target.id for n in loops if isinstance(n, ast.For)] == ["s"]
+
+
 def test_models_read_splitters_by_columns():
     # the amplifier's few columns per photon total come in closed form; no
     # total-photon block or whole splitter table is built for them
@@ -522,9 +548,9 @@ def from_fields(dim, ops, weights):
     assert _tensors_not_built_from_fields(source) == [("from_array", 17)]
 
 
-# D^2 x D^2 reshapes that are no Choi matrix: the two-mode unitaries,
-# which act on states
-NOT_CHOI = {("elements.py", "beam_splitter_matrix"), ("elements.py", "two_mode_squeeze_matrix")}
+# the one D^2 x D^2 reshape that is no Choi matrix: the splitter unitary,
+# which acts on states (the two-mode squeezer allocates its matrix directly)
+NOT_CHOI = {("elements.py", "beam_splitter_matrix")}
 
 
 def test_the_package_forms_no_choi_matrix():
