@@ -1,10 +1,12 @@
 """Command-line front end: tensor and kernel exports, state transport, checks.
 
 Configs are JSON documents validated against the schema shipped next to this
-module (config_schema.json); unknown keys are rejected. Tables are rendered
-column by column: each distinct float of a column is formatted once, as the
-shortest round-trip decimal with negative zero folded to zero, and each JSON
-record is written from one template in the layout of
+module (config_schema.json) by _violations, which implements the keywords that
+schema uses and words its first violation as jsonschema's Draft 7 validator
+does; unknown keys are rejected, and a config integer is a JSON integer.
+Tables are rendered column by column: each distinct float of a column is
+formatted once, as the shortest round-trip decimal with negative zero folded
+to zero, and each JSON record is written from one template in the layout of
 json.dumps(records, indent=2, sort_keys=True). Identical configs produce
 byte-identical files.
 
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -179,27 +182,62 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    _finite(text)  # a literal past the float range would overflow where a float is needed
+    return int(text)
+
+
+_TYPES = {"object": (dict,), "boolean": (bool,), "integer": (int,), "number": (int, float)}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of")}
+
+
+def _violations(value, schema: dict, path=()):
+    """(path, message) of each way value breaks schema, in the schema's key order and
+    in jsonschema's Draft 7 words; an integer is an int, never a bool or 6.0."""
+    is_object, is_number = type(value) is dict, type(value) in _TYPES["number"]
+    for key, rule in schema.items():
+        if key == "type" and type(value) not in _TYPES[rule]:
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and value not in rule:
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS and is_number and _BOUNDS[key][0](value, rule):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} {rule!r}"
+        elif key == "required" and is_object:
+            yield from ((path, f"{name!r} is a required property") for name in rule
+                        if name not in value)
+        elif key == "additionalProperties" and is_object and rule is False:
+            extras = sorted(set(value) - set(schema.get("properties", ())))
+            if extras:
+                names, verb = ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "properties" and is_object:
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _violations(value[name], sub, path + (name,))
+        elif key == "not" and not any(_violations(value, rule)):
+            yield path, f"{value!r} should not be valid under {rule!r}"
+
+
 def load_config(path: str):
     """Parse and schema-validate a config; raises ValueError on any problem."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            data = json.load(fh, parse_constant=_finite, parse_float=_finite,
+                             parse_int=_finite_int)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
     with open(_SCHEMA_PATH, "r", encoding="utf-8") as fh:
         schema = json.load(fh)
-    # imported here, not at module load, so that verify, which reads no config, skips its 50-70 ms
-    from jsonschema import Draft7Validator, validators
-    # Draft 7's "integer" admits 6.0: config integers are JSON integers, never booleans
-    checker = Draft7Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
-    validator = validators.extend(Draft7Validator, type_checker=checker)(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.path) or "<root>"
-        raise ValueError(f"config violates schema at {where}: {first.message}")
+    # the first violation by path, ties in the schema's order
+    first = min(_violations(data, schema), key=lambda violation: violation[0], default=None)
+    if first is not None:
+        where, message = "/".join(first[0]) or "<root>", first[1]
+        raise ValueError(f"config violates schema at {where}: {message}")
     return data
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "displacement",
     "squeezing",
     "beam_splitter",
-    "beam_splitter_amplitudes",
     "beam_splitter_block",
     "beam_splitter_columns",
     "beam_splitter_matrix",
@@ -187,27 +186,27 @@ def beam_splitter_block(t: float, total: int) -> np.ndarray:
     return ((v * np.exp(-1j * math.acos(t) * w)) @ v.conj().T).real
 
 
-def beam_splitter_amplitudes(t: float, n1: int, n2: int, n_out: int) -> np.ndarray:
-    """<p, q| U |s, b> of beam_splitter(t) for s <= n1, b <= n2, p, q < n_out,
-    filled one beam_splitter_block at a time."""
-    amps = np.zeros((n_out, n_out, n1 + 1, n2 + 1))
-    for tot in range(n1 + n2 + 1):
-        block = beam_splitter_block(t, tot)
-        s = np.arange(max(0, tot - n2), min(n1, tot) + 1)
-        p = np.arange(max(0, tot - n_out + 1), min(n_out - 1, tot) + 1)[:, None]
-        amps[p, tot - p, s, tot - s] = block[p, s]
-    return amps
+def _total_slices(dim: FockDim) -> list:
+    """(lo, hi, at) for each photon total n <= 2 n_max of two modes: the first mode's count
+    p runs over lo .. hi - 1, and the slice at picks its indices p * D + n - p = n + p * n_max."""
+    n_max = dim.n_max
+    ends = [(max(0, n - n_max), min(n, n_max) + 1) for n in range(2 * n_max + 1)]
+    return [(lo, hi, slice(n + lo * n_max, n + hi * n_max, n_max))
+            for n, (lo, hi) in enumerate(ends)]
 
 
 def beam_splitter_matrix(t: float, dim: FockDim) -> np.ndarray:
-    """Two-mode beam-splitter matrix, index n1 * D + n2.
+    """Two-mode beam-splitter matrix, index n1 * D + n2, filled one
+    beam_splitter_block per photon total.
 
     Each total-photon block is diagonalized at its full size, so stored
     amplitudes are exact; columns with total number above n_max lose the
     part that leaves the truncation.
     """
-    side = dim.size ** 2
-    return beam_splitter_amplitudes(t, dim.n_max, dim.n_max, dim.size).reshape(side, side)
+    out = np.zeros((dim.size ** 2,) * 2)
+    for n, (lo, hi, at) in enumerate(_total_slices(dim)):
+        out[at, at] = beam_splitter_block(t, n)[lo:hi, lo:hi]
+    return out
 
 
 def beam_splitter(t: float, dim: FockDim) -> Element:
@@ -241,14 +240,14 @@ def two_mode_squeeze_matrix(g: float, dim: FockDim) -> np.ndarray:
     S(-zeta)) B^dag with B the 50:50 beam_splitter. B keeps the output's photon total
     N and B^dag the input's total M, so block (N, M), N = M mod 2, is the exact product
     block_N K block_M^T, K[p, s] = <p|S(zeta)|s> <N - p|S(-zeta)|M - s>, N, M <= 2 n_max."""
-    if g < 1.0:
+    if not g >= 1.0:
         raise ValueError("parametric gain must satisfy g >= 1")
-    zeta, n_max, d = math.acosh(math.sqrt(g)), dim.n_max, dim.size
+    zeta, d = math.acosh(math.sqrt(g)), dim.size
     plus, minus = (_squeeze_amplitudes(r, 2 * d - 1) for r in (zeta, -zeta))
-    # total n keeps p = lo .. hi - 1, at index p * D + n - p = n + p * n_max
-    ends = [(max(0, n - n_max), min(n, n_max) + 1) for n in range(2 * d - 1)]
-    at = [slice(n + lo * n_max, n + hi * n_max, n_max) for n, (lo, hi) in enumerate(ends)]
-    blocks = [beam_splitter_block(math.sqrt(0.5), n)[lo:hi] for n, (lo, hi) in enumerate(ends)]
+    totals = _total_slices(dim)
+    at = [cut for _, _, cut in totals]
+    blocks = [beam_splitter_block(math.sqrt(0.5), n)[lo:hi]
+              for n, (lo, hi, _) in enumerate(totals)]
     out = np.zeros((d * d, d * d))
     for n in range(2 * d - 1):
         for m in range(n % 2, 2 * d - 1, 2):
@@ -293,7 +292,7 @@ def attenuation(eta: float, dim: FockDim) -> Element:
 def parametric_amplification(g: float, dim: FockDim) -> Element:
     """Phase-insensitive amplifier; K_j = <j| S |0> on the idler adds j photons."""
     g = float(g)
-    if g < 1.0:
+    if not g >= 1.0:
         raise ValueError("gain must satisfy g >= 1")
     amps = two_mode_squeeze_amplitudes(math.acosh(math.sqrt(g)), dim.n_max, dim.size)
     ops = [amps[:, j] for j in range(dim.size) if np.any(amps[:, j])]

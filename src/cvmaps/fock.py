@@ -175,7 +175,7 @@ def coherent_state(alpha: complex, dim: FockDim) -> DensityOperator:
 
 def thermal_state(mean_n: float, dim: FockDim) -> DensityOperator:
     """Thermal state renormalized over the truncated space."""
-    if mean_n < 0:
+    if not mean_n >= 0:
         raise ValueError("mean photon number must be >= 0")
     if mean_n == 0:
         return fock_state(0, dim)

@@ -142,6 +142,9 @@ class GaussianKernel(_Kernel):
         n = x.shape[0] if x.ndim == 2 else 0
         if n == 0 or n % 2 or x.shape != (n, n) or y.shape != (n, n) or d.shape != (n,):
             raise ValueError("X and Y must be 2M x 2M and d of length 2M")
+        weight = float(_real(self.weight, "weight"))
+        if not all(np.isfinite(arr).all() for arr in (x, y, d, weight)):
+            raise ValueError("X, Y, d and the weight must be finite")
         if np.max(np.abs(y - y.T)) > 1e-12 * max(1.0, float(np.max(np.abs(y)))):
             raise ValueError("noise covariance Y must be symmetric")
         y = (y + y.T) / 2.0
@@ -152,7 +155,7 @@ class GaussianKernel(_Kernel):
             raise ValueError("noise covariance Y must be 0 or positive definite")
         for name, arr in (("X", x), ("Y", y), ("d", d)):
             object.__setattr__(self, name, _frozen(arr))
-        object.__setattr__(self, "weight", float(_real(self.weight, "weight")))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def modes(self) -> int:

@@ -212,8 +212,8 @@ def test_config_rejection(tmp_path):
 
 
 def test_importing_the_cli_loads_no_jsonschema():
-    # the validator is built where a config is read, so verify, which reads
-    # none, does not import jsonschema
+    # configs are checked against the schema in-tree; jsonschema serves the
+    # tests alone, as the oracle of that check
     run = subprocess.run(
         [sys.executable, "-c", "import sys, cvmaps.cli; print(sorted(m for m in sys.modules"
          " if m.split('.')[0] == 'jsonschema'))"],
@@ -615,14 +615,22 @@ def test_non_finite_numbers_exit_config(tmp_path, capsys):
             for flag in ("--theta=nan", "--theta=0,inf", "--grid=0,inf,5",
                          "--grid=-inf,2,5")]
     coherent = '"input_state": {"kind": "coherent", "alpha_re": %s}'
-    for i, text in enumerate((
-            '{"model": "identity", "n_max": 3, %s}' % (coherent % "NaN"),
-            '{"model": "identity", "n_max": 3, %s}' % (coherent % "-Infinity"),
-            '{"model": "phase_rotation", "n_max": 3, "theta": NaN}',
-            '{"model": "phase_rotation", "n_max": 3, "theta": 1e999}')):
+    huge = "1" + "0" * 400  # an integer literal that float() reads as inf
+    for i, (text, commands) in enumerate((
+            ('{"model": "identity", "n_max": 3, %s}' % (coherent % "NaN"), ("apply", "kernel")),
+            ('{"model": "identity", "n_max": 3, %s}' % (coherent % "-Infinity"),
+             ("apply", "kernel")),
+            ('{"model": "phase_rotation", "n_max": 3, "theta": NaN}', ("apply", "kernel")),
+            ('{"model": "phase_rotation", "n_max": 3, "theta": 1e999}', ("apply", "kernel")),
+            ('{"model": "amplifier", "g": %s}' % huge, ("tensor", "apply")),
+            ('{"model": "phase_rotation", "n_max": 3, "theta": %s}' % huge,
+             ("tensor", "kernel", "apply")),
+            ('{"model": "identity", "n_max": 3, "input_state": {"kind": "thermal", "mean_n": %s}}'
+             % huge, ("apply",)),
+            ('{"model": "identity", "n_max": 3, %s}' % (coherent % huge), ("apply",)))):
         path = tmp_path / f"c{i}.json"
         path.write_text(text, encoding="utf-8")
-        runs += [["apply", "--config", str(path)], ["kernel", "--config", str(path)]]
+        runs += [[command, "--config", str(path)] for command in commands]
     for i, argv in enumerate(runs):
         out = tmp_path / f"o{i}"
         assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG, argv
@@ -709,6 +717,130 @@ def test_the_schema_n_max_cap_is_the_fock_cap():
     # one limit held twice: raise both together
     schema = json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))
     assert schema["properties"]["n_max"]["maximum"] == fock._MAX_SIZE - 1
+
+
+SCHEMA = json.loads(cli._SCHEMA_PATH.read_text(encoding="utf-8"))
+# the keywords the in-tree check implements; the test below pins the values it reads
+SCHEMA_BOUNDS = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+SCHEMA_KEYWORDS = SCHEMA_BOUNDS | {"type", "enum", "required", "properties",
+                                   "additionalProperties", "not"}
+SCHEMA_ANNOTATIONS = {"$schema", "$id", "title"}
+
+
+def _subschemas(schema):
+    """schema and every schema nested in it, through properties and not."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "not" in schema:
+        yield from _subschemas(schema["not"])
+
+
+def test_the_schema_uses_only_the_checked_keywords():
+    # the config check implements these keywords alone: a schema that used
+    # another would pass configs that the schema refuses
+    for sub in _subschemas(SCHEMA):
+        assert set(sub) <= SCHEMA_KEYWORDS | SCHEMA_ANNOTATIONS, sorted(set(sub) - SCHEMA_KEYWORDS)
+        assert sub.get("type", "object") in {"object", "number", "integer", "boolean"}
+        assert sub.get("additionalProperties", False) is False
+        assert all(type(value) is str for value in sub.get("enum", ()))  # compared with ==
+        assert all(type(sub[key]) in (int, float) for key in set(sub) & SCHEMA_BOUNDS)
+
+
+def _draft7_first_error(config):
+    """(path, message) of jsonschema's first Draft 7 error by path, with
+    integers held to JSON integers as the CLI holds them, or None."""
+    from jsonschema import Draft7Validator, validators
+
+    checker = Draft7Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    validator = validators.extend(Draft7Validator, type_checker=checker)(SCHEMA)
+    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.path))
+    return (tuple(errors[0].path), errors[0].message) if errors else None
+
+
+_STATES = [None, {"kind": "coherent", "alpha_re": 0.7, "alpha_im": 0.2},
+           {"kind": "fock", "n": 2}, {"kind": "thermal", "mean_n": 0.5}]
+_VALUES = st.one_of(
+    st.booleans(), st.none(), st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.sampled_from([value for sub in _subschemas(SCHEMA) for value in sub.get("enum", ())]),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}), st.just({"kind": "fock"}))
+
+
+@st.composite
+def _near_bounds(draw, field):
+    """A number at, beside or across one of the field's bounds, as an int or a float."""
+    bound = draw(st.sampled_from([field[key] for key in field if key in SCHEMA_BOUNDS] or [0]))
+    value = bound + draw(st.sampled_from([0, 0, -1, 1, -0.5, 0.5, 1e-9, -1e-9]))
+    return draw(st.sampled_from([value, float(value), int(value)]))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config, with or without an input state, after one to three
+    edits, at the root or in the input state: a number at or across a bound,
+    a bool or an integral float in a number or integer field, a value of
+    another type, an unknown key, a dropped key, R beside g, or a root or
+    input state that is no object."""
+    shipped = draw(st.sampled_from(sorted(CONFIG_DIR.glob("*.json"))))
+    config = json.loads(shipped.read_text(encoding="utf-8"))
+    state = draw(st.sampled_from(_STATES))
+    if state is not None:
+        config["input_state"] = dict(state)
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(config, dict):
+            break
+        nested = isinstance(config.get("input_state"), dict) and draw(st.booleans())
+        block, schema = ((config["input_state"], SCHEMA["properties"]["input_state"]) if nested
+                         else (config, SCHEMA))
+        key = draw(st.sampled_from(sorted(schema["properties"])))
+        field = schema["properties"][key]
+        if key == "R":
+            block.pop("g", None)  # a config gives one of the two, or the not rule hides R's
+        edit = draw(st.sampled_from(["bound"] * 4 + ["bool_or_float"] * 2 + ["type"] * 2 + [
+            "unknown", "unknown", "drop", "R_and_g", "not_object"]))
+        if edit == "bound":
+            block[key] = draw(_near_bounds(field))
+        elif edit == "bool_or_float":
+            block[key] = draw(st.sampled_from([True, False, 0.0, 1.0, 2.0, 6.0, -1.0]))
+        elif edit == "type":
+            block[key] = draw(_VALUES)
+        elif edit == "unknown":
+            block[draw(st.text("Rgnq_z", min_size=1, max_size=3))] = draw(_VALUES)
+        elif edit == "drop" and block:
+            required = [name for name in schema["required"] if name in block]
+            del block[draw(st.sampled_from(required or sorted(block)))]
+        elif edit == "R_and_g":
+            config.update(R=draw(st.sampled_from([0.5, 1, 0])), g=draw(st.sampled_from([2.0, 1])))
+        elif edit == "not_object" and nested:
+            config["input_state"] = draw(_VALUES.filter(lambda value: not isinstance(value, dict)))
+        elif edit == "not_object":
+            config = draw(_VALUES.filter(lambda value: not isinstance(value, dict)))
+    return config
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(config=_mutated_configs())
+@example(config={"model": "identity", "n_max": 6.0})
+@example(config={"model": "identity", "n_max": True, "include_faulty": 1})
+@example(config={"model": "amplifier", "R": 0.5, "g": 2, "mu": 0, "delta": 2.5})
+@example(config={"model": "warp_drive", "q": 1, "R": 1, "gamma": -1})
+@example(config={"n_max": 64, "input_state": {"kind": "fock", "n": -1, "n_max": 3}})
+@example(config={"model": "identity", "input_state": {"alpha_re": "0", "mean_n": -0.5}})
+@example(config=[{"model": "identity"}])
+def test_the_config_check_matches_jsonschema_property(config, tmp_path_factory):
+    # the same verdict, first path and message as jsonschema's Draft 7
+    # validator, through load_config as the commands call it
+    path = tmp_path_factory.getbasetemp() / "mutated_config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    expected = _draft7_first_error(config)
+    if expected is None:
+        assert cli.load_config(str(path)) == config
+        return
+    where = "/".join(expected[0]) or "<root>"
+    with pytest.raises(ValueError) as refused:
+        cli.load_config(str(path))
+    assert str(refused.value) == f"config violates schema at {where}: {expected[1]}"
 
 
 def test_apply_applies_the_map_once(tmp_path, monkeypatch):

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cvmaps import cli
 from cvmaps.elements import (
     DetectorElement,
     apd_click,
     attenuation,
     attenuation_kraus,
     beam_splitter,
-    beam_splitter_amplitudes,
     beam_splitter_block,
     beam_splitter_columns,
     beam_splitter_matrix,
@@ -142,12 +142,16 @@ def test_beam_splitter_against_expm():
     (math.sqrt(0.2), 2, 0, 3),
 ])
 def test_beam_splitter_amplitudes_against_expm(t, n1, n2, n_out):
-    amps = beam_splitter_amplitudes(t, n1, n2, n_out)
-    assert amps.shape == (n_out, n_out, n1 + 1, n2 + 1)
+    # <p, q| U |s, b> for s <= n1, b <= n2 and p, q < n_out, read from the
+    # whole matrix at a cut that holds all four counts
+    n_max = max(n1, n2, n_out - 1)
+    d = n_max + 1
+    amps = beam_splitter_matrix(t, FockDim(n_max)).reshape((d,) * 4)
     # every input total is at most n1 + n2, so this truncation is exact there
     size = n1 + n2 + 1
     ref = oracles.bs2(t, size).reshape((size,) * 4)
-    assert np.max(np.abs(amps - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
+    assert np.max(np.abs(amps[:n_out, :n_out, :n1 + 1, :n2 + 1]
+                         - ref[:n_out, :n_out, :n1 + 1, :n2 + 1])) < 1e-12
 
 
 SPLITTER_AMPLITUDES = pytest.mark.parametrize("t", [
@@ -220,49 +224,92 @@ def test_two_mode_squeezer_matches_the_decimal_sum_property(g, seed):
         assert max(errors) <= 1e-14, (n_max, max(errors))
 
 
-SCIPY_BLOCKER = """
+BLOCKER = """
 import sys
 
 
-class BlockScipy:
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
+        if name.split(".")[0] in ("scipy", "jsonschema"):
             raise ImportError(f"{name} is blocked")
 
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 """
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _files(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.is_file()}
 
 
 def test_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # no scipy module at all: importing cvmaps loads none, and tensor,
-    # kernel and apply run on a shipped config where scipy cannot be imported
+    # the runtime is numpy alone: importing the CLI loads no scipy or
+    # jsonschema module, and tensor, kernel and apply run on every shipped
+    # config where neither can be imported, writing what an unblocked run writes
     run = subprocess.run(
         [sys.executable, "-c",
-         "import sys, cvmaps; print(sorted(m for m in sys.modules"
-         " if m.split('.')[0] == 'scipy'))"],
+         "import sys, cvmaps.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('scipy', 'jsonschema')))"],
         capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
-    shipped = Path(__file__).resolve().parents[1] / "configs" / "amplifier_experimental.json"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**json.loads(shipped.read_text()),
-                                  "input_state": {"kind": "coherent", "alpha_re": 0.7}}))
-    script = SCIPY_BLOCKER + (
+    configs = []
+    for shipped in sorted(CONFIGS.glob("*.json")):
+        config = tmp_path / "configs" / shipped.name
+        config.parent.mkdir(exist_ok=True)
+        config.write_text(json.dumps({**json.loads(shipped.read_text()), "input_state": {
+            "kind": "coherent", "alpha_re": 0.7, "alpha_im": 0.2}}))
+        configs.append(str(config))
+    script = BLOCKER + (
+        "from pathlib import Path\n"
         "from cvmaps import cli\n"
-        "for command in ('tensor', 'kernel', 'apply'):\n"
-        "    code = cli.main([command, '--config', sys.argv[1], '--out', sys.argv[2] + command])\n"
-        "    assert code == 0, (command, code)\n"
-        "try:\n"
-        "    import scipy\n"
-        "except ImportError:\n"
-        "    print('blocked')\n")
-    run = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out_")],
+        "for config in sys.argv[2:]:\n"
+        "    for command in ('tensor', 'kernel', 'apply'):\n"
+        "        out = f'{sys.argv[1]}/{command}_{Path(config).stem}'\n"
+        "        code = cli.main([command, '--config', config, '--out', out])\n"
+        "        assert code == 0, (command, config, code)\n"
+        "for name in ('scipy', 'jsonschema'):\n"
+        "    try:\n"
+        "        __import__(name)\n"
+        "    except ImportError:\n"
+        "        print('blocked', name)\n")
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "blocked"), *configs],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().endswith("blocked")
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "config.json", "out_apply", "out_kernel", "out_tensor"]
+    assert run.stdout.splitlines()[-2:] == ["blocked scipy", "blocked jsonschema"]
+    for config in configs:
+        for command in ("tensor", "kernel", "apply"):
+            out = tmp_path / "free" / f"{command}_{Path(config).stem}"
+            assert cli.main([command, "--config", config, "--out", str(out)]) == 0
+    blocked, free = _files(tmp_path / "blocked"), _files(tmp_path / "free")
+    assert len(blocked) == 4 * (2 + 4 + 2)  # tensor, kernel and apply files per config
+    assert blocked == free
+
+
+FINITE = "must be finite"  # the GaussianKernel refusal
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: GaussianKernel(np.diag([1.0, math.nan]), np.zeros((2, 2)), np.zeros(2)), FINITE),
+    (lambda: GaussianKernel(np.diag([1.0, math.inf]), np.eye(2), np.zeros(2)), FINITE),
+    (lambda: GaussianKernel(np.eye(2), np.diag([1.0, math.nan]), np.zeros(2)), FINITE),
+    (lambda: GaussianKernel(np.eye(2), math.inf * np.eye(2), np.zeros(2)), FINITE),
+    (lambda: GaussianKernel(np.eye(2), np.zeros((2, 2)), [math.nan, 0.0]), FINITE),
+    (lambda: GaussianKernel(np.eye(2), np.zeros((2, 2)), [0.0, -math.inf]), FINITE),
+    (lambda: GaussianKernel(np.eye(2), np.eye(2), np.zeros(2), weight=math.nan), FINITE),
+    (lambda: phase_rotation(math.nan, FockDim(3)), FINITE),
+    (lambda: squeezing(math.nan, FockDim(3)), FINITE),
+    (lambda: parametric_amplification(math.nan, FockDim(3)), "g >= 1"),
+    (lambda: parametric_down_conversion(math.nan, FockDim(3)), "g >= 1"),
+    (lambda: thermal_state(math.nan, FockDim(3)), ">= 0"),
+], ids=["X_nan", "X_inf", "Y_nan", "Y_inf", "d_nan", "d_minus_inf", "weight_nan",
+        "phase_rotation", "squeezing", "parametric_amplification",
+        "parametric_down_conversion", "thermal_state"])
+def test_non_finite_parameters_are_refused(build, match):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_beam_splitter_element_structure():

@@ -28,8 +28,9 @@ evaluators ``_basis_values`` and ``_harmonics`` stay gone, and only
 and no cache of one.
 No function in the package allocates a D^4 array, ``tensors`` defines no
 ``elements`` view of one, and the dense layout's names stay gone. No
-D^2 x D^2 Choi matrix is formed: the only D^2 x D^2 reshape is the
-splitter unitary, and a tensor is built from its own fields
+D^2 x D^2 Choi matrix is formed, nor any D^2 x D^2 reshape: the two-mode
+matrices are allocated directly and written through the photon-total slices of
+one helper, ``elements._total_slices``, and a tensor is built from its own fields
 ``(dim, ops, weights)``, never from an array of entries. The amplifier collapses its herald sums
 instead of contracting whole splitter tables: ``models`` holds no einsum of
 more than four operands, splitter amplitudes come from one
@@ -49,6 +50,7 @@ cap (in ``wigner``, which streams the basis under it), and ``kernels`` scans
 no imaginary part of a sample array.
 The CLI renders tables by column: no cell is formatted by its own
 ``format_float`` call, and JSON records are not indented by ``json.dumps``.
+The runtime is numpy alone: no module imports ``jsonschema`` or ``scipy``.
 """
 
 import ast
@@ -461,7 +463,27 @@ def test_the_squeezers_are_built_from_catalog_pieces():
 def test_models_read_splitters_by_columns():
     # the amplifier's few columns per photon total come in closed form; no
     # total-photon block or whole splitter table is built for them
-    assert not _names(SRC / "models.py") & {"beam_splitter_block", "beam_splitter_amplitudes"}
+    assert not _names(SRC / "models.py") & {"beam_splitter_block", "beam_splitter_matrix"}
+
+
+def test_the_two_mode_matrices_share_one_photon_total_layout():
+    # both whole two-mode matrices are written block by block through the
+    # same strided slices; the rectangular amplitude table is gone
+    for path in sorted(SRC.glob("*.py")):
+        assert "beam_splitter_amplitudes" not in _names(path), path.name
+    assert {f for f, _ in _calls_to(SRC / "elements.py", "_total_slices")} == {
+        "beam_splitter_matrix", "two_mode_squeeze_matrix"}
+
+
+def test_the_runtime_imports_neither_jsonschema_nor_scipy():
+    # numpy is the one runtime dependency; both serve the tests as oracles
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {alias.name for node in nodes if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom)
+                     and node.module}
+        assert not {name.split(".")[0] for name in imported} & {"jsonschema", "scipy"}, path.name
 
 
 def _is_square(node):
@@ -548,14 +570,10 @@ def from_fields(dim, ops, weights):
     assert _tensors_not_built_from_fields(source) == [("from_array", 17)]
 
 
-# the one D^2 x D^2 reshape that is no Choi matrix: the splitter unitary,
-# which acts on states (the two-mode squeezer allocates its matrix directly)
-NOT_CHOI = {("elements.py", "beam_splitter_matrix")}
-
-
 def test_the_package_forms_no_choi_matrix():
-    hits = {path.name: [hit for hit in _choi_matrices(path.read_text(encoding="utf-8"))
-                        if (path.name, hit[0]) not in NOT_CHOI]
+    # no D^2 x D^2 reshape at all: the splitter and the two-mode squeezer
+    # allocate their matrices directly
+    hits = {path.name: _choi_matrices(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in hits.items() if found} == {}
 
